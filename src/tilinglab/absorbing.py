@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Callable, Iterable, Iterator
 
-from .embed import cliques_of_size, embed_in_set, find_embedding
-from .factor import Tiling, find_factor_exact, find_traversing_copy_any, greedy_max_tiling
+from .embed import cliques_of_size, copy_sets_through, embed_in_set, find_embedding, traversing_copy
+from .factor import Tiling, find_factor_exact, greedy_max_tiling
 from .graphs import Graph, Pattern, induced_subgraph
 from .matching import max_bipartite_matching
 from .rng import derive_seed, rng_for
@@ -192,10 +192,6 @@ def _surplus_of(m: int, beta: float) -> int:
     return math.ceil(beta * m)
 
 
-def _template_subset_iter(flex_size: int, m: int) -> Iterator[tuple[int, ...]]:
-    yield from combinations(range(flex_size), m)
-
-
 def build_template(
     m: int,
     beta: float,
@@ -290,7 +286,7 @@ def _verify_template(
                 f"{count} flex subsets exceed the exhaustive cap; use sampled mode"
             )
         n_checked = 0
-        for sub in _template_subset_iter(tpl.flex_size, tpl.m):
+        for sub in combinations(range(tpl.flex_size), tpl.m):
             n_checked += 1
             if not tpl.matches_with_flex(sub):
                 raise TemplateBuildError("flex subset without perfect matching",
@@ -337,15 +333,15 @@ def is_st_absorber(
     return find_factor_exact(sub2, p, budget=budget).found
 
 
-def _iter_copy_sets(g: Graph, p: Pattern, allowed: frozenset[int]) -> Iterator[frozenset[int]]:
-    """Distinct copy vertex-sets inside `allowed`, lexicographically by
-    sorted image (enumerated via their minimum vertex)."""
-    from .embed import copy_sets_through
-
+def _copies_by_min_vertex(
+    g: Graph, p: Pattern, allowed: frozenset[int]
+) -> Iterator[Iterator[tuple[int, ...]]]:
+    """Per vertex of `allowed` in increasing order, the lazy stream of the
+    sorted images of copies inside `allowed` whose minimum vertex it is.
+    Chained together, the streams list every copy in lex order."""
     for v in sorted(allowed):
         tail = frozenset(u for u in allowed if u >= v)
-        for img, _emb in copy_sets_through(g, p, v, tail):
-            yield frozenset(img)
+        yield (img for img, _emb in copy_sets_through(g, p, v, tail))
 
 
 def disjoint_absorber_family_direct(
@@ -400,36 +396,22 @@ def _direct_absorber(
     """First candidate (t disjoint copies) whose union tiles together with
     the core.  Candidates rotate through anchor vertices so one anchor that
     is incompatible with the core cannot exhaust the attempt budget."""
-    from .embed import copy_sets_through
-
     allowed = frozenset(range(g.n)) - used
     attempts = 0
-    for a in sorted(allowed):
-        tail = frozenset(u for u in allowed if u >= a)
-        tried_here = 0
-        for img, _emb in copy_sets_through(g, p, a, tail):
+    for copies in _copies_by_min_vertex(g, p, allowed):
+        for img in islice(copies, per_anchor):
             cand = set(img)
-            feasible = True
             for _ in range(t - 1):
-                nxt = None
-                for c in _iter_copy_sets(g, p, allowed - frozenset(cand)):
-                    nxt = c
-                    break
+                nxt = next(chain.from_iterable(_copies_by_min_vertex(g, p, allowed - cand)), None)
                 if nxt is None:
-                    feasible = False
-                    break
-                cand |= nxt
-            if not feasible:
-                return None
+                    return None
+                cand.update(nxt)
             sub, _ = induced_subgraph(g, cand | set(core_t))
             if find_factor_exact(sub, p, budget=budget).found:
                 return frozenset(cand)
             attempts += 1
-            tried_here += 1
             if attempts >= attempts_per:
                 return None
-            if tried_here >= per_anchor:
-                break
     return None
 
 
@@ -489,7 +471,7 @@ def disjoint_absorber_family_general(
     marks = {w: sorted(designated[w]) for w in core_t}
     absorbers: list[frozenset[int]] = []
     while len(absorbers) < target:
-        trav = find_traversing_copy_any(g, p, [marks[w] for w in core_t])
+        trav = traversing_copy(g, p, [marks[w] for w in core_t])
         if trav is None:
             if allow_partial:
                 break
@@ -786,12 +768,13 @@ def make_family_builder(
 class AbsorbingStructure:
     """The assembled absorbing set plus all bookkeeping needed to absorb.
 
-    buffer: vertices consumed flexibly by copies so that exactly m survive;
-    core: always matched through the template; slots: grouped into blocks of
-    h-1 vertices, each block tiled together with one matched buffer/core
-    vertex; edge_absorbers: one absorber per template edge, keyed by the
-    edge.  copy_families[v] lists the (h-1)-subsets of the buffer forming a
-    pattern copy with v.
+    buffer: vertices consumed flexibly by copies so that exactly m survive,
+    in increasing order; core: always matched through the template; the
+    template's left side is the buffer followed by the core (left_vertex).
+    slots: grouped into blocks of h-1 vertices, each block tiled together
+    with one matched buffer/core vertex; edge_absorbers: one absorber per
+    template edge, keyed by the edge.  copy_families[v] lists the
+    (h-1)-subsets of the buffer forming a pattern copy with v.
     """
 
     n: int
@@ -803,8 +786,6 @@ class AbsorbingStructure:
     slots: tuple[int, ...]
     slot_blocks: tuple[tuple[int, ...], ...]
     template: TemplateGraph
-    buffer_map: tuple[int, ...]
-    core_map: tuple[int, ...]
     edge_absorbers: dict[tuple[int, int], tuple[int, ...]]
     copy_families: dict[int, tuple[tuple[int, ...], ...]]
     harvest_sizes: dict[int, int]
@@ -831,10 +812,9 @@ class AbsorbingStructure:
         return [k for k in range(self.max_remainder + 1) if (a + k) % h == 0]
 
     def left_vertex(self, l: int) -> int:
-        """Graph vertex behind template left index l."""
-        if l < self.template.flex_size:
-            return self.buffer_map[l]
-        return self.core_map[l - self.template.flex_size]
+        """Graph vertex behind template left index l: the flex side is the
+        buffer and the core side follows it."""
+        return (self.buffer + self.core)[l]
 
 
 def build_absorbing_set(
@@ -944,7 +924,7 @@ def build_absorbing_set(
                               seed=derive_seed(seed, "template"),
                               retries=config.template_retries)
 
-    # stages 4-5: core and slot vertices, index-order maps.  Slot blocks are
+    # stages 4-5: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a
     # copy; with multiplicity-1 edge absorbers an edgeless block would make
     # some template edges impossible to absorb.
@@ -969,15 +949,13 @@ def build_absorbing_set(
         block_pool -= set(found)
     slot_blocks = tuple(blocks)
     slots = tuple(v for b in slot_blocks for v in b)
-    buffer_map = tuple(sorted(buffer))
-    core_map = core
 
     # stage 6: one absorber per template edge, pairwise disjoint
     used_set = set(buffer) | set(core) | set(slots)
     edge_absorbers: dict[tuple[int, int], tuple[int, ...]] = {}
+    left_side = tuple(buffer) + core
     for l, rgt in template.edges():
-        anchor = buffer_map[l] if l < template.flex_size else core_map[l - template.flex_size]
-        core_e = tuple(sorted({anchor} | set(slot_blocks[rgt])))
+        core_e = tuple(sorted({left_side[l]} | set(slot_blocks[rgt])))
         got = family_builder(core_e, config.t, 1, frozenset(used_set), True)
         if not got:
             raise StageFailure(
@@ -990,8 +968,8 @@ def build_absorbing_set(
 
     structure = AbsorbingStructure(
         n=n, pattern=p, config=config, seed=seed,
-        buffer=buffer_map, core=core, slots=slots, slot_blocks=slot_blocks,
-        template=template, buffer_map=buffer_map, core_map=core_map,
+        buffer=tuple(buffer), core=core, slots=slots, slot_blocks=slot_blocks,
+        template=template,
         edge_absorbers=edge_absorbers, copy_families=families,
         harvest_sizes={v: len(harvest[v]) for v in range(n)},
         size_report={},
@@ -1031,8 +1009,6 @@ def _copy_through_from_run(
     from `used`.  Prefers copies entirely inside the absorber (those can
     never collide across runs); otherwise takes v's copy in a perfect tiling
     of the absorber plus core, which may spend core vertices."""
-    from .embed import copy_sets_through
-
     for img, _emb in copy_sets_through(g, p, v, frozenset(absorber) | {v}):
         mates = frozenset(img) - {v}
         if not (mates & used):
@@ -1053,19 +1029,14 @@ def _copy_through_from_run(
 
 def _families_in_buffer(g: Graph, p: Pattern, buffer: list[int]) -> dict[int, tuple]:
     """For every vertex v, all (h-1)-subsets of the buffer that form a
-    pattern copy with v (sorted lexicographically)."""
-    h = p.h
-    out: dict[int, tuple[tuple[int, ...], ...]] = {}
-    subsets = list(combinations(sorted(buffer), h - 1))
-    for v in range(g.n):
-        fams = []
-        for sub in subsets:
-            if v in sub:
-                continue
-            if embed_in_set(g, p, sub + (v,)) is not None:
-                fams.append(sub)
-        out[v] = tuple(fams)
-    return out
+    pattern copy with v (sorted lexicographically): the copies through v
+    inside the buffer plus v, with v taken out."""
+    pool = frozenset(buffer)
+    return {
+        v: tuple(tuple(u for u in img if u != v)
+                 for img, _emb in copy_sets_through(g, p, v, pool | {v}))
+        for v in range(g.n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1131,11 +1102,12 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     for anchor, mates in cover:
         covered_by_cover |= {anchor} | set(mates)
     survivors = [v for v in remaining if v not in covered_by_cover]
-    assert len(survivors) == m
+    if len(survivors) != m:
+        raise CertificateBugError(f"buffer cover left {len(survivors)} survivors, expected {m}")
 
     # template matching of survivors + core onto slots
     tpl = structure.template
-    pos = {v: i for i, v in enumerate(structure.buffer_map)}
+    pos = {v: i for i, v in enumerate(structure.buffer)}
     flex_chosen = sorted(pos[v] for v in survivors)
     left_nodes = flex_chosen + list(range(tpl.flex_size, tpl.left_size))
     adj = [list(tpl.left_adj[l]) for l in left_nodes]

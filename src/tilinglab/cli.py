@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .absorbing import (
     AbsorberConfig,
@@ -35,9 +36,9 @@ from .pipeline import find_factor_absorbing
 from .rng import derive_seed, rng_for
 from .serialize import (
     SCHEMA_ABSORBER,
-    SCHEMA_STRUCTURE,
     SCHEMA_TILING,
     SCHEMA_WITNESS,
+    STRUCTURE_SCHEMAS,
     dump_json,
     load_json,
     parse_pattern_spec,
@@ -213,27 +214,35 @@ def cmd_absorb(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = load_json(args.certificate)
+    if not isinstance(obj, dict):
+        print(f"malformed certificate: a JSON {type(obj).__name__}, not an object",
+              file=sys.stderr)
+        return USAGE_ERROR
     schema = obj.get("schema")
-    try:
+    try:  # load only; the checks run below
         if schema == SCHEMA_TILING:
-            g = _read_graph(args.graph)
-            tiling = tiling_from_obj(obj)
-            verify_tiling(g, tiling, require_factor=args.factor)
+            check = partial(verify_tiling, tiling=tiling_from_obj(obj),
+                            require_factor=args.factor)
         elif schema == SCHEMA_ABSORBER:
-            g = _read_graph(args.graph)
-            pattern = pattern_from_obj(obj["pattern"])
-            verify_absorber(g, pattern, obj["core"], obj["absorber"], obj["t"])
-        elif schema == SCHEMA_STRUCTURE:
-            g = _read_graph(args.graph)
-            structure = structure_from_obj(obj)
-            verify_structure(g, structure, seed=args.seed)
+            check = partial(verify_absorber, p=pattern_from_obj(obj["pattern"]),
+                            core=obj["core"], absorber=obj["absorber"], t=obj["t"])
+        elif schema in STRUCTURE_SCHEMAS:
+            check = partial(verify_structure, structure=structure_from_obj(obj),
+                            seed=args.seed)
         elif schema == SCHEMA_WITNESS:
-            g = _read_graph(args.graph)
-            pattern = pattern_from_obj(obj["pattern"])
-            verify_traversing_witness(g, pattern, obj["s"], obj["parts"])
+            check = partial(verify_traversing_witness, p=pattern_from_obj(obj["pattern"]),
+                            s=obj["s"], parts=obj["parts"])
         else:
             print(f"unknown certificate schema: {schema}", file=sys.stderr)
             return USAGE_ERROR
+    except KeyError as exc:
+        print(f"malformed certificate: missing key {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (TypeError, AttributeError, ValueError) as exc:
+        print(f"malformed certificate: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        check(_read_graph(args.graph))
     except VerificationError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return FAILURE

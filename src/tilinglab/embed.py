@@ -9,6 +9,7 @@ edges (copies are subgraphs, not necessarily induced).
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, Pattern
@@ -162,20 +163,40 @@ def copy_sets_through(
     p: Pattern,
     anchor: int,
     allowed: frozenset[int],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All distinct copy vertex-sets through `anchor` inside `allowed`.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield every distinct copy vertex-set through `anchor` inside `allowed`.
 
-    Returns a lex-sorted list of (sorted image tuple, one embedding).  For
-    clique patterns the image tuple doubles as the embedding.
+    Items are (sorted image tuple, embedding) in lex order of the image, and
+    the embedding is the first one `embeddings(g, p, allowed, anchor)` finds
+    on that image.  For clique patterns the image tuple doubles as the
+    embedding.  General patterns are searched one group at a time, grouped
+    by the smallest image vertex other than the anchor, so a caller that
+    stops early never pays for the later groups.
     """
     if p.is_clique:
-        return [(cl, cl) for cl in cliques_of_size(g, p.h, allowed, require=anchor)]
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for emb in embeddings(g, p, allowed, anchor=anchor):
-        key = tuple(sorted(emb))
-        if key not in seen:
-            seen[key] = emb
-    return sorted(seen.items())
+        for cl in cliques_of_size(g, p.h, allowed, require=anchor):
+            yield cl, cl
+        return
+    if anchor not in allowed:
+        return
+    order = pattern_order(p)
+    for u in sorted(allowed - {anchor}):
+        pool = frozenset(v for v in allowed if v > u) | {anchor, u}
+        # image -> (position in the order of `embeddings`, embedding), where
+        # that order is by the anchor's slot, then by the other images
+        first: dict[tuple[int, ...], tuple] = {}
+        for sa, su in permutations(order, 2):
+            if p.graph.has_edge(sa, su) and not g.has_edge(anchor, u):
+                continue
+            rest = [q for q in order if q != sa]
+            sub_order = [sa, su] + [q for q in rest if q != su]
+            for emb in _embed_backtrack(g, p, sub_order, pool, {sa: anchor, su: u}, None):
+                key = (order.index(sa), [emb[q] for q in rest])
+                img = tuple(sorted(emb))
+                if img not in first or key < first[img][0]:
+                    first[img] = (key, emb)
+        for img in sorted(first):
+            yield img, first[img][1]
 
 
 def embed_in_set(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ...] | None:
@@ -193,10 +214,6 @@ def embed_in_set(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ..
     for emb in embeddings(g, p, vs):
         return emb
     return None
-
-
-def has_copy(g: Graph, p: Pattern, allowed: Iterable[int] | None = None) -> bool:
-    return find_embedding(g, p, allowed) is not None
 
 
 def traversing_copy_fixed(
@@ -248,8 +265,6 @@ def traversing_copy(
     Tries all assignments of pattern vertices to parts (for cliques the
     assignment is irrelevant and only one is tried).
     """
-    from itertools import permutations
-
     h = p.h
     plist = [list(part) for part in parts]
     if p.is_clique:

@@ -2,8 +2,9 @@
 
 find_factor_exact is the ground truth everything else is checked against.
 It is an exact-cover search: branch on the lowest-index uncovered vertex,
-enumerating all copies through it inside the uncovered set, in lexicographic
-order.  Budgets are counted in search-tree nodes, never wall time.
+trying the copies through it inside the uncovered set in the lex order the
+lazy `embed.copy_sets_through` yields them.  Budgets are counted in
+search-tree nodes, never wall time.  Traversing copies are found by `embed`.
 """
 
 from __future__ import annotations
@@ -135,36 +136,3 @@ def leftover_of(g: Graph, tiling: Tiling, forbidden: Iterable[int] = ()) -> list
     """Vertices not covered by the tiling and not forbidden."""
     out = set(range(g.n)) - tiling.covered - set(forbidden)
     return sorted(out)
-
-
-def find_traversing_copy(
-    g: Graph,
-    p: Pattern,
-    parts: list[Iterable[int]],
-) -> tuple[int, ...] | None:
-    """Embedding with pattern vertex i drawn from parts[i] (fixed assignment).
-
-    Parts must be pairwise disjoint.  Backtracks over pattern vertices in
-    index order with adjacency filtering; exact.
-    """
-    from .embed import traversing_copy_fixed
-
-    lists = [list(part) for part in parts]
-    seen: set[int] = set()
-    for part in lists:
-        for v in part:
-            if v in seen:
-                raise ValueError("parts must be pairwise disjoint")
-            seen.add(v)
-    return traversing_copy_fixed(g, p, lists)
-
-
-def find_traversing_copy_any(
-    g: Graph,
-    p: Pattern,
-    parts: list[Iterable[int]],
-) -> tuple[int, ...] | None:
-    """Copy hitting every part once, trying all pattern-to-part assignments."""
-    from .embed import traversing_copy
-
-    return traversing_copy(g, p, [list(part) for part in parts])

@@ -39,11 +39,6 @@ def max_degree(g: Graph) -> int:
     return max(g.degree(v) for v in range(g.n))
 
 
-def enumerate_cliques(g: Graph, r: int) -> Iterator[tuple[int, ...]]:
-    """All r-cliques as sorted tuples, lexicographically ordered."""
-    yield from cliques_of_size(g, r)
-
-
 def max_clique(g: Graph) -> int:
     """Exact clique number via branch and bound with greedy coloring bound."""
     if g.n == 0:

@@ -1,8 +1,11 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1, absorber/v1, absorbing-structure/v1, traversing-witness/v1.
-Patterns serialize inline (clique order, or an explicit edge list).
+tiling/v1, absorber/v1, absorbing-structure/v2, traversing-witness/v1.
+Structures are written as v2.  Documents tagged absorbing-structure/v1 are
+still read: v1 also carried an index-map copy of `buffer` and of `core`,
+which the loader ignores.  Patterns serialize inline (clique order, or an
+explicit edge list).
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from .graphs import Graph, Pattern
 
 SCHEMA_TILING = "tiling/v1"
 SCHEMA_ABSORBER = "absorber/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v1"
+SCHEMA_STRUCTURE = "absorbing-structure/v2"
+STRUCTURE_SCHEMAS = ("absorbing-structure/v1", SCHEMA_STRUCTURE)
 SCHEMA_WITNESS = "traversing-witness/v1"
 
 
@@ -135,8 +139,6 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
         "slots": list(s.slots),
         "slot_blocks": [list(b) for b in s.slot_blocks],
         "template": template_to_obj(s.template),
-        "buffer_map": list(s.buffer_map),
-        "core_map": list(s.core_map),
         "edge_absorbers": [
             {"left": l, "right": r, "vertices": list(a)}
             for (l, r), a in sorted(s.edge_absorbers.items())
@@ -159,8 +161,6 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
         slots=tuple(obj["slots"]),
         slot_blocks=tuple(tuple(b) for b in obj["slot_blocks"]),
         template=template_from_obj(obj["template"]),
-        buffer_map=tuple(obj["buffer_map"]),
-        core_map=tuple(obj["core_map"]),
         edge_absorbers={
             (e["left"], e["right"]): tuple(e["vertices"])
             for e in obj["edge_absorbers"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -139,37 +140,26 @@ def run_trial(spec: ExperimentSpec, cell_index: int, trial: int) -> dict:
     return row
 
 
-def _worker(args: tuple[str, int, int]) -> tuple[int, int, dict]:
-    spec_json, cell_index, trial = args
-    spec = ExperimentSpec.from_obj(json.loads(spec_json))
-    return cell_index, trial, run_trial(spec, cell_index, trial)
+def _timed_trial(spec: ExperimentSpec, cell_index: int, trial: int, timings: bool) -> dict:
+    """run_trial, recording its wall time in `millis` when `timings` is set."""
+    t0 = time.perf_counter()
+    row = run_trial(spec, cell_index, trial)
+    if timings:
+        row["millis"] = round((time.perf_counter() - t0) * 1000, 3)
+    return row
 
 
 def run_sweep(spec: ExperimentSpec, threads: int = 1, timings: bool = False) -> list[dict]:
     """All rows of the sweep, ordered by (cell index, trial index)."""
-    import time
-
     jobs = [
-        (cell_index, trial)
+        (spec, cell_index, trial, timings)
         for cell_index in range(len(spec.cells()))
         for trial in range(spec.trials)
     ]
-    rows: dict[tuple[int, int], dict] = {}
     if threads > 1:
-        spec_json = json.dumps(spec.__dict__)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for ci, tr, row in pool.map(
-                _worker, [(spec_json, ci, tr) for ci, tr in jobs]
-            ):
-                rows[(ci, tr)] = row
-    else:
-        for ci, tr in jobs:
-            t0 = time.perf_counter()
-            row = run_trial(spec, ci, tr)
-            if timings:
-                row["millis"] = round((time.perf_counter() - t0) * 1000, 3)
-            rows[(ci, tr)] = row
-    return [rows[key] for key in sorted(rows)]
+            return list(pool.map(_timed_trial, *zip(*jobs)))
+    return [_timed_trial(*job) for job in jobs]
 
 
 def rows_to_csv(spec: ExperimentSpec, rows: list[dict]) -> str:

@@ -2,13 +2,16 @@
 
 These share no search code with the package: the factor oracle enumerates
 vertex partitions outright, the clique-free oracle scans vertex subsets by
-decreasing size, and the copy check is a plain permutation scan.
+decreasing size, and the copy checks are plain permutation scans.  The one
+import from the search code is `pattern_order`, which defines which of a
+copy's embeddings the copy enumerator reports.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from tilinglab.embed import pattern_order
 from tilinglab.graphs import Graph, Pattern
 
 
@@ -21,6 +24,40 @@ def set_hosts_copy(g: Graph, p: Pattern, block: tuple[int, ...]) -> bool:
         if all(g.has_edge(perm[a], perm[b]) for a, b in pedges):
             return True
     return False
+
+
+def copy_sets_through_bruteforce(
+    g: Graph, p: Pattern, anchor: int, allowed: frozenset[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every h-subset of `allowed` through the anchor that hosts a copy, in
+    lex order, with its first embedding: the anchor takes the earliest slot
+    of `pattern_order` that works, and the other pattern vertices, in that
+    order, take the lex-smallest arrangement of the remaining vertices.  For
+    a clique pattern the sorted subset itself is the embedding."""
+    if anchor not in allowed:
+        return []
+    order = pattern_order(p)
+    pedges = p.graph.edges()
+    others = sorted(allowed - {anchor})
+    out = []
+    for mates in combinations(others, p.h - 1):
+        emb = None
+        for slot in order:
+            rest = [q for q in order if q != slot]
+            for perm in permutations(mates):
+                cand = [0] * p.h
+                cand[slot] = anchor
+                for q, v in zip(rest, perm):
+                    cand[q] = v
+                if all(g.has_edge(cand[a], cand[b]) for a, b in pedges):
+                    emb = tuple(cand)
+                    break
+            if emb is not None:
+                break
+        if emb is not None:
+            img = tuple(sorted(mates + (anchor,)))
+            out.append((img, img if p.is_clique else emb))
+    return sorted(out)
 
 
 def factor_exists_bruteforce(g: Graph, p: Pattern) -> bool:

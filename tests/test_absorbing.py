@@ -3,8 +3,10 @@ import warnings
 
 import pytest
 
+from tilinglab import absorbing
 from tilinglab.absorbing import (
     AbsorberConfig,
+    CertificateBugError,
     HypothesisWarning,
     StageFailure,
     absorb,
@@ -274,6 +276,23 @@ class TestBuildAbsorbingSet:
         with pytest.raises(VerificationError):
             verify_structure(k60, bad)
 
+    def test_v1_document_still_verifies(self, k60_structure):
+        k60, st = k60_structure
+        obj = structure_to_obj(st)
+        assert obj["schema"] == "absorbing-structure/v2"
+        # v1 also carried an index-map copy of each of these two fields
+        obj["schema"] = "absorbing-structure/v1"
+        for name in ("buffer", "core"):
+            obj[name + "_map"] = list(obj[name])
+        verify_structure(k60, structure_from_obj(obj))
+
+    def test_unsorted_buffer_rejected(self, k60_structure):
+        k60, st = k60_structure
+        obj = structure_to_obj(st)
+        obj["buffer"] = obj["buffer"][::-1]
+        with pytest.raises(VerificationError, match="buffer is not strictly increasing"):
+            verify_structure(k60, structure_from_obj(obj))
+
 
 @pytest.fixture(scope="module")
 def k60_structure(k2):
@@ -311,3 +330,9 @@ class TestAbsorb:
         a = absorb(g, st, outside[:2])
         b = absorb(g, st, outside[:2])
         assert a.copies == b.copies
+
+    def test_short_buffer_cover_is_a_certificate_bug(self, k60_structure, monkeypatch):
+        g, st = k60_structure
+        monkeypatch.setattr(absorbing, "_cover_buffer", lambda *args: [])
+        with pytest.raises(CertificateBugError, match="survivors"):
+            absorb(g, st, [])

@@ -111,6 +111,21 @@ class TestVerify:
         assert run_cli("verify", "--certificate", str(doc),
                        "--graph", str(g30)) == 2
 
+    def test_tiling_without_pattern_is_malformed(self, g30, tmp_path, capsys):
+        doc = tmp_path / "nopattern.json"
+        doc.write_text('{"schema": "tiling/v1", "copies": [[0, 1, 2]]}')
+        assert run_cli("verify", "--certificate", str(doc),
+                       "--graph", str(g30)) == 2
+        err = capsys.readouterr().err
+        assert "malformed certificate" in err and "'pattern'" in err
+
+    def test_top_level_list_is_malformed(self, g30, tmp_path, capsys):
+        doc = tmp_path / "list.json"
+        doc.write_text("[1, 2, 3]")
+        assert run_cli("verify", "--certificate", str(doc),
+                       "--graph", str(g30)) == 2
+        assert "malformed certificate" in capsys.readouterr().err
+
 
 class TestAbsorbCommand:
     def test_build_trials_and_verify(self, tmp_path):
@@ -171,6 +186,14 @@ class TestSweep:
         serial = rows_to_csv(spec, run_sweep(spec, threads=1))
         parallel = rows_to_csv(spec, run_sweep(spec, threads=2))
         assert serial == parallel
+
+    def test_timings_recorded_with_threads(self):
+        from tilinglab.sweep import ExperimentSpec, run_sweep
+
+        spec = ExperimentSpec.from_obj(SWEEP_SPEC)
+        rows = run_sweep(spec, threads=2, timings=True)
+        assert len(rows) == 2 * 2 * 2
+        assert all(isinstance(row["millis"], float) for row in rows)
 
 
 class TestCommonFlags:

@@ -2,15 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import factor_exists_bruteforce
-from tilinglab.embed import has_copy
-from tilinglab.factor import (
-    find_factor_exact,
-    find_traversing_copy,
-    find_traversing_copy_any,
-    greedy_max_tiling,
-    leftover_of,
-)
+from oracles import copy_sets_through_bruteforce, factor_exists_bruteforce
+from tilinglab.embed import copy_sets_through, find_embedding, traversing_copy, traversing_copy_fixed
+from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Pattern, complete_graph, parse_graph
 from tilinglab.rng import rng_for
@@ -109,7 +103,7 @@ class TestGreedyTiling:
             g = gen_gnp(21, 0.35, seed)
             t = greedy_max_tiling(g, k3, seed=seed)
             left = leftover_of(g, t)
-            assert not has_copy(g, k3, left)
+            assert find_embedding(g, k3, left) is None
             verify_tiling(g, t)
 
     def test_respects_forbidden(self, k3):
@@ -129,31 +123,53 @@ class TestGreedyTiling:
 
 class TestTraversing:
     def test_k9_singletons(self, k9, k3):
-        emb = find_traversing_copy(k9, k3, [[0], [1], [2]])
+        emb = traversing_copy_fixed(k9, k3, [[0], [1], [2]])
         assert emb == (0, 1, 2)
 
     def test_bipartite_none(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        assert find_traversing_copy(k66, k3, [[0, 1], [4, 5], [8, 9]]) is None
+        assert traversing_copy_fixed(k66, k3, [[0, 1], [4, 5], [8, 9]]) is None
 
     def test_multipartite_parts(self, k3):
         g = gen_complete_multipartite([4, 4, 4])
         parts = [list(range(0, 4)), list(range(4, 8)), list(range(8, 12))]
-        emb = find_traversing_copy(g, k3, parts)
+        emb = traversing_copy_fixed(g, k3, parts)
         assert emb is not None
         assert [emb[i] in parts[i] for i in range(3)] == [True] * 3
-
-    def test_overlapping_parts_rejected(self, k9, k3):
-        with pytest.raises(ValueError):
-            find_traversing_copy(k9, k3, [[0, 1], [1, 2], [3]])
 
     def test_any_assignment_needed_for_general_patterns(self):
         # path on 3 vertices: ends must go to the degree-1 slots
         p3path = Pattern.from_graph(parse_graph("3 2\n0 1\n1 2"))
         g = parse_graph("3 2\n0 1\n1 2")
         parts = [[0], [2], [1]]  # fixed assignment fails, permuted succeeds
-        assert find_traversing_copy(g, p3path, parts) is None
-        assert find_traversing_copy_any(g, p3path, parts) is not None
+        assert traversing_copy_fixed(g, p3path, parts) is None
+        assert traversing_copy(g, p3path, parts) is not None
+
+
+class TestCopySetsThrough:
+    PATTERNS = {
+        "K3": "3 3\n0 1\n1 2\n0 2",
+        "P3": "3 2\n0 1\n1 2",
+        "C4": "4 4\n0 1\n1 2\n2 3\n0 3",
+    }
+
+    def test_returns_an_iterator(self, k9, k3, c4_pattern):
+        for p in (k3, c4_pattern):
+            it = copy_sets_through(k9, p, 0, frozenset(range(9)))
+            assert iter(it) is it
+            assert next(it)[0] == tuple(range(p.h))
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_matches_bruteforce_on_gnp(self, name):
+        p = Pattern.from_graph(parse_graph(self.PATTERNS[name]))
+        rng = rng_for(23, "copy-sets", name)
+        for i in range(40):
+            n = rng.randrange(4, 11)
+            g = gen_gnp(n, rng.uniform(0.2, 0.9), rng.randrange(10**9))
+            allowed = frozenset(v for v in range(n) if rng.random() < 0.8)
+            anchor = rng.randrange(n)
+            got = list(copy_sets_through(g, p, anchor, allowed))
+            assert got == copy_sets_through_bruteforce(g, p, anchor, allowed), (name, i)
 
 
 @settings(max_examples=25, deadline=None)

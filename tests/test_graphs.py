@@ -144,13 +144,13 @@ class TestGenerators:
         assert [len(p) for p in parts] == [7, 9]
         assert sum(len(p) for p in parts) == 16
         # cliques larger than ell must straddle parts
-        from tilinglab.invariants import enumerate_cliques
+        from tilinglab.embed import cliques_of_size
 
         part_of = {}
         for i, p in enumerate(parts):
             for v in p:
                 part_of[v] = i
-        for cl in enumerate_cliques(g, 3):
+        for cl in cliques_of_size(g, 3):
             assert len({part_of[v] for v in cl}) >= 2
 
     def test_lower_bound_guards(self):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import alpha_exhaustive, max_density_subgraphs
+from tilinglab.embed import cliques_of_size
 from tilinglab.generators import gen_complete_multipartite, gen_gnp
 from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph
 from tilinglab.invariants import (
     EnumerationCapError,
     alpha_ell,
-    enumerate_cliques,
     max_clique,
     min_degree,
     one_density,
@@ -51,9 +51,9 @@ class TestMaxClique:
 
     def test_enumeration_lex_and_deterministic(self):
         g = gen_gnp(12, 0.6, 3)
-        triangles = list(enumerate_cliques(g, 3))
+        triangles = list(cliques_of_size(g, 3))
         assert triangles == sorted(triangles)
-        assert triangles == list(enumerate_cliques(g, 3))
+        assert triangles == list(cliques_of_size(g, 3))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
