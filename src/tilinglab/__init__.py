@@ -7,7 +7,6 @@ from .absorbing import (
     absorb,
     build_absorbing_set,
     build_template,
-    is_st_absorber,
     make_family_builder,
 )
 from .factor import FactorResult, Tiling, find_factor_exact, greedy_max_tiling
@@ -35,7 +34,6 @@ __all__ = [
     "find_factor_absorbing",
     "find_factor_exact",
     "greedy_max_tiling",
-    "is_st_absorber",
     "make_family_builder",
     "min_degree",
     "one_density",

@@ -16,9 +16,8 @@ divisibility bookkeeping depends on, is enforced in every configuration.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, permutations
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain, islice, permutations
 from typing import Callable, Iterable, Iterator
 
 from .embed import cliques_of_size, copy_sets_through, embed_in_set, find_embedding, traversing_copy
@@ -26,6 +25,7 @@ from .factor import Tiling, find_factor_exact, greedy_max_tiling
 from .graphs import Graph, Pattern, induced_subgraph
 from .matching import max_bipartite_matching
 from .rng import derive_seed, rng_for
+from .verify import VerificationError, check_template, template_check_mode, verify_absorber, verify_tiling
 
 
 class StageFailure(RuntimeError):
@@ -51,10 +51,6 @@ class TemplateBuildError(RuntimeError):
 
 class CertificateBugError(RuntimeError):
     """A property certified at build time failed at use time."""
-
-
-class HypothesisWarning(UserWarning):
-    """Degree / clique-freeness prerequisites do not hold; builders proceed."""
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +121,11 @@ class AbsorberConfig:
         surplus_ratio: float = 6.0,
         **kw,
     ) -> "AbsorberConfig":
+        """Override constants; `kw` sets any further field except the derived
+        remainder_frac and the overrides flag."""
+        unknown = kw.keys() - ({f.name for f in fields(cls)} - {"remainder_frac", "overrides"})
+        if unknown:
+            raise ValueError(f"unknown AbsorberConfig key(s): {', '.join(sorted(unknown))}")
         return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=sample_prob,
                    surplus_ratio=surplus_ratio, remainder_frac=surplus_ratio / (h - 1),
                    overrides=True, **kw)
@@ -201,7 +202,6 @@ def build_template(
     seed: int = 0,
     degree: int = 12,
     retries: int = 20,
-    exhaustive_cap: int = 20_000,
 ) -> TemplateGraph:
     """Build a robust template at round size m and surplus ceil(beta*m).
 
@@ -226,10 +226,11 @@ def build_template(
             )
         adj = tuple(tuple(range(slots)) for _ in range(left))
         tpl = TemplateGraph(m=m, surplus=surplus, mode=mode, left_adj=adj,
-                            verification={"mode": "analytic"})
-        checked = _verify_template(tpl, verify, trials, seed, exhaustive_cap)
-        return TemplateGraph(m=m, surplus=surplus, mode=mode, left_adj=adj,
-                             verification=checked)
+                            verification={})
+        record, bad = check_template(tpl, verify, trials, seed, "template-verify")
+        if bad is not None:
+            raise TemplateBuildError("flex subset without perfect matching", falsifying=bad)
+        return replace(tpl, verification=record)
 
     if mode == "random-regular":
         for attempt in range(retries):
@@ -257,14 +258,10 @@ def build_template(
             adj = tuple(tuple(sorted(s)) for s in adj_sets)
             tpl = TemplateGraph(m=m, surplus=surplus, mode=mode, left_adj=adj,
                                 verification={})
-            try:
-                checked = _verify_template(tpl, verify, trials,
-                                           derive_seed(seed, "verify", attempt),
-                                           exhaustive_cap)
-            except TemplateBuildError:
-                continue
-            return TemplateGraph(m=m, surplus=surplus, mode=mode, left_adj=adj,
-                                 verification=checked)
+            record, bad = check_template(tpl, verify, trials,
+                                         derive_seed(seed, "verify", attempt), "template-verify")
+            if bad is None:
+                return replace(tpl, verification=record)
         raise TemplateBuildError(
             f"no verified template after {retries} samples (m={m}, beta={beta})"
         )
@@ -272,65 +269,8 @@ def build_template(
     raise ValueError(f"unknown template mode: {mode}")
 
 
-def _verify_template(
-    tpl: TemplateGraph,
-    verify: str,
-    trials: int,
-    seed: int,
-    exhaustive_cap: int,
-) -> dict:
-    if verify == "exhaustive":
-        count = math.comb(tpl.flex_size, tpl.m)
-        if count > exhaustive_cap:
-            raise ValueError(
-                f"{count} flex subsets exceed the exhaustive cap; use sampled mode"
-            )
-        n_checked = 0
-        for sub in combinations(range(tpl.flex_size), tpl.m):
-            n_checked += 1
-            if not tpl.matches_with_flex(sub):
-                raise TemplateBuildError("flex subset without perfect matching",
-                                         falsifying=sub)
-        return {"mode": "exhaustive", "checks": n_checked}
-    if verify == "sampled":
-        rng = rng_for(seed, "template-verify")
-        for i in range(trials):
-            sub = tuple(sorted(rng.sample(range(tpl.flex_size), tpl.m)))
-            if not tpl.matches_with_flex(sub):
-                raise TemplateBuildError("sampled flex subset without perfect matching",
-                                         falsifying=sub)
-        return {"mode": "sampled", "trials": trials, "seed": seed}
-    raise ValueError(f"unknown verification mode: {verify}")
-
-
 # ---------------------------------------------------------------------------
 # absorbers
-
-
-def is_st_absorber(
-    g: Graph,
-    p: Pattern,
-    core: Iterable[int],
-    candidate: Iterable[int],
-    t: int,
-    budget: int = 500_000,
-) -> bool:
-    """True iff `candidate` absorbs the h-set `core` with multiplicity t:
-    both G[candidate] and G[candidate + core] have perfect tilings."""
-    s = frozenset(core)
-    a = frozenset(candidate)
-    h = p.h
-    if len(s) != h:
-        raise ValueError(f"core set must have exactly {h} vertices")
-    if len(a) != h * t:
-        raise ValueError(f"absorber must have exactly {h * t} vertices")
-    if s & a:
-        raise ValueError("absorber must be disjoint from its core set")
-    sub, _ = induced_subgraph(g, a)
-    if not find_factor_exact(sub, p, budget=budget).found:
-        return False
-    sub2, _ = induced_subgraph(g, a | s)
-    return find_factor_exact(sub2, p, budget=budget).found
 
 
 def _copies_by_min_vertex(
@@ -424,7 +364,6 @@ def disjoint_absorber_family_general(
     seed: int = 0,
     t: int | None = None,
     forbidden: Iterable[int] = (),
-    check_hypotheses: bool = True,
     allow_partial: bool = False,
 ) -> list[frozenset[int]]:
     """Absorber family via disjoint neighbor pools and traversing copies.
@@ -442,10 +381,6 @@ def disjoint_absorber_family_general(
     if len(core_t) != h:
         raise ValueError(f"core set must have exactly {h} vertices")
     n = g.n
-
-    if check_hypotheses:
-        _warn_general_hypotheses(g, p, config, seed)
-
     pool_size = config.pool_size or max(h, math.ceil(config.degree_frac * n / (2 * h)))
     blocked: set[int] = set(core_t) | set(forbidden)
     pools: dict[int, list[int]] = {}
@@ -486,34 +421,15 @@ def disjoint_absorber_family_general(
             absorber |= designated[w][hit]
             marks[w].remove(hit)
             del designated[w][hit]
-        if not is_st_absorber(g, p, core_t, absorber, h):
+        try:
+            verify_absorber(g, p, core_t, absorber, h)
+        except VerificationError as exc:
             raise StageFailure(
-                "verify", "constructed absorber failed re-verification",
+                "verify", f"constructed absorber failed re-verification: {exc}",
                 blocking=core_t,
-            )
+            ) from exc
         absorbers.append(frozenset(absorber))
     return absorbers
-
-
-def _warn_general_hypotheses(g: Graph, p: Pattern, config: AbsorberConfig, seed: int) -> None:
-    from .invariants import min_degree, traversing_check
-
-    n = g.n
-    need = config.degree_frac * n
-    if min_degree(g) < need:
-        warnings.warn(
-            f"minimum degree {min_degree(g)} below {need:.1f}",
-            HypothesisWarning, stacklevel=3,
-        )
-    s = max(1, math.ceil(config.threshold_frac * n))
-    if p.h * s <= n:
-        verdict = traversing_check(g, p, s, mode="sampled", trials=50,
-                                   seed=derive_seed(seed, "hypothesis"))
-        if not verdict.holds:
-            warnings.warn(
-                f"traversing property fails at probe size {s}",
-                HypothesisWarning, stacklevel=3,
-            )
 
 
 def disjoint_absorber_family_clique(
@@ -525,7 +441,6 @@ def disjoint_absorber_family_clique(
     config: AbsorberConfig,
     seed: int = 0,
     forbidden: Iterable[int] = (),
-    check_hypotheses: bool = True,
     allow_partial: bool = False,
 ) -> list[frozenset[int]]:
     """Absorber family for complete patterns via a random vertex partition.
@@ -543,10 +458,6 @@ def disjoint_absorber_family_clique(
     if len(core_t) != r:
         raise ValueError(f"core set must have exactly {r} vertices")
     n = g.n
-
-    if check_hypotheses:
-        _warn_clique_hypotheses(g, r, ell, config)
-
     frac = (r - ell) / (r - ell + 1)
     part_min = config.part_degree_min
     if part_min is None:
@@ -588,30 +499,6 @@ def disjoint_absorber_family_clique(
         f"found {len(collected)} of {target} after {config.partition_retries} partitions",
         blocking=core_t,
     )
-
-
-def _warn_clique_hypotheses(g: Graph, r: int, ell: int, config: AbsorberConfig) -> None:
-    from .invariants import alpha_ell, min_degree
-
-    n = g.n
-    frac = (r - ell) / (r - ell + 1)
-    need = (frac + config.degree_frac) * n
-    if min_degree(g) < need:
-        warnings.warn(
-            f"minimum degree {min_degree(g)} below {need:.1f}",
-            HypothesisWarning, stacklevel=3,
-        )
-    if n <= 40:
-        res = alpha_ell(g, ell)
-        kind = "exact"
-    else:
-        res = alpha_ell(g, ell, budget=20_000)
-        kind = "lower bound"
-    if res.value > config.threshold_frac * n:
-        warnings.warn(
-            f"alpha_{ell} {kind} {res.value} above {config.threshold_frac * n:.1f}",
-            HypothesisWarning, stacklevel=3,
-        )
 
 
 def _partition_degrees_ok(g: Graph, classes: list[list[int]], part_min: int) -> bool:
@@ -698,11 +585,14 @@ def _build_partition_absorber(
                 absorber = set(top)
                 for leg in legs:
                     absorber |= set(leg)
-                if is_st_absorber(g, p, core_t, absorber, r):
-                    used[r].update(top)
-                    for i in range(r):
-                        used[i].update(legs[i])
-                    return frozenset(absorber)
+                try:
+                    verify_absorber(g, p, core_t, absorber, r)
+                except VerificationError:
+                    continue
+                used[r].update(top)
+                for i in range(r):
+                    used[i].update(legs[i])
+                return frozenset(absorber)
         # exclude this clique's smallest vertex and look for another
         pool = [v for v in pool if v != min(top)]
     return None
@@ -727,8 +617,8 @@ def make_family_builder(
     kind 'general' and 'clique' run the corresponding construction when the
     requested multiplicity matches the construction's natural one (t = h);
     other multiplicities fall through to the direct exact search.  kind
-    'direct' always uses the direct search.  Hypothesis checks run once per
-    builder, on the first call.
+    'direct' always uses the direct search.  No builder checks the paper's
+    hypotheses; pipeline.check_hypotheses does that once per run.
     """
     if kind not in ("direct", "general", "clique"):
         raise ValueError(f"unknown family builder kind: {kind}")
@@ -737,21 +627,18 @@ def make_family_builder(
             raise ValueError("clique builder needs a clique pattern")
         if ell is None or not (p.r > ell >= 2):
             raise ValueError("clique builder needs r > ell >= 2")
-    state = {"checked": False}
 
     def builder(core, t, target, forbidden=frozenset(), allow_partial=False):
-        check = not state["checked"]
-        state["checked"] = True
         if kind == "general" and t == p.h:
             return disjoint_absorber_family_general(
                 g, p, core, target, config, seed=derive_seed(seed, "fam", *sorted(core)),
-                forbidden=forbidden, check_hypotheses=check, allow_partial=allow_partial,
+                forbidden=forbidden, allow_partial=allow_partial,
             )
         if kind == "clique" and t == p.h:
             return disjoint_absorber_family_clique(
                 g, p.r, ell, core, target, config,
                 seed=derive_seed(seed, "fam", *sorted(core)),
-                forbidden=forbidden, check_hypotheses=check, allow_partial=allow_partial,
+                forbidden=forbidden, allow_partial=allow_partial,
             )
         return disjoint_absorber_family_direct(
             g, p, core, t, target, forbidden=forbidden, allow_partial=allow_partial,
@@ -919,8 +806,7 @@ def build_absorbing_set(
     # stage 3: template
     left = 3 * m + surplus
     mode = "complete-bipartite" if left <= 40 else "random-regular"
-    verify = "exhaustive" if math.comb(m + surplus, m) <= 2000 else "sampled"
-    template = build_template(m, beta, mode=mode, verify=verify,
+    template = build_template(m, beta, mode=mode, verify=template_check_mode(m + surplus, m),
                               seed=derive_seed(seed, "template"),
                               retries=config.template_retries)
 
@@ -1052,8 +938,6 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     matched edge's absorber together with its endpoint vertices, and every
     unmatched edge's absorber alone.  The result is verified before return.
     """
-    from .verify import verify_tiling
-
     p = structure.pattern
     h = p.h
     aset = structure.absorbing_set

@@ -22,17 +22,10 @@ from .absorbing import (
     make_family_builder,
 )
 from .factor import find_factor_exact
-from .generators import (
-    gen_complete_multipartite,
-    gen_gamma,
-    gen_gnp,
-    gen_hs_tripartite,
-    gen_lower_bound_construction,
-    gen_two_cliques,
-)
+from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph
 from .invariants import param_report
-from .pipeline import find_factor_absorbing
+from .pipeline import check_hypotheses, find_factor_absorbing
 from .rng import derive_seed, rng_for
 from .serialize import (
     SCHEMA_ABSORBER,
@@ -89,33 +82,32 @@ def _check_format(args, native: str) -> int | None:
     return None
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s]
+
+
+def _absorber_config(text: str | None, h: int) -> AbsorberConfig:
+    """AbsorberConfig.desk_scale from a --config JSON object of overrides."""
+    overrides = json.loads(text) if text else {}
+    if not isinstance(overrides, dict):
+        raise ValueError(f"--config must be a JSON object, not {type(overrides).__name__}")
+    return AbsorberConfig.desk_scale(h=h, **overrides)
+
+
 def cmd_gen(args) -> int:
     bad = _check_format(args, "edgelist")
     if bad is not None:
         return bad
-    seed = args.seed
-    c = args.construction
-    if c == "gnp":
-        g = gen_gnp(args.n, args.p, seed)
-    elif c == "complete-multipartite":
-        g = gen_complete_multipartite([int(s) for s in args.sizes.split(",")])
-    elif c == "two-cliques":
-        g = gen_two_cliques(args.n)
-    elif c == "hs-tripartite":
-        g = gen_hs_tripartite(args.n)
-    elif c == "gamma":
-        rep = gen_gamma(args.ell, args.n, seed)
+    if args.construction == "gamma":  # gen_gamma also reports its alpha_ell
+        rep = gen_gamma(args.ell, args.n, args.seed)
         g = rep.graph
         print(json.dumps({
             "ell": rep.ell, "n": g.n, "m": g.m,
             "max_degree": rep.max_degree,
             "alpha_ell": rep.alpha_ell, "alpha_exact": rep.alpha_exact,
         }), file=sys.stderr)
-    elif c == "lower-bound":
-        g = gen_lower_bound_construction(args.r, args.ell, args.n, seed)
     else:
-        print(f"unknown construction: {c}", file=sys.stderr)
-        return USAGE_ERROR
+        g = GENERATORS[args.construction].build(vars(args), args.seed)
     _write_text(args.out, emit_graph(g))
     return OK
 
@@ -153,8 +145,7 @@ def cmd_factor(args) -> int:
             return OK
         print(f"no factor: {res.status} ({res.nodes} nodes)")
         return FAILURE
-    config_kw = json.loads(args.config) if args.config else {}
-    config = AbsorberConfig.desk_scale(h=pattern.h, **config_kw)
+    config = _absorber_config(args.config, pattern.h)
     report = find_factor_absorbing(
         g, pattern, mode=args.mode, ell=args.ell, config=config,
         seed=args.seed, fallback_cap=args.fallback_cap, budget=args.budget_nodes,
@@ -178,11 +169,14 @@ def cmd_absorb(args) -> int:
         return bad
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
-    config_kw = json.loads(args.config) if args.config else {}
-    config = AbsorberConfig.desk_scale(h=pattern.h, **config_kw)
+    config = _absorber_config(args.config, pattern.h)
     builder = make_family_builder(args.builder, g, pattern, config,
                                   seed=derive_seed(args.seed, "families"),
                                   ell=args.ell if args.builder == "clique" else None)
+    if args.builder != "direct":
+        held, detail = check_hypotheses(g, pattern, args.builder, config,
+                                        ell=args.ell, seed=args.seed)
+        print(f"hypotheses {'held' if held else 'violated'}: {detail}", file=sys.stderr)
     try:
         structure = build_absorbing_set(g, pattern, config, seed=args.seed,
                                         family_builder=builder)
@@ -274,14 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     seed_default = _default_seed()
 
     p = sub.add_parser("gen", help="write a generated graph as an edge list")
-    p.add_argument("--construction", required=True,
-                   choices=["gnp", "complete-multipartite", "two-cliques",
-                            "hs-tripartite", "gamma", "lower-bound"])
+    p.add_argument("--construction", required=True, choices=list(GENERATORS))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--sizes", type=str, default="")
+    p.add_argument("--sizes", type=_int_list, default="")
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
@@ -322,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builder", choices=["direct", "general", "clique"],
                    default="direct")
     p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--config", type=str, default=None)
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON object of AbsorberConfig.desk_scale overrides")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)

@@ -7,6 +7,7 @@ produce identical graphs on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .embed import cliques_of_size
 from .graphs import Graph, iter_pairs
@@ -181,3 +182,27 @@ def gen_hs_tripartite(n: int) -> Graph:
         raise ValueError("n must be a multiple of 3, n >= 6")
     k = n // 3
     return gen_complete_multipartite([k - 1, k, k + 1])
+
+
+@dataclass(frozen=True)
+class Construction:
+    """A named generator: the parameters it reads and its builder."""
+
+    params: tuple[str, ...]
+    build: Callable[[dict, int], Graph]   # (params, seed) -> graph
+
+
+# The builders look gen_* up by module-level name at call time, so a caller
+# that rebinds generators.gen_* (a tracer, a test double) sees every call.
+# gamma builds the graph alone; gen_gamma's alpha_ell report is for `gen`.
+GENERATORS: dict[str, Construction] = {
+    "gnp": Construction(("n", "p"), lambda c, seed: gen_gnp(int(c["n"]), float(c["p"]), seed)),
+    "complete-multipartite": Construction(
+        ("sizes",), lambda c, seed: gen_complete_multipartite([int(s) for s in c["sizes"]])),
+    "two-cliques": Construction(("n",), lambda c, seed: gen_two_cliques(int(c["n"]))),
+    "hs-tripartite": Construction(("n",), lambda c, seed: gen_hs_tripartite(int(c["n"]))),
+    "gamma": Construction(("ell", "n"), lambda c, seed: gamma_graph(int(c["ell"]), int(c["n"]), seed)),
+    "lower-bound": Construction(
+        ("r", "ell", "n"),
+        lambda c, seed: gen_lower_bound_construction(int(c["r"]), int(c["ell"]), int(c["n"]), seed)),
+}

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from .absorbing import (
     AbsorberConfig,
     AbsorbingStructure,
-    HypothesisWarning,
     StageFailure,
     TemplateBuildError,
     absorb,
@@ -101,6 +99,8 @@ def check_hypotheses(
     trials: int = 100,
 ) -> tuple[bool, str]:
     """Hypothesis check for the chosen construction; returns (held, detail).
+    This is the only check of the paper's hypotheses: the absorber builders
+    do not repeat it.
 
     Clique mode needs delta(G) >= ((r-ell)/(r-ell+1) + eps) n and alpha_ell
     at most eps' n; alpha_ell is exact up to n = 40 and a branch-and-bound
@@ -189,20 +189,18 @@ def find_factor_absorbing(
                                   ell=ell if kind == "clique" else None)
 
     structure: AbsorbingStructure | None = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HypothesisWarning)
-        try:
-            structure = build_absorbing_set(
-                g, p, config, seed=derive_seed(seed, "build"), family_builder=builder
-            )
-            report.stages.append(StageOutcome(
-                "absorbing-set", True,
-                f"|A|={len(structure.absorbing_set)} m={structure.template.m}"))
-            report.structure = structure
-        except (StageFailure, TemplateBuildError) as exc:
-            stage = getattr(exc, "stage", "template")
-            report.stages.append(StageOutcome("absorbing-set", False, f"{stage}: {exc}"))
-            report.failure_stage = f"absorbing-set/{stage}"
+    try:
+        structure = build_absorbing_set(
+            g, p, config, seed=derive_seed(seed, "build"), family_builder=builder
+        )
+        report.stages.append(StageOutcome(
+            "absorbing-set", True,
+            f"|A|={len(structure.absorbing_set)} m={structure.template.m}"))
+        report.structure = structure
+    except (StageFailure, TemplateBuildError) as exc:
+        stage = getattr(exc, "stage", "template")
+        report.stages.append(StageOutcome("absorbing-set", False, f"{stage}: {exc}"))
+        report.failure_stage = f"absorbing-set/{stage}"
 
     tiling: Tiling | None = None
     if structure is not None:

@@ -12,21 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
 from .absorbing import AbsorberConfig
 from .factor import find_factor_exact
-from .generators import (
-    gen_complete_multipartite,
-    gen_gnp,
-    gen_hs_tripartite,
-    gen_lower_bound_construction,
-    gen_two_cliques,
-)
-from .graphs import Graph
+from .generators import GENERATORS
 from .pipeline import find_factor_absorbing
 from .rng import derive_seed
 from .serialize import parse_pattern_spec
@@ -59,9 +53,28 @@ class ExperimentSpec:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ExperimentSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        data = {k: v for k, v in obj.items() if k in known}
-        return cls(**data)
+        """Validated spec; raises ValueError naming what is malformed."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"sweep spec must be a JSON object, not {type(obj).__name__}")
+        known = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        if obj.keys() - known:
+            raise ValueError(f"unknown sweep spec key(s): {', '.join(sorted(obj.keys() - known))}")
+        if required - obj.keys():
+            raise ValueError(f"sweep spec lacks key(s): {', '.join(sorted(required - obj.keys()))}")
+        spec = cls(**obj)
+        if spec.generator not in GENERATORS:
+            raise ValueError(f"unknown generator: {spec.generator}; "
+                             f"choose from {', '.join(sorted(GENERATORS))}")
+        if not isinstance(spec.grid, dict) or not isinstance(spec.config, dict):
+            raise ValueError("sweep spec 'grid' and 'config' must be JSON objects")
+        missing = set(GENERATORS[spec.generator].params) - spec.grid.keys()
+        if missing:
+            raise ValueError(f"generator {spec.generator} needs grid parameter(s): "
+                             f"{', '.join(sorted(missing))}")
+        spec.absorber_config(parse_pattern_spec(spec.pattern).h)
+        return spec
 
     @classmethod
     def load(cls, path: str) -> "ExperimentSpec":
@@ -85,27 +98,10 @@ class ExperimentSpec:
         return AbsorberConfig.desk_scale(h=h, **kw)
 
 
-def build_instance(spec: ExperimentSpec, cell: dict, seed: int) -> Graph:
-    gen = spec.generator
-    if gen == "gnp":
-        return gen_gnp(int(cell["n"]), float(cell["p"]), seed)
-    if gen == "complete-multipartite":
-        return gen_complete_multipartite([int(s) for s in cell["sizes"]])
-    if gen == "two-cliques":
-        return gen_two_cliques(int(cell["n"]))
-    if gen == "hs-tripartite":
-        return gen_hs_tripartite(int(cell["n"]))
-    if gen == "lower-bound":
-        return gen_lower_bound_construction(
-            int(cell["r"]), int(cell["ell"]), int(cell["n"]), seed
-        )
-    raise ValueError(f"unknown generator: {gen}")
-
-
 def run_trial(spec: ExperimentSpec, cell_index: int, trial: int) -> dict:
     cell = spec.cells()[cell_index]
     seed = derive_seed(spec.seed_base, "cell", cell_index, "trial", trial)
-    g = build_instance(spec, cell, derive_seed(seed, "instance"))
+    g = GENERATORS[spec.generator].build(cell, derive_seed(seed, "instance"))
     pattern = parse_pattern_spec(spec.pattern)
     row: dict = {k: cell[k] for k in spec.grid_keys()}
     row["trial"] = trial
@@ -150,14 +146,21 @@ def _timed_trial(spec: ExperimentSpec, cell_index: int, trial: int, timings: boo
 
 
 def run_sweep(spec: ExperimentSpec, threads: int = 1, timings: bool = False) -> list[dict]:
-    """All rows of the sweep, ordered by (cell index, trial index)."""
+    """All rows of the sweep, ordered by (cell index, trial index).
+
+    Runs on at most `threads` worker processes, and never more than there
+    are CPUs or jobs: the pool starts every worker it is allowed at once.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     jobs = [
         (spec, cell_index, trial, timings)
         for cell_index in range(len(spec.cells()))
         for trial in range(spec.trials)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_timed_trial, *zip(*jobs)))
     return [_timed_trial(*job) for job in jobs]
 

@@ -8,10 +8,18 @@ exact oracle where the definition itself demands factor existence.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import Iterable
 
 from .factor import Tiling, find_factor_exact
 from .graphs import Graph, Pattern, induced_subgraph
+from .rng import rng_for
+
+# templates with at most this many flex m-subsets are checked exhaustively
+TEMPLATE_EXHAUSTIVE_LIMIT = 2000
+# an explicitly requested exhaustive check enumerates at most this many
+TEMPLATE_EXHAUSTIVE_CAP = 20_000
 
 
 class VerificationError(AssertionError):
@@ -73,7 +81,8 @@ def verify_absorber(
 ) -> None:
     """Check the defining property of an absorber for the h-set `core`:
     |absorber| = h*t, disjoint from core, and both the absorber alone and
-    absorber plus core induce subgraphs with perfect tilings."""
+    absorber plus core induce subgraphs with perfect tilings.  The absorber
+    builders re-check every absorber they construct with this function."""
     s = sorted(set(core))
     a = sorted(set(absorber))
     h = p.h
@@ -140,10 +149,7 @@ def verify_structure(
     property (exhaustively when small, otherwise by `template_trials`
     sampled flex subsets).
     """
-    import math
-
     from .embed import embed_in_set
-    from .rng import rng_for
 
     p = structure.pattern
     h = p.h
@@ -197,15 +203,38 @@ def verify_structure(
             if embed_in_set(g, p, set(mem) | {v}) is None:
                 raise VerificationError(f"family member of {v} is not a pattern copy")
 
-    if math.comb(tpl.flex_size, tpl.m) <= 2000:
-        from itertools import combinations
+    mode = template_check_mode(tpl.flex_size, tpl.m)
+    _, bad = check_template(tpl, mode, template_trials, seed, "structure-verify")
+    if bad is not None:
+        raise VerificationError(f"template flex subset {bad} without perfect matching")
 
-        for sub in combinations(range(tpl.flex_size), tpl.m):
-            if not tpl.matches_with_flex(sub):
-                raise VerificationError("template flex subset without perfect matching")
+
+def template_check_mode(flex_size: int, m: int) -> str:
+    """How a template with `flex_size` flex vertices and round size m is
+    checked: exhaustively up to TEMPLATE_EXHAUSTIVE_LIMIT flex m-subsets,
+    by sampling beyond."""
+    return "exhaustive" if math.comb(flex_size, m) <= TEMPLATE_EXHAUSTIVE_LIMIT else "sampled"
+
+
+def check_template(tpl, verify: str, trials: int, seed: int, label: str) -> tuple[dict, tuple | None]:
+    """Check a template's robust matching property on its flex m-subsets.
+
+    verify="exhaustive" checks every subset (at most TEMPLATE_EXHAUSTIVE_CAP
+    of them); verify="sampled" checks `trials` subsets drawn from
+    rng_for(seed, label), so the result is an estimate.  Returns the
+    verification record and the first subset without a perfect matching,
+    or None when every checked subset has one.
+    """
+    if verify == "exhaustive":
+        count = math.comb(tpl.flex_size, tpl.m)
+        if count > TEMPLATE_EXHAUSTIVE_CAP:
+            raise ValueError(f"{count} flex subsets exceed the exhaustive cap; use sampled mode")
+        subsets = combinations(range(tpl.flex_size), tpl.m)
+        record = {"mode": "exhaustive", "checks": count}
+    elif verify == "sampled":
+        rng = rng_for(seed, label)
+        subsets = (tuple(sorted(rng.sample(range(tpl.flex_size), tpl.m))) for _ in range(trials))
+        record = {"mode": "sampled", "trials": trials, "seed": seed}
     else:
-        rng = rng_for(seed, "structure-verify")
-        for _ in range(template_trials):
-            sub = rng.sample(range(tpl.flex_size), tpl.m)
-            if not tpl.matches_with_flex(sub):
-                raise VerificationError("template flex subset without perfect matching")
+        raise ValueError(f"unknown verification mode: {verify}")
+    return record, next((sub for sub in subsets if not tpl.matches_with_flex(sub)), None)

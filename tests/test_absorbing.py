@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import pytest
 
@@ -7,22 +6,27 @@ from tilinglab import absorbing
 from tilinglab.absorbing import (
     AbsorberConfig,
     CertificateBugError,
-    HypothesisWarning,
     StageFailure,
+    TemplateGraph,
     absorb,
     build_absorbing_set,
     build_template,
     disjoint_absorber_family_clique,
     disjoint_absorber_family_direct,
     disjoint_absorber_family_general,
-    is_st_absorber,
     make_family_builder,
 )
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Pattern, complete_graph
 from tilinglab.rng import rng_for
 from tilinglab.serialize import structure_from_obj, structure_to_obj
-from tilinglab.verify import VerificationError, verify_structure, verify_tiling
+from tilinglab.verify import (
+    VerificationError,
+    check_template,
+    verify_absorber,
+    verify_structure,
+    verify_tiling,
+)
 
 
 def desk_k2(t=1, **kw):
@@ -87,6 +91,20 @@ class TestTemplate:
                            trials=50, seed=5)
         assert a.left_adj == b.left_adj
 
+    def test_check_template_finds_falsifying_subset(self):
+        tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
+        # flex vertex 0 loses its edges: every flex subset containing it fails
+        broken = TemplateGraph(m=tpl.m, surplus=tpl.surplus, mode=tpl.mode,
+                               left_adj=((),) + tpl.left_adj[1:], verification={})
+        assert check_template(broken, "exhaustive", 0, 0, "t") == (
+            {"mode": "exhaustive", "checks": 3}, (0, 1))
+        record, bad = check_template(broken, "sampled", 50, 4, "t")
+        assert record == {"mode": "sampled", "trials": 50, "seed": 4}
+        assert bad is not None and 0 in bad
+        assert check_template(tpl, "sampled", 50, 4, "t")[1] is None
+        with pytest.raises(ValueError, match="unknown verification mode"):
+            check_template(tpl, "guess", 50, 4, "t")
+
     def test_matches_with_flex_rejects_bad_subset(self):
         tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
         with pytest.raises(ValueError):
@@ -95,29 +113,39 @@ class TestTemplate:
 
 class TestIsAbsorber:
     def test_complete_graph(self, k9, k3):
-        assert is_st_absorber(k9, k3, [0, 1, 2], [3, 4, 5], 1)
+        verify_absorber(k9, k3, [0, 1, 2], [3, 4, 5], 1)
 
     def test_triangle_free(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        assert not is_st_absorber(k66, k3, [0, 1, 2], [6, 7, 8], 1)
+        with pytest.raises(VerificationError, match="absorber alone"):
+            verify_absorber(k66, k3, [0, 1, 2], [6, 7, 8], 1)
 
     def test_one_part_core_cannot_absorb(self, k3):
         g = gen_complete_multipartite([4, 4, 4])
         core = [0, 1, 2]  # inside the first part
         for cand in ([3, 4, 5], [4, 5, 8], [5, 8, 9]):
-            assert not is_st_absorber(g, k3, core, cand, 1)
+            with pytest.raises(VerificationError, match="no perfect tiling"):
+                verify_absorber(g, k3, core, cand, 1)
 
     def test_order_invariant(self, k9, k3):
-        assert (is_st_absorber(k9, k3, [2, 0, 1], [5, 3, 4], 1)
-                == is_st_absorber(k9, k3, [0, 1, 2], [3, 4, 5], 1))
+        verify_absorber(k9, k3, [2, 0, 1], [5, 3, 4], 1)
+        verify_absorber(k9, k3, [0, 1, 2], [3, 4, 5], 1)
+        k66 = gen_complete_multipartite([6, 6])
+        for core, cand in (([2, 0, 1], [8, 6, 7]), ([0, 1, 2], [6, 7, 8])):
+            with pytest.raises(VerificationError, match="absorber alone"):
+                verify_absorber(k66, k3, core, cand, 1)
 
     def test_size_guards(self, k9, k3):
-        with pytest.raises(ValueError):
-            is_st_absorber(k9, k3, [0, 1], [3, 4, 5], 1)
-        with pytest.raises(ValueError):
-            is_st_absorber(k9, k3, [0, 1, 2], [3, 4], 1)
-        with pytest.raises(ValueError):
-            is_st_absorber(k9, k3, [0, 1, 2], [2, 3, 4], 1)
+        with pytest.raises(VerificationError, match="core has 2 vertices"):
+            verify_absorber(k9, k3, [0, 1], [3, 4, 5], 1)
+        with pytest.raises(VerificationError, match="absorber has 2 vertices"):
+            verify_absorber(k9, k3, [0, 1, 2], [3, 4], 1)
+        with pytest.raises(VerificationError, match="intersects"):
+            verify_absorber(k9, k3, [0, 1, 2], [2, 3, 4], 1)
+
+    def test_out_of_range_vertex(self, k9, k3):
+        with pytest.raises(VerificationError, match="vertex 9 out of range"):
+            verify_absorber(k9, k3, [0, 1, 2], [3, 4, 9], 1)
 
 
 class TestFamilyBuilders:
@@ -127,15 +155,13 @@ class TestFamilyBuilders:
         assert len(fams) == 2
         assert not (fams[0] & fams[1])
         for a in fams:
-            assert is_st_absorber(complete_graph(30), k3, [0, 1, 2], a, 3)
+            verify_absorber(complete_graph(30), k3, [0, 1, 2], a, 3)
 
     def test_general_on_complete(self, k3):
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fams = disjoint_absorber_family_general(complete_graph(30), k3,
-                                                    [0, 1, 2], target=2,
-                                                    config=cfg, seed=1)
+        fams = disjoint_absorber_family_general(complete_graph(30), k3,
+                                                [0, 1, 2], target=2,
+                                                config=cfg, seed=1)
         assert len(fams) == 2
         seen = set()
         for a in fams:
@@ -146,20 +172,17 @@ class TestFamilyBuilders:
     def test_general_traversing_failure_on_bipartite(self, k3):
         k66 = gen_complete_multipartite([6, 6])
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=2)
-        with pytest.warns(HypothesisWarning):
-            with pytest.raises(StageFailure) as exc:
-                disjoint_absorber_family_general(k66, k3, [0, 1, 6], target=1,
-                                                 config=cfg, seed=1)
+        with pytest.raises(StageFailure) as exc:
+            disjoint_absorber_family_general(k66, k3, [0, 1, 6], target=1,
+                                             config=cfg, seed=1)
         assert exc.value.stage == "traversing"
 
     def test_general_pool_failure_names_vertex(self, k3):
         g = gen_gnp(12, 0.3, 3)
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(StageFailure) as exc:
-                disjoint_absorber_family_general(g, k3, [0, 1, 2], target=1,
-                                                 config=cfg, seed=1)
+        with pytest.raises(StageFailure) as exc:
+            disjoint_absorber_family_general(g, k3, [0, 1, 2], target=1,
+                                             config=cfg, seed=1)
         assert exc.value.stage == "neighbor-pools"
         assert exc.value.blocking is not None
 
@@ -167,46 +190,39 @@ class TestFamilyBuilders:
         g = gen_gnp(90, 0.6, 5)
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=22, degree_frac=0.3)
         core = sorted(rng_for(7, "core").sample(range(90), 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fams = disjoint_absorber_family_general(g, k3, core, target=5,
-                                                    config=cfg, seed=1)
+        fams = disjoint_absorber_family_general(g, k3, core, target=5,
+                                                config=cfg, seed=1)
         assert len(fams) == 5
         seen = set()
         for a in fams:
-            assert is_st_absorber(g, k3, core, a, 3)
+            verify_absorber(g, k3, core, a, 3)
             assert not (a & seen)
             seen |= a
 
     def test_clique_on_complete(self):
         cfg = AbsorberConfig.desk_scale(h=3, t=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fams = disjoint_absorber_family_clique(complete_graph(40), 3, 2,
-                                                   [0, 1, 2], target=3,
-                                                   config=cfg, seed=1)
+        fams = disjoint_absorber_family_clique(complete_graph(40), 3, 2,
+                                               [0, 1, 2], target=3,
+                                               config=cfg, seed=1)
         assert len(fams) == 3
 
     def test_clique_two_cliques_stays_inside(self):
         g = gen_two_cliques(40)  # parts 0..18 and 19..39
         cfg = AbsorberConfig.desk_scale(h=3, t=3, part_degree_min=1,
                                         common_nbhd_min=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fams = disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
-                                                   config=cfg, seed=3)
+        fams = disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
+                                               config=cfg, seed=3)
         assert len(fams) == 1
         assert all(v < 19 for v in fams[0])
-        assert is_st_absorber(g, Pattern.clique(3), [0, 1, 2], fams[0], 3)
+        verify_absorber(g, Pattern.clique(3), [0, 1, 2], fams[0], 3)
 
     def test_clique_fails_on_large_independent_sets(self):
         g = gen_complete_multipartite([13, 13, 14])
         cfg = AbsorberConfig.desk_scale(h=3, t=3, part_degree_min=1,
                                         common_nbhd_min=2, partition_retries=5)
-        with pytest.warns(HypothesisWarning):
-            with pytest.raises(StageFailure) as exc:
-                disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
-                                                config=cfg, seed=1)
+        with pytest.raises(StageFailure) as exc:
+            disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
+                                            config=cfg, seed=1)
         assert exc.value.stage == "partition-absorbers"
 
 
@@ -232,9 +248,7 @@ class TestBuildAbsorbingSet:
                                         sample_prob=0.06, surplus_ratio=1.0,
                                         m_cap=1, pool_size=2)
         builder = make_family_builder("general", k60, k2, cfg, seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            st = build_absorbing_set(k60, k2, cfg, seed=1, family_builder=builder)
+        st = build_absorbing_set(k60, k2, cfg, seed=1, family_builder=builder)
         verify_structure(k60, st)
         assert st.valid_remainder_sizes() == [1]
         outside = sorted(set(range(60)) - st.absorbing_set)

@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
+from tilinglab import sweep
 from tilinglab.cli import main
+from tilinglab.generators import GENERATORS
 from tilinglab.graphs import parse_graph
+from tilinglab.pipeline import PipelineReport
+from tilinglab.rng import derive_seed
 from tilinglab.serialize import load_json
 
 
@@ -50,6 +54,45 @@ class TestGen:
         assert report["ell"] == 2 and "max_degree" in report
 
 
+# one small parameter set per registered generator
+GEN_PARAMS = {
+    "gnp": {"n": 12, "p": 0.5},
+    "complete-multipartite": {"sizes": [2, 3, 4]},
+    "two-cliques": {"n": 12},
+    "hs-tripartite": {"n": 12},
+    "gamma": {"ell": 2, "n": 12},
+    "lower-bound": {"r": 4, "ell": 2, "n": 16},
+}
+
+
+def test_every_generator_has_sample_params():
+    assert set(GEN_PARAMS) == set(GENERATORS)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_gen_and_sweep_build_the_same_graph(name, tmp_path, monkeypatch):
+    params = GEN_PARAMS[name]
+    spec = sweep.ExperimentSpec.from_obj({
+        "generator": name, "grid": {k: [v] for k, v in params.items()},
+        "pattern": "K3", "trials": 1, "seed_base": 8,
+    })
+    built = []
+
+    def capture(g, p, **kwargs):
+        built.append(g)
+        return PipelineReport(mode="clique", n=g.n, h=p.h, seed=0)
+
+    monkeypatch.setattr(sweep, "find_factor_absorbing", capture)
+    sweep.run_trial(spec, 0, 0)
+    seed = derive_seed(derive_seed(8, "cell", 0, "trial", 0), "instance")
+    args = [x for k, v in params.items()
+            for x in (f"--{k}", ",".join(map(str, v)) if isinstance(v, list) else str(v))]
+    out = tmp_path / "g.el"
+    assert run_cli("gen", "--construction", name, *args, "--seed", str(seed),
+                   "--out", str(out)) == 0
+    assert built == [parse_graph(out.read_text())]
+
+
 class TestParams:
     def test_flat_json(self, tmp_path):
         g = tmp_path / "hs.el"
@@ -87,6 +130,19 @@ class TestFactor:
         bad = tmp_path / "bad.el"
         bad.write_text("3 1\n0 0\n")
         assert run_cli("factor", "--graph", str(bad), "--pattern", "K3") == 2
+
+    @pytest.mark.parametrize("command", ["factor", "absorb"])
+    @pytest.mark.parametrize("config,message", [
+        ('{"bogus": 1}', "unknown AbsorberConfig key(s): bogus"),
+        ('{"remainder_frac": 0.5}', "unknown AbsorberConfig key(s): remainder_frac"),
+        ("[1]", "--config must be a JSON object, not list"),
+        ("{", "error:"),
+    ])
+    def test_malformed_config_exit_2(self, g30, capsys, command, config, message):
+        extra = ["--solver", "absorbing"] if command == "factor" else []
+        assert run_cli(command, "--graph", str(g30), "--pattern", "K3", *extra,
+                       "--config", config) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerify:
@@ -141,6 +197,18 @@ class TestAbsorbCommand:
         assert run_cli("verify", "--certificate", str(structure),
                        "--graph", str(g)) == 0
 
+    @pytest.mark.parametrize("builder", ["general", "clique"])
+    def test_prints_hypothesis_verdict(self, tmp_path, capsys, builder):
+        g = tmp_path / "k66.el"
+        run_cli("gen", "--construction", "complete-multipartite", "--sizes", "6,6",
+                "--out", str(g))
+        capsys.readouterr()
+        assert run_cli("absorb", "--graph", str(g), "--pattern", "K3",
+                       "--builder", builder, "--trials", "1") == 1
+        verdict, failure = capsys.readouterr().err.splitlines()[:2]
+        assert verdict.startswith("hypotheses violated: delta=6 (need ")
+        assert failure.startswith("build failed: stage 'copy-families' failed")
+
 
 SWEEP_SPEC = {
     "generator": "gnp",
@@ -186,6 +254,56 @@ class TestSweep:
         serial = rows_to_csv(spec, run_sweep(spec, threads=1))
         parallel = rows_to_csv(spec, run_sweep(spec, threads=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("spec,message", [
+        ([SWEEP_SPEC], "sweep spec must be a JSON object, not list"),
+        (dict(SWEEP_SPEC, trails=1), "unknown sweep spec key(s): trails"),
+        ({k: v for k, v in SWEEP_SPEC.items() if k != "pattern"}, "lacks key(s): pattern"),
+        (dict(SWEEP_SPEC, generator="gmp"), "unknown generator: gmp"),
+        (dict(SWEEP_SPEC, grid={"n": [12]}), "generator gnp needs grid parameter(s): p"),
+        (dict(SWEEP_SPEC, config={"bogus": 1}), "unknown AbsorberConfig key(s): bogus"),
+        (dict(SWEEP_SPEC, config=[1]), "'grid' and 'config' must be JSON objects"),
+    ])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        monkeypatch.setattr(sweep, "run_trial", None)  # no trial may start
+        assert run_cli("sweep", "--spec", str(path)) == 2
+        assert message in capsys.readouterr().err
+
+    def test_threads_below_one_exit_2(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SWEEP_SPEC))
+        monkeypatch.setattr(sweep, "run_trial", None)
+        assert run_cli("sweep", "--spec", str(spec), "--threads", "0") == 2
+
+    def test_workers_bounded_by_cpus_and_jobs(self, monkeypatch):
+        started = []
+
+        class FakePool:  # records the pool size, runs the jobs in-process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(sweep, "run_trial", lambda spec, cell, trial: {"millis": ""})
+        spec = sweep.ExperimentSpec.from_obj(SWEEP_SPEC)  # 8 jobs
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+        assert len(sweep.run_sweep(spec, threads=10**6)) == 8
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+        sweep.run_sweep(spec, threads=10**6)
+        sweep.run_sweep(spec, threads=3)
+        assert started == [4, 8, 3]
+        sweep.run_sweep(spec, threads=1)
+        assert started == [4, 8, 3]
 
     def test_timings_recorded_with_threads(self):
         from tilinglab.sweep import ExperimentSpec, run_sweep

@@ -33,6 +33,11 @@ class TestHypotheses:
         held, detail = check_hypotheses(g, k3, "general", cfg, seed=1)
         assert held
         assert "traversing" in detail
+        # K(6,6) has no triangle, so no triangle traverses any probe parts
+        held, detail = check_hypotheses(gen_complete_multipartite([6, 6]), k3,
+                                        "general", cfg, seed=1)
+        assert not held
+        assert "traversing at s=2 sampled(100): fails" in detail
 
 
 class TestPipeline:
