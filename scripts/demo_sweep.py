@@ -25,11 +25,10 @@ SPEC = {
     "pattern": "K3",
     "mode": "clique",
     "ell": 2,
-    "epsilon": 0.1,
-    "epsilon_prime": 0.1,
     "seed_base": 2026,
     "config": {"t": 1, "sample_prob": 0.08, "surplus_ratio": 6.0,
-               "m_cap": 1, "absorber_frac": 0.05},
+               "m_cap": 1, "absorber_frac": 0.05,
+               "degree_frac": 0.1, "threshold_frac": 0.1},
 }
 
 

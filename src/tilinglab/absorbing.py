@@ -10,7 +10,8 @@ flex side, together with the core side, has a perfect matching onto slots.
 
 Desk-scale runs use override constants (flagged in AbsorberConfig); the
 structural identity remainder_frac = surplus_ratio/(h-1), which the
-divisibility bookkeeping depends on, is enforced in every configuration.
+divisibility bookkeeping depends on, holds in every configuration because
+remainder_frac is derived rather than set.
 """
 
 from __future__ import annotations
@@ -56,15 +57,27 @@ class CertificateBugError(RuntimeError):
 # ---------------------------------------------------------------------------
 # configuration
 
+# build_template resamples a random-regular template at most this many times
+TEMPLATE_RETRIES = 20
+
+
+def _asymptotic_bindings(h: int, t: int, absorber_frac: float) -> tuple[float, float]:
+    """(sample_prob, surplus_ratio) as the theory binds them."""
+    q = absorber_frac / (500 * h * t)
+    return q, q ** (h - 1) * absorber_frac / 4
+
 
 @dataclass(frozen=True)
 class AbsorberConfig:
     """Constants driving absorber construction.
 
-    The asymptotic bindings are sample_prob = absorber_frac/(500*h*t),
-    surplus_ratio = sample_prob**(h-1)*absorber_frac/4 and remainder_frac =
-    surplus_ratio/(h-1), all in (0,1).  Desk-scale configurations override
-    the first two (overrides=True) but must keep the remainder identity.
+    The asymptotic bindings are sample_prob = absorber_frac/(500*h*t) and
+    surplus_ratio = sample_prob**(h-1)*absorber_frac/4, all in (0,1).
+    Desk-scale configurations override both (overrides=True).  The
+    absorbable remainder fraction remainder_frac = surplus_ratio/(h-1), on
+    which the divisibility bookkeeping depends, is derived, so it holds in
+    every configuration.  This class is the only place that lists the
+    fields; the loaders and the codec read them from `fields()`.
     """
 
     h: int
@@ -72,7 +85,6 @@ class AbsorberConfig:
     absorber_frac: float      # required disjoint-absorber family density per core set
     sample_prob: float        # buffer sampling probability
     surplus_ratio: float      # buffer surplus per template round: |buffer| = (1+ratio)*m
-    remainder_frac: float     # absorbable remainder fraction; = surplus_ratio/(h-1)
     degree_frac: float = 0.1       # minimum-degree fraction for hypothesis checks
     threshold_frac: float = 0.2    # clique-free / traversing threshold fraction
     overrides: bool = False
@@ -81,35 +93,30 @@ class AbsorberConfig:
     common_nbhd_min: int | None = None   # common-neighborhood floor for clique descent
     m_cap: int | None = None             # cap on the template round size
     sample_retries: int = 50
-    template_retries: int = 20
     partition_retries: int = 20
 
     def __post_init__(self):
         if self.h < 2 or self.t < 1:
             raise ValueError("need h >= 2 and t >= 1")
-        want = self.surplus_ratio / (self.h - 1)
-        if not math.isclose(self.remainder_frac, want, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(
-                "remainder_frac must equal surplus_ratio/(h-1); "
-                f"got {self.remainder_frac} vs {want}"
-            )
         if not self.overrides:
-            q = self.absorber_frac / (500 * self.h * self.t)
-            b = q ** (self.h - 1) * self.absorber_frac / 4
+            q, b = _asymptotic_bindings(self.h, self.t, self.absorber_frac)
             if not (math.isclose(self.sample_prob, q, rel_tol=1e-9)
                     and math.isclose(self.surplus_ratio, b, rel_tol=1e-9)):
                 raise ValueError("non-override config must use the asymptotic bindings")
-            for x in (self.absorber_frac, self.sample_prob, self.surplus_ratio,
-                      self.remainder_frac):
+            for x in (self.absorber_frac, self.sample_prob, self.surplus_ratio):
                 if not 0 < x < 1:
                     raise ValueError("asymptotic constants must lie in (0, 1)")
 
+    @property
+    def remainder_frac(self) -> float:
+        """Absorbable remainder fraction, surplus_ratio/(h-1)."""
+        return self.surplus_ratio / (self.h - 1)
+
     @classmethod
     def asymptotic(cls, h: int, t: int, absorber_frac: float, **kw) -> "AbsorberConfig":
-        q = absorber_frac / (500 * h * t)
-        b = q ** (h - 1) * absorber_frac / 4
+        q, b = _asymptotic_bindings(h, t, absorber_frac)
         return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=q,
-                   surplus_ratio=b, remainder_frac=b / (h - 1), overrides=False, **kw)
+                   surplus_ratio=b, overrides=False, **kw)
 
     @classmethod
     def desk_scale(
@@ -121,14 +128,26 @@ class AbsorberConfig:
         surplus_ratio: float = 6.0,
         **kw,
     ) -> "AbsorberConfig":
-        """Override constants; `kw` sets any further field except the derived
-        remainder_frac and the overrides flag."""
-        unknown = kw.keys() - ({f.name for f in fields(cls)} - {"remainder_frac", "overrides"})
+        """Override constants; `kw` sets any further field except overrides."""
+        return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=sample_prob,
+                   surplus_ratio=surplus_ratio, overrides=True, **kw)
+
+    @classmethod
+    def from_overrides(cls, h: int, obj) -> "AbsorberConfig":
+        """The desk_scale config for pattern size h with the fields set in
+        `obj`, the JSON object given to `--config` or as a sweep spec's
+        `config`.  `obj` may set any field except h, which the pattern
+        fixes, and overrides; anything else raises a ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"--config must be a JSON object, not {type(obj).__name__}")
+        fixed = obj.keys() & {"h", "overrides"}
+        if fixed:
+            raise ValueError(f"config may not set {', '.join(sorted(fixed))}: the pattern "
+                             "fixes h, and overrides is always true here")
+        unknown = obj.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown AbsorberConfig key(s): {', '.join(sorted(unknown))}")
-        return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=sample_prob,
-                   surplus_ratio=surplus_ratio, remainder_frac=surplus_ratio / (h - 1),
-                   overrides=True, **kw)
+        return cls.desk_scale(h=h, **obj)
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +197,24 @@ class TemplateGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(l, r) for l in range(self.left_size) for r in self.left_adj[l]]
 
-    def matches_with_flex(self, flex_subset: Iterable[int]) -> bool:
-        """Perfect matching of (flex_subset + core) onto slots?"""
+    def slot_matching(self, flex_subset: Iterable[int]) -> dict[int, int] | None:
+        """Perfect matching of (flex_subset + core) onto the slots, as
+        {left index: slot}, or None when there is none."""
         chosen = sorted(set(flex_subset))
-        if len(chosen) != self.m or any(i >= self.flex_size for i in chosen):
+        if len(chosen) != self.m or any(not 0 <= i < self.flex_size for i in chosen):
             raise ValueError("flex subset must pick exactly m flex indices")
         left = chosen + list(range(self.flex_size, self.left_size))
         adj = [list(self.left_adj[l]) for l in left]
-        size, _, _ = max_bipartite_matching(len(left), self.slot_count, adj)
-        return size == self.slot_count
+        size, pair_l, _ = max_bipartite_matching(len(left), self.slot_count, adj)
+        return dict(zip(left, pair_l)) if size == self.slot_count else None
 
 
 def _surplus_of(m: int, beta: float) -> int:
     return math.ceil(beta * m)
+
+
+# left degree of a random-regular template
+TEMPLATE_DEGREE = 12
 
 
 def build_template(
@@ -200,8 +224,7 @@ def build_template(
     verify: str = "exhaustive",
     trials: int = 1000,
     seed: int = 0,
-    degree: int = 12,
-    retries: int = 20,
+    retries: int = TEMPLATE_RETRIES,
 ) -> TemplateGraph:
     """Build a robust template at round size m and surplus ceil(beta*m).
 
@@ -235,7 +258,7 @@ def build_template(
     if mode == "random-regular":
         for attempt in range(retries):
             rng = rng_for(seed, "template", attempt)
-            total = degree * left
+            total = TEMPLATE_DEGREE * left
             right_stubs: list[int] = []
             base, extra = divmod(total, slots)
             for r in range(slots):
@@ -244,7 +267,7 @@ def build_template(
             adj_sets: list[set[int]] = [set() for _ in range(left)]
             idx = 0
             for l in range(left):
-                for _ in range(degree):
+                for _ in range(TEMPLATE_DEGREE):
                     adj_sets[l].add(right_stubs[idx])
                     idx += 1
             left_deg = [len(s) for s in adj_sets]
@@ -284,6 +307,13 @@ def _copies_by_min_vertex(
         yield (img for img, _emb in copy_sets_through(g, p, v, tail))
 
 
+# the direct search tries at most DIRECT_ATTEMPTS candidates per absorber,
+# DIRECT_PER_ANCHOR per anchor vertex, each under DIRECT_BUDGET exact-search nodes
+DIRECT_ATTEMPTS = 64
+DIRECT_PER_ANCHOR = 6
+DIRECT_BUDGET = 200_000
+
+
 def disjoint_absorber_family_direct(
     g: Graph,
     p: Pattern,
@@ -291,8 +321,6 @@ def disjoint_absorber_family_direct(
     t: int,
     target: int,
     forbidden: Iterable[int] = (),
-    attempts_per: int = 64,
-    budget: int = 200_000,
     allow_partial: bool = False,
 ) -> list[frozenset[int]]:
     """Pairwise-disjoint absorbers for `core` found by direct exact search.
@@ -309,7 +337,7 @@ def disjoint_absorber_family_direct(
     used: set[int] = set(core_t) | set(forbidden)
     out: list[frozenset[int]] = []
     while len(out) < target:
-        found = _direct_absorber(g, p, core_t, t, frozenset(used), attempts_per, budget)
+        found = _direct_absorber(g, p, core_t, t, frozenset(used))
         if found is None:
             if allow_partial:
                 break
@@ -329,9 +357,6 @@ def _direct_absorber(
     core_t: tuple[int, ...],
     t: int,
     used: frozenset[int],
-    attempts_per: int,
-    budget: int,
-    per_anchor: int = 6,
 ) -> frozenset[int] | None:
     """First candidate (t disjoint copies) whose union tiles together with
     the core.  Candidates rotate through anchor vertices so one anchor that
@@ -339,7 +364,7 @@ def _direct_absorber(
     allowed = frozenset(range(g.n)) - used
     attempts = 0
     for copies in _copies_by_min_vertex(g, p, allowed):
-        for img in islice(copies, per_anchor):
+        for img in islice(copies, DIRECT_PER_ANCHOR):
             cand = set(img)
             for _ in range(t - 1):
                 nxt = next(chain.from_iterable(_copies_by_min_vertex(g, p, allowed - cand)), None)
@@ -347,10 +372,10 @@ def _direct_absorber(
                     return None
                 cand.update(nxt)
             sub, _ = induced_subgraph(g, cand | set(core_t))
-            if find_factor_exact(sub, p, budget=budget).found:
+            if find_factor_exact(sub, p, budget=DIRECT_BUDGET).found:
                 return frozenset(cand)
             attempts += 1
-            if attempts >= attempts_per:
+            if attempts >= DIRECT_ATTEMPTS:
                 return None
     return None
 
@@ -547,6 +572,10 @@ def _clique_by_descent(
     return None
 
 
+# top cliques a partition absorber search tries before giving up
+PARTITION_CLIQUE_CANDIDATES = 50
+
+
 def _build_partition_absorber(
     g: Graph,
     r: int,
@@ -555,13 +584,12 @@ def _build_partition_absorber(
     classes: list[list[int]],
     used: list[set[int]],
     cn_min: int,
-    clique_candidates: int = 50,
 ) -> frozenset[int] | None:
     p = Pattern.clique(r)
     top_avail = [v for v in classes[r] if v not in used[r]]
     seen: list[tuple[int, ...]] = []
     pool = list(top_avail)
-    while len(seen) < clique_candidates:
+    while len(seen) < PARTITION_CLIQUE_CANDIDATES:
         top = _clique_by_descent(g, r, ell, pool, cn_min)
         if top is None:
             return None
@@ -704,13 +732,16 @@ class AbsorbingStructure:
         return (self.buffer + self.core)[l]
 
 
+# absorbers a harvest run asks for beyond the copies still missing
+HARVEST_SLACK = 2
+
+
 def build_absorbing_set(
     g: Graph,
     p: Pattern,
     config: AbsorberConfig,
     seed: int = 0,
     family_builder: FamilyBuilder | None = None,
-    harvest_slack: int = 2,
 ) -> AbsorbingStructure:
     """Assemble an absorbing structure.
 
@@ -750,7 +781,7 @@ def build_absorbing_set(
         used: set[int] = set()
         spent: set[int] = set()
         while len(copies) < gamma_target:
-            batch = gamma_target - len(copies) + harvest_slack
+            batch = gamma_target - len(copies) + HARVEST_SLACK
             runs = family_builder(core_v, config.t, batch, frozenset(spent), True)
             if not runs:
                 break
@@ -807,8 +838,7 @@ def build_absorbing_set(
     left = 3 * m + surplus
     mode = "complete-bipartite" if left <= 40 else "random-regular"
     template = build_template(m, beta, mode=mode, verify=template_check_mode(m + surplus, m),
-                              seed=derive_seed(seed, "template"),
-                              retries=config.template_retries)
+                              seed=derive_seed(seed, "template"))
 
     # stages 4-5: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a
@@ -992,15 +1022,11 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     # template matching of survivors + core onto slots
     tpl = structure.template
     pos = {v: i for i, v in enumerate(structure.buffer)}
-    flex_chosen = sorted(pos[v] for v in survivors)
-    left_nodes = flex_chosen + list(range(tpl.flex_size, tpl.left_size))
-    adj = [list(tpl.left_adj[l]) for l in left_nodes]
-    size, pair_l, _pair_r = max_bipartite_matching(len(left_nodes), tpl.slot_count, adj)
-    if size != tpl.slot_count:
+    matching = tpl.slot_matching(pos[v] for v in survivors)
+    if matching is None:
         raise CertificateBugError(
             "verified template has no perfect matching for this survivor set"
         )
-    matched = {(left_nodes[i], pair_l[i]) for i in range(len(left_nodes))}
 
     copies: list[tuple[int, ...]] = []
 
@@ -1017,7 +1043,7 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
 
     for l, rgt in tpl.edges():
         a_e = structure.edge_absorbers[(l, rgt)]
-        if (l, rgt) in matched:
+        if matching.get(l) == rgt:
             block = set(structure.slot_blocks[rgt]) | {structure.left_vertex(l)}
             target = set(a_e) | block
         else:

@@ -73,31 +73,11 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _check_format(args, native: str) -> int | None:
-    """Commands have one native output format; anything else is a usage error."""
-    fmt = getattr(args, "format", None)
-    if fmt is not None and fmt != native:
-        print(f"this command writes {native} output only", file=sys.stderr)
-        return USAGE_ERROR
-    return None
-
-
 def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
-def _absorber_config(text: str | None, h: int) -> AbsorberConfig:
-    """AbsorberConfig.desk_scale from a --config JSON object of overrides."""
-    overrides = json.loads(text) if text else {}
-    if not isinstance(overrides, dict):
-        raise ValueError(f"--config must be a JSON object, not {type(overrides).__name__}")
-    return AbsorberConfig.desk_scale(h=h, **overrides)
-
-
 def cmd_gen(args) -> int:
-    bad = _check_format(args, "edgelist")
-    if bad is not None:
-        return bad
     if args.construction == "gamma":  # gen_gamma also reports its alpha_ell
         rep = gen_gamma(args.ell, args.n, args.seed)
         g = rep.graph
@@ -113,9 +93,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_params(args) -> int:
-    bad = _check_format(args, "json")
-    if bad is not None:
-        return bad
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern) if args.pattern else None
     ells = [int(x) for x in args.ell.split(",")] if args.ell else [2]
@@ -131,9 +108,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    bad = _check_format(args, "json")
-    if bad is not None:
-        return bad
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
     if args.solver == "exact":
@@ -145,7 +119,7 @@ def cmd_factor(args) -> int:
             return OK
         print(f"no factor: {res.status} ({res.nodes} nodes)")
         return FAILURE
-    config = _absorber_config(args.config, pattern.h)
+    config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))
     report = find_factor_absorbing(
         g, pattern, mode=args.mode, ell=args.ell, config=config,
         seed=args.seed, fallback_cap=args.fallback_cap, budget=args.budget_nodes,
@@ -164,12 +138,9 @@ def cmd_factor(args) -> int:
 
 
 def cmd_absorb(args) -> int:
-    bad = _check_format(args, "json")
-    if bad is not None:
-        return bad
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
-    config = _absorber_config(args.config, pattern.h)
+    config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))
     builder = make_family_builder(args.builder, g, pattern, config,
                                   seed=derive_seed(args.seed, "families"),
                                   ell=args.ell if args.builder == "clique" else None)
@@ -245,9 +216,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    bad = _check_format(args, "csv")
-    if bad is not None:
-        return bad
     spec = ExperimentSpec.load(args.spec)
     if args.seed_base is not None:
         spec.seed_base = args.seed_base
@@ -276,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, default="")
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("params", help="compute graph parameters as JSON")
@@ -289,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("factor", help="find a perfect tiling")
@@ -299,13 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["general", "clique"], default="general")
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--config", type=str, default=None,
-                   help="JSON object of AbsorberConfig.desk_scale overrides")
+                   help="JSON object of AbsorberConfig fields (any but h and overrides)")
     p.add_argument("--budget-nodes", type=int, default=2_000_000)
     p.add_argument("--fallback-cap", type=int, default=30)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--report", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("absorb", help="build an absorbing structure and test it")
@@ -315,11 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="direct")
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--config", type=str, default=None,
-                   help="JSON object of AbsorberConfig.desk_scale overrides")
+                   help="JSON object of AbsorberConfig fields (any but h and overrides)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
     p.set_defaults(func=cmd_absorb)
 
     p = sub.add_parser("verify", help="check a serialized certificate")
@@ -335,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--seed-base", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
     p.add_argument("--timings", action="store_true",
                    help="record wall-clock millis (breaks byte determinism)")
     p.set_defaults(func=cmd_sweep)

@@ -108,16 +108,20 @@ class GammaReport:
     alpha_exact: bool
 
 
-def gen_gamma(ell: int, n: int, seed: int, alpha_budget: int = 50_000) -> GammaReport:
+# search-node budget of gen_gamma's alpha_ell report
+GAMMA_ALPHA_BUDGET = 50_000
+
+
+def gen_gamma(ell: int, n: int, seed: int) -> GammaReport:
     """gamma_graph plus a report of its max degree and alpha_ell value.
 
-    alpha_ell is computed by branch and bound under `alpha_budget` search
+    alpha_ell is computed by branch and bound under GAMMA_ALPHA_BUDGET search
     nodes; `alpha_exact` says whether the bound is exact or best-found.
     """
     from .invariants import alpha_ell as alpha_ell_solver
 
     g = gamma_graph(ell, n, seed)
-    res = alpha_ell_solver(g, ell, budget=alpha_budget)
+    res = alpha_ell_solver(g, ell, budget=GAMMA_ALPHA_BUDGET)
     max_deg = max((g.degree(v) for v in range(n)), default=0)
     return GammaReport(graph=g, ell=ell, max_degree=max_deg,
                        alpha_ell=res.value, alpha_exact=res.exact)

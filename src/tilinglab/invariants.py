@@ -333,6 +333,10 @@ class ParamReport:
         return out
 
 
+# search-node budget of each alpha_ell in param_report
+PARAM_ALPHA_BUDGET = 200_000
+
+
 def param_report(
     g: Graph,
     ells: list[int] = (2,),
@@ -341,9 +345,8 @@ def param_report(
     traversing_mode: str = "sampled",
     trials: int = 200,
     seed: int = 0,
-    alpha_budget: int = 200_000,
 ) -> ParamReport:
-    alpha = {ell: alpha_ell(g, ell, budget=alpha_budget) for ell in ells}
+    alpha = {ell: alpha_ell(g, ell, budget=PARAM_ALPHA_BUDGET) for ell in ells}
     trav = None
     dens = None
     if pattern is not None:

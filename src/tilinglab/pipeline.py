@@ -89,6 +89,10 @@ class PipelineReport:
         return out
 
 
+# families the general-mode hypothesis check samples
+HYPOTHESIS_TRIALS = 100
+
+
 def check_hypotheses(
     g: Graph,
     p: Pattern,
@@ -96,7 +100,6 @@ def check_hypotheses(
     config: AbsorberConfig,
     ell: int = 2,
     seed: int = 0,
-    trials: int = 100,
 ) -> tuple[bool, str]:
     """Hypothesis check for the chosen construction; returns (held, detail).
     This is the only check of the paper's hypotheses: the absorber builders
@@ -106,7 +109,7 @@ def check_hypotheses(
     at most eps' n; alpha_ell is exact up to n = 40 and a branch-and-bound
     lower bound beyond, and the detail string discloses which.  General mode
     needs delta(G) >= eps n and the traversing property at probe size
-    ceil(eps' n), checked by sampling.
+    ceil(eps' n), checked on HYPOTHESIS_TRIALS sampled families.
     """
     n = g.n
     eps = config.degree_frac
@@ -135,10 +138,11 @@ def check_hypotheses(
         deg_ok = delta >= need
         s = max(1, math.ceil(eps2 * n))
         if p.h * s <= n:
-            verdict = traversing_check(g, p, s, mode="sampled", trials=trials,
+            verdict = traversing_check(g, p, s, mode="sampled", trials=HYPOTHESIS_TRIALS,
                                        seed=derive_seed(seed, "hyp"))
             trav_ok = verdict.holds
-            tdetail = f"traversing at s={s} sampled({trials}): {'holds' if trav_ok else 'fails'}"
+            tdetail = (f"traversing at s={s} sampled({HYPOTHESIS_TRIALS}): "
+                       f"{'holds' if trav_ok else 'fails'}")
         else:
             trav_ok = False
             tdetail = f"probe size s={s} infeasible (h*s > n)"
@@ -156,7 +160,6 @@ def find_factor_absorbing(
     seed: int = 0,
     fallback_cap: int = 30,
     budget: int = 2_000_000,
-    family_kind: str | None = None,
 ) -> PipelineReport:
     """Run the absorbing pipeline; fall back to the exact oracle on failure
     when the graph is small enough.
@@ -184,7 +187,7 @@ def find_factor_absorbing(
     report.hypothesis_held = held
     report.hypothesis_detail = detail
 
-    kind = family_kind if family_kind is not None else ("clique" if mode == "clique" else "general")
+    kind = "clique" if mode == "clique" else "general"
     builder = make_family_builder(kind, g, p, config, seed=derive_seed(seed, "families"),
                                   ell=ell if kind == "clique" else None)
 

@@ -6,11 +6,18 @@ Structures are written as v2.  Documents tagged absorbing-structure/v1 are
 still read: v1 also carried an index-map copy of `buffer` and of `core`,
 which the loader ignores.  Patterns serialize inline (clique order, or an
 explicit edge list).
+
+A structure's `config` object holds every AbsorberConfig field plus the
+derived `remainder_frac`.  The loader takes the field list from the
+dataclass: a missing optional field takes its default, an unknown key or a
+`remainder_frac` other than surplus_ratio/(h-1) raises ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 from typing import Any
 
 from .absorbing import AbsorberConfig, AbsorbingStructure, TemplateGraph
@@ -81,32 +88,23 @@ def witness_to_obj(p: Pattern, s: int, parts: list[list[int]]) -> dict:
 
 
 def config_to_obj(c: AbsorberConfig) -> dict:
-    return {
-        "h": c.h,
-        "t": c.t,
-        "absorber_frac": c.absorber_frac,
-        "sample_prob": c.sample_prob,
-        "surplus_ratio": c.surplus_ratio,
-        "remainder_frac": c.remainder_frac,
-        "degree_frac": c.degree_frac,
-        "threshold_frac": c.threshold_frac,
-        "overrides": c.overrides,
-        "pool_size": c.pool_size,
-        "part_degree_min": c.part_degree_min,
-        "common_nbhd_min": c.common_nbhd_min,
-        "m_cap": c.m_cap,
-    }
+    obj = {f.name: getattr(c, f.name) for f in fields(AbsorberConfig)}
+    obj["remainder_frac"] = c.remainder_frac
+    return obj
 
 
 def config_from_obj(obj: dict) -> AbsorberConfig:
-    return AbsorberConfig(
-        h=obj["h"], t=obj["t"], absorber_frac=obj["absorber_frac"],
-        sample_prob=obj["sample_prob"], surplus_ratio=obj["surplus_ratio"],
-        remainder_frac=obj["remainder_frac"], degree_frac=obj["degree_frac"],
-        threshold_frac=obj["threshold_frac"], overrides=obj["overrides"],
-        pool_size=obj.get("pool_size"), part_degree_min=obj.get("part_degree_min"),
-        common_nbhd_min=obj.get("common_nbhd_min"), m_cap=obj.get("m_cap"),
-    )
+    kw = dict(obj)
+    stored = kw.pop("remainder_frac", None)
+    unknown = kw.keys() - {f.name for f in fields(AbsorberConfig)}
+    if unknown:
+        raise ValueError(f"unknown AbsorberConfig key(s): {', '.join(sorted(unknown))}")
+    c = AbsorberConfig(**kw)
+    if stored is not None and not math.isclose(stored, c.remainder_frac,
+                                               rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError(f"config remainder_frac {stored} is not "
+                         f"surplus_ratio/(h-1) = {c.remainder_frac}")
+    return c
 
 
 def template_to_obj(t: TemplateGraph) -> dict:

@@ -27,6 +27,9 @@ from .serialize import parse_pattern_spec
 
 CSV_SCHEMA = "sweep/v1"
 
+SOLVERS = ("pipeline", "exact")
+MODES = ("clique", "general")
+
 RESULT_COLUMNS = [
     "trial", "seed", "hypothesis_held", "absorbing_built", "cover_ok",
     "absorbed", "fallback_used", "factor_found", "leftover", "nodes", "millis",
@@ -35,15 +38,16 @@ RESULT_COLUMNS = [
 
 @dataclass
 class ExperimentSpec:
-    """One sweep: a generator, a parameter grid, a pattern, and a solver."""
+    """One sweep: a generator, a parameter grid, a pattern, and a solver.
+
+    `config` sets AbsorberConfig fields for the pipeline solver, as
+    `--config` does (AbsorberConfig.from_overrides)."""
 
     generator: str
     grid: dict[str, list]
     pattern: str
     mode: str = "clique"
     ell: int = 2
-    epsilon: float = 0.1
-    epsilon_prime: float = 0.2
     trials: int = 5
     seed_base: int = 0
     solver: str = "pipeline"
@@ -67,13 +71,17 @@ class ExperimentSpec:
         if spec.generator not in GENERATORS:
             raise ValueError(f"unknown generator: {spec.generator}; "
                              f"choose from {', '.join(sorted(GENERATORS))}")
+        if spec.solver not in SOLVERS:
+            raise ValueError(f"unknown solver: {spec.solver}; choose from {', '.join(SOLVERS)}")
+        if spec.mode not in MODES:
+            raise ValueError(f"unknown mode: {spec.mode}; choose from {', '.join(MODES)}")
         if not isinstance(spec.grid, dict) or not isinstance(spec.config, dict):
             raise ValueError("sweep spec 'grid' and 'config' must be JSON objects")
         missing = set(GENERATORS[spec.generator].params) - spec.grid.keys()
         if missing:
             raise ValueError(f"generator {spec.generator} needs grid parameter(s): "
                              f"{', '.join(sorted(missing))}")
-        spec.absorber_config(parse_pattern_spec(spec.pattern).h)
+        AbsorberConfig.from_overrides(parse_pattern_spec(spec.pattern).h, spec.config)
         return spec
 
     @classmethod
@@ -90,12 +98,6 @@ class ExperimentSpec:
         for values in product(*(self.grid[k] for k in keys)):
             out.append(dict(zip(keys, values)))
         return out
-
-    def absorber_config(self, h: int) -> AbsorberConfig:
-        kw = dict(self.config)
-        kw.setdefault("degree_frac", self.epsilon)
-        kw.setdefault("threshold_frac", self.epsilon_prime)
-        return AbsorberConfig.desk_scale(h=h, **kw)
 
 
 def run_trial(spec: ExperimentSpec, cell_index: int, trial: int) -> dict:
@@ -117,7 +119,7 @@ def run_trial(spec: ExperimentSpec, cell_index: int, trial: int) -> dict:
         })
         return row
 
-    config = spec.absorber_config(pattern.h)
+    config = AbsorberConfig.from_overrides(pattern.h, spec.config)
     report = find_factor_absorbing(
         g, pattern, mode=spec.mode, ell=spec.ell, config=config,
         seed=seed, fallback_cap=spec.fallback_cap, budget=spec.budget,

@@ -20,6 +20,10 @@ from .rng import rng_for
 TEMPLATE_EXHAUSTIVE_LIMIT = 2000
 # an explicitly requested exhaustive check enumerates at most this many
 TEMPLATE_EXHAUSTIVE_CAP = 20_000
+# flex subsets verify_structure samples when it cannot check them all
+STRUCTURE_TEMPLATE_TRIALS = 50
+# exact-search node budget of each of an absorber check's two tilings
+ABSORBER_CHECK_BUDGET = 500_000
 
 
 class VerificationError(AssertionError):
@@ -77,7 +81,6 @@ def verify_absorber(
     core: Iterable[int],
     absorber: Iterable[int],
     t: int,
-    budget: int = 500_000,
 ) -> None:
     """Check the defining property of an absorber for the h-set `core`:
     |absorber| = h*t, disjoint from core, and both the absorber alone and
@@ -96,11 +99,11 @@ def verify_absorber(
         if not (0 <= v < g.n):
             raise VerificationError(f"vertex {v} out of range")
     sub, _ = induced_subgraph(g, a)
-    res = find_factor_exact(sub, p, budget=budget)
+    res = find_factor_exact(sub, p, budget=ABSORBER_CHECK_BUDGET)
     if not res.found:
         raise VerificationError("absorber alone has no perfect tiling")
     sub2, _ = induced_subgraph(g, a + s)
-    res2 = find_factor_exact(sub2, p, budget=budget)
+    res2 = find_factor_exact(sub2, p, budget=ABSORBER_CHECK_BUDGET)
     if not res2.found:
         raise VerificationError("absorber plus core has no perfect tiling")
 
@@ -133,21 +136,17 @@ def verify_traversing_witness(
         raise VerificationError("witness family does induce a traversing copy")
 
 
-def verify_structure(
-    g: Graph,
-    structure,
-    template_trials: int = 50,
-    seed: int = 0,
-    absorber_budget: int = 500_000,
-) -> None:
+def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     """Re-check every invariant of an absorbing structure from scratch.
 
     Disjointness of buffer/core/slots and all edge absorbers, the size
     arithmetic, the buffer's increasing order (which fixes the template's
     flex indices), the copy families, the absorbing property of every
-    edge absorber (via the exact oracle), and the template's robust matching
-    property (exhaustively when small, otherwise by `template_trials`
-    sampled flex subsets).
+    edge absorber (via verify_absorber), and the template's robust matching
+    property (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS
+    flex subsets sampled from `seed`).  The configuration needs no check of
+    its own: its remainder fraction is derived, and the loader rejects a
+    document whose stored value disagrees.
     """
     from .embed import embed_in_set
 
@@ -191,7 +190,7 @@ def verify_structure(
             )
         taken |= set(a)
         core_e = sorted({structure.left_vertex(l)} | set(structure.slot_blocks[r]))
-        verify_absorber(g, p, core_e, a, structure.config.t, budget=absorber_budget)
+        verify_absorber(g, p, core_e, a, structure.config.t)
 
     for v, fams in structure.copy_families.items():
         bset = set(buffer)
@@ -204,7 +203,7 @@ def verify_structure(
                 raise VerificationError(f"family member of {v} is not a pattern copy")
 
     mode = template_check_mode(tpl.flex_size, tpl.m)
-    _, bad = check_template(tpl, mode, template_trials, seed, "structure-verify")
+    _, bad = check_template(tpl, mode, STRUCTURE_TEMPLATE_TRIALS, seed, "structure-verify")
     if bad is not None:
         raise VerificationError(f"template flex subset {bad} without perfect matching")
 
@@ -237,4 +236,4 @@ def check_template(tpl, verify: str, trials: int, seed: int, label: str) -> tupl
         record = {"mode": "sampled", "trials": trials, "seed": seed}
     else:
         raise ValueError(f"unknown verification mode: {verify}")
-    return record, next((sub for sub in subsets if not tpl.matches_with_flex(sub)), None)
+    return record, next((sub for sub in subsets if tpl.slot_matching(sub) is None), None)

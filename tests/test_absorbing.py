@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -19,7 +21,14 @@ from tilinglab.absorbing import (
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Pattern, complete_graph
 from tilinglab.rng import rng_for
-from tilinglab.serialize import structure_from_obj, structure_to_obj
+from tilinglab.cli import main
+from tilinglab.graphs import emit_graph
+from tilinglab.serialize import (
+    config_from_obj,
+    config_to_obj,
+    structure_from_obj,
+    structure_to_obj,
+)
 from tilinglab.verify import (
     VerificationError,
     check_template,
@@ -46,14 +55,41 @@ class TestConfig:
         assert not c.overrides
 
     def test_identity_enforced_even_with_overrides(self):
-        with pytest.raises(ValueError):
+        c = AbsorberConfig.desk_scale(h=3, surplus_ratio=6.0)
+        assert c.remainder_frac == 3.0
+        with pytest.raises(TypeError):  # derived, so it cannot be set
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.1,
                            surplus_ratio=6.0, remainder_frac=1.0, overrides=True)
+        obj = config_to_obj(c)
+        assert obj["remainder_frac"] == 3.0
+        assert config_from_obj(obj) == c
+        obj["remainder_frac"] = 1.0
+        with pytest.raises(ValueError, match="remainder_frac 1.0 is not surplus_ratio"):
+            config_from_obj(obj)
 
     def test_non_override_rejects_custom_constants(self):
         with pytest.raises(ValueError):
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.5,
-                           surplus_ratio=1.0, remainder_frac=0.5, overrides=False)
+                           surplus_ratio=1.0, overrides=False)
+
+    def test_codec_round_trips_every_field(self):
+        values = dict(h=4, t=2, absorber_frac=0.3, sample_prob=0.2, surplus_ratio=1.5,
+                      degree_frac=0.15, threshold_frac=0.25, overrides=True, pool_size=7,
+                      part_degree_min=3, common_nbhd_min=2, m_cap=4, sample_retries=9,
+                      partition_retries=8)
+        fields = dataclasses.fields(AbsorberConfig)
+        assert {f.name for f in fields} == set(values)
+        assert all(values[f.name] != f.default for f in fields)
+        c = AbsorberConfig(**values)
+        assert config_from_obj(json.loads(json.dumps(config_to_obj(c)))) == c
+
+    def test_codec_defaults_and_unknown_keys(self):
+        c = AbsorberConfig.desk_scale(h=3, sample_retries=9, partition_retries=8)
+        obj = config_to_obj(c)
+        del obj["sample_retries"], obj["partition_retries"], obj["remainder_frac"]
+        assert config_from_obj(obj) == AbsorberConfig.desk_scale(h=3)
+        with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: template_retries"):
+            config_from_obj(dict(obj, template_retries=5))
 
 
 class TestTemplate:
@@ -105,10 +141,17 @@ class TestTemplate:
         with pytest.raises(ValueError, match="unknown verification mode"):
             check_template(tpl, "guess", 50, 4, "t")
 
-    def test_matches_with_flex_rejects_bad_subset(self):
+    def test_slot_matching(self):
         tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
-        with pytest.raises(ValueError):
-            tpl.matches_with_flex([0])  # wrong size
+        matching = tpl.slot_matching([2, 0])
+        assert sorted(matching) == [0, 2, 3, 4, 5, 6]  # flex 0 and 2, then the core
+        assert sorted(matching.values()) == list(range(tpl.slot_count))
+        for bad in ([0], [0, 0], [0, 3], [-1, 0]):  # size, duplicate, range
+            with pytest.raises(ValueError, match="exactly m flex indices"):
+                tpl.slot_matching(bad)
+        broken = TemplateGraph(m=tpl.m, surplus=tpl.surplus, mode=tpl.mode,
+                               left_adj=((),) + tpl.left_adj[1:], verification={})
+        assert broken.slot_matching([0, 1]) is None
 
 
 class TestIsAbsorber:
@@ -299,6 +342,18 @@ class TestBuildAbsorbingSet:
         for name in ("buffer", "core"):
             obj[name + "_map"] = list(obj[name])
         verify_structure(k60, structure_from_obj(obj))
+
+    def test_wrong_remainder_frac_is_malformed(self, k60_structure, tmp_path, capsys):
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        obj["config"]["remainder_frac"] *= 2
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed certificate" in err and "remainder_frac" in err
 
     def test_unsorted_buffer_rejected(self, k60_structure):
         k60, st = k60_structure

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,8 @@ class TestFactor:
     @pytest.mark.parametrize("config,message", [
         ('{"bogus": 1}', "unknown AbsorberConfig key(s): bogus"),
         ('{"remainder_frac": 0.5}', "unknown AbsorberConfig key(s): remainder_frac"),
+        ('{"h": 3}', "config may not set h"),
+        ('{"overrides": false}', "config may not set overrides"),
         ("[1]", "--config must be a JSON object, not list"),
         ("{", "error:"),
     ])
@@ -263,6 +266,9 @@ class TestSweep:
         (dict(SWEEP_SPEC, grid={"n": [12]}), "generator gnp needs grid parameter(s): p"),
         (dict(SWEEP_SPEC, config={"bogus": 1}), "unknown AbsorberConfig key(s): bogus"),
         (dict(SWEEP_SPEC, config=[1]), "'grid' and 'config' must be JSON objects"),
+        (dict(SWEEP_SPEC, solver="exakt"), "unknown solver: exakt"),
+        (dict(SWEEP_SPEC, mode="cliqe"), "unknown mode: cliqe"),
+        (dict(SWEEP_SPEC, config={"h": 3}), "config may not set h"),
     ])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, message):
         path = tmp_path / "spec.json"
@@ -315,10 +321,17 @@ class TestSweep:
 
 
 class TestCommonFlags:
-    def test_format_native_accepted(self, tmp_path):
-        out = tmp_path / "g.el"
-        assert run_cli("gen", "--construction", "gnp", "--n", "6", "--p", "0.5",
-                       "--format", "edgelist", "--out", str(out)) == 0
+    @pytest.mark.parametrize("command", [
+        ["gen", "--construction", "gnp"],
+        ["params", "--graph", "g.el"],
+        ["factor", "--graph", "g.el", "--pattern", "K3"],
+        ["absorb", "--graph", "g.el", "--pattern", "K3"],
+        ["sweep", "--spec", "spec.json"],
+    ], ids=lambda command: command[0])
+    def test_format_flag_is_usage_error(self, command, capsys):
+        for value in ("json", "csv", "edgelist"):
+            assert run_cli(*command, "--format", value) == 2
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_format_mismatch_is_usage_error(self, tmp_path):
         assert run_cli("gen", "--construction", "gnp", "--n", "6", "--p", "0.5",
@@ -333,3 +346,13 @@ class TestCommonFlags:
         run_cli("gen", "--construction", "gnp", "--n", "15", "--p", "0.5",
                 "--seed", "91", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_demo_sweep_spec_loads(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    import demo_sweep
+
+    monkeypatch.setattr(sweep, "run_trial", None)  # loading starts no trial
+    spec = sweep.ExperimentSpec.from_obj(demo_sweep.SPEC)
+    assert spec.config["threshold_frac"] == 0.1
