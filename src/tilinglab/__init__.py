@@ -7,7 +7,6 @@ from .absorbing import (
     absorb,
     build_absorbing_set,
     build_template,
-    make_family_builder,
 )
 from .factor import FactorResult, Tiling, find_factor_exact, greedy_max_tiling
 from .graphs import Graph, Pattern, emit_graph, parse_graph
@@ -34,7 +33,6 @@ __all__ = [
     "find_factor_absorbing",
     "find_factor_exact",
     "greedy_max_tiling",
-    "make_family_builder",
     "min_degree",
     "one_density",
     "parse_graph",

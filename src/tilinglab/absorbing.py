@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice, permutations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .embed import cliques_of_size, copy_sets_through, embed_in_set, find_embedding, traversing_copy
 from .factor import Tiling, find_factor_exact, greedy_max_tiling
@@ -96,8 +96,27 @@ class AbsorberConfig:
     partition_retries: int = 20
 
     def __post_init__(self):
-        if self.h < 2 or self.t < 1:
-            raise ValueError("need h >= 2 and t >= 1")
+        # fields arrive from JSON, so every type and range is checked here
+        for f in fields(self):
+            x = getattr(self, f.name)
+            is_int = isinstance(x, int) and not isinstance(x, bool)
+            if f.type == "bool":
+                ok = isinstance(x, bool)
+            elif f.type == "float":
+                ok = (is_int or isinstance(x, float)) and math.isfinite(x)
+            else:  # "int" or "int | None", never negative
+                ok = (is_int and x >= 0) or (x is None and f.type == "int | None")
+            if not ok:
+                raise ValueError(f"AbsorberConfig.{f.name} must be a non-negative "
+                                 f"{f.type}, not {x!r}")
+        for name in ("absorber_frac", "sample_prob", "degree_frac", "threshold_frac"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"AbsorberConfig.{name} must lie in [0, 1]")
+        if self.surplus_ratio <= 0:
+            raise ValueError("AbsorberConfig.surplus_ratio must be positive")
+        for name, low in dict(h=2, t=1, sample_retries=1, partition_retries=1).items():
+            if getattr(self, name) < low:
+                raise ValueError(f"AbsorberConfig.{name} must be at least {low}")
         if not self.overrides:
             q, b = _asymptotic_bindings(self.h, self.t, self.absorber_frac)
             if not (math.isclose(self.sample_prob, q, rel_tol=1e-9)
@@ -321,9 +340,9 @@ def disjoint_absorber_family_direct(
     t: int,
     target: int,
     forbidden: Iterable[int] = (),
-    allow_partial: bool = False,
 ) -> list[frozenset[int]]:
-    """Pairwise-disjoint absorbers for `core` found by direct exact search.
+    """Up to `target` pairwise-disjoint absorbers for `core`, found by
+    direct exact search; fewer when the search runs out.
 
     Each absorber is assembled as t disjoint pattern copies (so its own
     tiling is immediate) and kept only if the exact oracle tiles the union
@@ -339,13 +358,7 @@ def disjoint_absorber_family_direct(
     while len(out) < target:
         found = _direct_absorber(g, p, core_t, t, frozenset(used))
         if found is None:
-            if allow_partial:
-                break
-            raise StageFailure(
-                "direct-absorbers",
-                f"found {len(out)} of {target} disjoint absorbers",
-                blocking=core_t,
-            )
+            break
         out.append(found)
         used |= found
     return out
@@ -387,9 +400,7 @@ def disjoint_absorber_family_general(
     target: int,
     config: AbsorberConfig,
     seed: int = 0,
-    t: int | None = None,
     forbidden: Iterable[int] = (),
-    allow_partial: bool = False,
 ) -> list[frozenset[int]]:
     """Absorber family via disjoint neighbor pools and traversing copies.
 
@@ -397,11 +408,10 @@ def disjoint_absorber_family_general(
     tiled; one designated vertex per copy goes into w's mark set.  Every
     copy traversing all mark sets, combined with the designated copies it
     hits, is one absorber of h*h vertices.  Extraction repeats until the
-    target is met or the traversing search is exhausted.
+    target is met or the traversing search is exhausted; the result is
+    empty when some core vertex lacks a full pool.
     """
     h = p.h
-    if t is not None and t != h:
-        raise ValueError("the traversing construction produces multiplicity h absorbers")
     core_t = tuple(sorted(set(core)))
     if len(core_t) != h:
         raise ValueError(f"core set must have exactly {h} vertices")
@@ -412,13 +422,7 @@ def disjoint_absorber_family_general(
     for w in core_t:
         avail = [u for u in g.neighbors(w) if u not in blocked]
         if len(avail) < pool_size:
-            if allow_partial:
-                return []
-            raise StageFailure(
-                "neighbor-pools",
-                f"vertex {w} has only {len(avail)} usable neighbors, need {pool_size}",
-                blocking=(w,),
-            )
+            return []
         pools[w] = avail[:pool_size]
         blocked.update(pools[w])
 
@@ -433,13 +437,7 @@ def disjoint_absorber_family_general(
     while len(absorbers) < target:
         trav = traversing_copy(g, p, [marks[w] for w in core_t])
         if trav is None:
-            if allow_partial:
-                break
-            raise StageFailure(
-                "traversing",
-                f"found {len(absorbers)} of {target} absorbers",
-                blocking=core_t,
-            )
+            break
         absorber: set[int] = set()
         for w in core_t:
             hit = next(v for v in trav if v in designated[w])
@@ -466,7 +464,6 @@ def disjoint_absorber_family_clique(
     config: AbsorberConfig,
     seed: int = 0,
     forbidden: Iterable[int] = (),
-    allow_partial: bool = False,
 ) -> list[frozenset[int]]:
     """Absorber family for complete patterns via a random vertex partition.
 
@@ -476,7 +473,8 @@ def disjoint_absorber_family_clique(
     then a clique on ell vertices inside the common neighborhood), plus for
     each i a clique on r-1 vertices inside N(core_i) & N(w_i) & class_i.
     Used vertices are tracked per class; partitions are reseeded when the
-    degree-into-class floor fails or candidates run out.
+    degree-into-class floor fails or candidates run out, and the absorbers
+    collected over all partitions are returned, even when fewer than target.
     """
     p = Pattern.clique(r)
     core_t = tuple(sorted(set(core)))
@@ -516,14 +514,8 @@ def disjoint_absorber_family_clique(
             collected.append(got)
             out_of_play |= got
         if len(collected) >= target:
-            return collected
-    if allow_partial:
-        return collected
-    raise StageFailure(
-        "partition-absorbers",
-        f"found {len(collected)} of {target} after {config.partition_retries} partitions",
-        blocking=core_t,
-    )
+            break
+    return collected
 
 
 def _partition_degrees_ok(g: Graph, classes: list[list[int]], part_min: int) -> bool:
@@ -627,52 +619,19 @@ def _build_partition_absorber(
 
 
 # ---------------------------------------------------------------------------
-# family-builder protocol
+# absorber constructions
 
-FamilyBuilder = Callable[..., list[frozenset[int]]]
+BUILDERS = ("direct", "general", "clique")
 
 
-def make_family_builder(
-    kind: str,
-    g: Graph,
-    p: Pattern,
-    config: AbsorberConfig,
-    seed: int = 0,
-    ell: int | None = None,
-) -> FamilyBuilder:
-    """Closure with signature (core, t, target, forbidden, allow_partial).
-
-    kind 'general' and 'clique' run the corresponding construction when the
-    requested multiplicity matches the construction's natural one (t = h);
-    other multiplicities fall through to the direct exact search.  kind
-    'direct' always uses the direct search.  No builder checks the paper's
-    hypotheses; pipeline.check_hypotheses does that once per run.
-    """
-    if kind not in ("direct", "general", "clique"):
-        raise ValueError(f"unknown family builder kind: {kind}")
-    if kind == "clique":
-        if not p.is_clique:
-            raise ValueError("clique builder needs a clique pattern")
-        if ell is None or not (p.r > ell >= 2):
-            raise ValueError("clique builder needs r > ell >= 2")
-
-    def builder(core, t, target, forbidden=frozenset(), allow_partial=False):
-        if kind == "general" and t == p.h:
-            return disjoint_absorber_family_general(
-                g, p, core, target, config, seed=derive_seed(seed, "fam", *sorted(core)),
-                forbidden=forbidden, allow_partial=allow_partial,
-            )
-        if kind == "clique" and t == p.h:
-            return disjoint_absorber_family_clique(
-                g, p.r, ell, core, target, config,
-                seed=derive_seed(seed, "fam", *sorted(core)),
-                forbidden=forbidden, allow_partial=allow_partial,
-            )
-        return disjoint_absorber_family_direct(
-            g, p, core, t, target, forbidden=forbidden, allow_partial=allow_partial,
-        )
-
-    return builder
+def check_builder(builder: str, p: Pattern, ell: int | None) -> None:
+    """Raise ValueError unless `builder` names a construction that can run
+    on pattern p: the partition (clique) construction needs K_r with
+    r > ell >= 2."""
+    if builder not in BUILDERS:
+        raise ValueError(f"unknown absorber builder: {builder}")
+    if builder == "clique" and not (p.is_clique and ell is not None and p.r > ell >= 2):
+        raise ValueError("clique builder needs a clique pattern K_r and r > ell >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +700,16 @@ def build_absorbing_set(
     p: Pattern,
     config: AbsorberConfig,
     seed: int = 0,
-    family_builder: FamilyBuilder | None = None,
+    builder: str = "direct",
+    ell: int | None = None,
 ) -> AbsorbingStructure:
     """Assemble an absorbing structure.
+
+    Every absorber comes from `builder` ('general': traversing copies;
+    'clique': random partition, with ell) when config.t equals h, the
+    multiplicity both build, and from the direct search otherwise;
+    size_report["builder"] names the one that ran.  The paper's hypotheses
+    are checked by pipeline.check_hypotheses, not here.
 
     Stages: (1) harvest, per vertex v, a family of disjoint copies through v
     out of absorber runs whose core set contains v; (2) sample the buffer
@@ -758,9 +724,20 @@ def build_absorbing_set(
     h = p.h
     if config.h != h:
         raise ValueError("config.h must match the pattern size")
+    check_builder(builder, p, ell)
     n = g.n
-    if family_builder is None:
-        family_builder = make_family_builder("direct", g, p, config, seed=seed)
+    kind = builder if config.t == h else "direct"
+    family_seed = derive_seed(seed, "families")
+
+    def family(core, target, forbidden) -> list[frozenset[int]]:
+        if kind == "direct":
+            return disjoint_absorber_family_direct(g, p, core, config.t, target, forbidden)
+        core_seed = derive_seed(family_seed, "fam", *sorted(core))
+        if kind == "general":
+            return disjoint_absorber_family_general(g, p, core, target, config,
+                                                    seed=core_seed, forbidden=forbidden)
+        return disjoint_absorber_family_clique(g, p.r, ell, core, target, config,
+                                               seed=core_seed, forbidden=forbidden)
 
     # stage 1: per-vertex copy harvest via absorber runs
     gamma_target = max(1, math.ceil(config.absorber_frac * n))
@@ -782,7 +759,7 @@ def build_absorbing_set(
         spent: set[int] = set()
         while len(copies) < gamma_target:
             batch = gamma_target - len(copies) + HARVEST_SLACK
-            runs = family_builder(core_v, config.t, batch, frozenset(spent), True)
+            runs = family(core_v, batch, frozenset(spent))
             if not runs:
                 break
             for ab in runs:
@@ -872,7 +849,7 @@ def build_absorbing_set(
     left_side = tuple(buffer) + core
     for l, rgt in template.edges():
         core_e = tuple(sorted({left_side[l]} | set(slot_blocks[rgt])))
-        got = family_builder(core_e, config.t, 1, frozenset(used_set), True)
+        got = family(core_e, 1, frozenset(used_set))
         if not got:
             raise StageFailure(
                 "edge-absorbers",
@@ -909,6 +886,7 @@ def build_absorbing_set(
         and 240 * ht * n * q <= config.absorber_frac * n / 2,
         "within_absorber_frac": total <= config.absorber_frac * n,
         "uses_overrides": config.overrides,
+        "builder": kind,
     }
     return structure
 
@@ -981,15 +959,9 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
         raise ValueError(
             f"pattern size {h} must divide |A| + |R| = {len(aset) + len(rem)}"
         )
-    if len(rem) > structure.config.remainder_frac * structure.n:
+    if len(rem) > structure.max_remainder:
         raise ValueError(
-            f"remainder size {len(rem)} exceeds the absorbable fraction "
-            f"({structure.config.remainder_frac} of n={structure.n})"
-        )
-    if len(rem) * (h - 1) > structure.template.surplus:
-        raise ValueError(
-            f"remainder size {len(rem)} exceeds the buffer surplus capacity "
-            f"({structure.template.surplus // (h - 1)})"
+            f"remainder size {len(rem)} exceeds the absorbable cap {structure.max_remainder}"
         )
 
     m = structure.template.m
@@ -997,19 +969,19 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     families = structure.copy_families
 
     # remainder copies into the buffer, pairwise disjoint
-    chosen = _choose_disjoint_members(rem, families, frozenset(buffer))
+    chosen = _disjoint_copies(rem, families, buffer, len(rem), 0)
     if chosen is None:
         raise StageFailure("absorb-remainder", "no disjoint copy choice for the remainder")
     consumed: set[int] = set()
-    for v in rem:
-        consumed |= set(chosen[v])
+    for _v, mates in chosen:
+        consumed |= set(mates)
 
     # surplus coverage: copies inside the buffer until exactly m vertices remain
     remaining = [v for v in buffer if v not in consumed]
     need_copies, leftover_check = divmod(len(remaining) - m, h)
     if leftover_check != 0:
         raise CertificateBugError("buffer arithmetic violated divisibility bookkeeping")
-    cover = _cover_buffer(remaining, families, need_copies, m)
+    cover = _disjoint_copies(remaining, families, remaining, need_copies, m)
     if cover is None:
         raise StageFailure("absorb-surplus", "no disjoint cover of the buffer surplus")
     covered_by_cover: set[int] = set()
@@ -1036,9 +1008,7 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
             raise CertificateBugError("stored copy family member is not a copy")
         copies.append(emb)
 
-    for v in rem:
-        add_copy_on(set(chosen[v]) | {v})
-    for anchor, mates in cover:
+    for anchor, mates in chosen + cover:
         add_copy_on({anchor} | set(mates))
 
     for l, rgt in tpl.edges():
@@ -1064,60 +1034,37 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     return tiling
 
 
-def _choose_disjoint_members(
-    order: list[int],
+def _disjoint_copies(
+    anchors: list[int],
     families: dict[int, tuple[tuple[int, ...], ...]],
-    allowed: frozenset[int],
-) -> dict[int, tuple[int, ...]] | None:
-    """Backtracking choice of pairwise-disjoint family members inside allowed."""
-    chosen: dict[int, tuple[int, ...]] = {}
-    used: set[int] = set()
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for member in families.get(v, ()):
-            ms = set(member)
-            if ms <= allowed and not (ms & used):
-                chosen[v] = member
-                used.update(ms)
-                if rec(i + 1):
-                    return True
-                used.difference_update(ms)
-                del chosen[v]
-        return False
-
-    return chosen if rec(0) else None
-
-
-def _cover_buffer(
-    remaining: list[int],
-    families: dict[int, tuple[tuple[int, ...], ...]],
-    need_copies: int,
-    m: int,
+    pool: Iterable[int],
+    need: int,
+    spare: int,
 ) -> list[tuple[int, tuple[int, ...]]] | None:
-    """Choose `need_copies` disjoint copies inside `remaining`, each one
-    anchor vertex plus a family member, leaving exactly m vertices."""
+    """Backtracking choice of `need` pairwise-disjoint copies, each an
+    anchor plus one of its family members inside `pool`, as (anchor, member)
+    pairs in anchor order, or None.  Anchors are taken in order and may be
+    passed over `spare` times in all; a reached anchor leaves the pool, and
+    the vertices a copy consumes leave both the pool and the anchors."""
     result: list[tuple[int, tuple[int, ...]]] = []
 
-    def rec(avail: list[int], todo: int, spare: int) -> bool:
+    def rec(avail: list[int], live: frozenset[int], todo: int, spare: int) -> bool:
         if todo == 0:
             return True
         if not avail:
             return False
         v = avail[0]
         rest = avail[1:]
-        live = frozenset(rest)
+        live = live - {v}
         for member in families.get(v, ()):
             ms = set(member)
             if ms <= live:
                 result.append((v, member))
-                if rec([u for u in rest if u not in ms], todo - 1, spare):
+                if rec([u for u in rest if u not in ms], live - ms, todo - 1, spare):
                     return True
                 result.pop()
         if spare > 0:
-            return rec(rest, todo, spare - 1)
+            return rec(rest, live, todo, spare - 1)
         return False
 
-    return result if rec(list(remaining), need_copies, m) else None
+    return result if rec(list(anchors), frozenset(pool), need, spare) else None

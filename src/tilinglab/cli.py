@@ -14,41 +14,33 @@ import sys
 from functools import partial
 
 from .absorbing import (
+    BUILDERS,
     AbsorberConfig,
     StageFailure,
     TemplateBuildError,
     absorb,
     build_absorbing_set,
-    make_family_builder,
+    check_builder,
 )
 from .factor import find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph
 from .invariants import param_report
 from .pipeline import check_hypotheses, find_factor_absorbing
-from .rng import derive_seed, rng_for
+from .rng import rng_for
 from .serialize import (
-    SCHEMA_ABSORBER,
     SCHEMA_TILING,
-    SCHEMA_WITNESS,
     STRUCTURE_SCHEMAS,
     dump_json,
     load_json,
     parse_pattern_spec,
-    pattern_from_obj,
     structure_from_obj,
     structure_to_obj,
     tiling_from_obj,
     tiling_to_obj,
 )
 from .sweep import ExperimentSpec, rows_to_csv, run_sweep
-from .verify import (
-    VerificationError,
-    verify_absorber,
-    verify_structure,
-    verify_tiling,
-    verify_traversing_witness,
-)
+from .verify import VerificationError, verify_structure, verify_tiling
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -141,16 +133,14 @@ def cmd_absorb(args) -> int:
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
     config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))
-    builder = make_family_builder(args.builder, g, pattern, config,
-                                  seed=derive_seed(args.seed, "families"),
-                                  ell=args.ell if args.builder == "clique" else None)
+    check_builder(args.builder, pattern, args.ell)  # before the hypothesis check uses it
     if args.builder != "direct":
         held, detail = check_hypotheses(g, pattern, args.builder, config,
                                         ell=args.ell, seed=args.seed)
         print(f"hypotheses {'held' if held else 'violated'}: {detail}", file=sys.stderr)
     try:
         structure = build_absorbing_set(g, pattern, config, seed=args.seed,
-                                        family_builder=builder)
+                                        builder=args.builder, ell=args.ell)
     except (StageFailure, TemplateBuildError) as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return FAILURE
@@ -188,15 +178,9 @@ def cmd_verify(args) -> int:
         if schema == SCHEMA_TILING:
             check = partial(verify_tiling, tiling=tiling_from_obj(obj),
                             require_factor=args.factor)
-        elif schema == SCHEMA_ABSORBER:
-            check = partial(verify_absorber, p=pattern_from_obj(obj["pattern"]),
-                            core=obj["core"], absorber=obj["absorber"], t=obj["t"])
         elif schema in STRUCTURE_SCHEMAS:
             check = partial(verify_structure, structure=structure_from_obj(obj),
                             seed=args.seed)
-        elif schema == SCHEMA_WITNESS:
-            check = partial(verify_traversing_witness, p=pattern_from_obj(obj["pattern"]),
-                            s=obj["s"], parts=obj["parts"])
         else:
             print(f"unknown certificate schema: {schema}", file=sys.stderr)
             return USAGE_ERROR
@@ -276,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("absorb", help="build an absorbing structure and test it")
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--builder", choices=["direct", "general", "clique"],
-                   default="direct")
+    p.add_argument("--builder", choices=BUILDERS, default="direct")
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--config", type=str, default=None,
                    help="JSON object of AbsorberConfig fields (any but h and overrides)")

@@ -20,7 +20,6 @@ from .absorbing import (
     TemplateBuildError,
     absorb,
     build_absorbing_set,
-    make_family_builder,
 )
 from .factor import Tiling, find_factor_exact, greedy_max_tiling, leftover_of
 from .graphs import Graph, Pattern
@@ -166,8 +165,9 @@ def find_factor_absorbing(
 
     mode 'general' uses the neighbor-pool/traversing absorber construction;
     mode 'clique' (pattern must be a clique, with parameter ell) uses the
-    random-partition construction.  The emitted factor, if any, always
-    passes the independent verifier.
+    random-partition construction.  Either runs only when config.t equals
+    h; otherwise build_absorbing_set falls back to the direct search.  The
+    emitted factor, if any, always passes the independent verifier.
     """
     t0 = time.perf_counter()
     h = p.h
@@ -187,18 +187,15 @@ def find_factor_absorbing(
     report.hypothesis_held = held
     report.hypothesis_detail = detail
 
-    kind = "clique" if mode == "clique" else "general"
-    builder = make_family_builder(kind, g, p, config, seed=derive_seed(seed, "families"),
-                                  ell=ell if kind == "clique" else None)
-
     structure: AbsorbingStructure | None = None
     try:
         structure = build_absorbing_set(
-            g, p, config, seed=derive_seed(seed, "build"), family_builder=builder
+            g, p, config, seed=derive_seed(seed, "build"), builder=mode, ell=ell
         )
         report.stages.append(StageOutcome(
             "absorbing-set", True,
-            f"|A|={len(structure.absorbing_set)} m={structure.template.m}"))
+            f"|A|={len(structure.absorbing_set)} m={structure.template.m} "
+            f"builder={structure.size_report['builder']}"))
         report.structure = structure
     except (StageFailure, TemplateBuildError) as exc:
         stage = getattr(exc, "stage", "template")
@@ -211,10 +208,7 @@ def find_factor_absorbing(
         cover = greedy_max_tiling(g, p, forbidden=aset, seed=derive_seed(seed, "cover"))
         left = leftover_of(g, cover, forbidden=aset)
         report.leftover = len(left)
-        cap = min(
-            math.floor(config.remainder_frac * g.n),
-            structure.template.surplus // (h - 1),
-        )
+        cap = structure.max_remainder
         if len(left) <= cap:
             report.stages.append(StageOutcome("cover", True, f"leftover={len(left)}"))
             try:

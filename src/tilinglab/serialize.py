@@ -1,9 +1,8 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1, absorber/v1, absorbing-structure/v2, traversing-witness/v1.
-Structures are written as v2.  Documents tagged absorbing-structure/v1 are
-still read: v1 also carried an index-map copy of `buffer` and of `core`,
+tiling/v1 or absorbing-structure/v2.  Documents tagged absorbing-structure/v1
+are still read: v1 also carried an index-map copy of `buffer` and of `core`,
 which the loader ignores.  Patterns serialize inline (clique order, or an
 explicit edge list).
 
@@ -25,10 +24,8 @@ from .factor import Tiling
 from .graphs import Graph, Pattern
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_ABSORBER = "absorber/v1"
 SCHEMA_STRUCTURE = "absorbing-structure/v2"
 STRUCTURE_SCHEMAS = ("absorbing-structure/v1", SCHEMA_STRUCTURE)
-SCHEMA_WITNESS = "traversing-witness/v1"
 
 
 def pattern_to_obj(p: Pattern) -> dict:
@@ -66,25 +63,6 @@ def tiling_to_obj(t: Tiling) -> dict:
 def tiling_from_obj(obj: dict) -> Tiling:
     p = pattern_from_obj(obj["pattern"])
     return Tiling(pattern=p, copies=tuple(tuple(c) for c in obj["copies"]))
-
-
-def absorber_to_obj(p: Pattern, core: list[int], absorber: list[int], t: int) -> dict:
-    return {
-        "schema": SCHEMA_ABSORBER,
-        "pattern": pattern_to_obj(p),
-        "t": t,
-        "core": sorted(core),
-        "absorber": sorted(absorber),
-    }
-
-
-def witness_to_obj(p: Pattern, s: int, parts: list[list[int]]) -> dict:
-    return {
-        "schema": SCHEMA_WITNESS,
-        "pattern": pattern_to_obj(p),
-        "s": s,
-        "parts": [sorted(part) for part in parts],
-    }
 
 
 def config_to_obj(c: AbsorberConfig) -> dict:

@@ -4,7 +4,9 @@ These share no search code with the package: the factor oracle enumerates
 vertex partitions outright, the clique-free oracle scans vertex subsets by
 decreasing size, and the copy checks are plain permutation scans.  The one
 import from the search code is `pattern_order`, which defines which of a
-copy's embeddings the copy enumerator reports.
+copy's embeddings the copy enumerator reports.  The two disjoint-copy
+searches at the end are separate backtracking routines written for each
+of absorb()'s two uses.
 """
 
 from __future__ import annotations
@@ -108,3 +110,67 @@ def max_density_subgraphs(p: Pattern):
             if Fraction(e, k - 1) > best:
                 best = Fraction(e, k - 1)
     return best
+
+
+# Reference searches for absorbing._disjoint_copies, one per way absorb() uses
+# it: a copy into the buffer for every remainder vertex, and copies covering
+# the buffer surplus until exactly m vertices remain.
+
+
+def _choose_disjoint_members(
+    order: list[int],
+    families: dict[int, tuple[tuple[int, ...], ...]],
+    allowed: frozenset[int],
+) -> dict[int, tuple[int, ...]] | None:
+    """Backtracking choice of pairwise-disjoint family members inside allowed."""
+    chosen: dict[int, tuple[int, ...]] = {}
+    used: set[int] = set()
+
+    def rec(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for member in families.get(v, ()):
+            ms = set(member)
+            if ms <= allowed and not (ms & used):
+                chosen[v] = member
+                used.update(ms)
+                if rec(i + 1):
+                    return True
+                used.difference_update(ms)
+                del chosen[v]
+        return False
+
+    return chosen if rec(0) else None
+
+
+def _cover_buffer(
+    remaining: list[int],
+    families: dict[int, tuple[tuple[int, ...], ...]],
+    need_copies: int,
+    m: int,
+) -> list[tuple[int, tuple[int, ...]]] | None:
+    """Choose `need_copies` disjoint copies inside `remaining`, each one
+    anchor vertex plus a family member, leaving exactly m vertices."""
+    result: list[tuple[int, tuple[int, ...]]] = []
+
+    def rec(avail: list[int], todo: int, spare: int) -> bool:
+        if todo == 0:
+            return True
+        if not avail:
+            return False
+        v = avail[0]
+        rest = avail[1:]
+        live = frozenset(rest)
+        for member in families.get(v, ()):
+            ms = set(member)
+            if ms <= live:
+                result.append((v, member))
+                if rec([u for u in rest if u not in ms], todo - 1, spare):
+                    return True
+                result.pop()
+        if spare > 0:
+            return rec(rest, todo, spare - 1)
+        return False
+
+    return result if rec(list(remaining), need_copies, m) else None

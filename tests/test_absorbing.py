@@ -3,7 +3,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs  # `st` names structures below
 
+from oracles import _choose_disjoint_members, _cover_buffer
 from tilinglab import absorbing
 from tilinglab.absorbing import (
     AbsorberConfig,
@@ -16,7 +19,6 @@ from tilinglab.absorbing import (
     disjoint_absorber_family_clique,
     disjoint_absorber_family_direct,
     disjoint_absorber_family_general,
-    make_family_builder,
 )
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Pattern, complete_graph
@@ -215,19 +217,14 @@ class TestFamilyBuilders:
     def test_general_traversing_failure_on_bipartite(self, k3):
         k66 = gen_complete_multipartite([6, 6])
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=2)
-        with pytest.raises(StageFailure) as exc:
-            disjoint_absorber_family_general(k66, k3, [0, 1, 6], target=1,
-                                             config=cfg, seed=1)
-        assert exc.value.stage == "traversing"
+        assert disjoint_absorber_family_general(k66, k3, [0, 1, 6], target=1,
+                                                config=cfg, seed=1) == []
 
     def test_general_pool_failure_names_vertex(self, k3):
         g = gen_gnp(12, 0.3, 3)
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=11)
-        with pytest.raises(StageFailure) as exc:
-            disjoint_absorber_family_general(g, k3, [0, 1, 2], target=1,
-                                             config=cfg, seed=1)
-        assert exc.value.stage == "neighbor-pools"
-        assert exc.value.blocking is not None
+        assert disjoint_absorber_family_general(g, k3, [0, 1, 2], target=1,
+                                                config=cfg, seed=1) == []
 
     def test_general_verified_on_gnp(self, k3):
         g = gen_gnp(90, 0.6, 5)
@@ -263,10 +260,8 @@ class TestFamilyBuilders:
         g = gen_complete_multipartite([13, 13, 14])
         cfg = AbsorberConfig.desk_scale(h=3, t=3, part_degree_min=1,
                                         common_nbhd_min=2, partition_retries=5)
-        with pytest.raises(StageFailure) as exc:
-            disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
-                                            config=cfg, seed=1)
-        assert exc.value.stage == "partition-absorbers"
+        assert disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
+                                               config=cfg, seed=1) == []
 
 
 class TestBuildAbsorbingSet:
@@ -290,12 +285,20 @@ class TestBuildAbsorbingSet:
         cfg = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2,
                                         sample_prob=0.06, surplus_ratio=1.0,
                                         m_cap=1, pool_size=2)
-        builder = make_family_builder("general", k60, k2, cfg, seed=5)
-        st = build_absorbing_set(k60, k2, cfg, seed=1, family_builder=builder)
+        st = build_absorbing_set(k60, k2, cfg, seed=1, builder="general")
+        assert st.size_report["builder"] == "general"
         verify_structure(k60, st)
         assert st.valid_remainder_sizes() == [1]
         outside = sorted(set(range(60)) - st.absorbing_set)
         absorb(k60, st, outside[:1])
+
+    def test_builder_runs_only_at_t_equal_h(self, k2):
+        k60 = complete_graph(60)
+        cfg = desk_k2(t=1)  # the traversing construction needs t = h = 2
+        direct = build_absorbing_set(k60, k2, cfg, seed=1)
+        general = build_absorbing_set(k60, k2, cfg, seed=1, builder="general")
+        assert general.size_report["builder"] == direct.size_report["builder"] == "direct"
+        assert structure_to_obj(general) == structure_to_obj(direct)
 
     def test_triangle_free_fails_at_copy_families(self, k3):
         k66 = gen_complete_multipartite([6, 6])
@@ -402,6 +405,44 @@ class TestAbsorb:
 
     def test_short_buffer_cover_is_a_certificate_bug(self, k60_structure, monkeypatch):
         g, st = k60_structure
-        monkeypatch.setattr(absorbing, "_cover_buffer", lambda *args: [])
+        monkeypatch.setattr(absorbing, "_disjoint_copies", lambda *args: [])
         with pytest.raises(CertificateBugError, match="survivors"):
             absorb(g, st, [])
+
+
+@hs.composite
+def copy_families(draw):
+    """(n, families, pool) on n <= 9 vertices: random families whose members
+    all have one or two vertices, and a sorted pool."""
+    n = draw(hs.integers(2, 9))
+    size = draw(hs.integers(1, 2))
+    vertex = hs.integers(0, n - 1)
+    members = hs.lists(vertex, min_size=size, max_size=size, unique=True).map(tuple)
+    families = draw(hs.dictionaries(vertex, hs.lists(members, max_size=4)))
+    pool = sorted(draw(hs.sets(vertex)))
+    return n, families, pool
+
+
+class TestDisjointCopies:
+    """absorbing._disjoint_copies returns exactly what the reference
+    searches in tests/oracles.py return, for both of absorb()'s uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(copy_families(), hs.data())
+    def test_remainder_choice_matches_reference(self, drawn, data):
+        n, families, pool = drawn
+        # absorb() guarantees that remainder vertices lie outside the buffer
+        outside = [v for v in range(n) if v not in pool]
+        rem = sorted(data.draw(hs.sets(hs.sampled_from(outside)))) if outside else []
+        expected = _choose_disjoint_members(rem, families, frozenset(pool))
+        got = absorbing._disjoint_copies(rem, families, pool, len(rem), 0)
+        assert got == (None if expected is None else [(v, expected[v]) for v in rem])
+
+    @settings(max_examples=300, deadline=None)
+    @given(copy_families(), hs.data())
+    def test_surplus_cover_matches_reference(self, drawn, data):
+        _n, families, remaining = drawn
+        need = data.draw(hs.integers(0, 4))
+        m = data.draw(hs.integers(0, 4))
+        expected = _cover_buffer(remaining, families, need, m)
+        assert absorbing._disjoint_copies(remaining, families, remaining, need, m) == expected

@@ -140,6 +140,11 @@ class TestFactor:
         ('{"overrides": false}', "config may not set overrides"),
         ("[1]", "--config must be a JSON object, not list"),
         ("{", "error:"),
+        ('{"m_cap": "x"}', "AbsorberConfig.m_cap must be"),
+        ('{"t": 1.5}', "AbsorberConfig.t must be"),
+        ('{"t": true}', "AbsorberConfig.t must be"),
+        ('{"surplus_ratio": "6"}', "AbsorberConfig.surplus_ratio must be"),
+        ('{"sample_prob": -1}', "AbsorberConfig.sample_prob must lie in [0, 1]"),
     ])
     def test_malformed_config_exit_2(self, g30, capsys, command, config, message):
         extra = ["--solver", "absorbing"] if command == "factor" else []
@@ -164,11 +169,19 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "INVALID" in err and "share vertex" in err
 
-    def test_unknown_schema_exit_2(self, g30, tmp_path):
+    def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
-        doc.write_text('{"schema": "mystery/v9"}')
-        assert run_cli("verify", "--certificate", str(doc),
-                       "--graph", str(g30)) == 2
+        # absorber/v1 and traversing-witness/v1 are no longer read
+        absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
+                    "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
+        for obj in ({"schema": "mystery/v9"}, absorber,
+                    {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
+                     "s": 1, "parts": [[0], [1], [2]]}):
+            doc.write_text(json.dumps(obj))
+            assert run_cli("verify", "--certificate", str(doc),
+                           "--graph", str(g30)) == 2
+            err = capsys.readouterr().err
+            assert f"unknown certificate schema: {obj['schema']}" in err
 
     def test_tiling_without_pattern_is_malformed(self, g30, tmp_path, capsys):
         doc = tmp_path / "nopattern.json"

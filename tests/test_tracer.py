@@ -8,6 +8,7 @@ of a benchmark failure.  No workload runs.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -35,3 +36,15 @@ def test_tracer_installs_on_every_traced_function():
         t.uninstall()
     for (module, name), fn in originals.items():
         assert getattr(homes[module], name) is fn
+
+
+def test_yield_ratio_functions_take_target():
+    # the tracer binds `target` by name only when a traced call happens, so a
+    # renamed parameter would otherwise surface only in a benchmark run
+    tracer = load_tracer()
+    spans = [span for span, stats in tracer.EXTRA_STATS.items() if "yield_ratio" in stats]
+    assert spans
+    for span in spans:
+        module, name = span.split(".")
+        fn = getattr(importlib.import_module(f"tilinglab.{module}"), name)
+        assert "target" in inspect.signature(fn).parameters, span
