@@ -20,12 +20,11 @@ from .absorbing import (
     TemplateBuildError,
     absorb,
     build_absorbing_set,
-    check_builder,
 )
 from .factor import find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph
-from .invariants import param_report
+from .invariants import EnumerationCapError, param_report
 from .pipeline import check_hypotheses, find_factor_absorbing
 from .rng import rng_for
 from .serialize import (
@@ -94,7 +93,7 @@ def cmd_params(args) -> int:
         traversing_mode=args.traversing_mode,
         trials=args.trials, seed=args.seed,
     )
-    text = json.dumps(report.to_flat_dict(), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     _write_text(args.out, text)
     return OK
 
@@ -133,7 +132,6 @@ def cmd_absorb(args) -> int:
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
     config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))
-    check_builder(args.builder, pattern, args.ell)  # before the hypothesis check uses it
     if args.builder != "direct":
         held, detail = check_hypotheses(g, pattern, args.builder, config,
                                         ell=args.ell, seed=args.seed)
@@ -303,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -55,12 +55,6 @@ def _extend_clique(g: Graph, base: list[int], cands: list[int], k: int) -> Itera
         base.pop()
 
 
-def has_clique(g: Graph, k: int, allowed: frozenset[int] | None = None) -> bool:
-    for _ in cliques_of_size(g, k, allowed):
-        return True
-    return False
-
-
 def pattern_order(p: Pattern) -> list[int]:
     """Search order for pattern vertices: high degree first, then greedily
     maximizing adjacency to already-placed vertices.  Deterministic."""
@@ -88,11 +82,14 @@ def _embed_backtrack(
     g: Graph,
     p: Pattern,
     order: Sequence[int],
-    allowed: frozenset[int],
+    domains: Sequence[frozenset[int]],
     assigned: dict[int, int],
     rank: Callable[[int], int] | None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield embeddings extending `assigned` (pattern vertex -> graph vertex)."""
+    """Yield embeddings extending `assigned` (pattern vertex -> graph vertex)
+    with pattern vertex i in domains[i].  Each vertex of `order` in turn tries
+    its domain within the neighbourhoods of its placed pattern neighbours'
+    images, minus the used vertices, in increasing order (or by `rank`)."""
     depth = len(assigned)
     if depth == len(order):
         yield tuple(assigned[i] for i in range(p.h))
@@ -104,14 +101,14 @@ def _embed_backtrack(
         cand = set(g.adj(assigned[back[0]]))
         for q in back[1:]:
             cand &= g.adj(assigned[q])
-        cand &= allowed
+        cand &= domains[pv]
     else:
-        cand = set(allowed)
+        cand = set(domains[pv])
     cand -= used
     ordered = sorted(cand) if rank is None else sorted(cand, key=rank)
     for gv in ordered:
         assigned[pv] = gv
-        yield from _embed_backtrack(g, p, order, allowed, assigned, rank)
+        yield from _embed_backtrack(g, p, order, domains, assigned, rank)
         del assigned[pv]
 
 
@@ -129,15 +126,16 @@ def embeddings(
     distinct embeddings may share an image set.
     """
     pool = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
+    domains = [pool] * p.h
     order = pattern_order(p)
     if anchor is None:
-        yield from _embed_backtrack(g, p, order, pool, {}, rank)
+        yield from _embed_backtrack(g, p, order, domains, {}, rank)
         return
     if anchor not in pool:
         return
     for slot in order:
         new_order = [slot] + [q for q in order if q != slot]
-        yield from _embed_backtrack(g, p, new_order, pool, {slot: anchor}, rank)
+        yield from _embed_backtrack(g, p, new_order, domains, {slot: anchor}, rank)
 
 
 def find_embedding(
@@ -150,12 +148,8 @@ def find_embedding(
     """First embedding in deterministic order, or None."""
     pool = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     if p.is_clique:
-        for cl in cliques_of_size(g, p.h, pool, require=anchor):
-            return cl
-        return None
-    for emb in embeddings(g, p, pool, anchor=anchor, rank=rank):
-        return emb
-    return None
+        return next(cliques_of_size(g, p.h, pool, require=anchor), None)
+    return next(embeddings(g, p, pool, anchor=anchor, rank=rank), None)
 
 
 def copy_sets_through(
@@ -182,6 +176,7 @@ def copy_sets_through(
     order = pattern_order(p)
     for u in sorted(allowed - {anchor}):
         pool = frozenset(v for v in allowed if v > u) | {anchor, u}
+        domains = [pool] * p.h
         # image -> (position in the order of `embeddings`, embedding), where
         # that order is by the anchor's slot, then by the other images
         first: dict[tuple[int, ...], tuple] = {}
@@ -190,7 +185,7 @@ def copy_sets_through(
                 continue
             rest = [q for q in order if q != sa]
             sub_order = [sa, su] + [q for q in rest if q != su]
-            for emb in _embed_backtrack(g, p, sub_order, pool, {sa: anchor, su: u}, None):
+            for emb in _embed_backtrack(g, p, sub_order, domains, {sa: anchor, su: u}, None):
                 key = (order.index(sa), [emb[q] for q in rest])
                 img = tuple(sorted(emb))
                 if img not in first or key < first[img][0]:
@@ -204,16 +199,7 @@ def embed_in_set(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ..
     vs = frozenset(vertices)
     if len(vs) != p.h:
         return None
-    if p.is_clique:
-        t = tuple(sorted(vs))
-        for i, u in enumerate(t):
-            for v in t[i + 1 :]:
-                if not g.has_edge(u, v):
-                    return None
-        return t
-    for emb in embeddings(g, p, vs):
-        return emb
-    return None
+    return find_embedding(g, p, vs)
 
 
 def traversing_copy_fixed(
@@ -221,38 +207,13 @@ def traversing_copy_fixed(
     p: Pattern,
     parts: Sequence[Iterable[int]],
 ) -> tuple[int, ...] | None:
-    """Embedding with pattern vertex i drawn from parts[i], or None.
-
-    Backtracks over pattern vertices in index order; candidates within each
-    part are tried in increasing order.
-    """
-    h = p.h
-    if len(parts) != h:
+    """First embedding with pattern vertex i drawn from parts[i], or None;
+    pattern vertices are placed in index order, each part's vertices tried
+    in increasing order."""
+    if len(parts) != p.h:
         raise ValueError("need exactly v(H) parts")
-    psets = [sorted(set(part)) for part in parts]
-
-    assigned: list[int] = []
-
-    def rec(i: int) -> tuple[int, ...] | None:
-        if i == h:
-            return tuple(assigned)
-        for gv in psets[i]:
-            if gv in assigned:
-                continue
-            ok = all(
-                g.has_edge(gv, assigned[j])
-                for j in range(i)
-                if p.graph.has_edge(i, j)
-            )
-            if ok:
-                assigned.append(gv)
-                res = rec(i + 1)
-                if res is not None:
-                    return res
-                assigned.pop()
-        return None
-
-    return rec(0)
+    domains = [frozenset(part) for part in parts]
+    return next(_embed_backtrack(g, p, range(p.h), domains, {}, None), None)
 
 
 def traversing_copy(

@@ -34,9 +34,6 @@ class Tiling:
             out.update(c)
         return frozenset(out)
 
-    def is_factor_of(self, g: Graph) -> bool:
-        return len(self.copies) * self.pattern.h == g.n and len(self.covered) == g.n
-
     def merged_with(self, other: "Tiling") -> "Tiling":
         if other.pattern.graph != self.pattern.graph:
             raise ValueError("cannot merge tilings of different patterns")

@@ -46,16 +46,6 @@ def gen_complete_multipartite(sizes: list[int]) -> Graph:
     return Graph(n, edges)
 
 
-def multipartite_parts(sizes: list[int]) -> list[list[int]]:
-    """Vertex lists of each part, matching gen_complete_multipartite's layout."""
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(list(range(start, start + s)))
-        start += s
-    return parts
-
-
 def gen_two_cliques(n: int) -> Graph:
     """Disjoint union of complete graphs on n/2 - 1 and n/2 + 1 vertices."""
     if n % 2 != 0 or n < 4:
@@ -170,14 +160,6 @@ def gen_lower_bound_construction(r: int, ell: int, n: int, seed: int) -> Graph:
         off = bounds[i]
         edges.extend((off + u, off + v) for u, v in core.edges())
     return Graph(n, edges)
-
-
-def lower_bound_parts(r: int, ell: int, n: int) -> list[list[int]]:
-    """Part vertex lists of gen_lower_bound_construction's layout."""
-    x, y = decompose_r(r, ell)
-    unit = n // r
-    sizes = [y * unit - 1, ell * unit + 1] + [ell * unit] * (x - 1)
-    return multipartite_parts(sizes)
 
 
 def gen_hs_tripartite(n: int) -> Graph:

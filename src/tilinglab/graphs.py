@@ -60,12 +60,6 @@ class Graph:
         """All edges (u, v) with u < v, lexicographically sorted."""
         return sorted(self._edges)
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return self._edges
-
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -11,7 +11,7 @@ each subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
@@ -108,11 +108,6 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
     nodes = 0
     exhausted = False
 
-    def find_copy(current: frozenset[int]) -> tuple[int, ...] | None:
-        for cl in cliques_of_size(g, ell, current):
-            return cl
-        return None
-
     def degree_in(v: int, current: frozenset[int]) -> int:
         return len(g.adj(v) & current)
 
@@ -126,7 +121,7 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
             return
         if len(current) <= len(best):
             return
-        copy = find_copy(current)
+        copy = next(cliques_of_size(g, ell, current), None)
         if copy is None:
             if len(current) > len(best):
                 best = sorted(current)
@@ -295,44 +290,6 @@ def one_density(p: Pattern) -> Fraction:
     return best
 
 
-@dataclass(frozen=True)
-class ParamReport:
-    """Flat report of every parameter computed for one graph."""
-
-    n: int
-    m: int
-    min_degree: int
-    max_degree: int
-    max_clique: int
-    alpha: dict[int, AlphaResult] = field(default_factory=dict)
-    one_density: Fraction | None = None
-    traversing: TraversingVerdict | None = None
-
-    def to_flat_dict(self) -> dict:
-        out: dict = {
-            "schema": "param-report/v1",
-            "n": self.n,
-            "m": self.m,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "max_clique": self.max_clique,
-        }
-        for ell, res in sorted(self.alpha.items()):
-            out[f"alpha_{ell}"] = res.value
-            out[f"alpha_{ell}_exact"] = res.exact
-            out[f"alpha_{ell}_witness"] = list(res.witness)
-        if self.one_density is not None:
-            out["one_density"] = str(self.one_density)
-        if self.traversing is not None:
-            t = self.traversing
-            out["traversing_s"] = t.s
-            out["traversing_mode"] = t.mode
-            out["traversing_holds"] = t.holds
-            if t.witness is not None:
-                out["traversing_witness"] = [list(x) for x in t.witness]
-        return out
-
-
 # search-node budget of each alpha_ell in param_report
 PARAM_ALPHA_BUDGET = 200_000
 
@@ -345,23 +302,31 @@ def param_report(
     traversing_mode: str = "sampled",
     trials: int = 200,
     seed: int = 0,
-) -> ParamReport:
-    alpha = {ell: alpha_ell(g, ell, budget=PARAM_ALPHA_BUDGET) for ell in ells}
-    trav = None
-    dens = None
+) -> dict:
+    """Every parameter computed for one graph, as a flat `param-report/v1`
+    document."""
+    out: dict = {
+        "schema": "param-report/v1",
+        "n": g.n,
+        "m": g.m,
+        "min_degree": min_degree(g) if g.n else 0,
+        "max_degree": max_degree(g) if g.n else 0,
+        "max_clique": max_clique(g),
+    }
+    for ell in sorted(set(ells)):
+        res = alpha_ell(g, ell, budget=PARAM_ALPHA_BUDGET)
+        out[f"alpha_{ell}"] = res.value
+        out[f"alpha_{ell}_exact"] = res.exact
+        out[f"alpha_{ell}_witness"] = list(res.witness)
     if pattern is not None:
-        dens = one_density(pattern)
+        out["one_density"] = str(one_density(pattern))
         if traversing_s is not None:
-            trav = traversing_check(
+            t = traversing_check(
                 g, pattern, traversing_s, mode=traversing_mode, trials=trials, seed=seed
             )
-    return ParamReport(
-        n=g.n,
-        m=g.m,
-        min_degree=min_degree(g) if g.n else 0,
-        max_degree=max_degree(g) if g.n else 0,
-        max_clique=max_clique(g),
-        alpha=alpha,
-        one_density=dens,
-        traversing=trav,
-    )
+            out["traversing_s"] = t.s
+            out["traversing_mode"] = t.mode
+            out["traversing_holds"] = t.holds
+            if t.witness is not None:
+                out["traversing_witness"] = [list(x) for x in t.witness]
+    return out

@@ -57,11 +57,3 @@ def max_bipartite_matching(
             if pair_l[u] == -1 and dfs(u):
                 size += 1
     return size, pair_l, pair_r
-
-
-def has_perfect_matching(n_left: int, n_right: int, adj: list[list[int]]) -> bool:
-    """True iff a matching saturates both sides (requires n_left == n_right)."""
-    if n_left != n_right:
-        return False
-    size, _, _ = max_bipartite_matching(n_left, n_right, adj)
-    return size == n_left

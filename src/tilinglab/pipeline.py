@@ -20,7 +20,9 @@ from .absorbing import (
     TemplateBuildError,
     absorb,
     build_absorbing_set,
+    check_builder,
 )
+from .embed import embed_in_set, find_embedding
 from .factor import Tiling, find_factor_exact, greedy_max_tiling, leftover_of
 from .graphs import Graph, Pattern
 from .invariants import alpha_ell, min_degree, traversing_check
@@ -104,9 +106,11 @@ def check_hypotheses(
     This is the only check of the paper's hypotheses: the absorber builders
     do not repeat it.
 
-    Clique mode needs delta(G) >= ((r-ell)/(r-ell+1) + eps) n and alpha_ell
-    at most eps' n; alpha_ell is exact up to n = 40 and a branch-and-bound
-    lower bound beyond, and the detail string discloses which.  General mode
+    Clique mode takes K_r with r > ell >= 2 (check_builder raises
+    ValueError otherwise) and needs delta(G) >= ((r-ell)/(r-ell+1) + eps) n
+    and alpha_ell at most eps' n; alpha_ell is exact up to n = 40 and a
+    branch-and-bound lower bound beyond, and the detail string discloses
+    which.  General mode
     needs delta(G) >= eps n and the traversing property at probe size
     ceil(eps' n), checked on HYPOTHESIS_TRIALS sampled families.
     """
@@ -115,6 +119,7 @@ def check_hypotheses(
     eps2 = config.threshold_frac
     delta = min_degree(g)
     if mode == "clique":
+        check_builder("clique", p, ell)
         r = p.r
         frac = (r - ell) / (r - ell + 1)
         need = (frac + eps) * n
@@ -258,8 +263,6 @@ def cover_check(
     avoiding the swapped-out vertex) and the swap enables a new copy among
     the leftovers, apply it.  Returns (leftover, tiling, leftover <= xi*n).
     """
-    from .embed import embed_in_set
-
     tiling = greedy_max_tiling(g, p, forbidden=avoid, seed=seed)
     copies = list(tiling.copies)
     left = set(leftover_of(g, Tiling(p, tuple(copies)), forbidden=avoid))
@@ -277,8 +280,6 @@ def cover_check(
                     if new_emb is None:
                         continue
                     trial_left = (left - {v}) | {out}
-                    from .embed import find_embedding
-
                     extra = find_embedding(g, p, allowed=frozenset(trial_left))
                     if extra is None:
                         continue

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
-from .absorbing import AbsorberConfig
+from .absorbing import AbsorberConfig, check_builder
 from .factor import find_factor_exact
 from .generators import GENERATORS
 from .pipeline import find_factor_absorbing
@@ -81,7 +81,10 @@ class ExperimentSpec:
         if missing:
             raise ValueError(f"generator {spec.generator} needs grid parameter(s): "
                              f"{', '.join(sorted(missing))}")
-        AbsorberConfig.from_overrides(parse_pattern_spec(spec.pattern).h, spec.config)
+        pattern = parse_pattern_spec(spec.pattern)
+        if spec.solver == "pipeline":
+            check_builder(spec.mode, pattern, spec.ell)
+        AbsorberConfig.from_overrides(pattern.h, spec.config)
         return spec
 
     @classmethod

@@ -12,6 +12,7 @@ import math
 from itertools import combinations
 from typing import Iterable
 
+from .embed import embed_in_set, traversing_copy
 from .factor import Tiling, find_factor_exact
 from .graphs import Graph, Pattern, induced_subgraph
 from .rng import rng_for
@@ -116,8 +117,6 @@ def verify_traversing_witness(
 ) -> None:
     """Check a failure witness: h pairwise-disjoint parts of size >= s with
     no traversing copy of the pattern."""
-    from .embed import traversing_copy
-
     if len(parts) != p.h:
         raise VerificationError(f"witness has {len(parts)} parts, expected {p.h}")
     seen: set[int] = set()
@@ -148,8 +147,6 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     its own: its remainder fraction is derived, and the loader rejects a
     document whose stored value disagrees.
     """
-    from .embed import embed_in_set
-
     p = structure.pattern
     h = p.h
     tpl = structure.template

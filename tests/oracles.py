@@ -1,20 +1,25 @@
-"""Independent oracles the solvers are checked against.
+"""Independent oracles the solvers are checked against, and test helpers.
 
-These share no search code with the package: the factor oracle enumerates
-vertex partitions outright, the clique-free oracle scans vertex subsets by
-decreasing size, and the copy checks are plain permutation scans.  The one
-import from the search code is `pattern_order`, which defines which of a
-copy's embeddings the copy enumerator reports.  The two disjoint-copy
-searches at the end are separate backtracking routines written for each
-of absorb()'s two uses.
+The oracles share no search code with the package: the factor oracle
+enumerates vertex partitions outright, the clique-free oracle scans vertex
+subsets by decreasing size, and the copy checks are plain permutation
+scans.  The one import from the search code they need is `pattern_order`,
+which defines which of a copy's embeddings the copy enumerator reports.
+The two disjoint-copy searches are separate backtracking routines written
+for each of absorb()'s two uses, and the two embedding references keep the
+embedder's former hand-written searches.  The helpers at the end wrap
+package code for tests that only need a yes/no answer or a layout.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterable, Sequence
 
-from tilinglab.embed import pattern_order
+from tilinglab.embed import cliques_of_size, embeddings, pattern_order
+from tilinglab.generators import decompose_r
 from tilinglab.graphs import Graph, Pattern
+from tilinglab.matching import max_bipartite_matching
 
 
 def set_hosts_copy(g: Graph, p: Pattern, block: tuple[int, ...]) -> bool:
@@ -174,3 +179,98 @@ def _cover_buffer(
         return False
 
     return result if rec(list(remaining), need_copies, m) else None
+
+
+# References for embed.traversing_copy_fixed and embed.embed_in_set: the
+# searches they replaced, which must keep returning the same embedding.
+
+
+def traversing_copy_fixed_reference(
+    g: Graph,
+    p: Pattern,
+    parts: Sequence[Iterable[int]],
+) -> tuple[int, ...] | None:
+    """Embedding with pattern vertex i drawn from parts[i], or None.
+
+    Backtracks over pattern vertices in index order; candidates within each
+    part are tried in increasing order.
+    """
+    h = p.h
+    if len(parts) != h:
+        raise ValueError("need exactly v(H) parts")
+    psets = [sorted(set(part)) for part in parts]
+
+    assigned: list[int] = []
+
+    def rec(i: int) -> tuple[int, ...] | None:
+        if i == h:
+            return tuple(assigned)
+        for gv in psets[i]:
+            if gv in assigned:
+                continue
+            ok = all(
+                g.has_edge(gv, assigned[j])
+                for j in range(i)
+                if p.graph.has_edge(i, j)
+            )
+            if ok:
+                assigned.append(gv)
+                res = rec(i + 1)
+                if res is not None:
+                    return res
+                assigned.pop()
+        return None
+
+    return rec(0)
+
+
+def embed_in_set_reference(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ...] | None:
+    """Embedding of `p` using exactly the given |V(p)| vertices, or None."""
+    vs = frozenset(vertices)
+    if len(vs) != p.h:
+        return None
+    if p.is_clique:
+        t = tuple(sorted(vs))
+        for i, u in enumerate(t):
+            for v in t[i + 1 :]:
+                if not g.has_edge(u, v):
+                    return None
+        return t
+    for emb in embeddings(g, p, vs):
+        return emb
+    return None
+
+
+# Test helpers over package code.
+
+
+def has_clique(g: Graph, k: int, allowed: frozenset[int] | None = None) -> bool:
+    for _ in cliques_of_size(g, k, allowed):
+        return True
+    return False
+
+
+def has_perfect_matching(n_left: int, n_right: int, adj: list[list[int]]) -> bool:
+    """True iff a matching saturates both sides (requires n_left == n_right)."""
+    if n_left != n_right:
+        return False
+    size, _, _ = max_bipartite_matching(n_left, n_right, adj)
+    return size == n_left
+
+
+def multipartite_parts(sizes: list[int]) -> list[list[int]]:
+    """Vertex lists of each part, matching gen_complete_multipartite's layout."""
+    parts = []
+    start = 0
+    for s in sizes:
+        parts.append(list(range(start, start + s)))
+        start += s
+    return parts
+
+
+def lower_bound_parts(r: int, ell: int, n: int) -> list[list[int]]:
+    """Part vertex lists of gen_lower_bound_construction's layout."""
+    x, y = decompose_r(r, ell)
+    unit = n // r
+    sizes = [y * unit - 1, ell * unit + 1] + [ell * unit] * (x - 1)
+    return multipartite_parts(sizes)

@@ -107,6 +107,15 @@ class TestParams:
         assert obj["alpha_2"] == 5 and obj["alpha_3"] == 9
         assert obj["one_density"] == "3/2"
 
+    @pytest.mark.parametrize("s,message", [
+        ("2", "error: 8906625 families exceed the exhaustive cap of 500000"),
+        ("20", "error: need h*s <= n"),
+    ])
+    def test_traversing_probe_out_of_reach_exit_2(self, g30, capsys, s, message):
+        assert run_cli("params", "--graph", str(g30), "--pattern", "K3",
+                       "--traversing-s", s, "--traversing-mode", "exhaustive") == 2
+        assert message in capsys.readouterr().err
+
 
 class TestFactor:
     def test_exact_failure_exit_1(self, tmp_path):
@@ -131,6 +140,16 @@ class TestFactor:
         bad = tmp_path / "bad.el"
         bad.write_text("3 1\n0 0\n")
         assert run_cli("factor", "--graph", str(bad), "--pattern", "K3") == 2
+
+    @pytest.mark.parametrize("command", [
+        ["factor", "--solver", "absorbing", "--mode", "clique"],
+        ["absorb", "--builder", "clique"],
+    ])
+    def test_clique_construction_on_path_pattern_exit_2(self, g30, tmp_path, capsys, command):
+        path3 = tmp_path / "p3.el"
+        path3.write_text("3 2\n0 1\n1 2\n")
+        assert run_cli(*command, "--graph", str(g30), "--pattern", str(path3)) == 2
+        assert "clique builder needs a clique pattern K_r" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["factor", "absorb"])
     @pytest.mark.parametrize("config,message", [
@@ -282,6 +301,7 @@ class TestSweep:
         (dict(SWEEP_SPEC, solver="exakt"), "unknown solver: exakt"),
         (dict(SWEEP_SPEC, mode="cliqe"), "unknown mode: cliqe"),
         (dict(SWEEP_SPEC, config={"h": 3}), "config may not set h"),
+        (dict(SWEEP_SPEC, ell=3), "clique builder needs a clique pattern K_r and r > ell"),
     ])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, message):
         path = tmp_path / "spec.json"
@@ -289,6 +309,20 @@ class TestSweep:
         monkeypatch.setattr(sweep, "run_trial", None)  # no trial may start
         assert run_cli("sweep", "--spec", str(path)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,code", [("pipeline", 2), ("exact", 0)])
+    def test_clique_mode_on_path_pattern(self, tmp_path, capsys, monkeypatch, solver, code):
+        # only the pipeline runs the clique construction, so only it refuses
+        path3 = tmp_path / "p3.el"
+        path3.write_text("3 2\n0 1\n1 2\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SWEEP_SPEC, pattern=str(path3), solver=solver,
+                                        grid={"n": [12], "p": [0.6]}, trials=1)))
+        if code == 2:
+            monkeypatch.setattr(sweep, "run_trial", None)  # no trial may start
+        assert run_cli("sweep", "--spec", str(spec)) == code
+        err = capsys.readouterr().err
+        assert ("clique builder needs a clique pattern K_r" in err) == (code == 2)
 
     def test_threads_below_one_exit_2(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.json"
@@ -369,3 +403,11 @@ def test_demo_sweep_spec_loads(monkeypatch):
     monkeypatch.setattr(sweep, "run_trial", None)  # loading starts no trial
     spec = sweep.ExperimentSpec.from_obj(demo_sweep.SPEC)
     assert spec.config["threshold_frac"] == 0.1
+
+
+def test_reproduce_counterexamples_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_counterexamples.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "all constructions certified factor-free" in proc.stdout

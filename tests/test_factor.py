@@ -2,11 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import copy_sets_through_bruteforce, factor_exists_bruteforce
-from tilinglab.embed import copy_sets_through, find_embedding, traversing_copy, traversing_copy_fixed
+from oracles import (
+    copy_sets_through_bruteforce,
+    embed_in_set_reference,
+    factor_exists_bruteforce,
+    traversing_copy_fixed_reference,
+)
+from tilinglab.embed import (
+    copy_sets_through,
+    embed_in_set,
+    find_embedding,
+    traversing_copy,
+    traversing_copy_fixed,
+)
 from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
-from tilinglab.graphs import Pattern, complete_graph, parse_graph
+from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph
 from tilinglab.rng import rng_for
 from tilinglab.verify import VerificationError, verify_tiling
 
@@ -144,6 +155,54 @@ class TestTraversing:
         parts = [[0], [2], [1]]  # fixed assignment fails, permuted succeeds
         assert traversing_copy_fixed(g, p3path, parts) is None
         assert traversing_copy(g, p3path, parts) is not None
+
+
+@st.composite
+def small_graph_and_pattern(draw):
+    """A graph on 1..10 vertices and a pattern on 2..4 vertices, a clique
+    about half the time."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    h = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        return g, Pattern.clique(h)
+    ppairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
+    pkeep = draw(st.lists(st.booleans(), min_size=len(ppairs), max_size=len(ppairs)))
+    return g, Pattern.from_graph(Graph(h, [e for e, k in zip(ppairs, pkeep) if k]))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestEmbedderMatchesReferences:
+    """traversing_copy_fixed and embed_in_set return exactly what the
+    searches they replaced return, None and errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graph_and_pattern(), st.data())
+    def test_traversing_copy_fixed(self, gp, data):
+        g, p = gp
+        count = data.draw(st.sampled_from([p.h] * 4 + [p.h - 1, p.h + 1]))
+        # parts may be empty, overlap, and repeat a vertex
+        part = st.lists(st.integers(0, g.n - 1), max_size=g.n + 1)
+        parts = data.draw(st.lists(part, min_size=count, max_size=count))
+        assert (outcome(traversing_copy_fixed, g, p, parts)
+                == outcome(traversing_copy_fixed_reference, g, p, parts))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graph_and_pattern(), st.data())
+    def test_embed_in_set(self, gp, data):
+        g, p = gp
+        size = data.draw(st.sampled_from([p.h] * 4 + [p.h - 1, p.h + 1]))
+        vs = data.draw(st.permutations(range(g.n)))[:size]
+        vs += vs[: data.draw(st.integers(0, 1))]  # a repeated vertex counts once
+        assert embed_in_set(g, p, vs) == embed_in_set_reference(g, p, vs)
 
 
 class TestCopySetsThrough:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilinglab.embed import has_clique
+from oracles import has_clique, lower_bound_parts
 from tilinglab.generators import (
     decompose_r,
     gamma_graph,
@@ -11,7 +11,6 @@ from tilinglab.generators import (
     gen_hs_tripartite,
     gen_lower_bound_construction,
     gen_two_cliques,
-    lower_bound_parts,
 )
 from tilinglab.graphs import (
     Graph,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alpha_exhaustive, max_density_subgraphs
+from oracles import alpha_exhaustive, has_clique, max_density_subgraphs
 from tilinglab.embed import cliques_of_size
 from tilinglab.generators import gen_complete_multipartite, gen_gnp
 from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph
@@ -73,8 +73,6 @@ class TestAlphaEll:
         assert alpha_ell(c5, 2).value == 2
 
     def test_witness_is_clique_free(self):
-        from tilinglab.embed import has_clique
-
         g = gen_gnp(14, 0.5, 11)
         for ell in (2, 3):
             res = alpha_ell(g, ell)
@@ -182,16 +180,15 @@ class TestOneDensity:
 class TestParamReport:
     def test_flat_serialization(self, k3):
         g = gen_complete_multipartite([3, 4, 5])
-        rep = param_report(g, ells=[2, 3], pattern=k3, traversing_s=1,
-                           traversing_mode="exhaustive")
-        flat = rep.to_flat_dict()
-        assert flat["min_degree"] == 7
-        assert flat["alpha_2"] == 5
-        assert flat["max_clique"] == 3
-        assert flat["one_density"] == "3/2"
-        assert flat["traversing_holds"] is False
-        assert isinstance(flat["traversing_witness"], list)
-        assert flat["schema"] == "param-report/v1"
+        report = param_report(g, ells=[2, 3], pattern=k3, traversing_s=1,
+                              traversing_mode="exhaustive")
+        assert report["min_degree"] == 7
+        assert report["alpha_2"] == 5
+        assert report["max_clique"] == 3
+        assert report["one_density"] == "3/2"
+        assert report["traversing_holds"] is False
+        assert isinstance(report["traversing_witness"], list)
+        assert report["schema"] == "param-report/v1"
 
 
 @given(st.integers(0, 10**6))
