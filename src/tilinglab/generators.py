@@ -6,8 +6,9 @@ produce identical graphs on every platform.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from .embed import cliques_of_size
 from .graphs import Graph, iter_pairs
@@ -22,8 +23,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         return Graph(n)
     if p == 1.0:
         return Graph(n, iter_pairs(n))
-    rng = rng_for(seed, "gnp", n)
-    edges = [(u, v) for u, v in iter_pairs(n) if rng.random() < p]
+    rand = rng_for(seed, "gnp", n).random
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rand() < p]
     return Graph(n, edges)
 
 
@@ -192,3 +193,25 @@ GENERATORS: dict[str, Construction] = {
         ("r", "ell", "n"),
         lambda c, seed: gen_lower_bound_construction(int(c["r"]), int(c["ell"]), int(c["n"]), seed)),
 }
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_param(key: str, value: Any) -> None:
+    """Raise ValueError unless the GENERATORS builders read `value` for `key`
+    as it is: p a number in [0, 1], sizes a list of integers, any other
+    parameter an integer.  Their int() and float() would otherwise turn
+    12.9, true or "30" into some other graph without a word."""
+    if key == "p":
+        want = "a number in [0, 1]"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+    elif key == "sizes":
+        want = "a list of integers"
+        ok = isinstance(value, list) and all(map(_is_int, value))
+    else:
+        want = "an integer"
+        ok = _is_int(value)
+    if not ok:
+        raise ValueError(f"grid parameter {key!r} value {json.dumps(value)} is not {want}")

@@ -14,13 +14,12 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
 from .absorbing import AbsorberConfig, check_builder
 from .factor import find_factor_exact
-from .generators import GENERATORS
+from .generators import GENERATORS, check_param
 from .pipeline import find_factor_absorbing
 from .rng import derive_seed
 from .serialize import parse_pattern_spec
@@ -81,6 +80,12 @@ class ExperimentSpec:
         if missing:
             raise ValueError(f"generator {spec.generator} needs grid parameter(s): "
                              f"{', '.join(sorted(missing))}")
+        for key in spec.grid_keys():
+            if not isinstance(spec.grid[key], list):
+                raise ValueError(f"sweep spec grid {key!r} must be a JSON list of values")
+        for key in GENERATORS[spec.generator].params:
+            for value in spec.grid[key]:
+                check_param(key, value)
         pattern = parse_pattern_spec(spec.pattern)
         if spec.solver == "pipeline":
             check_builder(spec.mode, pattern, spec.ell)
@@ -165,6 +170,8 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1, timings: bool = False) -> 
     ]
     workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_timed_trial, *zip(*jobs)))
     return [_timed_trial(*job) for job in jobs]

@@ -6,9 +6,10 @@ subsets by decreasing size, and the copy checks are plain permutation
 scans.  The one import from the search code they need is `pattern_order`,
 which defines which of a copy's embeddings the copy enumerator reports.
 The two disjoint-copy searches are separate backtracking routines written
-for each of absorb()'s two uses, and the two embedding references keep the
-embedder's former hand-written searches.  The helpers at the end wrap
-package code for tests that only need a yes/no answer or a layout.
+for each of absorb()'s two uses, the two embedding references keep the
+embedder's former hand-written searches, and the G(n, p) reference keeps the
+generator's former pair loop.  The helpers at the end wrap package code for
+tests that only need a yes/no answer or a layout.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Iterable, Sequence
 
 from tilinglab.embed import cliques_of_size, embeddings, pattern_order
 from tilinglab.generators import decompose_r
-from tilinglab.graphs import Graph, Pattern
+from tilinglab.graphs import Graph, Pattern, iter_pairs
 from tilinglab.matching import max_bipartite_matching
+from tilinglab.rng import rng_for
 
 
 def set_hosts_copy(g: Graph, p: Pattern, block: tuple[int, ...]) -> bool:
@@ -239,6 +241,23 @@ def embed_in_set_reference(g: Graph, p: Pattern, vertices: Iterable[int]) -> tup
     for emb in embeddings(g, p, vs):
         return emb
     return None
+
+
+# Reference for generators.gen_gnp: the loop it replaced, which must keep
+# drawing the same pairs in the same order.
+
+
+def gen_gnp_reference(n: int, p: float, seed: int) -> Graph:
+    """Binomial random graph: each pair independently an edge with probability p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    if p == 0.0:
+        return Graph(n)
+    if p == 1.0:
+        return Graph(n, iter_pairs(n))
+    rng = rng_for(seed, "gnp", n)
+    edges = [(u, v) for u, v in iter_pairs(n) if rng.random() < p]
+    return Graph(n, edges)
 
 
 # Test helpers over package code.

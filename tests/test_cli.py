@@ -302,6 +302,26 @@ class TestSweep:
         (dict(SWEEP_SPEC, mode="cliqe"), "unknown mode: cliqe"),
         (dict(SWEEP_SPEC, config={"h": 3}), "config may not set h"),
         (dict(SWEEP_SPEC, ell=3), "clique builder needs a clique pattern K_r and r > ell"),
+        (dict(SWEEP_SPEC, grid={"n": [12.9], "p": [0.6]}),
+         "grid parameter 'n' value 12.9 is not an integer"),
+        (dict(SWEEP_SPEC, grid={"n": [12, True], "p": [0.6]}),
+         "grid parameter 'n' value true is not an integer"),
+        (dict(SWEEP_SPEC, grid={"n": ["30"], "p": [0.6]}),
+         "grid parameter 'n' value \"30\" is not an integer"),
+        (dict(SWEEP_SPEC, grid={"n": "30", "p": [0.6]}),
+         "sweep spec grid 'n' must be a JSON list of values"),
+        (dict(SWEEP_SPEC, grid={"n": [12], "p": [1.5]}),
+         "grid parameter 'p' value 1.5 is not a number in [0, 1]"),
+        (dict(SWEEP_SPEC, grid={"n": [12], "p": ["0.6"]}),
+         "grid parameter 'p' value \"0.6\" is not a number in [0, 1]"),
+        (dict(SWEEP_SPEC, grid={"n": [12], "p": [True]}),
+         "grid parameter 'p' value true is not a number in [0, 1]"),
+        (dict(SWEEP_SPEC, generator="complete-multipartite", grid={"sizes": [[3, 3.5]]}),
+         "grid parameter 'sizes' value [3, 3.5] is not a list of integers"),
+        (dict(SWEEP_SPEC, generator="complete-multipartite", grid={"sizes": [6]}),
+         "grid parameter 'sizes' value 6 is not a list of integers"),
+        (dict(SWEEP_SPEC, generator="gamma", grid={"ell": [2.0], "n": [12]}),
+         "grid parameter 'ell' value 2.0 is not an integer"),
     ])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, message):
         path = tmp_path / "spec.json"
@@ -346,7 +366,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(sweep, "run_trial", lambda spec, cell, trial: {"millis": ""})
         spec = sweep.ExperimentSpec.from_obj(SWEEP_SPEC)  # 8 jobs
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
@@ -357,6 +377,16 @@ class TestSweep:
         assert started == [4, 8, 3]
         sweep.run_sweep(spec, threads=1)
         assert started == [4, 8, 3]
+
+    def test_import_loads_no_process_pool(self):
+        # only a sweep on more than one worker pays for multiprocessing
+        code = ("import sys, tilinglab, tilinglab.cli, tilinglab.sweep\n"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+                " if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_timings_recorded_with_threads(self):
         from tilinglab.sweep import ExperimentSpec, run_sweep

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import has_clique, lower_bound_parts
+from oracles import gen_gnp_reference, has_clique, lower_bound_parts
 from tilinglab.generators import (
     decompose_r,
     gamma_graph,
@@ -85,6 +85,13 @@ class TestGenerators:
     def test_gnp_deterministic(self):
         assert gen_gnp(25, 0.4, 7) == gen_gnp(25, 0.4, 7)
         assert gen_gnp(25, 0.4, 7) != gen_gnp(25, 0.4, 8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=40),
+           st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+           st.integers(min_value=0, max_value=2**63))
+    def test_gnp_matches_reference(self, n, p, seed):
+        assert emit_graph(gen_gnp(n, p, seed)) == emit_graph(gen_gnp_reference(n, p, seed))
 
     def test_gnp_edge_counts_binomial_band(self):
         # 435 pairs at p = 1/2: mean 217.5, sd 10.43; 4 sd gives [176, 259]
