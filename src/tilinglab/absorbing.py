@@ -182,10 +182,13 @@ class TemplateGraph:
     """
 
     m: int
-    surplus: int
     mode: str
     left_adj: tuple[tuple[int, ...], ...]
     verification: dict = field(hash=False)
+
+    @property
+    def surplus(self) -> int:
+        return self.left_size - 3 * self.m
 
     @property
     def flex_size(self) -> int:
@@ -201,7 +204,7 @@ class TemplateGraph:
 
     @property
     def left_size(self) -> int:
-        return self.flex_size + self.core_size
+        return len(self.left_adj)
 
     @property
     def max_degree(self) -> int:
@@ -256,9 +259,7 @@ def build_template(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    surplus = _surplus_of(m, beta)
-    flex = m + surplus
-    left = flex + 2 * m
+    left = 3 * m + _surplus_of(m, beta)
     slots = 3 * m
 
     if mode == "complete-bipartite":
@@ -267,8 +268,7 @@ def build_template(
                 f"complete-bipartite mode needs 3m + ceil(beta*m) <= 40, got {left}"
             )
         adj = tuple(tuple(range(slots)) for _ in range(left))
-        tpl = TemplateGraph(m=m, surplus=surplus, mode=mode, left_adj=adj,
-                            verification={})
+        tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
         record, bad = check_template(tpl, verify, trials, seed, "template-verify")
         if bad is not None:
             raise TemplateBuildError("flex subset without perfect matching", falsifying=bad)
@@ -298,8 +298,7 @@ def build_template(
             if min(degs) < 8 or max(degs) > 40:
                 continue
             adj = tuple(tuple(sorted(s)) for s in adj_sets)
-            tpl = TemplateGraph(m=m, surplus=surplus, mode=mode, left_adj=adj,
-                                verification={})
+            tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
             record, bad = check_template(tpl, verify, trials,
                                          derive_seed(seed, "verify", attempt), "template-verify")
             if bad is None:
@@ -645,8 +644,8 @@ class AbsorbingStructure:
     buffer: vertices consumed flexibly by copies so that exactly m survive,
     in increasing order; core: always matched through the template; the
     template's left side is the buffer followed by the core (left_vertex).
-    slots: grouped into blocks of h-1 vertices, each block tiled together
-    with one matched buffer/core vertex; edge_absorbers: one absorber per
+    slot_blocks: blocks of h-1 vertices (`slots`, in order), each tiled
+    together with one matched buffer/core vertex; edge_absorbers: one absorber per
     template edge, keyed by the edge.  copy_families[v] lists the
     (h-1)-subsets of the buffer forming a pattern copy with v.
     """
@@ -657,13 +656,16 @@ class AbsorbingStructure:
     seed: int
     buffer: tuple[int, ...]
     core: tuple[int, ...]
-    slots: tuple[int, ...]
     slot_blocks: tuple[tuple[int, ...], ...]
     template: TemplateGraph
     edge_absorbers: dict[tuple[int, int], tuple[int, ...]]
     copy_families: dict[int, tuple[tuple[int, ...], ...]]
     harvest_sizes: dict[int, int]
     size_report: dict
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        return tuple(v for b in self.slot_blocks for v in b)
 
     @property
     def absorbing_set(self) -> frozenset[int]:
@@ -841,10 +843,9 @@ def build_absorbing_set(
         blocks.append(found)
         block_pool -= set(found)
     slot_blocks = tuple(blocks)
-    slots = tuple(v for b in slot_blocks for v in b)
 
     # stage 6: one absorber per template edge, pairwise disjoint
-    used_set = set(buffer) | set(core) | set(slots)
+    used_set = set(buffer) | set(core) | set().union(*slot_blocks)
     edge_absorbers: dict[tuple[int, int], tuple[int, ...]] = {}
     left_side = tuple(buffer) + core
     for l, rgt in template.edges():
@@ -861,7 +862,7 @@ def build_absorbing_set(
 
     structure = AbsorbingStructure(
         n=n, pattern=p, config=config, seed=seed,
-        buffer=tuple(buffer), core=core, slots=slots, slot_blocks=slot_blocks,
+        buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
         template=template,
         edge_absorbers=edge_absorbers, copy_families=families,
         harvest_sizes={v: len(harvest[v]) for v in range(n)},
@@ -875,7 +876,7 @@ def build_absorbing_set(
         "surplus": surplus,
         "buffer": len(buffer),
         "core": len(core),
-        "slots": len(slots),
+        "slots": len(structure.slots),
         "edge_absorber_vertices": sum(len(a) for a in edge_absorbers.values()),
         "template_edges": len(edge_absorbers),
         "total": total,

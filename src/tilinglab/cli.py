@@ -48,7 +48,10 @@ OK = 0
 
 def _default_seed() -> int:
     env = os.environ.get("TILINGLAB_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"TILINGLAB_SEED must be an integer, not {env!r}") from None
 
 
 def _read_graph(path: str):
@@ -288,12 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code not in (0, None) else OK
         return args.func(args)
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

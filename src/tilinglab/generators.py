@@ -13,6 +13,7 @@ from typing import Any, Callable
 from .embed import cliques_of_size
 from .graphs import Graph, iter_pairs
 from .rng import derive_seed, rng_for
+from .serialize import is_json_int
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -28,23 +29,30 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def _multipartite_edges(sizes: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Part boundaries (part i is bounds[i]..bounds[i+1]-1) and every edge
+    between distinct parts, in lexicographic order."""
+    bounds = [0]
+    for s in sizes:
+        bounds.append(bounds[-1] + s)
+    edges = [
+        (u, v)
+        for i in range(len(sizes))
+        for j in range(i + 1, len(sizes))
+        for u in range(bounds[i], bounds[i + 1])
+        for v in range(bounds[j], bounds[j + 1])
+    ]
+    return bounds, edges
+
+
 def gen_complete_multipartite(sizes: list[int]) -> Graph:
     """Complete multipartite graph; edges exactly between distinct parts."""
     if not sizes:
         raise ValueError("need at least one part")
     if any(s < 1 for s in sizes):
         raise ValueError("part sizes must be >= 1")
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(bounds[i], bounds[i + 1]):
-                for v in range(bounds[j], bounds[j + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+    bounds, edges = _multipartite_edges(sizes)
+    return Graph(bounds[-1], edges)
 
 
 def gen_two_cliques(n: int) -> Graph:
@@ -145,16 +153,7 @@ def gen_lower_bound_construction(r: int, ell: int, n: int, seed: int) -> Graph:
     if sizes[0] < 1:
         raise ValueError("first part would be empty; increase n")
 
-    edges: list[tuple[int, int]] = []
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    # complete between distinct parts
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(bounds[i], bounds[i + 1]):
-                for v in range(bounds[j], bounds[j + 1]):
-                    edges.append((u, v))
+    bounds, edges = _multipartite_edges(sizes)
     # clique-free core inside each part
     for i, s in enumerate(sizes):
         core = gamma_graph(ell, s, derive_seed(seed, "part", i))
@@ -195,23 +194,23 @@ GENERATORS: dict[str, Construction] = {
 }
 
 
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def check_param(key: str, value: Any) -> None:
     """Raise ValueError unless the GENERATORS builders read `value` for `key`
-    as it is: p a number in [0, 1], sizes a list of integers, any other
-    parameter an integer.  Their int() and float() would otherwise turn
-    12.9, true or "30" into some other graph without a word."""
+    as it is and in range: p a number in [0, 1], sizes a non-empty list of
+    integers >= 1, ell and r integers >= 2, any other parameter an integer
+    >= 0.  Their int() and float() would otherwise turn 12.9, true or "30"
+    into some other graph without a word, and a value out of range would
+    fail only once the trials before it had run."""
     if key == "p":
         want = "a number in [0, 1]"
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
     elif key == "sizes":
-        want = "a list of integers"
-        ok = isinstance(value, list) and all(map(_is_int, value))
+        want = "a list of integers >= 1, with at least one part"
+        ok = isinstance(value, list) and value != [] and all(
+            is_json_int(s) and s >= 1 for s in value)
     else:
-        want = "an integer"
-        ok = _is_int(value)
+        lo = 2 if key in ("ell", "r") else 0
+        want = f"an integer >= {lo}"
+        ok = is_json_int(value) and value >= lo
     if not ok:
         raise ValueError(f"grid parameter {key!r} value {json.dumps(value)} is not {want}")

@@ -7,7 +7,7 @@ here is the single interchange format used by every tool in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -18,7 +18,7 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable simple graph.  Adjacency is a tuple of frozensets."""
 
-    __slots__ = ("n", "_adj", "_nbrs", "_edges")
+    __slots__ = ("n", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -36,7 +36,6 @@ class Graph:
             adj[b].add(a)
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
-        self._nbrs = tuple(tuple(sorted(s)) for s in adj)
         self._edges = frozenset(edge_set)
 
     @property
@@ -48,7 +47,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in increasing order (deterministic iteration)."""
-        return self._nbrs[v]
+        return tuple(sorted(self._adj[v]))
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -74,48 +73,40 @@ class Graph:
 
 @dataclass(frozen=True)
 class Pattern:
-    """The fixed graph H to tile with.  `kind` distinguishes cliques.
+    """The fixed graph H to tile with.
 
-    For kind == "clique", `graph` is the complete graph on `r` vertices and
-    specialized clique search is used throughout; otherwise generic subgraph
-    embedding is used.
+    A complete graph is the clique pattern K_r: specialized clique search is
+    used throughout.  Any other graph uses generic subgraph embedding.
+    `is_clique` is read off the graph once, at construction.
     """
 
     graph: Graph
-    kind: str = "general"
-    r: int | None = None
+    is_clique: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.graph.n < 2:
+        n = self.graph.n
+        if n < 2:
             raise ValueError("pattern needs at least 2 vertices")
-        if self.kind == "clique":
-            r = self.r
-            if r != self.graph.n or self.graph.m != r * (r - 1) // 2:
-                raise ValueError("clique pattern must be a complete graph on r vertices")
-        elif self.kind != "general":
-            raise ValueError(f"unknown pattern kind: {self.kind}")
+        object.__setattr__(self, "is_clique", self.graph.m == n * (n - 1) // 2)
 
     @property
     def h(self) -> int:
         return self.graph.n
 
     @property
-    def is_clique(self) -> bool:
-        return self.kind == "clique"
+    def r(self) -> int | None:
+        """Clique order r of K_r, or None for a pattern that is no clique."""
+        return self.graph.n if self.is_clique else None
 
     @classmethod
     def clique(cls, r: int) -> "Pattern":
         if r < 2:
             raise ValueError("clique pattern needs r >= 2")
-        g = Graph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
-        return cls(graph=g, kind="clique", r=r)
+        return cls(complete_graph(r))
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Pattern":
-        """Wrap an arbitrary graph as a pattern, detecting complete graphs."""
-        if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:
-            return cls(graph=g, kind="clique", r=g.n)
-        return cls(graph=g, kind="general")
+        return cls(g)  # the older name of Pattern(g)
 
     def __repr__(self) -> str:
         if self.is_clique:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .absorbing import (
     AbsorberConfig,
@@ -64,27 +64,13 @@ class PipelineReport:
         return any(s.name == name and s.ok for s in self.stages)
 
     def to_obj(self, include_tiling: bool = True) -> dict:
+        """Every field but `structure`, and `tiling` only when asked for."""
         from .serialize import tiling_to_obj
 
-        out = {
-            "schema": "pipeline-report/v1",
-            "mode": self.mode,
-            "n": self.n,
-            "h": self.h,
-            "seed": self.seed,
-            "hypothesis_checked": self.hypothesis_checked,
-            "hypothesis_held": self.hypothesis_held,
-            "hypothesis_detail": self.hypothesis_detail,
-            "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail}
-                       for s in self.stages],
-            "leftover": self.leftover,
-            "factor_found": self.factor_found,
-            "failure_stage": self.failure_stage,
-            "fallback_used": self.fallback_used,
-            "exact_status": self.exact_status,
-            "nodes": self.nodes,
-            "millis": self.millis,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("tiling", "structure")}
+        out["schema"] = "pipeline-report/v1"
+        out["stages"] = [asdict(s) for s in self.stages]
         if include_tiling and self.tiling is not None:
             out["tiling"] = tiling_to_obj(self.tiling)
         return out

@@ -4,12 +4,12 @@ Each document carries a `schema` tag so the verifier can dispatch on kind:
 tiling/v1 or absorbing-structure/v2.  Documents tagged absorbing-structure/v1
 are still read: v1 also carried an index-map copy of `buffer` and of `core`,
 which the loader ignores.  Patterns serialize inline (clique order, or an
-explicit edge list).
+explicit edge list); a complete graph loads as a clique whatever its `kind`.
 
-A structure's `config` object holds every AbsorberConfig field plus the
-derived `remainder_frac`.  The loader takes the field list from the
-dataclass: a missing optional field takes its default, an unknown key or a
-`remainder_frac` other than surplus_ratio/(h-1) raises ValueError.
+A loader raises ValueError on a count, vertex or edge that is not a JSON
+integer, and on a stored value other than the one it derives: a structure's
+`slots` (its `slot_blocks` in order), a template's `surplus`
+(len(left_adj) - 3m) and a config's `remainder_frac` (surplus_ratio/(h-1)).
 """
 
 from __future__ import annotations
@@ -28,6 +28,28 @@ SCHEMA_STRUCTURE = "absorbing-structure/v2"
 STRUCTURE_SCHEMAS = ("absorbing-structure/v1", SCHEMA_STRUCTURE)
 
 
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value: Any, what: str, lo: int | None = None) -> int:
+    """`value` if it is a JSON integer, and at least `lo` when given; else
+    ValueError naming `what`."""
+    if not is_json_int(value) or (lo is not None and value < lo):
+        want = "an integer" if lo is None else f"an integer >= {lo}"
+        raise ValueError(f"{what} must be {want}, not {json.dumps(value)}")
+    return value
+
+
+def _ints(values: Any, what: str, size: int | None = None) -> tuple[int, ...]:
+    if not (isinstance(values, list) and all(map(is_json_int, values))
+            and size in (None, len(values))):
+        want = "a list of integers" if size is None else f"a list of {size} integers"
+        raise ValueError(f"{what} must be {want}, not {json.dumps(values)}")
+    return tuple(values)
+
+
 def pattern_to_obj(p: Pattern) -> dict:
     if p.is_clique:
         return {"kind": "clique", "r": p.r}
@@ -35,10 +57,13 @@ def pattern_to_obj(p: Pattern) -> dict:
 
 
 def pattern_from_obj(obj: dict) -> Pattern:
-    if obj["kind"] == "clique":
-        return Pattern.clique(int(obj["r"]))
-    g = Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
-    return Pattern(graph=g, kind="general")
+    kind = obj["kind"]
+    if kind == "clique":
+        return Pattern.clique(json_int(obj["r"], "pattern r"))
+    if kind != "general":
+        raise ValueError(f'pattern kind must be "clique" or "general", not {json.dumps(kind)}')
+    edges = [_ints(e, "pattern edge", 2) for e in obj["edges"]]
+    return Pattern(Graph(json_int(obj["n"], "pattern n"), edges))
 
 
 def parse_pattern_spec(spec: str) -> Pattern:
@@ -49,7 +74,7 @@ def parse_pattern_spec(spec: str) -> Pattern:
     from .graphs import parse_graph
 
     with open(s, "r", encoding="ascii") as fh:
-        return Pattern.from_graph(parse_graph(fh.read()))
+        return Pattern(parse_graph(fh.read()))
 
 
 def tiling_to_obj(t: Tiling) -> dict:
@@ -62,7 +87,7 @@ def tiling_to_obj(t: Tiling) -> dict:
 
 def tiling_from_obj(obj: dict) -> Tiling:
     p = pattern_from_obj(obj["pattern"])
-    return Tiling(pattern=p, copies=tuple(tuple(c) for c in obj["copies"]))
+    return Tiling(pattern=p, copies=tuple(_ints(c, "tiling copy") for c in obj["copies"]))
 
 
 def config_to_obj(c: AbsorberConfig) -> dict:
@@ -72,6 +97,8 @@ def config_to_obj(c: AbsorberConfig) -> dict:
 
 
 def config_from_obj(obj: dict) -> AbsorberConfig:
+    """The config in `obj`, whose keys the dataclass lists: a missing optional
+    field takes its default, an unknown key raises ValueError."""
     kw = dict(obj)
     stored = kw.pop("remainder_frac", None)
     unknown = kw.keys() - {f.name for f in fields(AbsorberConfig)}
@@ -96,11 +123,16 @@ def template_to_obj(t: TemplateGraph) -> dict:
 
 
 def template_from_obj(obj: dict) -> TemplateGraph:
-    return TemplateGraph(
-        m=obj["m"], surplus=obj["surplus"], mode=obj["mode"],
-        left_adj=tuple(tuple(row) for row in obj["left_adj"]),
-        verification=dict(obj["verification"]),
-    )
+    m = json_int(obj["m"], "template m", 1)
+    left_adj = tuple(_ints(row, "template left_adj row") for row in obj["left_adj"])
+    if any(not 0 <= r < 3 * m for row in left_adj for r in row):
+        raise ValueError(f"template left_adj entries must lie in 0..{3 * m - 1}")
+    t = TemplateGraph(m=m, mode=obj["mode"], left_adj=left_adj,
+                      verification=dict(obj["verification"]))
+    if obj["surplus"] != t.surplus:
+        raise ValueError(f"template surplus {json.dumps(obj['surplus'])} is not "
+                         f"len(left_adj) - 3m = {t.surplus}")
+    return t
 
 
 def structure_to_obj(s: AbsorbingStructure) -> dict:
@@ -127,14 +159,13 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
 
 
 def structure_from_obj(obj: dict) -> AbsorbingStructure:
-    return AbsorbingStructure(
-        n=obj["n"],
+    s = AbsorbingStructure(
+        n=json_int(obj["n"], "structure n", 0),
         pattern=pattern_from_obj(obj["pattern"]),
         config=config_from_obj(obj["config"]),
         seed=obj["seed"],
         buffer=tuple(obj["buffer"]),
         core=tuple(obj["core"]),
-        slots=tuple(obj["slots"]),
         slot_blocks=tuple(tuple(b) for b in obj["slot_blocks"]),
         template=template_from_obj(obj["template"]),
         edge_absorbers={
@@ -146,6 +177,9 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
         harvest_sizes={int(v): k for v, k in obj["harvest_sizes"].items()},
         size_report=dict(obj["size_report"]),
     )
+    if obj["slots"] != list(s.slots):
+        raise ValueError("structure slots are not the vertices of its slot_blocks in order")
+    return s
 
 
 def dump_json(obj: Any, path: str) -> None:

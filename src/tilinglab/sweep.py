@@ -22,12 +22,16 @@ from .factor import find_factor_exact
 from .generators import GENERATORS, check_param
 from .pipeline import find_factor_absorbing
 from .rng import derive_seed
-from .serialize import parse_pattern_spec
+from .serialize import json_int, parse_pattern_spec
 
 CSV_SCHEMA = "sweep/v1"
 
 SOLVERS = ("pipeline", "exact")
 MODES = ("clique", "general")
+
+# a spec's integer keys with their least value, and its string keys
+SPEC_INTS = {"trials": 1, "ell": 2, "fallback_cap": 0, "budget": 1, "seed_base": None}
+SPEC_STRS = ("generator", "pattern", "solver", "mode")
 
 RESULT_COLUMNS = [
     "trial", "seed", "hypothesis_held", "absorbing_built", "cover_ok",
@@ -67,6 +71,12 @@ class ExperimentSpec:
         if required - obj.keys():
             raise ValueError(f"sweep spec lacks key(s): {', '.join(sorted(required - obj.keys()))}")
         spec = cls(**obj)
+        for key, lo in SPEC_INTS.items():
+            json_int(getattr(spec, key), f"sweep spec {key!r}", lo)
+        for key in SPEC_STRS:
+            if not isinstance(getattr(spec, key), str):
+                raise ValueError(f"sweep spec {key!r} must be a string, "
+                                 f"not {json.dumps(getattr(spec, key))}")
         if spec.generator not in GENERATORS:
             raise ValueError(f"unknown generator: {spec.generator}; "
                              f"choose from {', '.join(sorted(GENERATORS))}")

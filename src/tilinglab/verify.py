@@ -143,9 +143,9 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     flex indices), the copy families, the absorbing property of every
     edge absorber (via verify_absorber), and the template's robust matching
     property (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS
-    flex subsets sampled from `seed`).  The configuration needs no check of
-    its own: its remainder fraction is derived, and the loader rejects a
-    document whose stored value disagrees.
+    flex subsets sampled from `seed`).  The remainder fraction, slots and
+    template surplus need no check of their own: they are derived, and the
+    loader rejects a document whose stored value disagrees.
     """
     p = structure.pattern
     h = p.h
@@ -167,9 +167,8 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
         if not (0 <= v < g.n):
             raise VerificationError(f"vertex {v} out of range")
 
-    flat_blocks = [v for b in structure.slot_blocks for v in b]
-    if flat_blocks != list(slots) or any(len(b) != h - 1 for b in structure.slot_blocks):
-        raise VerificationError("slot blocks do not partition slots into (h-1)-sets")
+    if any(len(b) != h - 1 for b in structure.slot_blocks):
+        raise VerificationError("slot blocks are not all (h-1)-sets")
     if any(a >= b for a, b in zip(buffer, buffer[1:])):
         raise VerificationError("buffer is not strictly increasing")
 

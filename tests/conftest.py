@@ -20,7 +20,7 @@ def k2():
 
 @pytest.fixture(scope="session")
 def c4_pattern():
-    return Pattern.from_graph(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
+    return Pattern(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
 
 
 @pytest.fixture(scope="session")

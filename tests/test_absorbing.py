@@ -132,7 +132,7 @@ class TestTemplate:
     def test_check_template_finds_falsifying_subset(self):
         tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
         # flex vertex 0 loses its edges: every flex subset containing it fails
-        broken = TemplateGraph(m=tpl.m, surplus=tpl.surplus, mode=tpl.mode,
+        broken = TemplateGraph(m=tpl.m, mode=tpl.mode,
                                left_adj=((),) + tpl.left_adj[1:], verification={})
         assert check_template(broken, "exhaustive", 0, 0, "t") == (
             {"mode": "exhaustive", "checks": 3}, (0, 1))
@@ -151,7 +151,7 @@ class TestTemplate:
         for bad in ([0], [0, 0], [0, 3], [-1, 0]):  # size, duplicate, range
             with pytest.raises(ValueError, match="exactly m flex indices"):
                 tpl.slot_matching(bad)
-        broken = TemplateGraph(m=tpl.m, surplus=tpl.surplus, mode=tpl.mode,
+        broken = TemplateGraph(m=tpl.m, mode=tpl.mode,
                                left_adj=((),) + tpl.left_adj[1:], verification={})
         assert broken.slot_matching([0, 1]) is None
 
@@ -280,12 +280,8 @@ class TestBuildAbsorbingSet:
         t2 = absorb(k60, st, outside[:2])
         assert t2.covered == st.absorbing_set | set(outside[:2])
 
-    def test_k60_k2_through_general_builder(self, k2):
-        k60 = complete_graph(60)
-        cfg = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2,
-                                        sample_prob=0.06, surplus_ratio=1.0,
-                                        m_cap=1, pool_size=2)
-        st = build_absorbing_set(k60, k2, cfg, seed=1, builder="general")
+    def test_k60_k2_through_general_builder(self, k60_general_structure):
+        k60, st = k60_general_structure
         assert st.size_report["builder"] == "general"
         verify_structure(k60, st)
         assert st.valid_remainder_sizes() == [1]
@@ -365,11 +361,64 @@ class TestBuildAbsorbingSet:
         with pytest.raises(VerificationError, match="buffer is not strictly increasing"):
             verify_structure(k60, structure_from_obj(obj))
 
+    @pytest.mark.parametrize("builder", ["direct", "general", "clique"])
+    def test_document_round_trips(self, builder, k60_structure, k60_general_structure,
+                                  k150_clique_structure):
+        g, st = {"direct": k60_structure, "general": k60_general_structure,
+                 "clique": k150_clique_structure}[builder]
+        assert st.size_report["builder"] == builder
+        doc = json.loads(json.dumps(structure_to_obj(st)))
+        assert structure_to_obj(structure_from_obj(doc)) == doc
+        assert doc["slots"] == [v for b in doc["slot_blocks"] for v in b]
+        assert doc["template"]["surplus"] == len(doc["template"]["left_adj"]) - 3 * doc["template"]["m"]
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda obj: obj.update(slots=obj["slots"][::-1]),
+         "structure slots are not the vertices of its slot_blocks in order"),
+        (lambda obj: obj["template"].update(surplus=obj["template"]["surplus"] + 1),
+         "template surplus 3 is not len(left_adj) - 3m = 2"),
+        (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
+        (lambda obj: obj["template"].update(m="1"),
+         'template m must be an integer >= 1, not "1"'),
+        (lambda obj: obj["template"]["left_adj"][0].append(7),
+         "template left_adj entries must lie in 0..2"),
+    ], ids=["slots", "surplus", "n", "m", "left_adj"])
+    def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
+                                            tamper, message):
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        assert (obj["template"]["m"], obj["template"]["surplus"]) == (1, 2)
+        tamper(obj)
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
+        assert f"malformed certificate: {message}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def k60_structure(k2):
     k60 = complete_graph(60)
     return k60, build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
+
+
+@pytest.fixture(scope="module")
+def k60_general_structure(k2):
+    k60 = complete_graph(60)
+    cfg = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2, sample_prob=0.06,
+                                    surplus_ratio=1.0, m_cap=1, pool_size=2)
+    return k60, build_absorbing_set(k60, k2, cfg, seed=1, builder="general")
+
+
+@pytest.fixture(scope="module")
+def k150_clique_structure(k3):
+    # the partition construction at t = h = 3 needs 146 vertices at m = 1
+    k150 = complete_graph(150)
+    cfg = AbsorberConfig.desk_scale(h=3, t=3, absorber_frac=0.001, sample_prob=0.03,
+                                    surplus_ratio=2.0, m_cap=1, part_degree_min=1,
+                                    common_nbhd_min=1)
+    return k150, build_absorbing_set(k150, k3, cfg, seed=1, builder="clique", ell=2)
 
 
 class TestAbsorb:

@@ -210,6 +210,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "malformed certificate" in err and "'pattern'" in err
 
+    @pytest.mark.parametrize("pattern,copies,message", [
+        ({"kind": "clique", "r": 2.9}, [[0, 1]], "pattern r must be an integer, not 2.9"),
+        ({"kind": "bogus", "n": 2, "edges": [[0, 1]]}, [[0, 1]],
+         'pattern kind must be "clique" or "general", not "bogus"'),
+        ({"kind": "general", "n": "2", "edges": [[0, 1]]}, [[0, 1]],
+         'pattern n must be an integer, not "2"'),
+        ({"kind": "clique", "r": 3}, [[0, "a", 2]],
+         'tiling copy must be a list of integers, not [0, "a", 2]'),
+    ], ids=["r", "kind", "n", "copies"])
+    def test_tiling_values_must_be_json_integers(self, g30, tmp_path, capsys,
+                                                  pattern, copies, message):
+        doc = tmp_path / "tiling.json"
+        doc.write_text(json.dumps({"schema": "tiling/v1", "pattern": pattern,
+                                   "copies": copies}))
+        assert run_cli("verify", "--certificate", str(doc), "--graph", str(g30)) == 2
+        assert f"malformed certificate: {message}" in capsys.readouterr().err
+
     def test_top_level_list_is_malformed(self, g30, tmp_path, capsys):
         doc = tmp_path / "list.json"
         doc.write_text("[1, 2, 3]")
@@ -322,6 +339,27 @@ class TestSweep:
          "grid parameter 'sizes' value 6 is not a list of integers"),
         (dict(SWEEP_SPEC, generator="gamma", grid={"ell": [2.0], "n": [12]}),
          "grid parameter 'ell' value 2.0 is not an integer"),
+        (dict(SWEEP_SPEC, trials=2.5), "sweep spec 'trials' must be an integer >= 1, not 2.5"),
+        (dict(SWEEP_SPEC, trials=-1), "sweep spec 'trials' must be an integer >= 1, not -1"),
+        (dict(SWEEP_SPEC, ell="2"), "sweep spec 'ell' must be an integer >= 2, not \"2\""),
+        (dict(SWEEP_SPEC, budget="x"), "sweep spec 'budget' must be an integer >= 1, not \"x\""),
+        (dict(SWEEP_SPEC, fallback_cap=-1),
+         "sweep spec 'fallback_cap' must be an integer >= 0, not -1"),
+        (dict(SWEEP_SPEC, seed_base=True), "sweep spec 'seed_base' must be an integer, not true"),
+        (dict(SWEEP_SPEC, generator=3), "sweep spec 'generator' must be a string, not 3"),
+        (dict(SWEEP_SPEC, pattern=["K3"]), "sweep spec 'pattern' must be a string, not [\"K3\"]"),
+        (dict(SWEEP_SPEC, solver=None), "sweep spec 'solver' must be a string, not null"),
+        (dict(SWEEP_SPEC, mode=1), "sweep spec 'mode' must be a string, not 1"),
+        (dict(SWEEP_SPEC, grid={"n": [12, -1], "p": [0.5]}),
+         "grid parameter 'n' value -1 is not an integer >= 0"),
+        (dict(SWEEP_SPEC, generator="complete-multipartite", grid={"sizes": [[3, 3], []]}),
+         "grid parameter 'sizes' value [] is not a list of integers >= 1, with at least one part"),
+        (dict(SWEEP_SPEC, generator="complete-multipartite", grid={"sizes": [[3, 0]]}),
+         "grid parameter 'sizes' value [3, 0] is not a list of integers >= 1"),
+        (dict(SWEEP_SPEC, generator="gamma", grid={"ell": [1], "n": [12]}),
+         "grid parameter 'ell' value 1 is not an integer >= 2"),
+        (dict(SWEEP_SPEC, generator="lower-bound", grid={"r": [1], "ell": [2], "n": [12]}),
+         "grid parameter 'r' value 1 is not an integer >= 2"),
     ])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, monkeypatch, spec, message):
         path = tmp_path / "spec.json"
@@ -413,6 +451,11 @@ class TestCommonFlags:
     def test_format_mismatch_is_usage_error(self, tmp_path):
         assert run_cli("gen", "--construction", "gnp", "--n", "6", "--p", "0.5",
                        "--format", "csv") == 2
+
+    def test_env_seed_not_an_integer_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TILINGLAB_SEED", "abc")
+        assert run_cli("gen", "--construction", "gnp", "--n", "5") == 2
+        assert "error: TILINGLAB_SEED must be an integer, not 'abc'" in capsys.readouterr().err
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.el", tmp_path / "b.el"

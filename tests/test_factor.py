@@ -150,7 +150,7 @@ class TestTraversing:
 
     def test_any_assignment_needed_for_general_patterns(self):
         # path on 3 vertices: ends must go to the degree-1 slots
-        p3path = Pattern.from_graph(parse_graph("3 2\n0 1\n1 2"))
+        p3path = Pattern(parse_graph("3 2\n0 1\n1 2"))
         g = parse_graph("3 2\n0 1\n1 2")
         parts = [[0], [2], [1]]  # fixed assignment fails, permuted succeeds
         assert traversing_copy_fixed(g, p3path, parts) is None
@@ -170,7 +170,7 @@ def small_graph_and_pattern(draw):
         return g, Pattern.clique(h)
     ppairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
     pkeep = draw(st.lists(st.booleans(), min_size=len(ppairs), max_size=len(ppairs)))
-    return g, Pattern.from_graph(Graph(h, [e for e, k in zip(ppairs, pkeep) if k]))
+    return g, Pattern(Graph(h, [e for e, k in zip(ppairs, pkeep) if k]))
 
 
 def outcome(fn, *args):
@@ -220,7 +220,7 @@ class TestCopySetsThrough:
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_matches_bruteforce_on_gnp(self, name):
-        p = Pattern.from_graph(parse_graph(self.PATTERNS[name]))
+        p = Pattern(parse_graph(self.PATTERNS[name]))
         rng = rng_for(23, "copy-sets", name)
         for i in range(40):
             n = rng.randrange(4, 11)

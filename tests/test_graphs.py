@@ -22,6 +22,7 @@ from tilinglab.graphs import (
     parse_graph,
 )
 from tilinglab.invariants import max_clique, min_degree
+from tilinglab.serialize import pattern_from_obj, pattern_to_obj
 
 
 def graphs_strategy(max_n=10):
@@ -200,12 +201,23 @@ class TestInducedSubgraph:
 
 class TestPattern:
     def test_clique_detection(self):
-        assert Pattern.from_graph(complete_graph(4)).is_clique
-        assert not Pattern.from_graph(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3")).is_clique
+        assert Pattern(complete_graph(4)).is_clique
+        assert not Pattern(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3")).is_clique
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             Pattern.clique(1)
+
+    def test_clique_read_off_the_graph(self):
+        p = Pattern(complete_graph(4))
+        assert p.is_clique and p.r == 4 and p == Pattern.clique(4)
+        c4 = Pattern(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
+        assert not c4.is_clique and c4.r is None
+        # a document that calls a complete graph "general" loads as a clique
+        doc = {"kind": "general", "n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+        loaded = pattern_from_obj(doc)
+        assert loaded.is_clique and loaded.r == 3
+        assert pattern_to_obj(loaded) == {"kind": "clique", "r": 3}
 
 
 class TestGammaReport:

@@ -173,7 +173,7 @@ class TestOneDensity:
             h = gen_gnp(6, 0.55, seed)
             if h.n < 2:
                 continue
-            p = Pattern.from_graph(h)
+            p = Pattern(h)
             assert one_density(p) == max_density_subgraphs(p)
 
 
