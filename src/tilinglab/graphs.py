@@ -16,31 +16,28 @@ class GraphParseError(ValueError):
 
 
 class Graph:
-    """Immutable simple graph.  Adjacency is a tuple of frozensets."""
+    """Immutable simple graph.  Adjacency, a tuple of frozensets, is the one
+    stored fact: the edge count and the edge list are read off it."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            a, b = (u, v) if u < v else (v, u)
-            edge_set.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
-        self._edges = frozenset(edge_set)
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -56,16 +53,18 @@ class Graph:
         return v in self._adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges (u, v) with u < v, lexicographically sorted."""
-        return sorted(self._edges)
+        """All edges (u, v) with u < v, lexicographically sorted: u runs in
+        vertex order, and each u's higher neighbours are sorted."""
+        return [(u, v) for u, nb in enumerate(self._adj)
+                for v in sorted(w for w in nb if w > u)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -176,11 +175,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     pos = {v: i for i, v in enumerate(order)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in g.edges()
-        if u in pos and v in pos
-    ]
+    adj = g._adj
+    edges = [(i, pos[u]) for i, v in enumerate(order) for u in adj[v] if u > v and u in pos]
     return Graph(len(order), edges), order
 
 

@@ -282,10 +282,11 @@ def one_density(p: Pattern) -> Fraction:
     g = p.graph
     best = Fraction(0)
     verts = list(range(g.n))
+    edges = g.edges()
     for k in range(2, g.n + 1):
         for sub in combinations(verts, k):
             ss = set(sub)
-            e = sum(1 for u, v in g.edges() if u in ss and v in ss)
+            e = sum(1 for u, v in edges if u in ss and v in ss)
             best = max(best, Fraction(e, k - 1))
     return best
 

@@ -2,7 +2,10 @@
 
 A run checks the hypotheses for the chosen construction, builds an absorbing
 structure, greedily tiles the rest of the graph, absorbs the leftover, and
-verifies the merged factor.  Any stage failure is recorded in the report;
+verifies the merged factor.  A leftover that does not absorb gets one second
+try: the greedy cover is locally improved and its leftover, if different
+and within the structure's cap, is absorbed instead.  Any stage failure is
+recorded in the report;
 when the graph is small enough the exact oracle is used as a fallback so the
 run still settles existence.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable
 
 from .absorbing import (
     AbsorberConfig,
@@ -207,8 +211,11 @@ def find_factor_absorbing(
                 tiling = cover.merged_with(absorbed)
                 report.stages.append(StageOutcome("absorb", True))
             except (StageFailure, ValueError) as exc:
-                report.stages.append(StageOutcome("absorb", False, str(exc)))
-                report.failure_stage = "absorb"
+                tiling, detail = _absorb_improved_cover(g, p, structure, cover, left)
+                report.stages.append(StageOutcome("absorb", tiling is not None,
+                                                  detail or str(exc)))
+                if tiling is None:
+                    report.failure_stage = "absorb"
         else:
             report.stages.append(StageOutcome(
                 "cover", False, f"leftover={len(left)} exceeds absorbable cap {cap}"))
@@ -235,6 +242,67 @@ def find_factor_absorbing(
     return report
 
 
+def _absorb_improved_cover(
+    g: Graph,
+    p: Pattern,
+    structure: AbsorbingStructure,
+    cover: Tiling,
+    left: list[int],
+) -> tuple[Tiling | None, str]:
+    """Second try after absorbing the greedy leftover `left` failed: improve
+    the greedy cover, and absorb its leftover if that differs from `left` and
+    is within the structure's cap.  Returns (factor, absorb stage detail), or
+    (None, "") when there is nothing new to try or the second absorb fails
+    too."""
+    better_left, better = improve_cover(g, p, cover, forbidden=structure.absorbing_set)
+    if better_left == left or len(better_left) > structure.max_remainder:
+        return None, ""
+    try:
+        absorbed = absorb(g, structure, better_left)
+    except (StageFailure, ValueError):
+        return None, ""
+    return (better.merged_with(absorbed),
+            f"improved cover: leftover {len(left)} -> {len(better_left)}")
+
+
+def improve_cover(
+    g: Graph,
+    p: Pattern,
+    tiling: Tiling,
+    forbidden: Iterable[int] = (),
+) -> tuple[list[int], Tiling]:
+    """Local improvement of a tiling of G minus `forbidden`; returns
+    (leftover, improved tiling).
+
+    While some leftover vertex can trade places with a tile vertex (the
+    tile's vertex set plus the leftover vertex contains a copy avoiding the
+    swapped-out vertex) and the swap enables a new copy among the leftovers,
+    apply it.
+    """
+    copies = list(tiling.copies)
+    left = set(leftover_of(g, tiling, forbidden=forbidden))
+
+    def first_swap():
+        for v in sorted(left):
+            for ci, emb in enumerate(copies):
+                for out in sorted(emb):
+                    new_emb = embed_in_set(g, p, (set(emb) - {out}) | {v})
+                    if new_emb is None:
+                        continue
+                    trial_left = (left - {v}) | {out}
+                    extra = find_embedding(g, p, allowed=frozenset(trial_left))
+                    if extra is not None:
+                        return ci, new_emb, extra, trial_left
+        return None
+
+    while (swap := first_swap()) is not None:
+        ci, new_emb, extra, trial_left = swap
+        copies[ci] = new_emb
+        copies.append(extra)
+        left = trial_left - set(extra)
+    return sorted(left), Tiling(pattern=p, copies=tuple(copies))
+
+
 def cover_check(
     g: Graph,
     p: Pattern,
@@ -242,43 +310,8 @@ def cover_check(
     xi: float,
     seed: int = 0,
 ) -> tuple[list[int], Tiling, bool]:
-    """Greedy tiling of G minus `avoid`, plus a local-improvement pass.
-
-    Improvement: while some leftover vertex can trade places with a tile
-    vertex (the tile's vertex set plus the leftover vertex contains a copy
-    avoiding the swapped-out vertex) and the swap enables a new copy among
-    the leftovers, apply it.  Returns (leftover, tiling, leftover <= xi*n).
-    """
+    """Greedy tiling of G minus `avoid`, then improve_cover's local pass.
+    Returns (leftover, tiling, leftover <= xi*n)."""
     tiling = greedy_max_tiling(g, p, forbidden=avoid, seed=seed)
-    copies = list(tiling.copies)
-    left = set(leftover_of(g, Tiling(p, tuple(copies)), forbidden=avoid))
-
-    improved = True
-    while improved:
-        improved = False
-        for v in sorted(left):
-            done = False
-            for ci, emb in enumerate(copies):
-                union = set(emb) | {v}
-                for out in sorted(union - {v}):
-                    cand = union - {out}
-                    new_emb = embed_in_set(g, p, cand)
-                    if new_emb is None:
-                        continue
-                    trial_left = (left - {v}) | {out}
-                    extra = find_embedding(g, p, allowed=frozenset(trial_left))
-                    if extra is None:
-                        continue
-                    copies[ci] = new_emb
-                    copies.append(extra)
-                    left = trial_left - set(extra)
-                    improved = True
-                    done = True
-                    break
-                if done:
-                    break
-            if done:
-                break
-    final = Tiling(pattern=p, copies=tuple(copies))
-    leftover = sorted(left)
+    leftover, final = improve_cover(g, p, tiling, forbidden=avoid)
     return leftover, final, len(leftover) <= xi * g.n

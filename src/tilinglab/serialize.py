@@ -7,9 +7,10 @@ which the loader ignores.  Patterns serialize inline (clique order, or an
 explicit edge list); a complete graph loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, vertex or edge that is not a JSON
-integer, and on a stored value other than the one it derives: a structure's
-`slots` (its `slot_blocks` in order), a template's `surplus`
-(len(left_adj) - 3m) and a config's `remainder_frac` (surplus_ratio/(h-1)).
+integer, on a structure's vertex outside 0..n-1, and on a stored value other
+than the one it derives: a structure's `slots` (its `slot_blocks` in order),
+a template's `surplus` (len(left_adj) - 3m) and a config's `remainder_frac`
+(surplus_ratio/(h-1)).
 """
 
 from __future__ import annotations
@@ -48,6 +49,21 @@ def _ints(values: Any, what: str, size: int | None = None) -> tuple[int, ...]:
         want = "a list of integers" if size is None else f"a list of {size} integers"
         raise ValueError(f"{what} must be {want}, not {json.dumps(values)}")
     return tuple(values)
+
+
+def _vertices(values: Any, what: str, n: int) -> tuple[int, ...]:
+    """`values` as by `_ints`, each a vertex in 0..n-1."""
+    vs = _ints(values, what)
+    if any(not 0 <= v < n for v in vs):
+        raise ValueError(f"{what} must lie in 0..{n - 1}, not {json.dumps(values)}")
+    return vs
+
+
+def _vertex_key(key: str, what: str, n: int) -> int:
+    """A JSON object key written as str(v) for a vertex v in 0..n-1."""
+    if not (key.isdecimal() and int(key) < n):
+        raise ValueError(f"{what} keys must be vertices in 0..{n - 1}, not {json.dumps(key)}")
+    return int(key)
 
 
 def pattern_to_obj(p: Pattern) -> dict:
@@ -159,22 +175,29 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
 
 
 def structure_from_obj(obj: dict) -> AbsorbingStructure:
+    n = json_int(obj["n"], "structure n", 0)
     s = AbsorbingStructure(
-        n=json_int(obj["n"], "structure n", 0),
+        n=n,
         pattern=pattern_from_obj(obj["pattern"]),
         config=config_from_obj(obj["config"]),
         seed=obj["seed"],
-        buffer=tuple(obj["buffer"]),
-        core=tuple(obj["core"]),
-        slot_blocks=tuple(tuple(b) for b in obj["slot_blocks"]),
+        buffer=_vertices(obj["buffer"], "structure buffer", n),
+        core=_vertices(obj["core"], "structure core", n),
+        slot_blocks=tuple(_vertices(b, "structure slot block", n) for b in obj["slot_blocks"]),
         template=template_from_obj(obj["template"]),
         edge_absorbers={
-            (e["left"], e["right"]): tuple(e["vertices"])
+            (json_int(e["left"], "edge absorber left", 0),
+             json_int(e["right"], "edge absorber right", 0)):
+            _vertices(e["vertices"], "edge absorber vertices", n)
             for e in obj["edge_absorbers"]
         },
-        copy_families={int(v): tuple(tuple(mem) for mem in fams)
-                       for v, fams in obj["copy_families"].items()},
-        harvest_sizes={int(v): k for v, k in obj["harvest_sizes"].items()},
+        copy_families={
+            _vertex_key(v, "copy_families", n):
+            tuple(_vertices(mem, "copy family member", n) for mem in fams)
+            for v, fams in obj["copy_families"].items()
+        },
+        harvest_sizes={_vertex_key(v, "harvest_sizes", n): json_int(k, "harvest size", 0)
+                       for v, k in obj["harvest_sizes"].items()},
         size_report=dict(obj["size_report"]),
     )
     if obj["slots"] != list(s.slots):

@@ -7,8 +7,9 @@ scans.  The one import from the search code they need is `pattern_order`,
 which defines which of a copy's embeddings the copy enumerator reports.
 The two disjoint-copy searches are separate backtracking routines written
 for each of absorb()'s two uses, the two embedding references keep the
-embedder's former hand-written searches, and the G(n, p) reference keeps the
-generator's former pair loop.  The helpers at the end wrap package code for
+embedder's former hand-written searches, the G(n, p) reference keeps the
+generator's former pair loop, and the induced-subgraph reference keeps the
+former scan of every edge.  The helpers at the end wrap package code for
 tests that only need a yes/no answer or a layout.
 """
 
@@ -258,6 +259,29 @@ def gen_gnp_reference(n: int, p: float, seed: int) -> Graph:
     rng = rng_for(seed, "gnp", n)
     edges = [(u, v) for u, v in iter_pairs(n) if rng.random() < p]
     return Graph(n, edges)
+
+
+# Reference for graphs.induced_subgraph: the sort-and-filter version it
+# replaced, which scanned every edge of `g`.
+
+
+def induced_subgraph_reference(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
+    """Induced subgraph on `vertices` plus the index map back to `g`.
+
+    Returns (sub, order) where order[i] is the vertex of `g` that became
+    index i of `sub`.  Vertices are taken in increasing order.
+    """
+    order = sorted(set(vertices))
+    for v in order:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    pos = {v: i for i, v in enumerate(order)}
+    edges = [
+        (pos[u], pos[v])
+        for u, v in g.edges()
+        if u in pos and v in pos
+    ]
+    return Graph(len(order), edges), order
 
 
 # Test helpers over package code.

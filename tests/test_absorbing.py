@@ -382,7 +382,25 @@ class TestBuildAbsorbingSet:
          'template m must be an integer >= 1, not "1"'),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
          "template left_adj entries must lie in 0..2"),
-    ], ids=["slots", "surplus", "n", "m", "left_adj"])
+        (lambda obj: obj["buffer"].__setitem__(0, str(obj["buffer"][0])),
+         "structure buffer must be a list of integers, not [\"31\", 44, 50]"),
+        (lambda obj: obj["core"].__setitem__(0, 60),
+         "structure core must lie in 0..59, not [60, 1]"),
+        (lambda obj: obj["slot_blocks"].__setitem__(0, [True]),
+         "structure slot block must be a list of integers, not [true]"),
+        (lambda obj: obj["edge_absorbers"][0]["vertices"].__setitem__(1, 1.5),
+         "edge absorber vertices must be a list of integers, not [5, 1.5]"),
+        (lambda obj: obj["edge_absorbers"][0].update(left="0"),
+         'edge absorber left must be an integer >= 0, not "0"'),
+        (lambda obj: obj["edge_absorbers"][0].update(right=-1),
+         "edge absorber right must be an integer >= 0, not -1"),
+        (lambda obj: obj["copy_families"].update({"x": [[31]]}),
+         'copy_families keys must be vertices in 0..59, not "x"'),
+        (lambda obj: obj["copy_families"]["0"].append([99]),
+         "copy family member must lie in 0..59, not [99]"),
+    ], ids=["slots", "surplus", "n", "m", "left_adj", "buffer", "core", "slot_block",
+            "absorber_vertex", "absorber_left", "absorber_right", "family_key",
+            "family_member"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
                                             tamper, message):
         k60, st = k60_structure

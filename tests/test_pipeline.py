@@ -5,7 +5,7 @@ from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cli
 from tilinglab.graphs import Graph, complete_graph
 from tilinglab.invariants import traversing_threshold
 from tilinglab.pipeline import check_hypotheses, cover_check, find_factor_absorbing
-from tilinglab.rng import rng_for
+from tilinglab.rng import derive_seed, rng_for
 from tilinglab.verify import verify_tiling
 
 K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
@@ -76,6 +76,20 @@ class TestPipeline:
         rep = find_factor_absorbing(g, k3, mode="general", config=cfg, seed=2)
         assert rep.factor_found
         assert rep.hypothesis_held
+
+    def test_absorb_retries_on_improved_cover(self, k3):
+        # the greedy cover leaves 3 vertices that no disjoint copy choice
+        # absorbs; the improved cover leaves none
+        g = gen_gnp(120, 0.7, derive_seed(1, "pipeline-graph", 4))
+        cfg = AbsorberConfig.desk_scale(h=3, **K3_DESK)
+        rep = find_factor_absorbing(g, k3, mode="general", ell=2, config=cfg,
+                                    seed=derive_seed(1, "pipeline", 4))
+        assert rep.factor_found and not rep.fallback_used
+        assert rep.leftover == 3
+        absorb_stage = [s for s in rep.stages if s.name == "absorb"]
+        assert [(s.ok, s.detail) for s in absorb_stage] == [
+            (True, "improved cover: leftover 3 -> 0")]
+        verify_tiling(g, rep.tiling, require_factor=True)
 
     def test_two_cliques_hypothesis_sensitivity(self, k3):
         # r | (n/2 - 1) fails on both sides, so no factor exists; the clique
