@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .embed import cliques_of_size, copy_sets_through, embed_in_set, find_embedding, traversing_copy
 from .factor import Tiling, find_factor_exact, greedy_max_tiling
-from .graphs import Graph, Pattern, induced_subgraph
+from .graphs import Graph, Pattern, induced_subgraph, members, vertex_mask
 from .matching import max_bipartite_matching
 from .rng import derive_seed, rng_for
 from .verify import VerificationError, check_template, template_check_mode, verify_absorber, verify_tiling
@@ -314,15 +314,15 @@ def build_template(
 # absorbers
 
 
-def _copies_by_min_vertex(
-    g: Graph, p: Pattern, allowed: frozenset[int]
-) -> Iterator[Iterator[tuple[int, ...]]]:
-    """Per vertex of `allowed` in increasing order, the lazy stream of the
-    sorted images of copies inside `allowed` whose minimum vertex it is.
+def _copies_by_min_vertex(g: Graph, p: Pattern, pool: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """Per vertex of the mask `pool` in increasing order, the lazy stream of
+    the sorted images of copies inside `pool` whose minimum vertex it is.
     Chained together, the streams list every copy in lex order."""
-    for v in sorted(allowed):
-        tail = frozenset(u for u in allowed if u >= v)
-        yield (img for img, _emb in copy_sets_through(g, p, v, tail))
+    while pool:  # v runs up through pool, which keeps v and the vertices above it
+        low = pool & -pool
+        v = low.bit_length() - 1
+        yield (img for img, _emb in copy_sets_through(g, p, v, pool))
+        pool ^= low
 
 
 # the direct search tries at most DIRECT_ATTEMPTS candidates per absorber,
@@ -373,13 +373,14 @@ def _direct_absorber(
     """First candidate (t disjoint copies) whose union tiles together with
     the core.  Candidates rotate through anchor vertices so one anchor that
     is incompatible with the core cannot exhaust the attempt budget."""
-    allowed = frozenset(range(g.n)) - used
+    allowed = ((1 << g.n) - 1) & ~vertex_mask(used)
     attempts = 0
     for copies in _copies_by_min_vertex(g, p, allowed):
         for img in islice(copies, DIRECT_PER_ANCHOR):
             cand = set(img)
             for _ in range(t - 1):
-                nxt = next(chain.from_iterable(_copies_by_min_vertex(g, p, allowed - cand)), None)
+                rest = allowed & ~vertex_mask(cand)
+                nxt = next(chain.from_iterable(_copies_by_min_vertex(g, p, rest)), None)
                 if nxt is None:
                     return None
                 cand.update(nxt)
@@ -495,17 +496,17 @@ def disjoint_absorber_family_clique(
         rng = rng_for(seed, "partition", attempt)
         rng.shuffle(rest)
         k, extra = divmod(len(rest), r + 1)
-        classes: list[list[int]] = []
+        classes: list[int] = []
         pos = 0
         for i in range(r + 1):
             size = k + (1 if i < extra else 0)
-            classes.append(sorted(rest[pos : pos + size]))
+            classes.append(vertex_mask(rest[pos : pos + size]))
             pos += size
-        if any(len(c) == 0 for c in classes):
+        if not all(classes):
             continue
         if not _partition_degrees_ok(g, classes, part_min):
             continue
-        used: list[set[int]] = [set() for _ in range(r + 1)]
+        used = [0] * (r + 1)
         while len(collected) < target:
             got = _build_partition_absorber(g, r, ell, core_t, classes, used, cn_min)
             if got is None:
@@ -517,48 +518,41 @@ def disjoint_absorber_family_clique(
     return collected
 
 
-def _partition_degrees_ok(g: Graph, classes: list[list[int]], part_min: int) -> bool:
-    sets = [frozenset(c) for c in classes]
-    for v in range(g.n):
-        nb = g.adj(v)
-        for cls in sets:
-            if len(nb & cls) < part_min:
-                return False
-    return True
+def _partition_degrees_ok(g: Graph, classes: list[int], part_min: int) -> bool:
+    """Does every vertex have at least part_min neighbours in each class mask?"""
+    return all((nb & cls).bit_count() >= part_min for nb in g.bits for cls in classes)
 
 
 def _clique_by_descent(
     g: Graph,
     size: int,
     ell: int,
-    avail: list[int],
+    avail: int,
     cn_min: int,
 ) -> tuple[int, ...] | None:
-    """Clique on `size` vertices in `avail`: greedy descent to size-ell, then
-    a clique on ell vertices inside the common neighborhood."""
+    """Clique on `size` vertices in the mask `avail`: greedy descent to
+    size-ell, then a clique on ell vertices inside the common neighborhood."""
     if size <= 0:
         return ()
-    pool = frozenset(avail)
     if size <= ell:
-        for cl in cliques_of_size(g, size, pool):
-            return cl
-        return None
-    for start in sorted(avail):
+        return next(cliques_of_size(g, size, avail), None)
+    bits = g.bits
+    for start in members(avail):
         base = [start]
-        common = pool & g.adj(start)
+        common = avail & bits[start]
         ok = True
         while len(base) < size - ell:
-            if len(common) < cn_min:
+            if common.bit_count() < max(cn_min, 1):
                 ok = False
                 break
-            nxt = min(common)
-            base.append(nxt)
-            common = common & g.adj(nxt)
+            low = common & -common
+            base.append(low.bit_length() - 1)
+            common &= bits[base[-1]]
         if not ok:
             continue
-        if len(common) < cn_min:
+        if common.bit_count() < cn_min:
             continue
-        for cl in cliques_of_size(g, ell, frozenset(common)):
+        for cl in cliques_of_size(g, ell, common):
             return tuple(sorted(base + list(cl)))
     return None
 
@@ -572,14 +566,16 @@ def _build_partition_absorber(
     r: int,
     ell: int,
     core_t: tuple[int, ...],
-    classes: list[list[int]],
-    used: list[set[int]],
+    classes: list[int],
+    used: list[int],
     cn_min: int,
 ) -> frozenset[int] | None:
+    """Absorber for core_t from the class masks, none of it in the mask
+    used[i] of its class i; on success the absorber's vertices join `used`."""
     p = Pattern.clique(r)
-    top_avail = [v for v in classes[r] if v not in used[r]]
+    bits = g.bits
     seen: list[tuple[int, ...]] = []
-    pool = list(top_avail)
+    pool = classes[r] & ~used[r]
     while len(seen) < PARTITION_CLIQUE_CANDIDATES:
         top = _clique_by_descent(g, r, ell, pool, cn_min)
         if top is None:
@@ -587,19 +583,14 @@ def _build_partition_absorber(
         seen.append(top)
         for label in permutations(top):
             legs: list[tuple[int, ...]] = []
-            taken: set[int] = set()
+            taken = 0
             for i in range(r):
-                v_i = core_t[i]
-                w_i = label[i]
-                cand = sorted(
-                    (g.adj(v_i) & g.adj(w_i) & frozenset(classes[i]))
-                    - used[i] - taken
-                )
+                cand = bits[core_t[i]] & bits[label[i]] & classes[i] & ~used[i] & ~taken
                 leg = _clique_by_descent(g, r - 1, ell, cand, cn_min)
                 if leg is None:
                     break
                 legs.append(leg)
-                taken |= set(leg)
+                taken |= vertex_mask(leg)
             if len(legs) == r:
                 absorber = set(top)
                 for leg in legs:
@@ -608,12 +599,12 @@ def _build_partition_absorber(
                     verify_absorber(g, p, core_t, absorber, r)
                 except VerificationError:
                     continue
-                used[r].update(top)
+                used[r] |= vertex_mask(top)
                 for i in range(r):
-                    used[i].update(legs[i])
+                    used[i] |= vertex_mask(legs[i])
                 return frozenset(absorber)
         # exclude this clique's smallest vertex and look for another
-        pool = [v for v in pool if v != min(top)]
+        pool &= ~(1 << min(top))
     return None
 
 
@@ -829,19 +820,16 @@ def build_absorbing_set(
     if len(outside) < need:
         raise StageFailure("core-slots", f"need {need} vertices outside the buffer")
     core = tuple(outside[: 2 * m])
-    block_pool = set(outside[2 * m :])
+    block_pool = vertex_mask(outside[2 * m :])
     blocks: list[tuple[int, ...]] = []
     for _ in range(3 * m):
-        found = None
-        for cl in cliques_of_size(g, h - 1, frozenset(block_pool)):
-            found = cl
-            break
+        found = next(cliques_of_size(g, h - 1, block_pool), None)
         if found is None:
             raise StageFailure(
                 "core-slots", f"no clique on {h - 1} vertices left for a slot block"
             )
         blocks.append(found)
-        block_pool -= set(found)
+        block_pool &= ~vertex_mask(found)
     slot_blocks = tuple(blocks)
 
     # stage 6: one absorber per template edge, pairwise disjoint
@@ -904,7 +892,7 @@ def _copy_through_from_run(
     from `used`.  Prefers copies entirely inside the absorber (those can
     never collide across runs); otherwise takes v's copy in a perfect tiling
     of the absorber plus core, which may spend core vertices."""
-    for img, _emb in copy_sets_through(g, p, v, frozenset(absorber) | {v}):
+    for img, _emb in copy_sets_through(g, p, v, vertex_mask(absorber) | 1 << v):
         mates = frozenset(img) - {v}
         if not (mates & used):
             return mates
@@ -926,10 +914,10 @@ def _families_in_buffer(g: Graph, p: Pattern, buffer: list[int]) -> dict[int, tu
     """For every vertex v, all (h-1)-subsets of the buffer that form a
     pattern copy with v (sorted lexicographically): the copies through v
     inside the buffer plus v, with v taken out."""
-    pool = frozenset(buffer)
+    pool = vertex_mask(buffer)
     return {
         v: tuple(tuple(u for u in img if u != v)
-                 for img, _emb in copy_sets_through(g, p, v, pool | {v}))
+                 for img, _emb in copy_sets_through(g, p, v, pool | 1 << v))
         for v in range(g.n)
     }
 

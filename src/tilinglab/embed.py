@@ -2,6 +2,8 @@
 
 Everything here iterates candidates in a fixed order (vertex index, or an
 explicitly supplied ranking), so repeated runs return identical results.
+Candidate sets are vertex masks, intersected with a Graph's neighbour
+masks; `allowed` is a mask too, or None for every vertex.
 An *embedding* of a pattern H into G is a tuple `emb` of length v(H) with
 `emb[i]` the image of pattern vertex i; pattern edges must map to graph
 edges (copies are subgraphs, not necessarily induced).
@@ -9,16 +11,17 @@ edges (copies are subgraphs, not necessarily induced).
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, Pattern
+from .graphs import Graph, Pattern, members, vertex_mask
 
 
 def cliques_of_size(
     g: Graph,
     k: int,
-    allowed: frozenset[int] | None = None,
+    allowed: int | None = None,
     require: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield all k-cliques inside `allowed` as sorted tuples, lex order.
@@ -28,30 +31,36 @@ def cliques_of_size(
     """
     if k <= 0:
         return
-    pool = frozenset(range(g.n)) if allowed is None else allowed
+    pool = (1 << g.n) - 1 if allowed is None else allowed
+    bits = g.bits
     if require is not None:
-        if require not in pool:
+        if not pool >> require & 1:
             return
-        base = [require]
-        cands = sorted(pool & g.adj(require))
-        yield from _extend_clique(g, base, cands, k)
+        yield from _extend_clique(bits, [require], pool & bits[require], k)
     else:
-        for v in sorted(pool):
-            cands = sorted(u for u in pool & g.adj(v) if u > v)
-            yield from _extend_clique(g, [v], cands, k)
+        while pool:  # v runs up through pool, which keeps the vertices above v
+            low = pool & -pool
+            pool ^= low
+            v = low.bit_length() - 1
+            yield from _extend_clique(bits, [v], pool & bits[v], k)
 
 
-def _extend_clique(g: Graph, base: list[int], cands: list[int], k: int) -> Iterator[tuple[int, ...]]:
-    if len(base) == k:
+def _extend_clique(bits: Sequence[int], base: list[int], cands: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Cliques extending `base` by members of the mask `cands`, each taken
+    lowest first; a branch stops once too few candidates remain."""
+    need = k - len(base)
+    if need == 0:
         yield tuple(sorted(base))
         return
-    need = k - len(base)
-    for i, v in enumerate(cands):
-        if len(cands) - i < need:
-            return
+    while cands.bit_count() >= need:
+        low = cands & -cands
+        cands ^= low
+        v = low.bit_length() - 1
         base.append(v)
-        nxt = [u for u in cands[i + 1 :] if g.has_edge(u, v)]
-        yield from _extend_clique(g, base, nxt, k)
+        if need == 1:
+            yield tuple(sorted(base))
+        else:
+            yield from _extend_clique(bits, base, cands & bits[v], k)
         base.pop()
 
 
@@ -78,44 +87,49 @@ def pattern_order(p: Pattern) -> list[int]:
     return order
 
 
+def _back_edges(p: Pattern, order: Sequence[int]) -> list[list[int]]:
+    """For each position d of `order`, the pattern neighbours of order[d]
+    placed before it."""
+    return [[q for q in order[:d] if p.graph.has_edge(pv, q)] for d, pv in enumerate(order)]
+
+
 def _embed_backtrack(
     g: Graph,
-    p: Pattern,
     order: Sequence[int],
-    domains: Sequence[frozenset[int]],
+    back: Sequence[Sequence[int]],
+    domains: Sequence[int],
     assigned: dict[int, int],
     rank: Callable[[int], int] | None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield embeddings extending `assigned` (pattern vertex -> graph vertex)
-    with pattern vertex i in domains[i].  Each vertex of `order` in turn tries
-    its domain within the neighbourhoods of its placed pattern neighbours'
-    images, minus the used vertices, in increasing order (or by `rank`)."""
-    depth = len(assigned)
-    if depth == len(order):
-        yield tuple(assigned[i] for i in range(p.h))
-        return
-    pv = order[depth]
-    used = set(assigned.values())
-    back = [q for q in order[:depth] if p.graph.has_edge(pv, q)]
-    if back:
-        cand = set(g.adj(assigned[back[0]]))
-        for q in back[1:]:
-            cand &= g.adj(assigned[q])
-        cand &= domains[pv]
-    else:
-        cand = set(domains[pv])
-    cand -= used
-    ordered = sorted(cand) if rank is None else sorted(cand, key=rank)
-    for gv in ordered:
-        assigned[pv] = gv
-        yield from _embed_backtrack(g, p, order, domains, assigned, rank)
-        del assigned[pv]
+    with pattern vertex i in the mask domains[i].  Each vertex of `order` in
+    turn tries its domain within the neighbourhoods of the images of its
+    placed pattern neighbours `back` (see `_back_edges`), minus the used
+    vertices, in increasing order (or by `rank`)."""
+    bits = g.bits
+    h = len(order)
+
+    def rec(depth: int, used: int) -> Iterator[tuple[int, ...]]:
+        if depth == h:
+            yield tuple(assigned[i] for i in range(h))
+            return
+        pv = order[depth]
+        cand = domains[pv] & ~used
+        for q in back[depth]:
+            cand &= bits[assigned[q]]
+        ordered = members(cand) if rank is None else sorted(members(cand), key=rank)
+        for gv in ordered:
+            assigned[pv] = gv
+            yield from rec(depth + 1, used | 1 << gv)
+            del assigned[pv]
+
+    return rec(len(assigned), vertex_mask(assigned.values()))
 
 
 def embeddings(
     g: Graph,
     p: Pattern,
-    allowed: Iterable[int] | None = None,
+    allowed: int | None = None,
     anchor: int | None = None,
     rank: Callable[[int], int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
@@ -125,38 +139,61 @@ def embeddings(
     produced (the anchor is tried at every pattern position).  Beware that
     distinct embeddings may share an image set.
     """
-    pool = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
+    pool = (1 << g.n) - 1 if allowed is None else allowed
     domains = [pool] * p.h
     order = pattern_order(p)
     if anchor is None:
-        yield from _embed_backtrack(g, p, order, domains, {}, rank)
+        yield from _embed_backtrack(g, order, _back_edges(p, order), domains, {}, rank)
         return
-    if anchor not in pool:
+    if not pool >> anchor & 1:
         return
     for slot in order:
         new_order = [slot] + [q for q in order if q != slot]
-        yield from _embed_backtrack(g, p, new_order, domains, {slot: anchor}, rank)
+        yield from _embed_backtrack(g, new_order, _back_edges(p, new_order), domains,
+                                    {slot: anchor}, rank)
 
 
 def find_embedding(
     g: Graph,
     p: Pattern,
-    allowed: Iterable[int] | None = None,
+    allowed: int | None = None,
     anchor: int | None = None,
     rank: Callable[[int], int] | None = None,
 ) -> tuple[int, ...] | None:
     """First embedding in deterministic order, or None."""
-    pool = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     if p.is_clique:
-        return next(cliques_of_size(g, p.h, pool, require=anchor), None)
-    return next(embeddings(g, p, pool, anchor=anchor, rank=rank), None)
+        return next(cliques_of_size(g, p.h, allowed, require=anchor), None)
+    return next(embeddings(g, p, allowed, anchor=anchor, rank=rank), None)
+
+
+def _layers(g: Graph, v: int, within: int, radius: int) -> list[int]:
+    """Masks of the vertices at distance 0, 1, ..., at most `radius` from v
+    in g[within]; the list stops early at the last layer reached."""
+    bits = g.bits
+    layers = [1 << v]
+    seen = layers[0]
+    while len(layers) <= radius:
+        reach = 0
+        for u in members(layers[-1]):
+            reach |= bits[u]
+        nxt = reach & within & ~seen
+        if not nxt:
+            break
+        layers.append(nxt)
+        seen |= nxt
+    return layers
+
+
+def _distance(layers: list[int], u: int) -> float:
+    """Distance of u from the source of `layers`, inf when no layer has u."""
+    return next((d for d, layer in enumerate(layers) if layer >> u & 1), math.inf)
 
 
 def copy_sets_through(
     g: Graph,
     p: Pattern,
     anchor: int,
-    allowed: frozenset[int],
+    allowed: int,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield every distinct copy vertex-set through `anchor` inside `allowed`.
 
@@ -164,29 +201,48 @@ def copy_sets_through(
     the embedding is the first one `embeddings(g, p, allowed, anchor)` finds
     on that image.  For clique patterns the image tuple doubles as the
     embedding.  General patterns are searched one group at a time, grouped
-    by the smallest image vertex other than the anchor, so a caller that
-    stops early never pays for the later groups.
+    by the smallest image vertex u other than the anchor, so a caller that
+    stops early never pays for the later groups.  A copy maps a path of the
+    pattern onto a walk in g[allowed], so pattern vertices at distance d
+    land at most d apart: the search that puts the anchor and u on two
+    pattern vertices runs only when u is that close to the anchor, and a
+    connected pattern is looked for only within its diameter of the anchor.
     """
     if p.is_clique:
         for cl in cliques_of_size(g, p.h, allowed, require=anchor):
             yield cl, cl
         return
-    if anchor not in allowed:
+    if not allowed >> anchor & 1:
         return
+    h = p.h
+    full = (1 << h) - 1
+    pattern_layers = [_layers(p.graph, a, full, h - 1) for a in range(h)]
+    graph_layers = _layers(g, anchor, allowed, max(map(len, pattern_layers)) - 1)
+    pool = allowed
+    if sum(pattern_layers[0]) == full:  # connected; the layers are disjoint masks
+        pool = sum(graph_layers)
+    # one search per (anchor slot sa, u slot su), in the order of `embeddings`
     order = pattern_order(p)
-    for u in sorted(allowed - {anchor}):
-        pool = frozenset(v for v in allowed if v > u) | {anchor, u}
-        domains = [pool] * p.h
+    searches = []
+    for sa, su in permutations(order, 2):
+        rest = [q for q in order if q != sa]
+        sub_order = [sa, su] + [q for q in rest if q != su]
+        searches.append((order.index(sa), sa, su, _distance(pattern_layers[sa], su), rest,
+                         sub_order, _back_edges(p, sub_order)))
+    for u in members(pool & ~(1 << anchor)):
+        domain = pool >> (u + 1) << (u + 1) | 1 << anchor | 1 << u
+        domains = [domain] * h
+        apart = _distance(graph_layers, u)
         # image -> (position in the order of `embeddings`, embedding), where
         # that order is by the anchor's slot, then by the other images
         first: dict[tuple[int, ...], tuple] = {}
-        for sa, su in permutations(order, 2):
-            if p.graph.has_edge(sa, su) and not g.has_edge(anchor, u):
+        for slot, sa, su, span, rest, sub_order, back in searches:
+            # at span 1 this also checks the edge between the two placed
+            # images, which the backtracker never tests
+            if span < apart:
                 continue
-            rest = [q for q in order if q != sa]
-            sub_order = [sa, su] + [q for q in rest if q != su]
-            for emb in _embed_backtrack(g, p, sub_order, domains, {sa: anchor, su: u}, None):
-                key = (order.index(sa), [emb[q] for q in rest])
+            for emb in _embed_backtrack(g, sub_order, back, domains, {sa: anchor, su: u}, None):
+                key = (slot, [emb[q] for q in rest])
                 img = tuple(sorted(emb))
                 if img not in first or key < first[img][0]:
                     first[img] = (key, emb)
@@ -196,8 +252,8 @@ def copy_sets_through(
 
 def embed_in_set(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ...] | None:
     """Embedding of `p` using exactly the given |V(p)| vertices, or None."""
-    vs = frozenset(vertices)
-    if len(vs) != p.h:
+    vs = vertex_mask(vertices)
+    if vs.bit_count() != p.h:
         return None
     return find_embedding(g, p, vs)
 
@@ -212,8 +268,9 @@ def traversing_copy_fixed(
     in increasing order."""
     if len(parts) != p.h:
         raise ValueError("need exactly v(H) parts")
-    domains = [frozenset(part) for part in parts]
-    return next(_embed_backtrack(g, p, range(p.h), domains, {}, None), None)
+    domains = [vertex_mask(part) for part in parts]
+    order = range(p.h)
+    return next(_embed_backtrack(g, order, _back_edges(p, order), domains, {}, None), None)
 
 
 def traversing_copy(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .embed import copy_sets_through, find_embedding
-from .graphs import Graph, Pattern
+from .graphs import Graph, Pattern, vertex_mask
 from .rng import rng_for
 
 DEFAULT_BUDGET = 2_000_000
@@ -72,7 +72,7 @@ def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET) -> Fac
     nodes = 0
     budget_hit = False
 
-    def rec(uncovered: frozenset[int]) -> list[tuple[int, ...]] | None:
+    def rec(uncovered: int) -> list[tuple[int, ...]] | None:
         nonlocal nodes, budget_hit
         if not uncovered:
             return []
@@ -80,16 +80,16 @@ def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET) -> Fac
         if nodes > budget:
             budget_hit = True
             return None
-        v = min(uncovered)
+        v = (uncovered & -uncovered).bit_length() - 1
         for _img, emb in copy_sets_through(g, p, v, uncovered):
-            rest = rec(uncovered - set(emb))
+            rest = rec(uncovered & ~vertex_mask(emb))
             if budget_hit:
                 return None
             if rest is not None:
                 return [emb] + rest
         return None
 
-    got = rec(frozenset(range(g.n)))
+    got = rec((1 << g.n) - 1)
     if budget_hit:
         return FactorResult(status="budget", tiling=None, nodes=nodes)
     if got is None:
@@ -115,17 +115,17 @@ def greedy_max_tiling(
     rng_for(seed, "greedy").shuffle(order)
     rank = {v: i for i, v in enumerate(order)}
 
-    available = set(v for v in range(g.n) if v not in banned)
+    available = vertex_mask(v for v in range(g.n) if v not in banned)
     copies: list[tuple[int, ...]] = []
     for v in order:
-        if v not in available:
+        if not available >> v & 1:
             continue
-        emb = find_embedding(g, p, allowed=frozenset(available), anchor=v,
+        emb = find_embedding(g, p, allowed=available, anchor=v,
                              rank=None if p.is_clique else rank.__getitem__)
         if emb is None:
             continue
         copies.append(emb)
-        available.difference_update(emb)
+        available &= ~vertex_mask(emb)
     return Tiling(pattern=p, copies=tuple(copies))
 
 

@@ -1,8 +1,10 @@
-"""Undirected simple graphs on vertices 0..n-1, with set-based adjacency.
+"""Undirected simple graphs on vertices 0..n-1, with bitmask adjacency.
 
-Graphs are immutable after construction and therefore safe to share across
-threads and worker processes.  The edge-list text format read and written
-here is the single interchange format used by every tool in the package.
+A vertex set is often passed as a *mask*: an int whose bit v is set iff v
+is in the set.  Graphs are immutable after construction and therefore safe
+to share across threads and worker processes.  The edge-list text format
+read and written here is the single interchange format used by every tool
+in the package.
 """
 
 from __future__ import annotations
@@ -15,56 +17,85 @@ class GraphParseError(ValueError):
     """Malformed edge-list document; the message names the offending line."""
 
 
-class Graph:
-    """Immutable simple graph.  Adjacency, a tuple of frozensets, is the one
-    stored fact: the edge count and the edge list are read off it."""
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The mask of a vertex collection; repeats count once."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
-    __slots__ = ("n", "_adj")
+
+def members(mask: int) -> list[int]:
+    """The vertices of a mask in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class Graph:
+    """Immutable simple graph.  The neighbour masks, one int per vertex, are
+    the one stored fact: degrees, the edge count and the edge list are read
+    off them."""
+
+    __slots__ = ("n", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._bits = tuple(bits)
+
+    @classmethod
+    def _from_bits(cls, bits: list[int]) -> "Graph":
+        """Graph whose neighbour masks are `bits`, which must be symmetric
+        and loop-free."""
+        g = cls.__new__(cls)
+        g.n = len(bits)
+        g._bits = tuple(bits)
+        return g
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """bits[v] is the neighbour mask of v."""
+        return self._bits
 
     @property
     def m(self) -> int:
-        return sum(map(len, self._adj)) // 2
-
-    def adj(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return sum(b.bit_count() for b in self._bits) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in increasing order (deterministic iteration)."""
-        return tuple(sorted(self._adj[v]))
+        return tuple(members(self._bits[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self._bits[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted: u runs in
-        vertex order, and each u's higher neighbours are sorted."""
-        return [(u, v) for u, nb in enumerate(self._adj)
-                for v in sorted(w for w in nb if w > u)]
+        vertex order, and each u's higher neighbours in increasing order."""
+        return [(u, v) for u, b in enumerate(self._bits) for v in members(b >> (u + 1) << (u + 1))]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash(self._bits)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -174,10 +205,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     for v in order:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(order)}
-    adj = g._adj
-    edges = [(i, pos[u]) for i, v in enumerate(order) for u in adj[v] if u > v and u in pos]
-    return Graph(len(order), edges), order
+    chosen = vertex_mask(order)
+    pos = {v: 1 << i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        row = 0
+        for u in members(g._bits[v] & chosen):
+            row |= pos[u]
+        rows.append(row)
+    return Graph._from_bits(rows), order
 
 
 def complete_graph(n: int) -> Graph:

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .embed import cliques_of_size, traversing_copy
-from .graphs import Graph, Pattern
+from .graphs import Graph, Pattern, members
 from .rng import rng_for
 
 EXHAUSTIVE_FAMILY_CAP = 500_000
@@ -43,34 +43,36 @@ def max_clique(g: Graph) -> int:
     """Exact clique number via branch and bound with greedy coloring bound."""
     if g.n == 0:
         return 0
+    bits = g.bits
     best = 1
 
-    def color_bound(cands: list[int]) -> int:
+    def color_bound(cands: int) -> int:
         # greedy coloring of the induced subgraph; chromatic number bounds clique
-        colors: list[set[int]] = []
-        for v in cands:
-            for cls in colors:
-                if all(not g.has_edge(v, u) for u in cls):
-                    cls.add(v)
+        colors: list[int] = []
+        for v in members(cands):
+            for i, cls in enumerate(colors):
+                if not bits[v] & cls:
+                    colors[i] = cls | 1 << v
                     break
             else:
-                colors.append({v})
+                colors.append(1 << v)
         return len(colors)
 
-    def expand(size: int, cands: list[int]) -> None:
+    def expand(size: int, cands: int) -> None:
         nonlocal best
         if not cands:
             best = max(best, size)
             return
         if size + color_bound(cands) <= best:
             return
-        for i, v in enumerate(cands):
-            if size + len(cands) - i <= best:
+        while cands:
+            if size + cands.bit_count() <= best:
                 return
-            nxt = [u for u in cands[i + 1 :] if g.has_edge(u, v)]
-            expand(size + 1, nxt)
+            low = cands & -cands
+            cands ^= low
+            expand(size + 1, cands & bits[low.bit_length() - 1])
 
-    expand(0, list(range(g.n)))
+    expand(0, (1 << g.n) - 1)
     return best
 
 
@@ -96,22 +98,18 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     n = g.n
+    bits = g.bits
     # greedy warm start: gives a sane answer under budget exhaustion and a
     # nontrivial bound from the first node on
-    best: list[int] = []
+    best_mask = 0
     for v in range(n):
-        cand = frozenset(best) | {v}
-        if not any(
-            True for _ in cliques_of_size(g, ell, cand, require=v)
-        ):
-            best.append(v)
+        if next(cliques_of_size(g, ell, best_mask | 1 << v, require=v), None) is None:
+            best_mask |= 1 << v
+    best = members(best_mask)
     nodes = 0
     exhausted = False
 
-    def degree_in(v: int, current: frozenset[int]) -> int:
-        return len(g.adj(v) & current)
-
-    def rec(current: frozenset[int], kept: frozenset[int]) -> None:
+    def rec(current: int, kept: int) -> None:
         nonlocal best, nodes, exhausted
         if exhausted:
             return
@@ -119,23 +117,22 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
         if nodes > budget:
             exhausted = True
             return
-        if len(current) <= len(best):
+        if current.bit_count() <= len(best):
             return
         copy = next(cliques_of_size(g, ell, current), None)
         if copy is None:
-            if len(current) > len(best):
-                best = sorted(current)
+            best = members(current)
             return
-        deletable = [v for v in copy if v not in kept]
+        deletable = [v for v in copy if not kept >> v & 1]
         if not deletable:
             return
-        deletable.sort(key=lambda v: (-degree_in(v, current), v))
-        pinned = set()
+        deletable.sort(key=lambda v: (-(bits[v] & current).bit_count(), v))
+        pinned = kept
         for v in deletable:
-            rec(current - {v}, kept | pinned)
-            pinned.add(v)
+            rec(current & ~(1 << v), pinned)
+            pinned |= 1 << v
 
-    rec(frozenset(range(n)), frozenset())
+    rec((1 << n) - 1, 0)
     return AlphaResult(value=len(best), witness=tuple(best), exact=not exhausted, nodes=nodes)
 
 

@@ -28,7 +28,7 @@ from .absorbing import (
 )
 from .embed import embed_in_set, find_embedding
 from .factor import Tiling, find_factor_exact, greedy_max_tiling, leftover_of
-from .graphs import Graph, Pattern
+from .graphs import Graph, Pattern, vertex_mask
 from .invariants import alpha_ell, min_degree, traversing_check
 from .rng import derive_seed
 from .verify import verify_tiling
@@ -290,7 +290,7 @@ def improve_cover(
                     if new_emb is None:
                         continue
                     trial_left = (left - {v}) | {out}
-                    extra = find_embedding(g, p, allowed=frozenset(trial_left))
+                    extra = find_embedding(g, p, allowed=vertex_mask(trial_left))
                     if extra is not None:
                         return ci, new_emb, extra, trial_left
         return None

@@ -6,11 +6,11 @@ are still read: v1 also carried an index-map copy of `buffer` and of `core`,
 which the loader ignores.  Patterns serialize inline (clique order, or an
 explicit edge list); a complete graph loads as a clique whatever its `kind`.
 
-A loader raises ValueError on a count, vertex or edge that is not a JSON
-integer, on a structure's vertex outside 0..n-1, and on a stored value other
-than the one it derives: a structure's `slots` (its `slot_blocks` in order),
-a template's `surplus` (len(left_adj) - 3m) and a config's `remainder_frac`
-(surplus_ratio/(h-1)).
+A loader raises ValueError on a count, seed, vertex or edge that is not a
+JSON integer, on a list or object of the wrong JSON type, on a structure's
+vertex outside 0..n-1, and on a stored value other than the one it derives:
+a structure's `slots` (its `slot_blocks` in order), a template's `surplus`
+(len(left_adj) - 3m) and a config's `remainder_frac` (surplus_ratio/(h-1)).
 """
 
 from __future__ import annotations
@@ -49,6 +49,15 @@ def _ints(values: Any, what: str, size: int | None = None) -> tuple[int, ...]:
         want = "a list of integers" if size is None else f"a list of {size} integers"
         raise ValueError(f"{what} must be {want}, not {json.dumps(values)}")
     return tuple(values)
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """`value` if it is a JSON object (kind dict) or list (kind list); else
+    ValueError naming `what`."""
+    if not isinstance(value, kind):
+        want = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {want}, not {json.dumps(value)}")
+    return value
 
 
 def _vertices(values: Any, what: str, n: int) -> tuple[int, ...]:
@@ -176,29 +185,33 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
 
 def structure_from_obj(obj: dict) -> AbsorbingStructure:
     n = json_int(obj["n"], "structure n", 0)
+    absorbers = [_typed(e, dict, "edge absorber")
+                 for e in _typed(obj["edge_absorbers"], list, "structure edge_absorbers")]
     s = AbsorbingStructure(
         n=n,
         pattern=pattern_from_obj(obj["pattern"]),
         config=config_from_obj(obj["config"]),
-        seed=obj["seed"],
+        seed=json_int(obj["seed"], "structure seed"),
         buffer=_vertices(obj["buffer"], "structure buffer", n),
         core=_vertices(obj["core"], "structure core", n),
-        slot_blocks=tuple(_vertices(b, "structure slot block", n) for b in obj["slot_blocks"]),
+        slot_blocks=tuple(_vertices(b, "structure slot block", n)
+                          for b in _typed(obj["slot_blocks"], list, "structure slot_blocks")),
         template=template_from_obj(obj["template"]),
         edge_absorbers={
             (json_int(e["left"], "edge absorber left", 0),
              json_int(e["right"], "edge absorber right", 0)):
             _vertices(e["vertices"], "edge absorber vertices", n)
-            for e in obj["edge_absorbers"]
+            for e in absorbers
         },
         copy_families={
             _vertex_key(v, "copy_families", n):
-            tuple(_vertices(mem, "copy family member", n) for mem in fams)
-            for v, fams in obj["copy_families"].items()
+            tuple(_vertices(mem, "copy family member", n)
+                  for mem in _typed(fams, list, "copy_families value"))
+            for v, fams in _typed(obj["copy_families"], dict, "structure copy_families").items()
         },
         harvest_sizes={_vertex_key(v, "harvest_sizes", n): json_int(k, "harvest size", 0)
-                       for v, k in obj["harvest_sizes"].items()},
-        size_report=dict(obj["size_report"]),
+                       for v, k in _typed(obj["harvest_sizes"], dict, "structure harvest_sizes").items()},
+        size_report=dict(_typed(obj["size_report"], dict, "structure size_report")),
     )
     if obj["slots"] != list(s.slots):
         raise ValueError("structure slots are not the vertices of its slot_blocks in order")

@@ -9,18 +9,21 @@ The two disjoint-copy searches are separate backtracking routines written
 for each of absorb()'s two uses, the two embedding references keep the
 embedder's former hand-written searches, the G(n, p) reference keeps the
 generator's former pair loop, and the induced-subgraph reference keeps the
-former scan of every edge.  The helpers at the end wrap package code for
-tests that only need a yes/no answer or a layout.
+former scan of every edge.  The clique, traversing-copy and embedding
+brute forces filter combinations and permutations against a plain edge set,
+so they check the bitset kernels without reading a Graph.  The helpers at
+the end wrap package code for tests that only need a yes/no answer or a
+layout.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from tilinglab.embed import cliques_of_size, embeddings, pattern_order
 from tilinglab.generators import decompose_r
-from tilinglab.graphs import Graph, Pattern, iter_pairs
+from tilinglab.graphs import Graph, Pattern, iter_pairs, vertex_mask
 from tilinglab.matching import max_bipartite_matching
 from tilinglab.rng import rng_for
 
@@ -239,7 +242,7 @@ def embed_in_set_reference(g: Graph, p: Pattern, vertices: Iterable[int]) -> tup
                 if not g.has_edge(u, v):
                     return None
         return t
-    for emb in embeddings(g, p, vs):
+    for emb in embeddings(g, p, vertex_mask(vs)):
         return emb
     return None
 
@@ -284,10 +287,72 @@ def induced_subgraph_reference(g: Graph, vertices: Iterable[int]) -> tuple[Graph
     return Graph(len(order), edges), order
 
 
+# Brute-force references for the bitset kernels of embed: filters over
+# itertools.combinations and permutations that read only the edge set they
+# are given, never the host Graph.
+
+
+def cliques_bruteforce(
+    n: int, edges: set[tuple[int, int]], k: int,
+    allowed: Iterable[int] | None = None, require: int | None = None,
+) -> list[tuple[int, ...]]:
+    """The k-cliques inside `allowed` (through `require`), sorted tuples in
+    lex order; `edges` holds each edge as (u, v) with u < v."""
+    pool = range(n) if allowed is None else sorted(set(allowed))
+    return [c for c in combinations(pool, k)
+            if (require is None or require in c) and all(e in edges for e in combinations(c, 2))]
+
+
+def _preserves(emb: Sequence[int], pedges: list[tuple[int, int]], edges: set[tuple[int, int]]) -> bool:
+    return all((min(emb[a], emb[b]), max(emb[a], emb[b])) in edges for a, b in pedges)
+
+
+def traversing_copy_bruteforce(
+    n: int, edges: set[tuple[int, int]], p: Pattern, parts: Sequence[Iterable[int]],
+) -> tuple[int, ...] | None:
+    """The lex-first injective tuple with entry i in parts[i] that maps
+    every pattern edge onto an edge, or None."""
+    pedges = p.graph.edges()
+    psets = [set(part) for part in parts]
+    for emb in permutations(range(n), p.h):
+        if all(v in ps for v, ps in zip(emb, psets)) and _preserves(emb, pedges, edges):
+            return emb
+    return None
+
+
+def embeddings_bruteforce(
+    n: int, edges: set[tuple[int, int]], p: Pattern,
+    allowed: Iterable[int] | None = None, anchor: int | None = None,
+    rank: Callable[[int], int] | None = None,
+) -> list[tuple[int, ...]]:
+    """Every embedding inside `allowed` in the order of `embed.embeddings`:
+    with an anchor, by the anchor's slot in `pattern_order`; then by the
+    images of the pattern vertices in search order, compared by vertex
+    index, or by `rank` when given."""
+    pool = sorted(set(range(n) if allowed is None else allowed), key=rank)
+    order = pattern_order(p)
+    pedges = p.graph.edges()
+    if anchor is None:
+        searches = [order]
+    else:
+        searches = [[slot] + [q for q in order if q != slot] for slot in order]
+    out = []
+    for search in searches:
+        for images in permutations(pool, p.h):
+            if anchor is not None and images[0] != anchor:
+                continue
+            emb = [0] * p.h
+            for q, v in zip(search, images):
+                emb[q] = v
+            if _preserves(emb, pedges, edges):
+                out.append(tuple(emb))
+    return out
+
+
 # Test helpers over package code.
 
 
-def has_clique(g: Graph, k: int, allowed: frozenset[int] | None = None) -> bool:
+def has_clique(g: Graph, k: int, allowed: int | None = None) -> bool:
     for _ in cliques_of_size(g, k, allowed):
         return True
     return False

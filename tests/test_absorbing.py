@@ -398,9 +398,20 @@ class TestBuildAbsorbingSet:
          'copy_families keys must be vertices in 0..59, not "x"'),
         (lambda obj: obj["copy_families"]["0"].append([99]),
          "copy family member must lie in 0..59, not [99]"),
+        (lambda obj: obj.update(seed="x"), 'structure seed must be an integer, not "x"'),
+        (lambda obj: obj.update(edge_absorbers=[5]), "edge absorber must be an object, not 5"),
+        (lambda obj: obj.update(edge_absorbers={}),
+         "structure edge_absorbers must be a list, not {}"),
+        (lambda obj: obj.update(copy_families=[]),
+         "structure copy_families must be an object, not []"),
+        (lambda obj: obj["copy_families"].update({"0": 5}),
+         "copy_families value must be a list, not 5"),
+        (lambda obj: obj.update(size_report=[1]),
+         "structure size_report must be an object, not [1]"),
     ], ids=["slots", "surplus", "n", "m", "left_adj", "buffer", "core", "slot_block",
             "absorber_vertex", "absorber_left", "absorber_right", "family_key",
-            "family_member"])
+            "family_member", "seed", "absorber_entry", "absorbers_type",
+            "families_type", "family_list_type", "size_report_type"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
                                             tamper, message):
         k60, st = k60_structure

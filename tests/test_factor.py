@@ -3,13 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cliques_bruteforce,
     copy_sets_through_bruteforce,
     embed_in_set_reference,
+    embeddings_bruteforce,
     factor_exists_bruteforce,
+    traversing_copy_bruteforce,
     traversing_copy_fixed_reference,
 )
 from tilinglab.embed import (
+    cliques_of_size,
     copy_sets_through,
+    embeddings,
     embed_in_set,
     find_embedding,
     traversing_copy,
@@ -17,7 +22,7 @@ from tilinglab.embed import (
 )
 from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
-from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph
+from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph, vertex_mask
 from tilinglab.rng import rng_for
 from tilinglab.verify import VerificationError, verify_tiling
 
@@ -114,7 +119,7 @@ class TestGreedyTiling:
             g = gen_gnp(21, 0.35, seed)
             t = greedy_max_tiling(g, k3, seed=seed)
             left = leftover_of(g, t)
-            assert find_embedding(g, k3, left) is None
+            assert find_embedding(g, k3, vertex_mask(left)) is None
             verify_tiling(g, t)
 
     def test_respects_forbidden(self, k3):
@@ -173,6 +178,20 @@ def small_graph_and_pattern(draw):
     return g, Pattern(Graph(h, [e for e, k in zip(ppairs, pkeep) if k]))
 
 
+@st.composite
+def host_and_pattern(draw):
+    """(edges, g, p): an edge set as (u, v) with u < v, the graph on 1..10
+    vertices built from it, and a pattern on 2..4 vertices."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, k in zip(pairs, keep) if k}
+    h = draw(st.integers(2, 4))
+    ppairs = [(i, j) for i in range(h) for j in range(i + 1, h)]
+    pkeep = draw(st.lists(st.booleans(), min_size=len(ppairs), max_size=len(ppairs)))
+    return edges, Graph(n, edges), Pattern(Graph(h, [e for e, k in zip(ppairs, pkeep) if k]))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -205,6 +224,54 @@ class TestEmbedderMatchesReferences:
         assert embed_in_set(g, p, vs) == embed_in_set_reference(g, p, vs)
 
 
+class TestBitsetKernelsMatchBruteForce:
+    """The mask-based clique and embedding searches return the same tuples,
+    in the same order, as filters over combinations and permutations of a
+    graph's input edge set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(host_and_pattern(), st.integers(1, 4), st.data())
+    def test_cliques_of_size(self, host, k, data):
+        edges, g, _ = host
+        allowed = data.draw(st.none() | st.lists(st.integers(0, g.n - 1)), label="allowed")
+        require = data.draw(st.none() | st.integers(0, g.n - 1), label="require")
+        mask = None if allowed is None else vertex_mask(allowed)
+        assert (list(cliques_of_size(g, k, mask, require))
+                == cliques_bruteforce(g.n, edges, k, allowed, require))
+
+    @settings(max_examples=200, deadline=None)
+    @given(host_and_pattern(), st.data())
+    def test_traversing_copy_fixed(self, host, data):
+        edges, g, p = host
+        part = st.lists(st.integers(0, g.n - 1), max_size=g.n + 1)
+        parts = data.draw(st.lists(part, min_size=p.h, max_size=p.h), label="parts")
+        assert (traversing_copy_fixed(g, p, parts)
+                == traversing_copy_bruteforce(g.n, edges, p, parts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(host_and_pattern(), st.data())
+    def test_embeddings(self, host, data):
+        edges, g, p = host
+        allowed = data.draw(st.none() | st.lists(st.integers(0, g.n - 1)), label="allowed")
+        anchor = data.draw(st.none() | st.integers(0, g.n - 1), label="anchor")
+        ranking = data.draw(st.none() | st.permutations(range(g.n)), label="rank")
+        rank = None if ranking is None else ranking.__getitem__
+        mask = None if allowed is None else vertex_mask(allowed)
+        assert (list(embeddings(g, p, mask, anchor=anchor, rank=rank))
+                == embeddings_bruteforce(g.n, edges, p, allowed, anchor, rank))
+
+    @settings(max_examples=200, deadline=None)
+    @given(host_and_pattern(), st.data())
+    def test_copy_sets_through(self, host, data):
+        # a disconnected pattern keeps the search from being cut to a ball
+        _, g, p = host
+        dropped = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3), label="dropped")
+        allowed = frozenset(range(g.n)) - dropped
+        anchor = data.draw(st.integers(0, g.n - 1), label="anchor")
+        assert (list(copy_sets_through(g, p, anchor, vertex_mask(allowed)))
+                == copy_sets_through_bruteforce(g, p, anchor, allowed))
+
+
 class TestCopySetsThrough:
     PATTERNS = {
         "K3": "3 3\n0 1\n1 2\n0 2",
@@ -214,7 +281,7 @@ class TestCopySetsThrough:
 
     def test_returns_an_iterator(self, k9, k3, c4_pattern):
         for p in (k3, c4_pattern):
-            it = copy_sets_through(k9, p, 0, frozenset(range(9)))
+            it = copy_sets_through(k9, p, 0, (1 << 9) - 1)
             assert iter(it) is it
             assert next(it)[0] == tuple(range(p.h))
 
@@ -227,7 +294,7 @@ class TestCopySetsThrough:
             g = gen_gnp(n, rng.uniform(0.2, 0.9), rng.randrange(10**9))
             allowed = frozenset(v for v in range(n) if rng.random() < 0.8)
             anchor = rng.randrange(n)
-            got = list(copy_sets_through(g, p, anchor, allowed))
+            got = list(copy_sets_through(g, p, anchor, vertex_mask(allowed)))
             assert got == copy_sets_through_bruteforce(g, p, anchor, allowed), (name, i)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import alpha_exhaustive, has_clique, max_density_subgraphs
 from tilinglab.embed import cliques_of_size
 from tilinglab.generators import gen_complete_multipartite, gen_gnp
-from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph
+from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph, vertex_mask
 from tilinglab.invariants import (
     EnumerationCapError,
     alpha_ell,
@@ -79,7 +79,7 @@ class TestAlphaEll:
             assert res.exact
             sub = frozenset(res.witness)
             assert len(sub) == res.value
-            assert not has_clique(g, ell, sub)
+            assert not has_clique(g, ell, vertex_mask(sub))
 
     def test_agrees_with_exhaustive_corpus(self):
         rng = rng_for(2024, "alpha-corpus")

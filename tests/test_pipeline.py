@@ -2,7 +2,7 @@ from tilinglab.absorbing import AbsorberConfig
 from tilinglab.embed import find_embedding
 from tilinglab.factor import find_factor_exact
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
-from tilinglab.graphs import Graph, complete_graph
+from tilinglab.graphs import Graph, complete_graph, vertex_mask
 from tilinglab.invariants import traversing_threshold
 from tilinglab.pipeline import check_hypotheses, cover_check, find_factor_absorbing
 from tilinglab.rng import derive_seed, rng_for
@@ -168,7 +168,7 @@ class TestCoverCheck:
                                      seed=rng.randrange(10**9))
             s, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
                                         seed=rng.randrange(10**9))
-            assert find_embedding(g, k3, left) is None
+            assert find_embedding(g, k3, vertex_mask(left)) is None
             assert len(left) < 3 * s, (i, len(left), s)
 
     def test_local_improvement_shrinks(self, k3):
@@ -177,4 +177,4 @@ class TestCoverCheck:
         g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (5, 6), (4, 6), (2, 3)])
         left, tiling, _ = cover_check(g, k3, avoid=[0], xi=1.0, seed=0)
-        assert find_embedding(g, k3, left) is None
+        assert find_embedding(g, k3, vertex_mask(left)) is None
