@@ -638,21 +638,22 @@ class AbsorbingStructure:
     slot_blocks: blocks of h-1 vertices (`slots`, in order), each tiled
     together with one matched buffer/core vertex; edge_absorbers: one absorber per
     template edge, keyed by the edge.  copy_families[v] lists the
-    (h-1)-subsets of the buffer forming a pattern copy with v.
+    (h-1)-subsets of the buffer forming a pattern copy with v.  builder
+    names the absorber construction that ran; size_report derives from the
+    rest.
     """
 
     n: int
     pattern: Pattern
     config: AbsorberConfig
     seed: int
+    builder: str
     buffer: tuple[int, ...]
     core: tuple[int, ...]
     slot_blocks: tuple[tuple[int, ...], ...]
     template: TemplateGraph
     edge_absorbers: dict[tuple[int, int], tuple[int, ...]]
     copy_families: dict[int, tuple[tuple[int, ...], ...]]
-    harvest_sizes: dict[int, int]
-    size_report: dict
 
     @property
     def slots(self) -> tuple[int, ...]:
@@ -664,6 +665,34 @@ class AbsorbingStructure:
         for a in self.edge_absorbers.values():
             out.update(a)
         return frozenset(out)
+
+    @property
+    def size_report(self) -> dict:
+        """Part sizes, |A|, and the paper's size bounds at these constants."""
+        n, m, c = self.n, self.template.m, self.config
+        total = len(self.absorbing_set)
+        ht = self.pattern.h * c.t
+        bound_total = 124 * ht * m
+        bound_sample = 240 * ht * n * c.sample_prob
+        bound_target = c.absorber_frac * n / 2
+        return {
+            "n": n,
+            "m": m,
+            "surplus": self.template.surplus,
+            "buffer": len(self.buffer),
+            "core": len(self.core),
+            "slots": len(self.slots),
+            "edge_absorber_vertices": sum(len(a) for a in self.edge_absorbers.values()),
+            "template_edges": len(self.edge_absorbers),
+            "total": total,
+            "bound_total": bound_total,
+            "bound_sample": bound_sample,
+            "bound_target": bound_target,
+            "bound_chain_holds": total < bound_total < bound_sample <= bound_target,
+            "within_absorber_frac": total <= c.absorber_frac * n,
+            "uses_overrides": c.overrides,
+            "builder": self.builder,
+        }
 
     @property
     def max_remainder(self) -> int:
@@ -684,10 +713,6 @@ class AbsorbingStructure:
         return (self.buffer + self.core)[l]
 
 
-# absorbers a harvest run asks for beyond the copies still missing
-HARVEST_SLACK = 2
-
-
 def build_absorbing_set(
     g: Graph,
     p: Pattern,
@@ -700,19 +725,20 @@ def build_absorbing_set(
 
     Every absorber comes from `builder` ('general': traversing copies;
     'clique': random partition, with ell) when config.t equals h, the
-    multiplicity both build, and from the direct search otherwise;
-    size_report["builder"] names the one that ran.  The paper's hypotheses
+    multiplicity both build, and from the direct search otherwise; the
+    structure's `builder` names the one that ran.  The paper's hypotheses
     are checked by pipeline.check_hypotheses, not here.
 
-    Stages: (1) harvest, per vertex v, a family of disjoint copies through v
-    out of absorber runs whose core set contains v; (2) sample the buffer
+    Stages: (1) check that every vertex v lies in gamma =
+    max(1, ceil(absorber_frac*n)) copies that share only v, taken greedily
+    (each copy's other vertices leave the search); (2) sample the buffer
     with probability sample_prob, retrying until the sample is small enough
     and every vertex keeps enough copies inside the buffer; (3) build the
     template at the implied round size; (4) reserve core and slot vertices;
     (5) map template sides onto them; (6) pick pairwise-disjoint absorbers
-    for every template edge; (7) assemble and report sizes.  Any stage that
-    exhausts its candidates raises StageFailure naming the stage and the
-    blocking core set.
+    for every template edge, the only stage that runs the builder; (7)
+    assemble.  Any stage that exhausts its candidates raises StageFailure
+    naming the stage and the blocking vertices.
     """
     h = p.h
     if config.h != h:
@@ -722,52 +748,29 @@ def build_absorbing_set(
     kind = builder if config.t == h else "direct"
     family_seed = derive_seed(seed, "families")
 
-    def family(core, target, forbidden) -> list[frozenset[int]]:
+    def absorber_for(core: tuple[int, ...], forbidden: frozenset[int]) -> frozenset[int] | None:
+        core_seed = derive_seed(family_seed, "fam", *core)
         if kind == "direct":
-            return disjoint_absorber_family_direct(g, p, core, config.t, target, forbidden)
-        core_seed = derive_seed(family_seed, "fam", *sorted(core))
-        if kind == "general":
-            return disjoint_absorber_family_general(g, p, core, target, config,
-                                                    seed=core_seed, forbidden=forbidden)
-        return disjoint_absorber_family_clique(g, p.r, ell, core, target, config,
-                                               seed=core_seed, forbidden=forbidden)
-
-    # stage 1: per-vertex copy harvest via absorber runs
-    gamma_target = max(1, math.ceil(config.absorber_frac * n))
-    harvest: dict[int, list[frozenset[int]]] = {}
-    for v in range(n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) < h - 1:
-            raise StageFailure("copy-families", f"vertex {v} has degree < h-1",
-                               blocking=(v,))
-        # a core set that is itself a copy keeps the absorber runs cheap;
-        # fall back to the lowest neighbors when no copy passes through v
-        emb = find_embedding(g, p, anchor=v)
-        if emb is not None:
-            core_v = tuple(sorted(emb))
+            got = disjoint_absorber_family_direct(g, p, core, config.t, 1, forbidden)
+        elif kind == "general":
+            got = disjoint_absorber_family_general(g, p, core, 1, config,
+                                                   seed=core_seed, forbidden=forbidden)
         else:
-            core_v = tuple(sorted({v} | set(nbrs[: h - 1])))
-        copies: list[frozenset[int]] = []
-        used: set[int] = set()
-        spent: set[int] = set()
-        while len(copies) < gamma_target:
-            batch = gamma_target - len(copies) + HARVEST_SLACK
-            runs = family(core_v, batch, frozenset(spent))
-            if not runs:
-                break
-            for ab in runs:
-                spent |= ab
-                mates = _copy_through_from_run(g, p, v, ab, core_v, used)
-                if mates is not None:
-                    copies.append(mates)
-                    used |= mates
-        if len(copies) < gamma_target:
-            raise StageFailure(
-                "copy-families",
-                f"vertex {v}: {len(copies)} disjoint copies, need {gamma_target}",
-                blocking=core_v,
-            )
-        harvest[v] = copies
+            got = disjoint_absorber_family_clique(g, p.r, ell, core, 1, config,
+                                                  seed=core_seed, forbidden=forbidden)
+        return got[0] if got else None
+
+    # stage 1: gamma copies through each vertex, sharing only that vertex
+    gamma = max(1, math.ceil(config.absorber_frac * n))
+    for v in range(n):
+        allowed = (1 << n) - 1
+        for found in range(gamma):
+            emb = find_embedding(g, p, allowed, anchor=v)
+            if emb is None:
+                raise StageFailure("copy-families",
+                                   f"vertex {v}: {found} disjoint copies, need {gamma}",
+                                   blocking=(v,))
+            allowed ^= vertex_mask(emb) ^ 1 << v
 
     # stage 2: buffer sampling with the concentration event checked directly
     q = config.sample_prob
@@ -789,12 +792,7 @@ def build_absorbing_set(
             continue
         cand = raw[: mm + _surplus_of(mm, beta)]
         fams = _families_in_buffer(g, p, cand)
-        ok = True
-        for v in range(n):
-            if len(fams[v]) < q ** (h - 1) * len(harvest[v]) / 2:
-                ok = False
-                break
-        if ok:
+        if all(len(f) >= q ** (h - 1) * gamma / 2 for f in fams.values()):
             buffer, m, families = cand, mm, fams
             break
     if buffer is None:
@@ -838,76 +836,22 @@ def build_absorbing_set(
     left_side = tuple(buffer) + core
     for l, rgt in template.edges():
         core_e = tuple(sorted({left_side[l]} | set(slot_blocks[rgt])))
-        got = family(core_e, 1, frozenset(used_set))
-        if not got:
+        got = absorber_for(core_e, frozenset(used_set))
+        if got is None:
             raise StageFailure(
                 "edge-absorbers",
                 f"no absorber for template edge ({l},{rgt})",
                 blocking=core_e,
             )
-        edge_absorbers[(l, rgt)] = tuple(sorted(got[0]))
-        used_set |= got[0]
+        edge_absorbers[(l, rgt)] = tuple(sorted(got))
+        used_set |= got
 
-    structure = AbsorbingStructure(
-        n=n, pattern=p, config=config, seed=seed,
+    return AbsorbingStructure(
+        n=n, pattern=p, config=config, seed=seed, builder=kind,
         buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
         template=template,
         edge_absorbers=edge_absorbers, copy_families=families,
-        harvest_sizes={v: len(harvest[v]) for v in range(n)},
-        size_report={},
     )
-    total = len(structure.absorbing_set)
-    ht = h * config.t
-    structure.size_report = {
-        "n": n,
-        "m": m,
-        "surplus": surplus,
-        "buffer": len(buffer),
-        "core": len(core),
-        "slots": len(structure.slots),
-        "edge_absorber_vertices": sum(len(a) for a in edge_absorbers.values()),
-        "template_edges": len(edge_absorbers),
-        "total": total,
-        "bound_total": 124 * ht * m,
-        "bound_sample": 240 * ht * n * q,
-        "bound_target": config.absorber_frac * n / 2,
-        "bound_chain_holds": total < 124 * ht * m < 240 * ht * n * q
-        and 240 * ht * n * q <= config.absorber_frac * n / 2,
-        "within_absorber_frac": total <= config.absorber_frac * n,
-        "uses_overrides": config.overrides,
-        "builder": kind,
-    }
-    return structure
-
-
-def _copy_through_from_run(
-    g: Graph,
-    p: Pattern,
-    v: int,
-    absorber: frozenset[int],
-    core_v: tuple[int, ...],
-    used: set[int],
-) -> frozenset[int] | None:
-    """One copy through v extracted from an absorber run, mates disjoint
-    from `used`.  Prefers copies entirely inside the absorber (those can
-    never collide across runs); otherwise takes v's copy in a perfect tiling
-    of the absorber plus core, which may spend core vertices."""
-    for img, _emb in copy_sets_through(g, p, v, vertex_mask(absorber) | 1 << v):
-        mates = frozenset(img) - {v}
-        if not (mates & used):
-            return mates
-    sub, order = induced_subgraph(g, set(absorber) | set(core_v))
-    res = find_factor_exact(sub, p)
-    if not res.found:
-        return None
-    for emb in res.tiling.copies:
-        lifted = [order[i] for i in emb]
-        if v in lifted:
-            mates = frozenset(lifted) - {v}
-            if not (mates & used):
-                return mates
-            return None
-    return None
 
 
 def _families_in_buffer(g: Graph, p: Pattern, buffer: list[int]) -> dict[int, tuple]:

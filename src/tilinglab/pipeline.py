@@ -98,9 +98,10 @@ def check_hypotheses(
 
     Clique mode takes K_r with r > ell >= 2 (check_builder raises
     ValueError otherwise) and needs delta(G) >= ((r-ell)/(r-ell+1) + eps) n
-    and alpha_ell at most eps' n; alpha_ell is exact up to n = 40 and a
-    branch-and-bound lower bound beyond, and the detail string discloses
-    which.  General mode
+    and alpha_ell at most eps' n.  alpha_ell runs under its default node
+    budget up to n = 40 and 20,000 nodes beyond; the detail string says
+    whether its value is exact or, stopped at the budget, a branch-and-bound
+    lower bound.  General mode
     needs delta(G) >= eps n and the traversing property at probe size
     ceil(eps' n), checked on HYPOTHESIS_TRIALS sampled families.
     """
@@ -114,12 +115,8 @@ def check_hypotheses(
         frac = (r - ell) / (r - ell + 1)
         need = (frac + eps) * n
         deg_ok = delta >= need
-        if n <= 40:
-            res = alpha_ell(g, ell)
-            kind = "exact"
-        else:
-            res = alpha_ell(g, ell, budget=20_000)
-            kind = "branch-and-bound lower bound"
+        res = alpha_ell(g, ell) if n <= 40 else alpha_ell(g, ell, budget=20_000)
+        kind = "exact" if res.exact else "branch-and-bound lower bound"
         alpha_ok = res.value <= eps2 * n
         held = deg_ok and alpha_ok
         detail = (
@@ -190,7 +187,7 @@ def find_factor_absorbing(
         report.stages.append(StageOutcome(
             "absorbing-set", True,
             f"|A|={len(structure.absorbing_set)} m={structure.template.m} "
-            f"builder={structure.size_report['builder']}"))
+            f"builder={structure.builder}"))
         report.structure = structure
     except (StageFailure, TemplateBuildError) as exc:
         stage = getattr(exc, "stage", "template")

@@ -3,14 +3,17 @@
 Each document carries a `schema` tag so the verifier can dispatch on kind:
 tiling/v1 or absorbing-structure/v2.  Documents tagged absorbing-structure/v1
 are still read: v1 also carried an index-map copy of `buffer` and of `core`,
-which the loader ignores.  Patterns serialize inline (clique order, or an
-explicit edge list); a complete graph loads as a clique whatever its `kind`.
+which the loader ignores, as it ignores the `harvest_sizes` of older
+documents.  Patterns serialize inline (clique order, or an explicit edge
+list); a complete graph loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
 vertex outside 0..n-1, and on a stored value other than the one it derives:
-a structure's `slots` (its `slot_blocks` in order), a template's `surplus`
-(len(left_adj) - 3m) and a config's `remainder_frac` (surplus_ratio/(h-1)).
+a structure's `slots` (its `slot_blocks` in order) and `size_report` (the
+structure's `size_report`, whose `builder` is read from the document), a
+template's `surplus` (len(left_adj) - 3m) and a config's `remainder_frac`
+(surplus_ratio/(h-1)).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import fields
 from typing import Any
 
-from .absorbing import AbsorberConfig, AbsorbingStructure, TemplateGraph
+from .absorbing import BUILDERS, AbsorberConfig, AbsorbingStructure, TemplateGraph
 from .factor import Tiling
 from .graphs import Graph, Pattern
 
@@ -178,7 +181,6 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
         ],
         "copy_families": {str(v): [list(mem) for mem in fams]
                           for v, fams in sorted(s.copy_families.items())},
-        "harvest_sizes": {str(v): k for v, k in sorted(s.harvest_sizes.items())},
         "size_report": s.size_report,
     }
 
@@ -187,11 +189,13 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
     n = json_int(obj["n"], "structure n", 0)
     absorbers = [_typed(e, dict, "edge absorber")
                  for e in _typed(obj["edge_absorbers"], list, "structure edge_absorbers")]
+    report = _typed(obj["size_report"], dict, "structure size_report")
     s = AbsorbingStructure(
         n=n,
         pattern=pattern_from_obj(obj["pattern"]),
         config=config_from_obj(obj["config"]),
         seed=json_int(obj["seed"], "structure seed"),
+        builder=report.get("builder"),
         buffer=_vertices(obj["buffer"], "structure buffer", n),
         core=_vertices(obj["core"], "structure core", n),
         slot_blocks=tuple(_vertices(b, "structure slot block", n)
@@ -209,12 +213,23 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
                   for mem in _typed(fams, list, "copy_families value"))
             for v, fams in _typed(obj["copy_families"], dict, "structure copy_families").items()
         },
-        harvest_sizes={_vertex_key(v, "harvest_sizes", n): json_int(k, "harvest size", 0)
-                       for v, k in _typed(obj["harvest_sizes"], dict, "structure harvest_sizes").items()},
-        size_report=dict(_typed(obj["size_report"], dict, "structure size_report")),
     )
     if obj["slots"] != list(s.slots):
         raise ValueError("structure slots are not the vertices of its slot_blocks in order")
+    # the partition and traversing constructions run only at t = h, and
+    # the partition one only on a clique K_r with r >= 3
+    if s.builder not in BUILDERS:
+        raise ValueError(f"structure size_report builder must be one of {', '.join(BUILDERS)}, "
+                         f"not {json.dumps(s.builder)}")
+    if s.builder != "direct" and (s.config.t != s.pattern.h
+                                  or s.builder == "clique" and (s.pattern.r or 0) < 3):
+        raise ValueError(f"structure size_report builder {s.builder} cannot have built a "
+                         f"structure for this pattern at t={s.config.t}")
+    derived = s.size_report
+    for key in sorted(report.keys() | derived.keys()):
+        if json.dumps(report.get(key)) != json.dumps(derived.get(key)):
+            raise ValueError(f"structure size_report {key} {json.dumps(report.get(key))} "
+                             f"is not the derived {json.dumps(derived.get(key))}")
     return s
 
 

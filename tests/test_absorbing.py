@@ -21,7 +21,7 @@ from tilinglab.absorbing import (
     disjoint_absorber_family_general,
 )
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
-from tilinglab.graphs import Pattern, complete_graph
+from tilinglab.graphs import Graph, Pattern, complete_graph
 from tilinglab.rng import rng_for
 from tilinglab.cli import main
 from tilinglab.graphs import emit_graph
@@ -296,6 +296,35 @@ class TestBuildAbsorbingSet:
         assert general.size_report["builder"] == direct.size_report["builder"] == "direct"
         assert structure_to_obj(general) == structure_to_obj(direct)
 
+    def test_absorber_builder_runs_only_for_template_edges(self, k2, monkeypatch):
+        calls = []
+        real = absorbing.disjoint_absorber_family_direct
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(absorbing, "disjoint_absorber_family_direct", spy)
+        st = build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
+        assert len(calls) == st.size_report["template_edges"] == 15
+
+    @pytest.mark.parametrize("copies", [3, 4])
+    def test_copy_families_boundary(self, k3, copies):
+        # vertex 0 sees 2*copies + 1 vertices of a K30, so exactly `copies`
+        # triangles through 0 share only 0; gamma = ceil(0.1 * 31) = 4
+        cut = {(0, u) for u in range(2 * copies + 2, 31)}
+        g = Graph(31, [e for e in complete_graph(31).edges() if e not in cut])
+        cfg = AbsorberConfig.desk_scale(h=3, t=1, absorber_frac=0.1)
+        try:
+            build_absorbing_set(g, k3, cfg, seed=1)
+            stage = None
+        except StageFailure as exc:
+            stage = exc.stage
+            if copies == 3:
+                assert exc.blocking == (0,)
+                assert exc.detail == "vertex 0: 3 disjoint copies, need 4"
+        assert (stage == "copy-families") == (copies == 3)
+
     def test_triangle_free_fails_at_copy_families(self, k3):
         k66 = gen_complete_multipartite([6, 6])
         cfg = AbsorberConfig.desk_scale(h=3, t=1, absorber_frac=0.1,
@@ -325,10 +354,11 @@ class TestBuildAbsorbingSet:
     def test_verifier_catches_tampering(self, k2):
         k60 = complete_graph(60)
         st = build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
-        obj = structure_to_obj(st)
-        edge = obj["edge_absorbers"][0]
-        edge["vertices"] = list(obj["edge_absorbers"][1]["vertices"])
-        bad = structure_from_obj(obj)
+        first, second = sorted(st.edge_absorbers)[:2]
+        # the document of the tampered structure carries its own size_report
+        tampered = dataclasses.replace(st, edge_absorbers={
+            **st.edge_absorbers, first: st.edge_absorbers[second]})
+        bad = structure_from_obj(structure_to_obj(tampered))
         with pytest.raises(VerificationError):
             verify_structure(k60, bad)
 
@@ -341,6 +371,13 @@ class TestBuildAbsorbingSet:
         for name in ("buffer", "core"):
             obj[name + "_map"] = list(obj[name])
         verify_structure(k60, structure_from_obj(obj))
+
+    def test_older_documents_harvest_sizes_is_ignored(self, k60_structure):
+        k60, st = k60_structure
+        obj = structure_to_obj(st)
+        assert "harvest_sizes" not in obj
+        older = dict(obj, harvest_sizes={str(v): 12 for v in range(60)})
+        assert structure_to_obj(structure_from_obj(older)) == obj
 
     def test_wrong_remainder_frac_is_malformed(self, k60_structure, tmp_path, capsys):
         k60, st = k60_structure
@@ -408,10 +445,21 @@ class TestBuildAbsorbingSet:
          "copy_families value must be a list, not 5"),
         (lambda obj: obj.update(size_report=[1]),
          "structure size_report must be an object, not [1]"),
+        (lambda obj: obj["size_report"].update(total=5),
+         "structure size_report total 5 is not the derived 38"),
+        (lambda obj: obj["size_report"].pop("bound_target"),
+         "structure size_report bound_target null is not the derived 6.0"),
+        (lambda obj: obj["size_report"].update(builder="clique"),
+         "structure size_report builder clique cannot have built a structure "
+         "for this pattern at t=1"),
+        (lambda obj: obj["size_report"].update(builder="exact"),
+         'structure size_report builder must be one of direct, general, clique, not "exact"'),
     ], ids=["slots", "surplus", "n", "m", "left_adj", "buffer", "core", "slot_block",
             "absorber_vertex", "absorber_left", "absorber_right", "family_key",
             "family_member", "seed", "absorber_entry", "absorbers_type",
-            "families_type", "family_list_type", "size_report_type"])
+            "families_type", "family_list_type", "size_report_type",
+            "size_report_total", "size_report_missing_key", "size_report_builder",
+            "size_report_unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
                                             tamper, message):
         k60, st = k60_structure

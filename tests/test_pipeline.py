@@ -1,11 +1,15 @@
+import hashlib
+
+from tilinglab import pipeline
 from tilinglab.absorbing import AbsorberConfig
 from tilinglab.embed import find_embedding
 from tilinglab.factor import find_factor_exact
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Graph, complete_graph, vertex_mask
-from tilinglab.invariants import traversing_threshold
+from tilinglab.invariants import AlphaResult, traversing_threshold
 from tilinglab.pipeline import check_hypotheses, cover_check, find_factor_absorbing
 from tilinglab.rng import derive_seed, rng_for
+from tilinglab.sweep import ExperimentSpec, rows_to_csv, run_sweep
 from tilinglab.verify import verify_tiling
 
 K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
@@ -26,6 +30,17 @@ class TestHypotheses:
         held, detail = check_hypotheses(g, k3, "clique", cfg, ell=2)
         assert held
         assert "lower bound" in detail
+
+    def test_bound_kind_comes_from_the_search(self, k3, monkeypatch):
+        cfg = AbsorberConfig.desk_scale(h=3, **K3_DESK)
+        # K60 is past n = 40, yet its alpha_2 search finishes in 1,830 nodes
+        held, detail = check_hypotheses(complete_graph(60), k3, "clique", cfg, ell=2)
+        assert held and "alpha_2=1 [exact]" in detail
+        # a search stopped at its budget on a small graph is still a bound
+        monkeypatch.setattr(pipeline, "alpha_ell",
+                            lambda g, ell, budget=0: AlphaResult(1, (0,), False, budget))
+        _, detail = check_hypotheses(complete_graph(30), k3, "clique", cfg, ell=2)
+        assert "alpha_2=1 [branch-and-bound lower bound]" in detail
 
     def test_general_mode(self, k3):
         g = gen_gnp(60, 0.6, 2)
@@ -178,3 +193,24 @@ class TestCoverCheck:
                       (5, 6), (4, 6), (2, 3)])
         left, tiling, _ = cover_check(g, k3, avoid=[0], xi=1.0, seed=0)
         assert find_embedding(g, k3, vertex_mask(left)) is None
+
+
+# sha256 of the acceptance sweep's CSV (test_08's spec).  A change that
+# alters that CSV on purpose updates this constant and says why.
+ACCEPTANCE_CSV_SHA256 = "42dfed6d9ca519d733395843d9141c0345b2f98a62634266018b786439b9b03c"
+
+
+def test_acceptance_sweep_csv_is_unchanged():
+    spec = ExperimentSpec.from_obj({
+        "generator": "gnp",
+        "grid": {"n": [30, 60], "p": [0.5, 0.7]},
+        "pattern": "K3",
+        "mode": "clique",
+        "ell": 2,
+        "trials": 20,
+        "seed_base": 31337,
+        "config": {"t": 1, "sample_prob": 0.1, "surplus_ratio": 6.0,
+                   "m_cap": 1, "absorber_frac": 0.05},
+    })
+    csv_text = rows_to_csv(spec, run_sweep(spec, threads=1))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == ACCEPTANCE_CSV_SHA256
