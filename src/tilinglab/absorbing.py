@@ -57,8 +57,10 @@ class CertificateBugError(RuntimeError):
 # ---------------------------------------------------------------------------
 # configuration
 
-# build_template resamples a random-regular template at most this many times
+# most samples of a random-regular template, of the buffer and of the partition
 TEMPLATE_RETRIES = 20
+SAMPLE_RETRIES = 50
+PARTITION_RETRIES = 20
 
 
 def _asymptotic_bindings(h: int, t: int, absorber_frac: float) -> tuple[float, float]:
@@ -92,8 +94,6 @@ class AbsorberConfig:
     part_degree_min: int | None = None   # per-class degree floor for the partition build
     common_nbhd_min: int | None = None   # common-neighborhood floor for clique descent
     m_cap: int | None = None             # cap on the template round size
-    sample_retries: int = 50
-    partition_retries: int = 20
 
     def __post_init__(self):
         # fields arrive from JSON, so every type and range is checked here
@@ -114,7 +114,7 @@ class AbsorberConfig:
                 raise ValueError(f"AbsorberConfig.{name} must lie in [0, 1]")
         if self.surplus_ratio <= 0:
             raise ValueError("AbsorberConfig.surplus_ratio must be positive")
-        for name, low in dict(h=2, t=1, sample_retries=1, partition_retries=1).items():
+        for name, low in dict(h=2, t=1).items():
             if getattr(self, name) < low:
                 raise ValueError(f"AbsorberConfig.{name} must be at least {low}")
         if not self.overrides:
@@ -472,9 +472,9 @@ def disjoint_absorber_family_clique(
     last class by common-neighborhood descent (greedy clique of size r-ell,
     then a clique on ell vertices inside the common neighborhood), plus for
     each i a clique on r-1 vertices inside N(core_i) & N(w_i) & class_i.
-    Used vertices are tracked per class; partitions are reseeded when the
-    degree-into-class floor fails or candidates run out, and the absorbers
-    collected over all partitions are returned, even when fewer than target.
+    Used vertices are tracked per class; up to PARTITION_RETRIES partitions
+    are drawn, a new one when the degree-into-class floor fails or candidates
+    run out, and the absorbers collected over all of them are returned.
     """
     p = Pattern.clique(r)
     core_t = tuple(sorted(set(core)))
@@ -491,7 +491,7 @@ def disjoint_absorber_family_clique(
 
     collected: list[frozenset[int]] = []
     out_of_play: set[int] = set(core_t) | set(forbidden)
-    for attempt in range(config.partition_retries):
+    for attempt in range(PARTITION_RETRIES):
         rest = [v for v in range(n) if v not in out_of_play]
         rng = rng_for(seed, "partition", attempt)
         rng.shuffle(rest)
@@ -637,10 +637,10 @@ class AbsorbingStructure:
     template's left side is the buffer followed by the core (left_vertex).
     slot_blocks: blocks of h-1 vertices (`slots`, in order), each tiled
     together with one matched buffer/core vertex; edge_absorbers: one absorber per
-    template edge, keyed by the edge.  copy_families[v] lists the
-    (h-1)-subsets of the buffer forming a pattern copy with v.  builder
-    names the absorber construction that ran; size_report derives from the
-    rest.
+    template edge, keyed by the edge.  builder names the absorber
+    construction that ran; seed records the build seed; size_report derives
+    from the rest.  The copies into the buffer that absorption uses depend
+    only on the graph and the buffer, so `absorb` finds them itself.
     """
 
     n: int
@@ -653,7 +653,6 @@ class AbsorbingStructure:
     slot_blocks: tuple[tuple[int, ...], ...]
     template: TemplateGraph
     edge_absorbers: dict[tuple[int, int], tuple[int, ...]]
-    copy_families: dict[int, tuple[tuple[int, ...], ...]]
 
     @property
     def slots(self) -> tuple[int, ...]:
@@ -732,9 +731,10 @@ def build_absorbing_set(
     Stages: (1) check that every vertex v lies in gamma =
     max(1, ceil(absorber_frac*n)) copies that share only v, taken greedily
     (each copy's other vertices leave the search); (2) sample the buffer
-    with probability sample_prob, retrying until the sample is small enough
-    and every vertex keeps enough copies inside the buffer; (3) build the
-    template at the implied round size; (4) reserve core and slot vertices;
+    with probability sample_prob, at most SAMPLE_RETRIES times, until the
+    sample is small enough and every vertex has enough copies into the
+    buffer (counted, not kept); (3) build the template at the implied round
+    size; (4) reserve core and slot vertices;
     (5) map template sides onto them; (6) pick pairwise-disjoint absorbers
     for every template edge, the only stage that runs the builder; (7)
     assemble.  Any stage that exhausts its candidates raises StageFailure
@@ -776,9 +776,8 @@ def build_absorbing_set(
     q = config.sample_prob
     beta = config.surplus_ratio
     buffer: list[int] | None = None
-    families: dict[int, tuple[tuple[int, ...], ...]] = {}
     m = 0
-    for attempt in range(config.sample_retries):
+    for attempt in range(SAMPLE_RETRIES):
         rng = rng_for(seed, "buffer", attempt)
         raw = [v for v in range(n) if rng.random() < q]
         if len(raw) > math.ceil(2 * n * q):
@@ -791,14 +790,14 @@ def build_absorbing_set(
         if mm < 1:
             continue
         cand = raw[: mm + _surplus_of(mm, beta)]
-        fams = _families_in_buffer(g, p, cand)
+        fams = _families_in_buffer(g, p, cand, range(n))
         if all(len(f) >= q ** (h - 1) * gamma / 2 for f in fams.values()):
-            buffer, m, families = cand, mm, fams
+            buffer, m = cand, mm
             break
     if buffer is None:
         raise StageFailure(
             "buffer-sample",
-            f"no acceptable buffer in {config.sample_retries} samples",
+            f"no acceptable buffer in {SAMPLE_RETRIES} samples",
         )
     surplus = _surplus_of(m, beta)
 
@@ -850,19 +849,20 @@ def build_absorbing_set(
         n=n, pattern=p, config=config, seed=seed, builder=kind,
         buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
         template=template,
-        edge_absorbers=edge_absorbers, copy_families=families,
+        edge_absorbers=edge_absorbers,
     )
 
 
-def _families_in_buffer(g: Graph, p: Pattern, buffer: list[int]) -> dict[int, tuple]:
-    """For every vertex v, all (h-1)-subsets of the buffer that form a
+def _families_in_buffer(g: Graph, p: Pattern, buffer: list[int],
+                        anchors: Iterable[int]) -> dict[int, tuple]:
+    """For every anchor v, all (h-1)-subsets of the buffer that form a
     pattern copy with v (sorted lexicographically): the copies through v
     inside the buffer plus v, with v taken out."""
     pool = vertex_mask(buffer)
     return {
         v: tuple(tuple(u for u in img if u != v)
                  for img, _emb in copy_sets_through(g, p, v, pool | 1 << v))
-        for v in range(g.n)
+        for v in anchors
     }
 
 
@@ -877,7 +877,8 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     surplus buffer vertices with further copies until exactly m remain;
     match the m survivors plus the core side through the template; tile each
     matched edge's absorber together with its endpoint vertices, and every
-    unmatched edge's absorber alone.  The result is verified before return.
+    unmatched edge's absorber alone.  The copies into the buffer are read
+    off g, for R and the buffer only.  The result is verified before return.
     """
     p = structure.pattern
     h = p.h
@@ -899,7 +900,7 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
 
     m = structure.template.m
     buffer = list(structure.buffer)
-    families = structure.copy_families
+    families = _families_in_buffer(g, p, buffer, rem + buffer)
 
     # remainder copies into the buffer, pairwise disjoint
     chosen = _disjoint_copies(rem, families, buffer, len(rem), 0)
@@ -938,7 +939,7 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     def add_copy_on(vertices: Iterable[int]) -> None:
         emb = embed_in_set(g, p, vertices)
         if emb is None:
-            raise CertificateBugError("stored copy family member is not a copy")
+            raise CertificateBugError("copy family member is not a copy")
         copies.append(emb)
 
     for anchor, mates in chosen + cover:
@@ -1000,4 +1001,6 @@ def _disjoint_copies(
             return rec(rest, live, todo, spare - 1)
         return False
 
-    return result if rec(list(anchors), frozenset(pool), need, spare) else None
+    found = rec(list(anchors), frozenset(pool), need, spare)
+    del rec  # rec refers to itself; dropping the name frees it without the gc
+    return result if found else None

@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"malformed certificate: missing key {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, EnumerationCapError) as exc:
+    except (ValueError, OverflowError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -106,24 +106,34 @@ def _embed_backtrack(
     turn tries its domain within the neighbourhoods of the images of its
     placed pattern neighbours `back` (see `_back_edges`), minus the used
     vertices, in increasing order (or by `rank`)."""
-    bits = g.bits
+    return _extend_embedding(g.bits, order, back, domains, assigned, rank,
+                             len(assigned), vertex_mask(assigned.values()))
+
+
+def _extend_embedding(bits: Sequence[int], order: Sequence[int], back: Sequence[Sequence[int]],
+                      domains: Sequence[int], assigned: dict[int, int],
+                      rank: Callable[[int], int] | None, depth: int,
+                      used: int) -> Iterator[tuple[int, ...]]:
+    """The search of `_embed_backtrack` from position `depth` of `order`,
+    `used` masking the images assigned so far.  It takes its state as
+    arguments, not from a closure, so it leaves no reference cycle."""
     h = len(order)
-
-    def rec(depth: int, used: int) -> Iterator[tuple[int, ...]]:
-        if depth == h:
+    if depth == h:
+        yield tuple(assigned[i] for i in range(h))
+        return
+    pv = order[depth]
+    cand = domains[pv] & ~used
+    for q in back[depth]:
+        cand &= bits[assigned[q]]
+    ordered = members(cand) if rank is None else sorted(members(cand), key=rank)
+    for gv in ordered:
+        assigned[pv] = gv
+        if depth + 1 == h:
             yield tuple(assigned[i] for i in range(h))
-            return
-        pv = order[depth]
-        cand = domains[pv] & ~used
-        for q in back[depth]:
-            cand &= bits[assigned[q]]
-        ordered = members(cand) if rank is None else sorted(members(cand), key=rank)
-        for gv in ordered:
-            assigned[pv] = gv
-            yield from rec(depth + 1, used | 1 << gv)
-            del assigned[pv]
-
-    return rec(len(assigned), vertex_mask(assigned.values()))
+        else:
+            yield from _extend_embedding(bits, order, back, domains, assigned, rank,
+                                         depth + 1, used | 1 << gv)
+        del assigned[pv]
 
 
 def embeddings(

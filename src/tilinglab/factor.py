@@ -90,6 +90,7 @@ def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET) -> Fac
         return None
 
     got = rec((1 << g.n) - 1)
+    del rec  # rec refers to itself; dropping the name frees it without the gc
     if budget_hit:
         return FactorResult(status="budget", tiling=None, nodes=nodes)
     if got is None:

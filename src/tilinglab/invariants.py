@@ -73,6 +73,7 @@ def max_clique(g: Graph) -> int:
             expand(size + 1, cands & bits[low.bit_length() - 1])
 
     expand(0, (1 << g.n) - 1)
+    del expand  # expand refers to itself; dropping the name frees it without the gc
     return best
 
 
@@ -133,6 +134,7 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
             pinned |= 1 << v
 
     rec((1 << n) - 1, 0)
+    del rec  # rec refers to itself; dropping the name frees it without the gc
     return AlphaResult(value=len(best), witness=tuple(best), exact=not exhausted, nodes=nodes)
 
 
@@ -221,31 +223,28 @@ def traversing_check(
     raise ValueError(f"unknown mode: {mode}")
 
 
-def _iter_families_one_per_min(pool: list[int], h: int, s: int) -> Iterator[list[tuple[int, ...]]]:
-    """All unordered families of h disjoint s-subsets of pool.
+def _iter_families_one_per_min(avail: list[int], k: int, s: int) -> Iterator[list[tuple[int, ...]]]:
+    """All unordered families of k disjoint s-subsets of sorted `avail`.
 
     Subsets are generated in order of their minima; since the family is a
     set of disjoint subsets this enumerates each family exactly once.
     """
-    def rec(avail: list[int], k: int) -> Iterator[list[tuple[int, ...]]]:
-        if k == 0:
-            yield []
-            return
-        if len(avail) < k * s:
-            return
-        anchor = avail[0]
-        rest = avail[1:]
-        # case: anchor belongs to one of the subsets (it is then that subset's min)
-        for extra in combinations(rest, s - 1):
-            first = (anchor,) + extra
-            taken = set(extra)
-            sub = [v for v in rest if v not in taken]
-            for tail in rec(sub, k - 1):
-                yield [first] + tail
-        # case: anchor belongs to no subset
-        yield from rec(rest, k)
-
-    yield from rec(sorted(pool), h)
+    if k == 0:
+        yield []
+        return
+    if len(avail) < k * s:
+        return
+    anchor = avail[0]
+    rest = avail[1:]
+    # case: anchor belongs to one of the subsets (it is then that subset's min)
+    for extra in combinations(rest, s - 1):
+        first = (anchor,) + extra
+        taken = set(extra)
+        sub = [v for v in rest if v not in taken]
+        for tail in _iter_families_one_per_min(sub, k - 1, s):
+            yield [first] + tail
+    # case: anchor belongs to no subset
+    yield from _iter_families_one_per_min(rest, k, s)
 
 
 def traversing_threshold(

@@ -56,4 +56,5 @@ def max_bipartite_matching(
         for u in range(n_left):
             if pair_l[u] == -1 and dfs(u):
                 size += 1
+    del dfs  # dfs refers to itself; dropping the name frees it without the gc
     return size, pair_l, pair_r

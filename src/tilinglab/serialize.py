@@ -3,9 +3,10 @@
 Each document carries a `schema` tag so the verifier can dispatch on kind:
 tiling/v1 or absorbing-structure/v2.  Documents tagged absorbing-structure/v1
 are still read: v1 also carried an index-map copy of `buffer` and of `core`,
-which the loader ignores, as it ignores the `harvest_sizes` of older
-documents.  Patterns serialize inline (clique order, or an explicit edge
-list); a complete graph loads as a clique whatever its `kind`.
+which the loader ignores, as it ignores the `harvest_sizes`, `copy_families`,
+`sample_retries` and `partition_retries` of older documents.  Patterns
+serialize inline (clique order, or an explicit edge list); a complete graph
+loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
@@ -71,27 +72,24 @@ def _vertices(values: Any, what: str, n: int) -> tuple[int, ...]:
     return vs
 
 
-def _vertex_key(key: str, what: str, n: int) -> int:
-    """A JSON object key written as str(v) for a vertex v in 0..n-1."""
-    if not (key.isdecimal() and int(key) < n):
-        raise ValueError(f"{what} keys must be vertices in 0..{n - 1}, not {json.dumps(key)}")
-    return int(key)
-
-
 def pattern_to_obj(p: Pattern) -> dict:
     if p.is_clique:
         return {"kind": "clique", "r": p.r}
     return {"kind": "general", "n": p.h, "edges": [list(e) for e in p.graph.edges()]}
 
 
-def pattern_from_obj(obj: dict) -> Pattern:
+def pattern_from_obj(obj: dict, h: int | None = None) -> Pattern:
+    """The pattern in `obj`, checked to have `h` vertices, if given, before it is built."""
     kind = obj["kind"]
-    if kind == "clique":
-        return Pattern.clique(json_int(obj["r"], "pattern r"))
-    if kind != "general":
+    if kind not in ("clique", "general"):
         raise ValueError(f'pattern kind must be "clique" or "general", not {json.dumps(kind)}')
-    edges = [_ints(e, "pattern edge", 2) for e in obj["edges"]]
-    return Pattern(Graph(json_int(obj["n"], "pattern n"), edges))
+    key = "r" if kind == "clique" else "n"
+    size = json_int(obj[key], f"pattern {key}")
+    if h is not None and size != h:
+        raise ValueError(f"pattern {key} {size} is not the config's h = {h}")
+    if kind == "clique":
+        return Pattern.clique(size)
+    return Pattern(Graph(size, [_ints(e, "pattern edge", 2) for e in obj["edges"]]))
 
 
 def parse_pattern_spec(spec: str) -> Pattern:
@@ -127,7 +125,7 @@ def config_to_obj(c: AbsorberConfig) -> dict:
 def config_from_obj(obj: dict) -> AbsorberConfig:
     """The config in `obj`, whose keys the dataclass lists: a missing optional
     field takes its default, an unknown key raises ValueError."""
-    kw = dict(obj)
+    kw = {k: v for k, v in obj.items() if k not in ("sample_retries", "partition_retries")}
     stored = kw.pop("remainder_frac", None)
     unknown = kw.keys() - {f.name for f in fields(AbsorberConfig)}
     if unknown:
@@ -146,7 +144,7 @@ def template_to_obj(t: TemplateGraph) -> dict:
         "surplus": t.surplus,
         "mode": t.mode,
         "left_adj": [list(row) for row in t.left_adj],
-        "verification": t.verification,
+        "verification": dict(t.verification),
     }
 
 
@@ -179,8 +177,6 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
             {"left": l, "right": r, "vertices": list(a)}
             for (l, r), a in sorted(s.edge_absorbers.items())
         ],
-        "copy_families": {str(v): [list(mem) for mem in fams]
-                          for v, fams in sorted(s.copy_families.items())},
         "size_report": s.size_report,
     }
 
@@ -190,10 +186,11 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
     absorbers = [_typed(e, dict, "edge absorber")
                  for e in _typed(obj["edge_absorbers"], list, "structure edge_absorbers")]
     report = _typed(obj["size_report"], dict, "structure size_report")
+    config = config_from_obj(obj["config"])
     s = AbsorbingStructure(
         n=n,
-        pattern=pattern_from_obj(obj["pattern"]),
-        config=config_from_obj(obj["config"]),
+        pattern=pattern_from_obj(obj["pattern"], config.h),
+        config=config,
         seed=json_int(obj["seed"], "structure seed"),
         builder=report.get("builder"),
         buffer=_vertices(obj["buffer"], "structure buffer", n),
@@ -206,12 +203,6 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
              json_int(e["right"], "edge absorber right", 0)):
             _vertices(e["vertices"], "edge absorber vertices", n)
             for e in absorbers
-        },
-        copy_families={
-            _vertex_key(v, "copy_families", n):
-            tuple(_vertices(mem, "copy family member", n)
-                  for mem in _typed(fams, list, "copy_families value"))
-            for v, fams in _typed(obj["copy_families"], dict, "structure copy_families").items()
         },
     )
     if obj["slots"] != list(s.slots):

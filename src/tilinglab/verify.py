@@ -12,7 +12,7 @@ import math
 from itertools import combinations
 from typing import Iterable
 
-from .embed import embed_in_set, traversing_copy
+from .embed import traversing_copy
 from .factor import Tiling, find_factor_exact
 from .graphs import Graph, Pattern, induced_subgraph
 from .rng import rng_for
@@ -140,12 +140,13 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
 
     Disjointness of buffer/core/slots and all edge absorbers, the size
     arithmetic, the buffer's increasing order (which fixes the template's
-    flex indices), the copy families, the absorbing property of every
-    edge absorber (via verify_absorber), and the template's robust matching
-    property (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS
-    flex subsets sampled from `seed`).  The remainder fraction, slots and
-    template surplus need no check of their own: they are derived, and the
-    loader rejects a document whose stored value disagrees.
+    flex indices), the absorbing property of every edge absorber (via
+    verify_absorber), and the template's robust matching property
+    (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS flex
+    subsets sampled from `seed`, not the build seed).  The remainder
+    fraction, slots and template surplus are derived, and the loader rejects
+    a document whose stored value disagrees; `absorb` reads the copy
+    families off the graph.
     """
     p = structure.pattern
     h = p.h
@@ -187,16 +188,6 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
         taken |= set(a)
         core_e = sorted({structure.left_vertex(l)} | set(structure.slot_blocks[r]))
         verify_absorber(g, p, core_e, a, structure.config.t)
-
-    for v, fams in structure.copy_families.items():
-        bset = set(buffer)
-        for mem in fams:
-            if not set(mem) <= bset:
-                raise VerificationError(f"family member of {v} leaves the buffer")
-            if v in mem:
-                raise VerificationError(f"family member of {v} contains {v}")
-            if embed_in_set(g, p, set(mem) | {v}) is None:
-                raise VerificationError(f"family member of {v} is not a pattern copy")
 
     mode = template_check_mode(tpl.flex_size, tpl.m)
     _, bad = check_template(tpl, mode, STRUCTURE_TEMPLATE_TRIALS, seed, "structure-verify")

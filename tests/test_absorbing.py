@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from tilinglab.graphs import emit_graph
 from tilinglab.serialize import (
     config_from_obj,
     config_to_obj,
+    dump_json,
     structure_from_obj,
     structure_to_obj,
 )
@@ -38,6 +42,12 @@ from tilinglab.verify import (
     verify_structure,
     verify_tiling,
 )
+
+
+# sha256 of the K60/K2 direct structure document (the k60_structure fixture)
+# as dump_json writes it.  A change that alters the document on purpose
+# updates this constant and says why.
+K60_DIRECT_DOCUMENT_SHA256 = "5f852f9ea5e4b7a23012fefad103f3b119f39336924d2fc0296919e805055cd3"
 
 
 def desk_k2(t=1, **kw):
@@ -77,8 +87,7 @@ class TestConfig:
     def test_codec_round_trips_every_field(self):
         values = dict(h=4, t=2, absorber_frac=0.3, sample_prob=0.2, surplus_ratio=1.5,
                       degree_frac=0.15, threshold_frac=0.25, overrides=True, pool_size=7,
-                      part_degree_min=3, common_nbhd_min=2, m_cap=4, sample_retries=9,
-                      partition_retries=8)
+                      part_degree_min=3, common_nbhd_min=2, m_cap=4)
         fields = dataclasses.fields(AbsorberConfig)
         assert {f.name for f in fields} == set(values)
         assert all(values[f.name] != f.default for f in fields)
@@ -86,10 +95,13 @@ class TestConfig:
         assert config_from_obj(json.loads(json.dumps(config_to_obj(c)))) == c
 
     def test_codec_defaults_and_unknown_keys(self):
-        c = AbsorberConfig.desk_scale(h=3, sample_retries=9, partition_retries=8)
+        c = AbsorberConfig.desk_scale(h=3, pool_size=7, m_cap=4)
         obj = config_to_obj(c)
-        del obj["sample_retries"], obj["partition_retries"], obj["remainder_frac"]
+        del obj["pool_size"], obj["m_cap"], obj["remainder_frac"]
         assert config_from_obj(obj) == AbsorberConfig.desk_scale(h=3)
+        # older documents carried the two retry counts, now module constants
+        older = dict(obj, sample_retries=9, partition_retries=8)
+        assert config_from_obj(older) == AbsorberConfig.desk_scale(h=3)
         with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: template_retries"):
             config_from_obj(dict(obj, template_retries=5))
 
@@ -259,7 +271,7 @@ class TestFamilyBuilders:
     def test_clique_fails_on_large_independent_sets(self):
         g = gen_complete_multipartite([13, 13, 14])
         cfg = AbsorberConfig.desk_scale(h=3, t=3, part_degree_min=1,
-                                        common_nbhd_min=2, partition_retries=5)
+                                        common_nbhd_min=2)
         assert disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
                                                config=cfg, seed=1) == []
 
@@ -335,8 +347,7 @@ class TestBuildAbsorbingSet:
 
     def test_asymptotic_constants_fail_structurally(self, k2):
         k60 = complete_graph(60)
-        cfg = AbsorberConfig.asymptotic(h=2, t=2, absorber_frac=0.2,
-                                        sample_retries=5)
+        cfg = AbsorberConfig.asymptotic(h=2, t=2, absorber_frac=0.2)
         with pytest.raises(StageFailure):
             build_absorbing_set(k60, k2, cfg, seed=1)
 
@@ -346,7 +357,6 @@ class TestBuildAbsorbingSet:
         st2 = structure_from_obj(structure_to_obj(st))
         assert st2.buffer == st.buffer
         assert st2.edge_absorbers == st.edge_absorbers
-        assert st2.copy_families == st.copy_families
         verify_structure(k60, st2)
         outside = sorted(set(range(60)) - st2.absorbing_set)
         absorb(k60, st2, outside[:2])
@@ -372,12 +382,22 @@ class TestBuildAbsorbingSet:
             obj[name + "_map"] = list(obj[name])
         verify_structure(k60, structure_from_obj(obj))
 
-    def test_older_documents_harvest_sizes_is_ignored(self, k60_structure):
+    @pytest.mark.parametrize("key,value", [
+        ("harvest_sizes", {str(v): 12 for v in range(60)}),
+        ("copy_families", {"0": [[31]], "1": [[31], [44]]}),
+    ])
+    def test_older_documents_key_is_ignored(self, k60_structure, key, value):
         k60, st = k60_structure
         obj = structure_to_obj(st)
-        assert "harvest_sizes" not in obj
-        older = dict(obj, harvest_sizes={str(v): 12 for v in range(60)})
+        assert key not in obj
+        older = dict(obj, **{key: value})
         assert structure_to_obj(structure_from_obj(older)) == obj
+
+    def test_structure_document_is_unchanged(self, k60_structure, tmp_path):
+        _k60, st = k60_structure
+        doc = tmp_path / "structure.json"
+        dump_json(structure_to_obj(st), str(doc))
+        assert hashlib.sha256(doc.read_bytes()).hexdigest() == K60_DIRECT_DOCUMENT_SHA256
 
     def test_wrong_remainder_frac_is_malformed(self, k60_structure, tmp_path, capsys):
         k60, st = k60_structure
@@ -415,6 +435,8 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj["template"].update(surplus=obj["template"]["surplus"] + 1),
          "template surplus 3 is not len(left_adj) - 3m = 2"),
         (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
+        (lambda obj: obj.update(n=10**400), "int too large to convert to float"),
+        (lambda obj: obj["pattern"].update(r=3), "pattern r 3 is not the config's h = 2"),
         (lambda obj: obj["template"].update(m="1"),
          'template m must be an integer >= 1, not "1"'),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
@@ -431,18 +453,10 @@ class TestBuildAbsorbingSet:
          'edge absorber left must be an integer >= 0, not "0"'),
         (lambda obj: obj["edge_absorbers"][0].update(right=-1),
          "edge absorber right must be an integer >= 0, not -1"),
-        (lambda obj: obj["copy_families"].update({"x": [[31]]}),
-         'copy_families keys must be vertices in 0..59, not "x"'),
-        (lambda obj: obj["copy_families"]["0"].append([99]),
-         "copy family member must lie in 0..59, not [99]"),
         (lambda obj: obj.update(seed="x"), 'structure seed must be an integer, not "x"'),
         (lambda obj: obj.update(edge_absorbers=[5]), "edge absorber must be an object, not 5"),
         (lambda obj: obj.update(edge_absorbers={}),
          "structure edge_absorbers must be a list, not {}"),
-        (lambda obj: obj.update(copy_families=[]),
-         "structure copy_families must be an object, not []"),
-        (lambda obj: obj["copy_families"].update({"0": 5}),
-         "copy_families value must be a list, not 5"),
         (lambda obj: obj.update(size_report=[1]),
          "structure size_report must be an object, not [1]"),
         (lambda obj: obj["size_report"].update(total=5),
@@ -454,10 +468,9 @@ class TestBuildAbsorbingSet:
          "for this pattern at t=1"),
         (lambda obj: obj["size_report"].update(builder="exact"),
          'structure size_report builder must be one of direct, general, clique, not "exact"'),
-    ], ids=["slots", "surplus", "n", "m", "left_adj", "buffer", "core", "slot_block",
-            "absorber_vertex", "absorber_left", "absorber_right", "family_key",
-            "family_member", "seed", "absorber_entry", "absorbers_type",
-            "families_type", "family_list_type", "size_report_type",
+    ], ids=["slots", "surplus", "n", "n_overflow", "pattern_size", "m", "left_adj", "buffer", "core", "slot_block",
+            "absorber_vertex", "absorber_left", "absorber_right", "seed",
+            "absorber_entry", "absorbers_type", "size_report_type",
             "size_report_total", "size_report_missing_key", "size_report_builder",
             "size_report_unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
@@ -472,6 +485,47 @@ class TestBuildAbsorbingSet:
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.data())
+    def test_one_replaced_leaf_never_crashes_verify(self, k60_structure, tmp_path_factory,
+                                                    data):
+        k60, st = k60_structure
+        folder = tmp_path_factory.mktemp("leaf")
+        graph = folder / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        path = data.draw(hs.sampled_from(sorted(_leaf_paths(obj), key=str)))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        doc = folder / "structure.json"
+        doc.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["verify", "--certificate", str(doc), "--graph", str(graph)])
+        assert code in (0, 1, 2)
+        if code == 2:  # a replaced schema tag makes the document another kind
+            assert err.getvalue().startswith(("malformed certificate:", "error:",
+                                              "unknown certificate schema:"))
+
+
+# any JSON value, as json.loads returns it
+JSON_VALUES = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.text(max_size=8)
+    | hs.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: hs.lists(inner, max_size=3) | hs.dictionaries(hs.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _leaf_paths(obj, path=()):
+    """Key paths to the scalars and empty containers inside a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    paths = [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+    return paths or [path]
 
 
 @pytest.fixture(scope="module")

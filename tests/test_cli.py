@@ -155,6 +155,8 @@ class TestFactor:
     @pytest.mark.parametrize("config,message", [
         ('{"bogus": 1}', "unknown AbsorberConfig key(s): bogus"),
         ('{"remainder_frac": 0.5}', "unknown AbsorberConfig key(s): remainder_frac"),
+        ('{"sample_retries": 5}', "unknown AbsorberConfig key(s): sample_retries"),
+        ('{"partition_retries": 5}', "unknown AbsorberConfig key(s): partition_retries"),
         ('{"h": 3}', "config may not set h"),
         ('{"overrides": false}', "config may not set overrides"),
         ("[1]", "--config must be a JSON object, not list"),
@@ -164,6 +166,7 @@ class TestFactor:
         ('{"t": true}', "AbsorberConfig.t must be"),
         ('{"surplus_ratio": "6"}', "AbsorberConfig.surplus_ratio must be"),
         ('{"sample_prob": -1}', "AbsorberConfig.sample_prob must lie in [0, 1]"),
+        ('{"absorber_frac": 1%s}' % ("0" * 400), "error: int too large to convert to float"),
     ])
     def test_malformed_config_exit_2(self, g30, capsys, command, config, message):
         extra = ["--solver", "absorbing"] if command == "factor" else []
