@@ -732,13 +732,15 @@ def build_absorbing_set(
     max(1, ceil(absorber_frac*n)) copies that share only v, taken greedily
     (each copy's other vertices leave the search); (2) sample the buffer
     with probability sample_prob, at most SAMPLE_RETRIES times, until the
-    sample is small enough and every vertex has enough copies into the
-    buffer (counted, not kept); (3) build the template at the implied round
-    size; (4) reserve core and slot vertices;
-    (5) map template sides onto them; (6) pick pairwise-disjoint absorbers
-    for every template edge, the only stage that runs the builder; (7)
-    assemble.  Any stage that exhausts its candidates raises StageFailure
-    naming the stage and the blocking vertices.
+    sample is small enough and every vertex has q^(h-1)*gamma/2 copies
+    into the buffer: an integer count reaches that exactly when it reaches
+    its ceiling, so each count stops there, the first short vertex rejects
+    the sample, and no copy is kept; (3) build the template at the implied
+    round size; (4) reserve core and slot vertices; (5) map template sides
+    onto them; (6) pick pairwise-disjoint absorbers for every template
+    edge, the only stage that runs the builder; (7) assemble.  Any stage
+    that exhausts its candidates raises StageFailure naming the stage and
+    the blocking vertices.
     """
     h = p.h
     if config.h != h:
@@ -775,8 +777,6 @@ def build_absorbing_set(
     # stage 2: buffer sampling with the concentration event checked directly
     q = config.sample_prob
     beta = config.surplus_ratio
-    buffer: list[int] | None = None
-    m = 0
     for attempt in range(SAMPLE_RETRIES):
         rng = rng_for(seed, "buffer", attempt)
         raw = [v for v in range(n) if rng.random() < q]
@@ -790,15 +790,11 @@ def build_absorbing_set(
         if mm < 1:
             continue
         cand = raw[: mm + _surplus_of(mm, beta)]
-        fams = _families_in_buffer(g, p, cand, range(n))
-        if all(len(f) >= q ** (h - 1) * gamma / 2 for f in fams.values()):
+        if _every_vertex_reaches(g, p, vertex_mask(cand), math.ceil(q ** (h - 1) * gamma / 2)):
             buffer, m = cand, mm
             break
-    if buffer is None:
-        raise StageFailure(
-            "buffer-sample",
-            f"no acceptable buffer in {SAMPLE_RETRIES} samples",
-        )
+    else:
+        raise StageFailure("buffer-sample", f"no acceptable buffer in {SAMPLE_RETRIES} samples")
     surplus = _surplus_of(m, beta)
 
     # stage 3: template
@@ -853,11 +849,18 @@ def build_absorbing_set(
     )
 
 
+def _every_vertex_reaches(g: Graph, p: Pattern, pool: int, need: int) -> bool:
+    """Whether each vertex v lies in `need` copies inside pool + v; counts stop at `need`."""
+    return all(sum(1 for _ in islice(copy_sets_through(g, p, v, pool | 1 << v), need)) == need
+               for v in range(g.n))
+
+
 def _families_in_buffer(g: Graph, p: Pattern, buffer: list[int],
                         anchors: Iterable[int]) -> dict[int, tuple]:
     """For every anchor v, all (h-1)-subsets of the buffer that form a
     pattern copy with v (sorted lexicographically): the copies through v
-    inside the buffer plus v, with v taken out."""
+    inside the buffer plus v, with v taken out.  Only `absorb` builds these,
+    for the remainder and the buffer; `build_absorbing_set` counts copies."""
     pool = vertex_mask(buffer)
     return {
         v: tuple(tuple(u for u in img if u != v)

@@ -169,6 +169,7 @@ def cmd_absorb(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    g = _read_graph(args.graph)  # first: the tiling loader checks the pattern against g.n
     obj = load_json(args.certificate)
     if not isinstance(obj, dict):
         print(f"malformed certificate: a JSON {type(obj).__name__}, not an object",
@@ -177,7 +178,7 @@ def cmd_verify(args) -> int:
     schema = obj.get("schema")
     try:  # load only; the checks run below
         if schema == SCHEMA_TILING:
-            check = partial(verify_tiling, tiling=tiling_from_obj(obj),
+            check = partial(verify_tiling, tiling=tiling_from_obj(obj, g.n),
                             require_factor=args.factor)
         elif schema in STRUCTURE_SCHEMAS:
             check = partial(verify_structure, structure=structure_from_obj(obj),
@@ -192,7 +193,7 @@ def cmd_verify(args) -> int:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        check(_read_graph(args.graph))
+        check(g)
     except VerificationError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return FAILURE

@@ -10,7 +10,9 @@ loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
-vertex outside 0..n-1, and on a stored value other than the one it derives:
+vertex outside 0..n-1, on a pattern with more vertices than the graph (a
+tiling's) or than n (a structure's), checked before the pattern is built,
+and on a stored value other than the one it derives:
 a structure's `slots` (its `slot_blocks` in order) and `size_report` (the
 structure's `size_report`, whose `builder` is read from the document), a
 template's `surplus` (len(left_adj) - 3m) and a config's `remainder_frac`
@@ -78,8 +80,9 @@ def pattern_to_obj(p: Pattern) -> dict:
     return {"kind": "general", "n": p.h, "edges": [list(e) for e in p.graph.edges()]}
 
 
-def pattern_from_obj(obj: dict, h: int | None = None) -> Pattern:
-    """The pattern in `obj`, checked to have `h` vertices, if given, before it is built."""
+def pattern_from_obj(obj: dict, h: int | None = None, n: int | None = None) -> Pattern:
+    """The pattern in `obj`, checked before it is built to have `h` vertices,
+    if given, and at most `n`, the vertex count of the graph, if given."""
     kind = obj["kind"]
     if kind not in ("clique", "general"):
         raise ValueError(f'pattern kind must be "clique" or "general", not {json.dumps(kind)}')
@@ -87,6 +90,8 @@ def pattern_from_obj(obj: dict, h: int | None = None) -> Pattern:
     size = json_int(obj[key], f"pattern {key}")
     if h is not None and size != h:
         raise ValueError(f"pattern {key} {size} is not the config's h = {h}")
+    if n is not None and size > n:
+        raise ValueError(f"pattern {key} {size} has more vertices than the graph's {n}")
     if kind == "clique":
         return Pattern.clique(size)
     return Pattern(Graph(size, [_ints(e, "pattern edge", 2) for e in obj["edges"]]))
@@ -111,8 +116,10 @@ def tiling_to_obj(t: Tiling) -> dict:
     }
 
 
-def tiling_from_obj(obj: dict) -> Tiling:
-    p = pattern_from_obj(obj["pattern"])
+def tiling_from_obj(obj: dict, n: int) -> Tiling:
+    """The tiling in `obj`, for a graph on `n` vertices: a pattern with more
+    vertices than the graph is refused before it is built."""
+    p = pattern_from_obj(obj["pattern"], n=n)
     return Tiling(pattern=p, copies=tuple(_ints(c, "tiling copy") for c in obj["copies"]))
 
 
@@ -189,7 +196,7 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
     config = config_from_obj(obj["config"])
     s = AbsorbingStructure(
         n=n,
-        pattern=pattern_from_obj(obj["pattern"], config.h),
+        pattern=pattern_from_obj(obj["pattern"], config.h, n),
         config=config,
         seed=json_int(obj["seed"], "structure seed"),
         builder=report.get("builder"),

@@ -39,6 +39,14 @@ def set_hosts_copy(g: Graph, p: Pattern, block: tuple[int, ...]) -> bool:
     return False
 
 
+def copies_into_buffer_count(g: Graph, p: Pattern, buffer: Iterable[int], v: int) -> int:
+    """How many copies run through v with every other vertex in the buffer:
+    the (h-1)-subsets of the buffer without v that host a copy together
+    with v, each checked by `set_hosts_copy`."""
+    mates = sorted(set(buffer) - {v})
+    return sum(set_hosts_copy(g, p, (v,) + rest) for rest in combinations(mates, p.h - 1))
+
+
 def copy_sets_through_bruteforce(
     g: Graph, p: Pattern, anchor: int, allowed: frozenset[int]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

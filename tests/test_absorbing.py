@@ -1,15 +1,17 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs  # `st` names structures below
 
-from oracles import _choose_disjoint_members, _cover_buffer
+from oracles import _choose_disjoint_members, _cover_buffer, copies_into_buffer_count
 from tilinglab import absorbing
 from tilinglab.absorbing import (
     AbsorberConfig,
@@ -23,8 +25,9 @@ from tilinglab.absorbing import (
     disjoint_absorber_family_direct,
     disjoint_absorber_family_general,
 )
+from tilinglab.factor import Tiling
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
-from tilinglab.graphs import Graph, Pattern, complete_graph
+from tilinglab.graphs import Graph, Pattern, complete_graph, vertex_mask
 from tilinglab.rng import rng_for
 from tilinglab.cli import main
 from tilinglab.graphs import emit_graph
@@ -34,6 +37,7 @@ from tilinglab.serialize import (
     dump_json,
     structure_from_obj,
     structure_to_obj,
+    tiling_to_obj,
 )
 from tilinglab.verify import (
     VerificationError,
@@ -437,6 +441,9 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
         (lambda obj: obj.update(n=10**400), "int too large to convert to float"),
         (lambda obj: obj["pattern"].update(r=3), "pattern r 3 is not the config's h = 2"),
+        (lambda obj: (obj["pattern"].update(r=3000), obj["config"].update(h=3000),
+                      obj["config"].pop("remainder_frac")),
+         "pattern r 3000 has more vertices than the graph's 60"),
         (lambda obj: obj["template"].update(m="1"),
          'template m must be an integer >= 1, not "1"'),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
@@ -468,7 +475,8 @@ class TestBuildAbsorbingSet:
          "for this pattern at t=1"),
         (lambda obj: obj["size_report"].update(builder="exact"),
          'structure size_report builder must be one of direct, general, clique, not "exact"'),
-    ], ids=["slots", "surplus", "n", "n_overflow", "pattern_size", "m", "left_adj", "buffer", "core", "slot_block",
+    ], ids=["slots", "surplus", "n", "n_overflow", "pattern_size", "pattern_above_n", "m",
+            "left_adj", "buffer", "core", "slot_block",
             "absorber_vertex", "absorber_left", "absorber_right", "seed",
             "absorber_entry", "absorbers_type", "size_report_type",
             "size_report_total", "size_report_missing_key", "size_report_builder",
@@ -486,21 +494,28 @@ class TestBuildAbsorbingSet:
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["structure", "clique_tiling", "general_tiling"])
     @settings(max_examples=200, deadline=None)
     @given(hs.data())
-    def test_one_replaced_leaf_never_crashes_verify(self, k60_structure, tmp_path_factory,
-                                                    data):
+    def test_one_replaced_leaf_never_crashes_verify(self, k60_structure, c4_pattern,
+                                                    tmp_path_factory, document, data):
         k60, st = k60_structure
         folder = tmp_path_factory.mktemp("leaf")
         graph = folder / "k60.el"
         graph.write_text(emit_graph(k60))
-        obj = structure_to_obj(st)
+        # small tilings, so that the pattern's size is often the leaf replaced
+        if document == "structure":
+            obj = structure_to_obj(st)
+        elif document == "clique_tiling":
+            obj = tiling_to_obj(Tiling(st.pattern, ((0, 1), (2, 3))))
+        else:
+            obj = tiling_to_obj(Tiling(c4_pattern, ((0, 1, 2, 3),)))
         path = data.draw(hs.sampled_from(sorted(_leaf_paths(obj), key=str)))
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = data.draw(JSON_VALUES)
-        doc = folder / "structure.json"
+        doc = folder / "document.json"
         doc.write_text(json.dumps(obj))
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
@@ -626,3 +641,60 @@ class TestDisjointCopies:
         m = data.draw(hs.integers(0, 4))
         expected = _cover_buffer(remaining, families, need, m)
         assert absorbing._disjoint_copies(remaining, families, remaining, need, m) == expected
+
+
+# the K3 desk-scale constants of tests/test_pipeline.py
+K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
+               m_cap=1, degree_frac=0.1, threshold_frac=0.1)
+
+SMALL_PATTERNS = {
+    "K3": Pattern.clique(3),
+    "P3": Pattern(Graph(3, [(0, 1), (1, 2)])),
+    "C4": Pattern(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
+}
+
+
+@hs.composite
+def buffer_checks(draw):
+    """(graph, pattern, buffer, need): a random graph on n <= 12 vertices, one
+    of SMALL_PATTERNS, a random buffer and a threshold of 1 to 4 copies."""
+    n = draw(hs.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(hs.lists(hs.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    p = SMALL_PATTERNS[draw(hs.sampled_from(sorted(SMALL_PATTERNS)))]
+    buffer = sorted(draw(hs.sets(hs.integers(0, n - 1))))
+    return Graph(n, edges), p, buffer, draw(hs.integers(1, 4))
+
+
+class TestBufferSample:
+    """Stage 2 of build_absorbing_set counts each vertex's copies into the
+    buffer, up to the threshold, instead of building its copy family."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(buffer_checks())
+    def test_count_matches_bruteforce(self, drawn):
+        g, p, buffer, need = drawn
+        expected = all(copies_into_buffer_count(g, p, buffer, v) >= need for v in range(g.n))
+        assert absorbing._every_vertex_reaches(g, p, vertex_mask(buffer), need) == expected
+
+    def test_build_never_builds_families(self, k2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(absorbing, "_families_in_buffer",
+                            lambda *args: calls.append(args) or {})
+        build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("graph_seed", [1, 2, 3])
+    def test_gnp120_build_memory(self, k3, graph_seed):
+        # families for every vertex peaked at 273-411 KiB; counting keeps about 41
+        g = gen_gnp(120, 0.7, graph_seed)
+        cfg = AbsorberConfig.desk_scale(h=3, **K3_DESK)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_absorbing_set(g, k3, cfg, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**10

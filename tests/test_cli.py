@@ -230,6 +230,19 @@ class TestVerify:
         assert run_cli("verify", "--certificate", str(doc), "--graph", str(g30)) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pattern,message", [
+        ({"kind": "clique", "r": 1000}, "pattern r 1000 has more vertices than the graph's 3"),
+        ({"kind": "general", "n": 4, "edges": []}, "pattern n 4 has more vertices than the graph's 3"),
+    ], ids=["clique", "general"])
+    def test_pattern_larger_than_graph_is_malformed(self, tmp_path, capsys, pattern, message):
+        # refused before the pattern is built: K_1000 alone takes 69 MB
+        graph = tmp_path / "k3.el"
+        graph.write_text("3 3\n0 1\n0 2\n1 2\n")
+        doc = tmp_path / "tiling.json"
+        doc.write_text(json.dumps({"schema": "tiling/v1", "pattern": pattern, "copies": []}))
+        assert run_cli("verify", "--certificate", str(doc), "--graph", str(graph)) == 2
+        assert f"malformed certificate: {message}" in capsys.readouterr().err
+
     def test_top_level_list_is_malformed(self, g30, tmp_path, capsys):
         doc = tmp_path / "list.json"
         doc.write_text("[1, 2, 3]")
