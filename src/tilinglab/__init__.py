@@ -1,17 +1,13 @@
 """tilinglab: a desk-scale laboratory for graph tilings and absorbers."""
 
-from .absorbing import (
-    AbsorberConfig,
-    AbsorbingStructure,
-    TemplateGraph,
-    absorb,
-    build_absorbing_set,
-    build_template,
-)
+from .absorbing import AbsorbingStructure, build_absorbing_set
+from .absorption import absorb
+from .config import AbsorberConfig
 from .factor import FactorResult, Tiling, find_factor_exact, greedy_max_tiling
 from .graphs import Graph, Pattern, emit_graph, parse_graph
 from .invariants import alpha_ell, min_degree, one_density, traversing_threshold
 from .pipeline import PipelineReport, cover_check, find_factor_absorbing
+from .templates import TemplateGraph, build_template
 
 __version__ = "0.1.0"
 

@@ -13,14 +13,10 @@ import os
 import sys
 from functools import partial
 
-from .absorbing import (
-    BUILDERS,
-    AbsorberConfig,
-    StageFailure,
-    TemplateBuildError,
-    absorb,
-    build_absorbing_set,
-)
+from .absorbers import BUILDERS
+from .absorbing import build_absorbing_set
+from .absorption import absorb
+from .config import AbsorberConfig, StageFailure, TemplateBuildError
 from .factor import find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph
@@ -169,7 +165,7 @@ def cmd_absorb(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _read_graph(args.graph)  # first: the tiling loader checks the pattern against g.n
+    g = _read_graph(args.graph)  # first: the loaders check the pattern against g.n
     obj = load_json(args.certificate)
     if not isinstance(obj, dict):
         print(f"malformed certificate: a JSON {type(obj).__name__}, not an object",
@@ -181,7 +177,7 @@ def cmd_verify(args) -> int:
             check = partial(verify_tiling, tiling=tiling_from_obj(obj, g.n),
                             require_factor=args.factor)
         elif schema in STRUCTURE_SCHEMAS:
-            check = partial(verify_structure, structure=structure_from_obj(obj),
+            check = partial(verify_structure, structure=structure_from_obj(obj, g.n),
                             seed=args.seed)
         else:
             print(f"unknown certificate schema: {schema}", file=sys.stderr)

@@ -1,0 +1,152 @@
+"""Absorber configuration and the errors of the absorbing layers.
+
+`AbsorberConfig` holds the constants that drive absorber construction; the
+exceptions are the ones the template, absorber, absorbing-set and absorption
+modules raise.  This module imports nothing from the package, so every
+absorbing layer can import it without a cycle.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+
+class StageFailure(RuntimeError):
+    """A greedy stage ran out of candidates; carries the stage name."""
+
+    def __init__(self, stage: str, detail: str = "", blocking: tuple | None = None):
+        self.stage = stage
+        self.detail = detail
+        self.blocking = blocking
+        msg = f"stage '{stage}' failed"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+
+
+class TemplateBuildError(RuntimeError):
+    """Template verification kept failing; carries a falsifying subset."""
+
+    def __init__(self, msg: str, falsifying: tuple[int, ...] | None = None):
+        self.falsifying = falsifying
+        super().__init__(msg)
+
+
+class CertificateBugError(RuntimeError):
+    """A property certified at build time failed at use time."""
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+# most samples of a random-regular template, of the buffer and of the partition
+TEMPLATE_RETRIES = 20
+SAMPLE_RETRIES = 50
+PARTITION_RETRIES = 20
+
+
+def _asymptotic_bindings(h: int, t: int, absorber_frac: float) -> tuple[float, float]:
+    """(sample_prob, surplus_ratio) as the theory binds them."""
+    q = absorber_frac / (500 * h * t)
+    return q, q ** (h - 1) * absorber_frac / 4
+
+
+@dataclass(frozen=True)
+class AbsorberConfig:
+    """Constants driving absorber construction.
+
+    The asymptotic bindings are sample_prob = absorber_frac/(500*h*t) and
+    surplus_ratio = sample_prob**(h-1)*absorber_frac/4, all in (0,1).
+    Desk-scale configurations override both (overrides=True).  The
+    absorbable remainder fraction remainder_frac = surplus_ratio/(h-1), on
+    which the divisibility bookkeeping depends, is derived, so it holds in
+    every configuration.  This class is the only place that lists the
+    fields; the loaders and the codec read them from `fields()`.
+    """
+
+    h: int
+    t: int
+    absorber_frac: float      # required disjoint-absorber family density per core set
+    sample_prob: float        # buffer sampling probability
+    surplus_ratio: float      # buffer surplus per template round: |buffer| = (1+ratio)*m
+    degree_frac: float = 0.1       # minimum-degree fraction for hypothesis checks
+    threshold_frac: float = 0.2    # clique-free / traversing threshold fraction
+    overrides: bool = False
+    pool_size: int | None = None         # neighbor-pool size per core vertex
+    part_degree_min: int | None = None   # per-class degree floor for the partition build
+    common_nbhd_min: int | None = None   # common-neighborhood floor for clique descent
+    m_cap: int | None = None             # cap on the template round size
+
+    def __post_init__(self):
+        # fields arrive from JSON, so every type and range is checked here
+        for f in fields(self):
+            x = getattr(self, f.name)
+            is_int = isinstance(x, int) and not isinstance(x, bool)
+            if f.type == "bool":
+                ok = isinstance(x, bool)
+            elif f.type == "float":
+                ok = (is_int or isinstance(x, float)) and math.isfinite(x)
+            else:  # "int" or "int | None", never negative
+                ok = (is_int and x >= 0) or (x is None and f.type == "int | None")
+            if not ok:
+                raise ValueError(f"AbsorberConfig.{f.name} must be a non-negative "
+                                 f"{f.type}, not {x!r}")
+        for name in ("absorber_frac", "sample_prob", "degree_frac", "threshold_frac"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"AbsorberConfig.{name} must lie in [0, 1]")
+        if self.surplus_ratio <= 0:
+            raise ValueError("AbsorberConfig.surplus_ratio must be positive")
+        for name, low in dict(h=2, t=1).items():
+            if getattr(self, name) < low:
+                raise ValueError(f"AbsorberConfig.{name} must be at least {low}")
+        if not self.overrides:
+            q, b = _asymptotic_bindings(self.h, self.t, self.absorber_frac)
+            if not (math.isclose(self.sample_prob, q, rel_tol=1e-9)
+                    and math.isclose(self.surplus_ratio, b, rel_tol=1e-9)):
+                raise ValueError("non-override config must use the asymptotic bindings")
+            for x in (self.absorber_frac, self.sample_prob, self.surplus_ratio):
+                if not 0 < x < 1:
+                    raise ValueError("asymptotic constants must lie in (0, 1)")
+
+    @property
+    def remainder_frac(self) -> float:
+        """Absorbable remainder fraction, surplus_ratio/(h-1)."""
+        return self.surplus_ratio / (self.h - 1)
+
+    @classmethod
+    def asymptotic(cls, h: int, t: int, absorber_frac: float, **kw) -> "AbsorberConfig":
+        q, b = _asymptotic_bindings(h, t, absorber_frac)
+        return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=q,
+                   surplus_ratio=b, overrides=False, **kw)
+
+    @classmethod
+    def desk_scale(
+        cls,
+        h: int,
+        t: int = 1,
+        absorber_frac: float = 0.05,
+        sample_prob: float = 0.08,
+        surplus_ratio: float = 6.0,
+        **kw,
+    ) -> "AbsorberConfig":
+        """Override constants; `kw` sets any further field except overrides."""
+        return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=sample_prob,
+                   surplus_ratio=surplus_ratio, overrides=True, **kw)
+
+    @classmethod
+    def from_overrides(cls, h: int, obj) -> "AbsorberConfig":
+        """The desk_scale config for pattern size h with the fields set in
+        `obj`, the JSON object given to `--config` or as a sweep spec's
+        `config`.  `obj` may set any field except h, which the pattern
+        fixes, and overrides; anything else raises a ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"--config must be a JSON object, not {type(obj).__name__}")
+        fixed = obj.keys() & {"h", "overrides"}
+        if fixed:
+            raise ValueError(f"config may not set {', '.join(sorted(fixed))}: the pattern "
+                             "fixes h, and overrides is always true here")
+        unknown = obj.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown AbsorberConfig key(s): {', '.join(sorted(unknown))}")
+        return cls.desk_scale(h=h, **obj)

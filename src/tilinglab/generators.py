@@ -25,8 +25,13 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if p == 1.0:
         return Graph(n, iter_pairs(n))
     rand = rng_for(seed, "gnp", n).random
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rand() < p]
-    return Graph(n, edges)
+    bits = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rand() < p:
+                bits[u] |= 1 << v
+                bits[v] |= 1 << u
+    return Graph._from_bits(bits)
 
 
 def _multipartite_edges(sizes: list[int]) -> tuple[list[int], list[tuple[int, int]]]:

@@ -17,15 +17,10 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable
 
-from .absorbing import (
-    AbsorberConfig,
-    AbsorbingStructure,
-    StageFailure,
-    TemplateBuildError,
-    absorb,
-    build_absorbing_set,
-    check_builder,
-)
+from .absorbers import check_builder
+from .absorbing import AbsorbingStructure, build_absorbing_set
+from .absorption import absorb
+from .config import AbsorberConfig, StageFailure, TemplateBuildError
 from .embed import embed_in_set, find_embedding
 from .factor import Tiling, find_factor_exact, greedy_max_tiling, leftover_of
 from .graphs import Graph, Pattern, vertex_mask

@@ -10,9 +10,9 @@ loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
-vertex outside 0..n-1, on a pattern with more vertices than the graph (a
-tiling's) or than n (a structure's), checked before the pattern is built,
-and on a stored value other than the one it derives:
+vertex outside 0..n-1, on a pattern with more vertices than the graph,
+checked before the pattern is built, and on a stored value other than the
+one it derives:
 a structure's `slots` (its `slot_blocks` in order) and `size_report` (the
 structure's `size_report`, whose `builder` is read from the document), a
 template's `surplus` (len(left_adj) - 3m) and a config's `remainder_frac`
@@ -26,9 +26,12 @@ import math
 from dataclasses import fields
 from typing import Any
 
-from .absorbing import BUILDERS, AbsorberConfig, AbsorbingStructure, TemplateGraph
+from .absorbers import BUILDERS
+from .absorbing import AbsorbingStructure
+from .config import AbsorberConfig
 from .factor import Tiling
 from .graphs import Graph, Pattern
+from .templates import TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
 SCHEMA_STRUCTURE = "absorbing-structure/v2"
@@ -188,7 +191,9 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
     }
 
 
-def structure_from_obj(obj: dict) -> AbsorbingStructure:
+def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
+    """The structure in `obj`, for a graph on `graph_n` vertices: a pattern
+    with more vertices than the graph is refused before it is built."""
     n = json_int(obj["n"], "structure n", 0)
     absorbers = [_typed(e, dict, "edge absorber")
                  for e in _typed(obj["edge_absorbers"], list, "structure edge_absorbers")]
@@ -196,7 +201,7 @@ def structure_from_obj(obj: dict) -> AbsorbingStructure:
     config = config_from_obj(obj["config"])
     s = AbsorbingStructure(
         n=n,
-        pattern=pattern_from_obj(obj["pattern"], config.h, n),
+        pattern=pattern_from_obj(obj["pattern"], config.h, graph_n),
         config=config,
         seed=json_int(obj["seed"], "structure seed"),
         builder=report.get("builder"),

@@ -9,7 +9,6 @@ unless explicitly requested.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -17,7 +16,8 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
-from .absorbing import AbsorberConfig, check_builder
+from .absorbers import check_builder
+from .config import AbsorberConfig
 from .factor import find_factor_exact
 from .generators import GENERATORS, check_param
 from .pipeline import find_factor_absorbing
@@ -188,6 +188,8 @@ def run_sweep(spec: ExperimentSpec, threads: int = 1, timings: bool = False) -> 
 
 
 def rows_to_csv(spec: ExperimentSpec, rows: list[dict]) -> str:
+    import csv  # only a process that writes a CSV loads it
+
     columns = spec.grid_keys() + RESULT_COLUMNS
     buf = io.StringIO()
     buf.write(f"# schema: {CSV_SCHEMA}\n")

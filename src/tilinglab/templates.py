@@ -1,0 +1,154 @@
+"""Robust bipartite templates.
+
+A template is a bounded-degree bipartite graph on (flex + core, slots) such
+that every m-subset of the flex side, together with the core side, has a
+perfect matching onto the slots.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, replace
+from typing import Iterable
+
+from .config import TEMPLATE_RETRIES, TemplateBuildError
+from .matching import max_bipartite_matching
+from .rng import derive_seed, rng_for
+from .verify import check_template
+
+
+@dataclass(frozen=True)
+class TemplateGraph:
+    """Bipartite template on (flex + core, slots) with the robust property:
+    for every m-subset F of the flex side, (F + core, slots) has a perfect
+    matching.  Sizes: flex = m + surplus, core = 2m, slots = 3m; maximum
+    degree at most 40.
+    """
+
+    m: int
+    mode: str
+    left_adj: tuple[tuple[int, ...], ...]
+    verification: dict = field(hash=False)
+
+    @property
+    def surplus(self) -> int:
+        return self.left_size - 3 * self.m
+
+    @property
+    def flex_size(self) -> int:
+        return self.m + self.surplus
+
+    @property
+    def core_size(self) -> int:
+        return 2 * self.m
+
+    @property
+    def slot_count(self) -> int:
+        return 3 * self.m
+
+    @property
+    def left_size(self) -> int:
+        return len(self.left_adj)
+
+    @property
+    def max_degree(self) -> int:
+        right_deg = [0] * self.slot_count
+        best = 0
+        for nbrs in self.left_adj:
+            best = max(best, len(nbrs))
+            for r in nbrs:
+                right_deg[r] += 1
+        return max(best, max(right_deg, default=0))
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(l, r) for l in range(self.left_size) for r in self.left_adj[l]]
+
+    def slot_matching(self, flex_subset: Iterable[int]) -> dict[int, int] | None:
+        """Perfect matching of (flex_subset + core) onto the slots, as
+        {left index: slot}, or None when there is none."""
+        chosen = sorted(set(flex_subset))
+        if len(chosen) != self.m or any(not 0 <= i < self.flex_size for i in chosen):
+            raise ValueError("flex subset must pick exactly m flex indices")
+        left = chosen + list(range(self.flex_size, self.left_size))
+        adj = [list(self.left_adj[l]) for l in left]
+        size, pair_l, _ = max_bipartite_matching(len(left), self.slot_count, adj)
+        return dict(zip(left, pair_l)) if size == self.slot_count else None
+
+
+def _surplus_of(m: int, beta: float) -> int:
+    return math.ceil(beta * m)
+
+
+# left degree of a random-regular template
+TEMPLATE_DEGREE = 12
+
+
+def build_template(
+    m: int,
+    beta: float,
+    mode: str = "complete-bipartite",
+    verify: str = "exhaustive",
+    trials: int = 1000,
+    seed: int = 0,
+    retries: int = TEMPLATE_RETRIES,
+) -> TemplateGraph:
+    """Build a robust template at round size m and surplus ceil(beta*m).
+
+    complete-bipartite mode joins every left vertex to every slot; the robust
+    property is then immediate from Hall's condition, and the degree-40 bound
+    requires 3m + ceil(beta*m) <= 40.  random-regular mode samples a
+    configuration-style pairing with all degrees in [8, 40] and certifies the
+    property by matching checks (exhaustive, or `trials` sampled subsets when
+    verify="sampled"), resampling on failure up to `retries` times.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    left = 3 * m + _surplus_of(m, beta)
+    slots = 3 * m
+
+    if mode == "complete-bipartite":
+        if left > 40:
+            raise ValueError(
+                f"complete-bipartite mode needs 3m + ceil(beta*m) <= 40, got {left}"
+            )
+        adj = tuple(tuple(range(slots)) for _ in range(left))
+        tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
+        record, bad = check_template(tpl, verify, trials, seed, "template-verify")
+        if bad is not None:
+            raise TemplateBuildError("flex subset without perfect matching", falsifying=bad)
+        return replace(tpl, verification=record)
+
+    if mode == "random-regular":
+        for attempt in range(retries):
+            rng = rng_for(seed, "template", attempt)
+            total = TEMPLATE_DEGREE * left
+            right_stubs: list[int] = []
+            base, extra = divmod(total, slots)
+            for r in range(slots):
+                right_stubs.extend([r] * (base + (1 if r < extra else 0)))
+            rng.shuffle(right_stubs)
+            adj_sets: list[set[int]] = [set() for _ in range(left)]
+            idx = 0
+            for l in range(left):
+                for _ in range(TEMPLATE_DEGREE):
+                    adj_sets[l].add(right_stubs[idx])
+                    idx += 1
+            left_deg = [len(s) for s in adj_sets]
+            right_deg = [0] * slots
+            for s in adj_sets:
+                for r in s:
+                    right_deg[r] += 1
+            degs = left_deg + right_deg
+            if min(degs) < 8 or max(degs) > 40:
+                continue
+            adj = tuple(tuple(sorted(s)) for s in adj_sets)
+            tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
+            record, bad = check_template(tpl, verify, trials,
+                                         derive_seed(seed, "verify", attempt), "template-verify")
+            if bad is None:
+                return replace(tpl, verification=record)
+        raise TemplateBuildError(
+            f"no verified template after {retries} samples (m={m}, beta={beta})"
+        )
+
+    raise ValueError(f"unknown template mode: {mode}")

@@ -131,7 +131,7 @@ def max_density_subgraphs(p: Pattern):
     return best
 
 
-# Reference searches for absorbing._disjoint_copies, one per way absorb() uses
+# Reference searches for absorption._disjoint_copies, one per way absorb() uses
 # it: a copy into the buffer for every remainder vertex, and copies covering
 # the buffer surplus until exactly m vertices remain.
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs  # `st` names structures below
 
 from oracles import _choose_disjoint_members, _cover_buffer, copies_into_buffer_count
-from tilinglab import absorbing
+from tilinglab import absorbing, absorption
 from tilinglab.absorbing import (
     AbsorberConfig,
     CertificateBugError,
@@ -358,7 +358,7 @@ class TestBuildAbsorbingSet:
     def test_structure_roundtrips_through_json(self, k2):
         k60 = complete_graph(60)
         st = build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
-        st2 = structure_from_obj(structure_to_obj(st))
+        st2 = structure_from_obj(structure_to_obj(st), k60.n)
         assert st2.buffer == st.buffer
         assert st2.edge_absorbers == st.edge_absorbers
         verify_structure(k60, st2)
@@ -372,7 +372,7 @@ class TestBuildAbsorbingSet:
         # the document of the tampered structure carries its own size_report
         tampered = dataclasses.replace(st, edge_absorbers={
             **st.edge_absorbers, first: st.edge_absorbers[second]})
-        bad = structure_from_obj(structure_to_obj(tampered))
+        bad = structure_from_obj(structure_to_obj(tampered), k60.n)
         with pytest.raises(VerificationError):
             verify_structure(k60, bad)
 
@@ -384,7 +384,7 @@ class TestBuildAbsorbingSet:
         obj["schema"] = "absorbing-structure/v1"
         for name in ("buffer", "core"):
             obj[name + "_map"] = list(obj[name])
-        verify_structure(k60, structure_from_obj(obj))
+        verify_structure(k60, structure_from_obj(obj, k60.n))
 
     @pytest.mark.parametrize("key,value", [
         ("harvest_sizes", {str(v): 12 for v in range(60)}),
@@ -395,7 +395,7 @@ class TestBuildAbsorbingSet:
         obj = structure_to_obj(st)
         assert key not in obj
         older = dict(obj, **{key: value})
-        assert structure_to_obj(structure_from_obj(older)) == obj
+        assert structure_to_obj(structure_from_obj(older, k60.n)) == obj
 
     def test_structure_document_is_unchanged(self, k60_structure, tmp_path):
         _k60, st = k60_structure
@@ -420,7 +420,7 @@ class TestBuildAbsorbingSet:
         obj = structure_to_obj(st)
         obj["buffer"] = obj["buffer"][::-1]
         with pytest.raises(VerificationError, match="buffer is not strictly increasing"):
-            verify_structure(k60, structure_from_obj(obj))
+            verify_structure(k60, structure_from_obj(obj, k60.n))
 
     @pytest.mark.parametrize("builder", ["direct", "general", "clique"])
     def test_document_round_trips(self, builder, k60_structure, k60_general_structure,
@@ -429,7 +429,7 @@ class TestBuildAbsorbingSet:
                  "clique": k150_clique_structure}[builder]
         assert st.size_report["builder"] == builder
         doc = json.loads(json.dumps(structure_to_obj(st)))
-        assert structure_to_obj(structure_from_obj(doc)) == doc
+        assert structure_to_obj(structure_from_obj(doc, g.n)) == doc
         assert doc["slots"] == [v for b in doc["slot_blocks"] for v in b]
         assert doc["template"]["surplus"] == len(doc["template"]["left_adj"]) - 3 * doc["template"]["m"]
 
@@ -443,6 +443,9 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj["pattern"].update(r=3), "pattern r 3 is not the config's h = 2"),
         (lambda obj: (obj["pattern"].update(r=3000), obj["config"].update(h=3000),
                       obj["config"].pop("remainder_frac")),
+         "pattern r 3000 has more vertices than the graph's 60"),
+        (lambda obj: (obj.update(n=100000), obj["pattern"].update(r=3000),
+                      obj["config"].update(h=3000), obj["config"].pop("remainder_frac")),
          "pattern r 3000 has more vertices than the graph's 60"),
         (lambda obj: obj["template"].update(m="1"),
          'template m must be an integer >= 1, not "1"'),
@@ -475,7 +478,8 @@ class TestBuildAbsorbingSet:
          "for this pattern at t=1"),
         (lambda obj: obj["size_report"].update(builder="exact"),
          'structure size_report builder must be one of direct, general, clique, not "exact"'),
-    ], ids=["slots", "surplus", "n", "n_overflow", "pattern_size", "pattern_above_n", "m",
+    ], ids=["slots", "surplus", "n", "n_overflow", "pattern_size", "pattern_above_n",
+            "pattern_above_graph_n", "m",
             "left_adj", "buffer", "core", "slot_block",
             "absorber_vertex", "absorber_left", "absorber_right", "seed",
             "absorber_entry", "absorbers_type", "size_report_type",
@@ -600,7 +604,7 @@ class TestAbsorb:
 
     def test_short_buffer_cover_is_a_certificate_bug(self, k60_structure, monkeypatch):
         g, st = k60_structure
-        monkeypatch.setattr(absorbing, "_disjoint_copies", lambda *args: [])
+        monkeypatch.setattr(absorption, "_disjoint_copies", lambda *args: [])
         with pytest.raises(CertificateBugError, match="survivors"):
             absorb(g, st, [])
 
@@ -619,7 +623,7 @@ def copy_families(draw):
 
 
 class TestDisjointCopies:
-    """absorbing._disjoint_copies returns exactly what the reference
+    """absorption._disjoint_copies returns exactly what the reference
     searches in tests/oracles.py return, for both of absorb()'s uses."""
 
     @settings(max_examples=300, deadline=None)
@@ -630,7 +634,7 @@ class TestDisjointCopies:
         outside = [v for v in range(n) if v not in pool]
         rem = sorted(data.draw(hs.sets(hs.sampled_from(outside)))) if outside else []
         expected = _choose_disjoint_members(rem, families, frozenset(pool))
-        got = absorbing._disjoint_copies(rem, families, pool, len(rem), 0)
+        got = absorption._disjoint_copies(rem, families, pool, len(rem), 0)
         assert got == (None if expected is None else [(v, expected[v]) for v in rem])
 
     @settings(max_examples=300, deadline=None)
@@ -640,7 +644,7 @@ class TestDisjointCopies:
         need = data.draw(hs.integers(0, 4))
         m = data.draw(hs.integers(0, 4))
         expected = _cover_buffer(remaining, families, need, m)
-        assert absorbing._disjoint_copies(remaining, families, remaining, need, m) == expected
+        assert absorption._disjoint_copies(remaining, families, remaining, need, m) == expected
 
 
 # the K3 desk-scale constants of tests/test_pipeline.py
@@ -680,7 +684,7 @@ class TestBufferSample:
 
     def test_build_never_builds_families(self, k2, monkeypatch):
         calls = []
-        monkeypatch.setattr(absorbing, "_families_in_buffer",
+        monkeypatch.setattr(absorption, "_families_in_buffer",
                             lambda *args: calls.append(args) or {})
         build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
         assert calls == []

@@ -6,7 +6,7 @@ import gc
 
 import pytest
 
-from tilinglab import absorbing
+from tilinglab import absorption
 from tilinglab.embed import embeddings
 from tilinglab.factor import find_factor_exact
 from tilinglab.generators import gen_gnp
@@ -24,7 +24,7 @@ CALLS = {
     "max_bipartite_matching": lambda: max_bipartite_matching(
         30, 30, [list(G30.neighbors(v)) for v in range(30)]),
     "embeddings": lambda: list(embeddings(G30, C4, anchor=0)),
-    "disjoint_copies": lambda: absorbing._disjoint_copies(
+    "disjoint_copies": lambda: absorption._disjoint_copies(
         [0, 1], {0: ((3,), (2,)), 1: ((3,),)}, [2, 3], 2, 0),
     "traversing_check": lambda: traversing_check(gen_gnp(8, 0.6, 1), Pattern.clique(3), 2,
                                                 mode="exhaustive"),
