@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from .config import PARTITION_RETRIES, AbsorberConfig, StageFailure
 from .embed import cliques_of_size, copy_sets_through, traversing_copy
 from .factor import find_factor_exact, greedy_max_tiling
-from .graphs import Graph, Pattern, induced_subgraph, members, vertex_mask
+from .graphs import Graph, Pattern, members, vertex_mask
 from .rng import derive_seed, rng_for
 from .verify import VerificationError, verify_absorber
 
@@ -83,16 +83,14 @@ def _direct_absorber(
     attempts = 0
     for copies in _copies_by_min_vertex(g, p, allowed):
         for img in islice(copies, DIRECT_PER_ANCHOR):
-            cand = set(img)
+            cand = vertex_mask(img)
             for _ in range(t - 1):
-                rest = allowed & ~vertex_mask(cand)
-                nxt = next(chain.from_iterable(_copies_by_min_vertex(g, p, rest)), None)
+                nxt = next(chain.from_iterable(_copies_by_min_vertex(g, p, allowed & ~cand)), None)
                 if nxt is None:
                     return None
-                cand.update(nxt)
-            sub, _ = induced_subgraph(g, cand | set(core_t))
-            if find_factor_exact(sub, p, budget=DIRECT_BUDGET).found:
-                return frozenset(cand)
+                cand |= vertex_mask(nxt)
+            if find_factor_exact(g, p, DIRECT_BUDGET, cand | vertex_mask(core_t)).found:
+                return frozenset(members(cand))
             attempts += 1
             if attempts >= DIRECT_ATTEMPTS:
                 return None

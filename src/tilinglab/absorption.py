@@ -1,13 +1,18 @@
-"""Absorption: the perfect tiling of G[A + R] for a valid remainder R."""
+"""Absorption: the perfect tiling of G[A + R] for a valid remainder R.
+
+Both of its exact covers run on `factor.exact_cover`: the disjoint copies
+into the buffer, and each template edge absorber's tiling inside its mask.
+"""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from . import factor
 from .config import CertificateBugError, StageFailure
 from .embed import copy_sets_through, embed_in_set
-from .factor import Tiling, find_factor_exact
-from .graphs import Graph, Pattern, induced_subgraph, vertex_mask
+from .factor import Tiling, exact_cover, find_factor_exact
+from .graphs import Graph, Pattern, vertex_mask
 from .verify import verify_tiling
 
 if TYPE_CHECKING:
@@ -36,7 +41,8 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     match the m survivors plus the core side through the template; tile each
     matched edge's absorber together with its endpoint vertices, and every
     unmatched edge's absorber alone.  The copies into the buffer are read
-    off g, for R and the buffer only.  The result is verified before return.
+    off g, for R and the buffer only, and chosen under
+    `factor.DEFAULT_BUDGET` nodes.  The result is verified before return.
     """
     p = structure.pattern
     h = p.h
@@ -64,9 +70,7 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     chosen = _disjoint_copies(rem, families, buffer, len(rem), 0)
     if chosen is None:
         raise StageFailure("absorb-remainder", "no disjoint copy choice for the remainder")
-    consumed: set[int] = set()
-    for _v, mates in chosen:
-        consumed |= set(mates)
+    consumed = {u for _v, mates in chosen for u in mates}
 
     # surplus coverage: copies inside the buffer until exactly m vertices remain
     remaining = [v for v in buffer if v not in consumed]
@@ -76,9 +80,7 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     cover = _disjoint_copies(remaining, families, remaining, need_copies, m)
     if cover is None:
         raise StageFailure("absorb-surplus", "no disjoint cover of the buffer surplus")
-    covered_by_cover: set[int] = set()
-    for anchor, mates in cover:
-        covered_by_cover |= {anchor} | set(mates)
+    covered_by_cover = {u for anchor, mates in cover for u in (anchor, *mates)}
     survivors = [v for v in remaining if v not in covered_by_cover]
     if len(survivors) != m:
         raise CertificateBugError(f"buffer cover left {len(survivors)} survivors, expected {m}")
@@ -93,31 +95,22 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
         )
 
     copies: list[tuple[int, ...]] = []
-
-    def add_copy_on(vertices: Iterable[int]) -> None:
-        emb = embed_in_set(g, p, vertices)
+    for anchor, mates in chosen + cover:
+        emb = embed_in_set(g, p, (anchor, *mates))
         if emb is None:
             raise CertificateBugError("copy family member is not a copy")
         copies.append(emb)
 
-    for anchor, mates in chosen + cover:
-        add_copy_on({anchor} | set(mates))
-
     for l, rgt in tpl.edges():
-        a_e = structure.edge_absorbers[(l, rgt)]
+        target = vertex_mask(structure.edge_absorbers[(l, rgt)])
         if matching.get(l) == rgt:
-            block = set(structure.slot_blocks[rgt]) | {structure.left_vertex(l)}
-            target = set(a_e) | block
-        else:
-            target = set(a_e)
-        sub, order = induced_subgraph(g, target)
-        res = find_factor_exact(sub, p)
+            target |= vertex_mask(structure.slot_blocks[rgt]) | 1 << structure.left_vertex(l)
+        res = find_factor_exact(g, p, within=target)
         if not res.found:
             raise CertificateBugError(
                 f"absorber for template edge ({l},{rgt}) failed to tile"
             )
-        for emb in res.tiling.copies:
-            copies.append(tuple(order[i] for i in emb))
+        copies.extend(res.tiling.copies)
 
     tiling = Tiling(pattern=p, copies=tuple(copies))
     verify_tiling(g, tiling, require_cover=aset | set(rem))
@@ -133,32 +126,19 @@ def _disjoint_copies(
     need: int,
     spare: int,
 ) -> list[tuple[int, tuple[int, ...]]] | None:
-    """Backtracking choice of `need` pairwise-disjoint copies, each an
-    anchor plus one of its family members inside `pool`, as (anchor, member)
-    pairs in anchor order, or None.  Anchors are taken in order and may be
-    passed over `spare` times in all; a reached anchor leaves the pool, and
-    the vertices a copy consumes leave both the pool and the anchors."""
-    result: list[tuple[int, tuple[int, ...]]] = []
-
-    def rec(avail: list[int], live: frozenset[int], todo: int, spare: int) -> bool:
-        if todo == 0:
-            return True
-        if not avail:
-            return False
-        v = avail[0]
-        rest = avail[1:]
-        live = live - {v}
-        for member in families.get(v, ()):
-            ms = set(member)
-            if ms <= live:
-                result.append((v, member))
-                if rec([u for u in rest if u not in ms], live - ms, todo - 1, spare):
-                    return True
-                result.pop()
-        if spare > 0:
-            return rec(rest, live, todo, spare - 1)
-        return False
-
-    found = rec(list(anchors), frozenset(pool), need, spare)
-    del rec  # rec refers to itself; dropping the name frees it without the gc
-    return result if found else None
+    """`need` pairwise-disjoint copies, each an anchor plus one of its family
+    members inside `pool`, as (anchor, member) pairs in anchor order, or
+    None.  This is `factor.exact_cover` over the anchors, lowest first: an
+    anchor may be passed over `spare` times in all, a reached anchor leaves
+    the pool, and the vertices a copy consumes leave both the pool and the
+    anchors.  A search past `factor.DEFAULT_BUDGET` nodes is a StageFailure."""
+    budget = factor.DEFAULT_BUDGET
+    got, _nodes, budget_hit = exact_cover(
+        vertex_mask(anchors), vertex_mask(pool), need, spare,
+        lambda v, live: (((v, *member), (v, member)) for member in families.get(v, ())
+                         if not vertex_mask(member) & (~live | 1 << v)),
+        budget)
+    if budget_hit:
+        raise StageFailure("absorb-budget",
+                           f"the disjoint-copy search exceeded its {budget}-node budget")
+    return got

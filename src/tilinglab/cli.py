@@ -24,8 +24,8 @@ from .invariants import EnumerationCapError, param_report
 from .pipeline import check_hypotheses, find_factor_absorbing
 from .rng import rng_for
 from .serialize import (
+    SCHEMA_STRUCTURE,
     SCHEMA_TILING,
-    STRUCTURE_SCHEMAS,
     dump_json,
     load_json,
     parse_pattern_spec,
@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
         if schema == SCHEMA_TILING:
             check = partial(verify_tiling, tiling=tiling_from_obj(obj, g.n),
                             require_factor=args.factor)
-        elif schema in STRUCTURE_SCHEMAS:
+        elif schema == SCHEMA_STRUCTURE:
             check = partial(verify_structure, structure=structure_from_obj(obj, g.n),
                             seed=args.seed)
         else:

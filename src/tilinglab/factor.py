@@ -1,16 +1,20 @@
 """Exact tiling oracle: decide H-factor existence, build maximal tilings.
 
-find_factor_exact is the ground truth everything else is checked against.
-It is an exact-cover search: branch on the lowest-index uncovered vertex,
-trying the copies through it inside the uncovered set in the lex order the
-lazy `embed.copy_sets_through` yields them.  Budgets are counted in
-search-tree nodes, never wall time.  Traversing copies are found by `embed`.
+`exact_cover` is the one exact-cover search: it branches on the lowest
+anchor still to cover, trying the candidates through it in the order its
+caller yields them.  find_factor_exact, the ground truth everything else is
+checked against, feeds it the lazy lex-order `embed.copy_sets_through`
+inside the uncovered vertices (of g, or of a mask `within`), and
+`absorption._disjoint_copies` the copies into the buffer.  A node is one
+anchor reached while copies are still needed; budgets count nodes, never
+wall time, and a search past its budget says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from .embed import copy_sets_through, find_embedding
 from .graphs import Graph, Pattern, vertex_mask
@@ -29,10 +33,7 @@ class Tiling:
 
     @property
     def covered(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.copies:
-            out.update(c)
-        return frozenset(out)
+        return frozenset(v for c in self.copies for v in c)
 
     def merged_with(self, other: "Tiling") -> "Tiling":
         if other.pattern.graph != self.pattern.graph:
@@ -56,41 +57,67 @@ class FactorResult:
         return self.status == "factor"
 
 
-def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET) -> FactorResult:
-    """Decide whether g has a perfect tiling by p, exactly.
+def exact_cover(anchors: int, live: int, need: int, spare: int,
+                options: Callable[[int, int], Iterable[tuple[Iterable[int], object]]],
+                budget: int) -> tuple[list | None, int, bool]:
+    """Choose `need` pairwise-disjoint candidates by backtracking.
 
-    Returns a Tiling when one exists, status 'none' when provably none
-    exists, and 'budget' when the node budget ran out first.  If v(H) does
-    not divide n the answer is immediately 'none'.
+    The lowest vertex v of the mask `anchors` is reached first, and
+    `options(v, live)` yields the candidates through it as (vertices, item),
+    v among the vertices.  Taking a candidate removes its vertices from both
+    masks; in all, `spare` reached anchors may be passed over, and such an
+    anchor leaves `live`.  Returns (the items in the order taken, or None,
+    nodes, budget_hit); the search stops once it passes `budget` nodes.
     """
-    h = p.h
-    if g.n % h != 0:
-        return FactorResult(status="none", tiling=None, nodes=0)
-    if g.n == 0:
-        return FactorResult(status="factor", tiling=Tiling(p, ()), nodes=0)
-
     nodes = 0
     budget_hit = False
 
-    def rec(uncovered: int) -> list[tuple[int, ...]] | None:
+    def rec(anchors: int, live: int, need: int, spare: int) -> list | None:
         nonlocal nodes, budget_hit
-        if not uncovered:
+        if not need:
             return []
+        if not anchors:
+            return None
         nodes += 1
         if nodes > budget:
             budget_hit = True
             return None
-        v = (uncovered & -uncovered).bit_length() - 1
-        for _img, emb in copy_sets_through(g, p, v, uncovered):
-            rest = rec(uncovered & ~vertex_mask(emb))
+        low = anchors & -anchors
+        anchors ^= low
+        for vertices, item in options(low.bit_length() - 1, live):
+            cut = 0
+            for u in vertices:  # vertex_mask, inlined: this runs once per candidate
+                cut |= 1 << u
+            rest = rec(anchors & ~cut, live & ~cut, need - 1, spare)
             if budget_hit:
                 return None
             if rest is not None:
-                return [emb] + rest
-        return None
+                return [item] + rest
+        return rec(anchors, live & ~low, need, spare - 1) if spare else None
 
-    got = rec((1 << g.n) - 1)
+    got = rec(anchors, live, need, spare)
     del rec  # rec refers to itself; dropping the name frees it without the gc
+    return got, nodes, budget_hit
+
+
+def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET,
+                      within: int | None = None) -> FactorResult:
+    """Decide whether g, or g induced on the vertex mask `within`, has a
+    perfect tiling by p, exactly.
+
+    Returns a Tiling when one exists, status 'none' when provably none
+    exists, and 'budget' when the node budget ran out first.  If v(H) does
+    not divide the vertex count the answer is immediately 'none'.
+    """
+    full = (1 << g.n) - 1
+    within = full if within is None else within
+    if within & ~full:
+        raise ValueError("within names a vertex outside the graph")
+    size = within.bit_count()
+    if size % p.h != 0:
+        return FactorResult(status="none", tiling=None, nodes=0)
+    got, nodes, budget_hit = exact_cover(within, within, size // p.h, 0,
+                                         partial(copy_sets_through, g, p), budget)
     if budget_hit:
         return FactorResult(status="budget", tiling=None, nodes=nodes)
     if got is None:

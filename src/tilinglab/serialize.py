@@ -1,12 +1,11 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v2.  Documents tagged absorbing-structure/v1
-are still read: v1 also carried an index-map copy of `buffer` and of `core`,
-which the loader ignores, as it ignores the `harvest_sizes`, `copy_families`,
-`sample_retries` and `partition_retries` of older documents.  Patterns
-serialize inline (clique order, or an explicit edge list); a complete graph
-loads as a clique whatever its `kind`.
+tiling/v1 or absorbing-structure/v2.  The structure loader ignores the
+top-level keys it does not read, such as the `harvest_sizes` and
+`copy_families` of older documents.  Patterns serialize inline (clique
+order, or an explicit edge list); a complete graph loads as a clique
+whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
@@ -35,7 +34,6 @@ from .templates import TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
 SCHEMA_STRUCTURE = "absorbing-structure/v2"
-STRUCTURE_SCHEMAS = ("absorbing-structure/v1", SCHEMA_STRUCTURE)
 
 
 def is_json_int(value: Any) -> bool:
@@ -135,7 +133,7 @@ def config_to_obj(c: AbsorberConfig) -> dict:
 def config_from_obj(obj: dict) -> AbsorberConfig:
     """The config in `obj`, whose keys the dataclass lists: a missing optional
     field takes its default, an unknown key raises ValueError."""
-    kw = {k: v for k, v in obj.items() if k not in ("sample_retries", "partition_retries")}
+    kw = dict(obj)
     stored = kw.pop("remainder_frac", None)
     unknown = kw.keys() - {f.name for f in fields(AbsorberConfig)}
     if unknown:

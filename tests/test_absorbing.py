@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs  # `st` names structures below
 
 from oracles import _choose_disjoint_members, _cover_buffer, copies_into_buffer_count
-from tilinglab import absorbing, absorption
+from tilinglab import absorbing, absorption, factor
 from tilinglab.absorbing import (
     AbsorberConfig,
     CertificateBugError,
@@ -103,9 +103,11 @@ class TestConfig:
         obj = config_to_obj(c)
         del obj["pool_size"], obj["m_cap"], obj["remainder_frac"]
         assert config_from_obj(obj) == AbsorberConfig.desk_scale(h=3)
-        # older documents carried the two retry counts, now module constants
+        # the two retry counts older documents carried are unknown keys now
         older = dict(obj, sample_retries=9, partition_retries=8)
-        assert config_from_obj(older) == AbsorberConfig.desk_scale(h=3)
+        with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: "
+                                             "partition_retries, sample_retries"):
+            config_from_obj(older)
         with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: template_retries"):
             config_from_obj(dict(obj, template_retries=5))
 
@@ -376,16 +378,6 @@ class TestBuildAbsorbingSet:
         with pytest.raises(VerificationError):
             verify_structure(k60, bad)
 
-    def test_v1_document_still_verifies(self, k60_structure):
-        k60, st = k60_structure
-        obj = structure_to_obj(st)
-        assert obj["schema"] == "absorbing-structure/v2"
-        # v1 also carried an index-map copy of each of these two fields
-        obj["schema"] = "absorbing-structure/v1"
-        for name in ("buffer", "core"):
-            obj[name + "_map"] = list(obj[name])
-        verify_structure(k60, structure_from_obj(obj, k60.n))
-
     @pytest.mark.parametrize("key,value", [
         ("harvest_sizes", {str(v): 12 for v in range(60)}),
         ("copy_families", {"0": [[31]], "1": [[31], [44]]}),
@@ -601,6 +593,15 @@ class TestAbsorb:
         a = absorb(g, st, outside[:2])
         b = absorb(g, st, outside[:2])
         assert a.copies == b.copies
+
+    def test_disjoint_copy_budget_is_a_stage_failure(self, k60_structure, monkeypatch):
+        g, st = k60_structure
+        outside = sorted(set(range(g.n)) - st.absorbing_set)
+        # two remainder vertices need two search nodes; the budget is read per call
+        monkeypatch.setattr(factor, "DEFAULT_BUDGET", 1)
+        with pytest.raises(StageFailure, match="exceeded its 1-node budget") as exc:
+            absorb(g, st, outside[:2])
+        assert exc.value.stage == "absorb-budget"
 
     def test_short_buffer_cover_is_a_certificate_bug(self, k60_structure, monkeypatch):
         g, st = k60_structure

@@ -193,10 +193,14 @@ class TestVerify:
 
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
-        # absorber/v1 and traversing-witness/v1 are no longer read
+        # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 are
+        # no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
-        for obj in ({"schema": "mystery/v9"}, absorber,
+        structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
+                        "pattern": {"kind": "clique", "r": 3}, "buffer": [0, 1, 2],
+                        "buffer_map": [0, 1, 2], "core": [3], "core_map": [3]}
+        for obj in ({"schema": "mystery/v9"}, absorber, structure_v1,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))

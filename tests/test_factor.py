@@ -8,6 +8,7 @@ from oracles import (
     embed_in_set_reference,
     embeddings_bruteforce,
     factor_exists_bruteforce,
+    induced_subgraph_reference,
     traversing_copy_bruteforce,
     traversing_copy_fixed_reference,
 )
@@ -296,6 +297,33 @@ class TestCopySetsThrough:
             anchor = rng.randrange(n)
             got = list(copy_sets_through(g, p, anchor, vertex_mask(allowed)))
             assert got == copy_sets_through_bruteforce(g, p, anchor, allowed), (name, i)
+
+
+class TestFactorWithin:
+    """find_factor_exact inside a vertex mask searches as it does on the
+    induced subgraph: the same status and node count, and the same copies
+    once mapped back through the subgraph's order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 14), st.floats(0.2, 0.9), st.integers(0, 10**6),
+           st.sampled_from(sorted(TestCopySetsThrough.PATTERNS)), st.data())
+    def test_matches_induced_subgraph(self, n, q, seed, name, data):
+        g = gen_gnp(n, q, seed)
+        p = Pattern(parse_graph(TestCopySetsThrough.PATTERNS[name]))
+        s = data.draw(st.sets(st.integers(0, n - 1)), label="S")
+        got = find_factor_exact(g, p, within=vertex_mask(s))
+        sub, order = induced_subgraph_reference(g, s)
+        want = find_factor_exact(sub, p)
+        assert (got.status, got.nodes) == (want.status, want.nodes)
+        if want.found:
+            assert got.tiling.copies == tuple(tuple(order[i] for i in emb)
+                                              for emb in want.tiling.copies)
+        if len(s) % p.h:
+            assert (got.status, got.nodes) == ("none", 0)
+
+    def test_vertex_outside_the_graph(self, k3):
+        with pytest.raises(ValueError, match="outside the graph"):
+            find_factor_exact(complete_graph(6), k3, within=vertex_mask([0, 1, 6]))
 
 
 @settings(max_examples=25, deadline=None)
