@@ -17,11 +17,11 @@ from .absorbers import BUILDERS
 from .absorbing import build_absorbing_set
 from .absorption import absorb
 from .config import AbsorberConfig, StageFailure, TemplateBuildError
-from .factor import find_factor_exact
+from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph
 from .invariants import EnumerationCapError, param_report
-from .pipeline import check_hypotheses, find_factor_absorbing
+from .pipeline import FALLBACK_CAP, check_hypotheses, find_factor_absorbing
 from .rng import rng_for
 from .serialize import (
     SCHEMA_STRUCTURE,
@@ -98,6 +98,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    if args.budget_nodes < 1:
+        raise ValueError(f"--budget-nodes must be >= 1, not {args.budget_nodes}")
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
     if args.solver == "exact":
@@ -248,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--config", type=str, default=None,
                    help="JSON object of AbsorberConfig fields (any but h and overrides)")
-    p.add_argument("--budget-nodes", type=int, default=2_000_000)
-    p.add_argument("--fallback-cap", type=int, default=30)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--fallback-cap", type=int, default=FALLBACK_CAP)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--report", type=str, default=None)

@@ -20,7 +20,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph: each pair independently an edge with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if p == 0.0:
+    if p == 0.0 or n <= 0:  # Graph(n) refuses a negative n
         return Graph(n)
     if p == 1.0:
         return Graph(n, iter_pairs(n))

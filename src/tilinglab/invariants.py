@@ -178,8 +178,8 @@ def traversing_check(
     copy of the pattern (one vertex in each subset, any assignment).
 
     Exhaustive mode enumerates all families and refuses if their count
-    exceeds `cap`.  Sampled mode draws `trials` uniformly random disjoint
-    families.  A failing family is returned as a machine-checkable witness.
+    exceeds `cap`.  Sampled mode draws `trials` (at least 1) uniformly
+    random disjoint families.  A failing family is returned as a witness.
     """
     h = p.h
     if s < 1:
@@ -205,6 +205,8 @@ def traversing_check(
         return TraversingVerdict(s=s, mode=mode, holds=True, families_checked=checked)
 
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError("sampled mode needs trials >= 1")
         rng = rng_for(seed, "traversing", s)
         for t in range(trials):
             picked = rng.sample(range(g.n), h * s)

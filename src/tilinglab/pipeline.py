@@ -22,7 +22,7 @@ from .absorbing import AbsorbingStructure, build_absorbing_set
 from .absorption import absorb
 from .config import AbsorberConfig, StageFailure, TemplateBuildError
 from .embed import embed_in_set, find_embedding
-from .factor import Tiling, find_factor_exact, greedy_max_tiling, leftover_of
+from .factor import DEFAULT_BUDGET, Tiling, find_factor_exact, greedy_max_tiling, leftover_of
 from .graphs import Graph, Pattern, vertex_mask
 from .invariants import alpha_ell, min_degree, traversing_check
 from .rng import derive_seed
@@ -77,6 +77,8 @@ class PipelineReport:
 
 # families the general-mode hypothesis check samples
 HYPOTHESIS_TRIALS = 100
+# graphs on at most this many vertices fall back to the exact oracle
+FALLBACK_CAP = 30
 
 
 def check_hypotheses(
@@ -144,8 +146,8 @@ def find_factor_absorbing(
     ell: int = 2,
     config: AbsorberConfig | None = None,
     seed: int = 0,
-    fallback_cap: int = 30,
-    budget: int = 2_000_000,
+    fallback_cap: int = FALLBACK_CAP,
+    budget: int = DEFAULT_BUDGET,
 ) -> PipelineReport:
     """Run the absorbing pipeline; fall back to the exact oracle on failure
     when the graph is small enough.

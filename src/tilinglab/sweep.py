@@ -18,9 +18,9 @@ from itertools import product
 
 from .absorbers import check_builder
 from .config import AbsorberConfig
-from .factor import find_factor_exact
+from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, check_param
-from .pipeline import find_factor_absorbing
+from .pipeline import FALLBACK_CAP, find_factor_absorbing
 from .rng import derive_seed
 from .serialize import json_int, parse_pattern_spec
 
@@ -54,8 +54,8 @@ class ExperimentSpec:
     trials: int = 5
     seed_base: int = 0
     solver: str = "pipeline"
-    fallback_cap: int = 30
-    budget: int = 2_000_000
+    fallback_cap: int = FALLBACK_CAP
+    budget: int = DEFAULT_BUDGET
     config: dict = field(default_factory=dict)
 
     @classmethod

@@ -90,7 +90,6 @@ def build_template(
     verify: str = "exhaustive",
     trials: int = 1000,
     seed: int = 0,
-    retries: int = TEMPLATE_RETRIES,
 ) -> TemplateGraph:
     """Build a robust template at round size m and surplus ceil(beta*m).
 
@@ -99,7 +98,7 @@ def build_template(
     requires 3m + ceil(beta*m) <= 40.  random-regular mode samples a
     configuration-style pairing with all degrees in [8, 40] and certifies the
     property by matching checks (exhaustive, or `trials` sampled subsets when
-    verify="sampled"), resampling on failure up to `retries` times.
+    verify="sampled"), resampling on failure up to TEMPLATE_RETRIES times.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -119,7 +118,7 @@ def build_template(
         return replace(tpl, verification=record)
 
     if mode == "random-regular":
-        for attempt in range(retries):
+        for attempt in range(TEMPLATE_RETRIES):
             rng = rng_for(seed, "template", attempt)
             total = TEMPLATE_DEGREE * left
             right_stubs: list[int] = []
@@ -148,7 +147,7 @@ def build_template(
             if bad is None:
                 return replace(tpl, verification=record)
         raise TemplateBuildError(
-            f"no verified template after {retries} samples (m={m}, beta={beta})"
+            f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
         )
 
     raise ValueError(f"unknown template mode: {mode}")

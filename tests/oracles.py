@@ -133,7 +133,27 @@ def max_density_subgraphs(p: Pattern):
 
 # Reference searches for absorption._disjoint_copies, one per way absorb() uses
 # it: a copy into the buffer for every remainder vertex, and copies covering
-# the buffer surplus until exactly m vertices remain.
+# the buffer surplus until exactly m vertices remain.  Both choose among the
+# copy families that `copy_families_reference` builds by brute force.
+
+
+def copy_families_reference(
+    g: Graph, p: Pattern, anchors: Iterable[int], pool: Iterable[int]
+) -> tuple[dict[int, tuple[tuple[int, ...], ...]], dict[tuple, tuple[int, ...]]]:
+    """(families, embedding): for every anchor v, the lex-ordered vertex sets
+    of the copies through v with every other vertex in the pool, v taken
+    out, and for each (v, member) the embedding `copy_sets_through_bruteforce`
+    reports on that copy."""
+    families: dict[int, tuple[tuple[int, ...], ...]] = {}
+    embedding: dict[tuple, tuple[int, ...]] = {}
+    for v in anchors:
+        members = []
+        for img, emb in copy_sets_through_bruteforce(g, p, v, frozenset(pool) | {v}):
+            member = tuple(u for u in img if u != v)
+            members.append(member)
+            embedding[v, member] = emb
+        families[v] = tuple(members)
+    return families, embedding
 
 
 def _choose_disjoint_members(

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs  # `st` names structures below
 
-from oracles import _choose_disjoint_members, _cover_buffer, copies_into_buffer_count
+from oracles import (
+    _choose_disjoint_members,
+    _cover_buffer,
+    copies_into_buffer_count,
+    copy_families_reference,
+)
 from tilinglab import absorbing, absorption, factor
 from tilinglab.absorbing import (
     AbsorberConfig,
@@ -610,44 +615,6 @@ class TestAbsorb:
             absorb(g, st, [])
 
 
-@hs.composite
-def copy_families(draw):
-    """(n, families, pool) on n <= 9 vertices: random families whose members
-    all have one or two vertices, and a sorted pool."""
-    n = draw(hs.integers(2, 9))
-    size = draw(hs.integers(1, 2))
-    vertex = hs.integers(0, n - 1)
-    members = hs.lists(vertex, min_size=size, max_size=size, unique=True).map(tuple)
-    families = draw(hs.dictionaries(vertex, hs.lists(members, max_size=4)))
-    pool = sorted(draw(hs.sets(vertex)))
-    return n, families, pool
-
-
-class TestDisjointCopies:
-    """absorption._disjoint_copies returns exactly what the reference
-    searches in tests/oracles.py return, for both of absorb()'s uses."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(copy_families(), hs.data())
-    def test_remainder_choice_matches_reference(self, drawn, data):
-        n, families, pool = drawn
-        # absorb() guarantees that remainder vertices lie outside the buffer
-        outside = [v for v in range(n) if v not in pool]
-        rem = sorted(data.draw(hs.sets(hs.sampled_from(outside)))) if outside else []
-        expected = _choose_disjoint_members(rem, families, frozenset(pool))
-        got = absorption._disjoint_copies(rem, families, pool, len(rem), 0)
-        assert got == (None if expected is None else [(v, expected[v]) for v in rem])
-
-    @settings(max_examples=300, deadline=None)
-    @given(copy_families(), hs.data())
-    def test_surplus_cover_matches_reference(self, drawn, data):
-        _n, families, remaining = drawn
-        need = data.draw(hs.integers(0, 4))
-        m = data.draw(hs.integers(0, 4))
-        expected = _cover_buffer(remaining, families, need, m)
-        assert absorption._disjoint_copies(remaining, families, remaining, need, m) == expected
-
-
 # the K3 desk-scale constants of tests/test_pipeline.py
 K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
                m_cap=1, degree_frac=0.1, threshold_frac=0.1)
@@ -672,6 +639,38 @@ def buffer_checks(draw):
     return Graph(n, edges), p, buffer, draw(hs.integers(1, 4))
 
 
+class TestDisjointCopies:
+    """absorption._disjoint_copies returns exactly what the reference
+    searches in tests/oracles.py return, for both of absorb()'s uses, over
+    copy families built by brute force: the same copies, in anchor order,
+    with the same embeddings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(buffer_checks(), hs.data())
+    def test_remainder_choice_matches_reference(self, drawn, data):
+        g, p, pool, _need = drawn
+        # absorb() guarantees that remainder vertices lie outside the buffer
+        outside = [v for v in range(g.n) if v not in pool]
+        rem = sorted(data.draw(hs.sets(hs.sampled_from(outside)))) if outside else []
+        families, embedding = copy_families_reference(g, p, rem, pool)
+        expected = _choose_disjoint_members(rem, families, frozenset(pool))
+        got = absorption._disjoint_copies(g, p, rem, pool, len(rem), 0)
+        assert got == (None if expected is None
+                       else [embedding[v, expected[v]] for v in rem])
+
+    @settings(max_examples=300, deadline=None)
+    @given(buffer_checks(), hs.data())
+    def test_surplus_cover_matches_reference(self, drawn, data):
+        g, p, remaining, _need = drawn
+        need = data.draw(hs.integers(0, 4))
+        m = data.draw(hs.integers(0, 4))
+        families, embedding = copy_families_reference(g, p, remaining, remaining)
+        expected = _cover_buffer(remaining, families, need, m)
+        got = absorption._disjoint_copies(g, p, remaining, remaining, need, m)
+        assert got == (None if expected is None
+                       else [embedding[v, member] for v, member in expected])
+
+
 class TestBufferSample:
     """Stage 2 of build_absorbing_set counts each vertex's copies into the
     buffer, up to the threshold, instead of building its copy family."""
@@ -682,13 +681,6 @@ class TestBufferSample:
         g, p, buffer, need = drawn
         expected = all(copies_into_buffer_count(g, p, buffer, v) >= need for v in range(g.n))
         assert absorbing._every_vertex_reaches(g, p, vertex_mask(buffer), need) == expected
-
-    def test_build_never_builds_families(self, k2, monkeypatch):
-        calls = []
-        monkeypatch.setattr(absorption, "_families_in_buffer",
-                            lambda *args: calls.append(args) or {})
-        build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
-        assert calls == []
 
     @pytest.mark.parametrize("graph_seed", [1, 2, 3])
     def test_gnp120_build_memory(self, k3, graph_seed):

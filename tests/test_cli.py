@@ -47,6 +47,10 @@ class TestGen:
     def test_usage_error_exit_2(self):
         assert run_cli("gen", "--construction", "nonsense") == 2
 
+    def test_negative_vertex_count_exit_2(self, capsys):
+        assert run_cli("gen", "--construction", "gnp", "--n", "-5") == 2
+        assert "vertex count must be nonnegative" in capsys.readouterr().err
+
     def test_gamma_reports(self, tmp_path, capsys):
         out = tmp_path / "gamma.el"
         assert run_cli("gen", "--construction", "gamma", "--ell", "2",
@@ -116,8 +120,19 @@ class TestParams:
                        "--traversing-s", s, "--traversing-mode", "exhaustive") == 2
         assert message in capsys.readouterr().err
 
+    def test_sampled_probe_without_trials_exit_2(self, g30, capsys):
+        assert run_cli("params", "--graph", str(g30), "--pattern", "K3",
+                       "--traversing-s", "2", "--trials", "0") == 2
+        assert "error: sampled mode needs trials >= 1" in capsys.readouterr().err
+
 
 class TestFactor:
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit_2(self, g30, capsys, budget):
+        assert run_cli("factor", "--graph", str(g30), "--pattern", "K3",
+                       "--budget-nodes", budget) == 2
+        assert f"error: --budget-nodes must be >= 1, not {budget}" in capsys.readouterr().err
+
     def test_exact_failure_exit_1(self, tmp_path):
         g = tmp_path / "hs.el"
         run_cli("gen", "--construction", "hs-tripartite", "--n", "12",

@@ -154,6 +154,12 @@ class TestGenerators:
             assert gen_gnp(10, 0.0, seed).m == 0
             assert gen_gnp(10, 1.0, seed) == complete_graph(10)
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_gnp_negative_vertex_count(self, p):
+        # the random path builds its graph from neighbour masks, not Graph(n)
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            gen_gnp(-3, p, 1)
+
     def test_gnp_deterministic(self):
         assert gen_gnp(25, 0.4, 7) == gen_gnp(25, 0.4, 7)
         assert gen_gnp(25, 0.4, 7) != gen_gnp(25, 0.4, 8)

@@ -115,6 +115,12 @@ class TestTraversing:
         assert v.holds
         assert v.trials == 500
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_sampled_needs_a_trial(self, k3, trials):
+        # with no family drawn, "holds" would be a verdict on nothing
+        with pytest.raises(ValueError, match="trials >= 1"):
+            traversing_check(gen_gnp(12, 0.3, 1), k3, 2, mode="sampled", trials=trials)
+
     def test_threshold_complete(self, k3):
         s, _ = traversing_threshold(complete_graph(9), k3, mode="exhaustive")
         assert s == 1
