@@ -3,7 +3,7 @@
 
 An absorber for an h-set S is a set A_S of h*t vertices, disjoint from S,
 such that both G[A_S] and G[A_S + S] have perfect tilings.  Each builder
-returns pairwise-disjoint absorbers for one core set.
+returns pairwise-disjoint absorbers for one core set as those two tilings.
 """
 
 from __future__ import annotations
@@ -15,9 +15,24 @@ from typing import Iterable, Iterator
 from .config import PARTITION_RETRIES, AbsorberConfig, StageFailure
 from .embed import cliques_of_size, copy_sets_through, traversing_copy
 from .factor import find_factor_exact, greedy_max_tiling
-from .graphs import Graph, Pattern, members, vertex_mask
+from .graphs import Graph, Pattern, Tiling, members, vertex_mask
 from .rng import derive_seed, rng_for
-from .verify import VerificationError, verify_absorber
+
+# exact-search node budget of each of an absorber's two tilings
+ABSORBER_BUDGET = 200_000
+
+
+def absorber_tilings(g: Graph, p: Pattern, core: Iterable[int],
+                     absorber: Iterable[int]) -> tuple[Tiling, Tiling] | None:
+    """(alone, with_core): the exact search's tilings of G[absorber] and of
+    G[absorber + core], or None if one is not found in ABSORBER_BUDGET nodes.
+    The search with the core runs first, and the other only if it succeeds."""
+    a = vertex_mask(absorber)
+    with_core = find_factor_exact(g, p, ABSORBER_BUDGET, a | vertex_mask(core))
+    if not with_core.found:
+        return None
+    alone = find_factor_exact(g, p, ABSORBER_BUDGET, a)
+    return (alone.tiling, with_core.tiling) if alone.found else None
 
 
 def _copies_by_min_vertex(g: Graph, p: Pattern, pool: int) -> Iterator[Iterator[tuple[int, ...]]]:
@@ -32,10 +47,9 @@ def _copies_by_min_vertex(g: Graph, p: Pattern, pool: int) -> Iterator[Iterator[
 
 
 # the direct search tries at most DIRECT_ATTEMPTS candidates per absorber,
-# DIRECT_PER_ANCHOR per anchor vertex, each under DIRECT_BUDGET exact-search nodes
+# DIRECT_PER_ANCHOR per anchor vertex
 DIRECT_ATTEMPTS = 64
 DIRECT_PER_ANCHOR = 6
-DIRECT_BUDGET = 200_000
 
 
 def disjoint_absorber_family_direct(
@@ -45,27 +59,27 @@ def disjoint_absorber_family_direct(
     t: int,
     target: int,
     forbidden: Iterable[int] = (),
-) -> list[frozenset[int]]:
+) -> list[tuple[Tiling, Tiling]]:
     """Up to `target` pairwise-disjoint absorbers for `core`, found by
     direct exact search; fewer when the search runs out.
 
-    Each absorber is assembled as t disjoint pattern copies (so its own
-    tiling is immediate) and kept only if the exact oracle tiles the union
-    with the core set as well.  Candidates are scanned in lexicographic
-    order, so the family is deterministic.
+    Each absorber is assembled as t disjoint pattern copies (so it has a
+    tiling of its own) and kept only if `absorber_tilings` tiles it alone
+    and with the core set.  Candidates are scanned in lexicographic order,
+    so the family is deterministic.
     """
     core_t = tuple(sorted(set(core)))
     h = p.h
     if len(core_t) != h:
         raise ValueError(f"core set must have exactly {h} vertices")
     used: set[int] = set(core_t) | set(forbidden)
-    out: list[frozenset[int]] = []
+    out: list[tuple[Tiling, Tiling]] = []
     while len(out) < target:
         found = _direct_absorber(g, p, core_t, t, frozenset(used))
         if found is None:
             break
         out.append(found)
-        used |= found
+        used |= found[0].covered
     return out
 
 
@@ -75,10 +89,10 @@ def _direct_absorber(
     core_t: tuple[int, ...],
     t: int,
     used: frozenset[int],
-) -> frozenset[int] | None:
-    """First candidate (t disjoint copies) whose union tiles together with
-    the core.  Candidates rotate through anchor vertices so one anchor that
-    is incompatible with the core cannot exhaust the attempt budget."""
+) -> tuple[Tiling, Tiling] | None:
+    """The tilings of the first candidate (t disjoint copies) that tiles
+    with the core.  Candidates rotate through anchor vertices so one anchor
+    that is incompatible with the core cannot exhaust the attempt budget."""
     allowed = ((1 << g.n) - 1) & ~vertex_mask(used)
     attempts = 0
     for copies in _copies_by_min_vertex(g, p, allowed):
@@ -89,8 +103,9 @@ def _direct_absorber(
                 if nxt is None:
                     return None
                 cand |= vertex_mask(nxt)
-            if find_factor_exact(g, p, DIRECT_BUDGET, cand | vertex_mask(core_t)).found:
-                return frozenset(members(cand))
+            tilings = absorber_tilings(g, p, core_t, members(cand))
+            if tilings is not None:
+                return tilings
             attempts += 1
             if attempts >= DIRECT_ATTEMPTS:
                 return None
@@ -105,15 +120,16 @@ def disjoint_absorber_family_general(
     config: AbsorberConfig,
     seed: int = 0,
     forbidden: Iterable[int] = (),
-) -> list[frozenset[int]]:
+) -> list[tuple[Tiling, Tiling]]:
     """Absorber family via disjoint neighbor pools and traversing copies.
 
     For each core vertex w, a pool inside N(w) is reserved and greedily
     tiled; one designated vertex per copy goes into w's mark set.  Every
     copy traversing all mark sets, combined with the designated copies it
-    hits, is one absorber of h*h vertices.  Extraction repeats until the
-    target is met or the traversing search is exhausted; the result is
-    empty when some core vertex lacks a full pool.
+    hits, is one absorber of h*h vertices, and a 'verify' StageFailure if it
+    does not tile.  Extraction repeats until the target is met or the
+    traversing search is exhausted; the result is empty when some core
+    vertex lacks a full pool.
     """
     h = p.h
     core_t = tuple(sorted(set(core)))
@@ -137,7 +153,7 @@ def disjoint_absorber_family_general(
         designated[w] = {min(emb): frozenset(emb) for emb in tiling.copies}
 
     marks = {w: sorted(designated[w]) for w in core_t}
-    absorbers: list[frozenset[int]] = []
+    absorbers: list[tuple[Tiling, Tiling]] = []
     while len(absorbers) < target:
         trav = traversing_copy(g, p, [marks[w] for w in core_t])
         if trav is None:
@@ -148,14 +164,11 @@ def disjoint_absorber_family_general(
             absorber |= designated[w][hit]
             marks[w].remove(hit)
             del designated[w][hit]
-        try:
-            verify_absorber(g, p, core_t, absorber, h)
-        except VerificationError as exc:
-            raise StageFailure(
-                "verify", f"constructed absorber failed re-verification: {exc}",
-                blocking=core_t,
-            ) from exc
-        absorbers.append(frozenset(absorber))
+        tilings = absorber_tilings(g, p, core_t, absorber)
+        if tilings is None:
+            raise StageFailure("verify", "constructed absorber has no perfect tiling "
+                               "alone or with its core", blocking=core_t)
+        absorbers.append(tilings)
     return absorbers
 
 
@@ -168,7 +181,7 @@ def disjoint_absorber_family_clique(
     config: AbsorberConfig,
     seed: int = 0,
     forbidden: Iterable[int] = (),
-) -> list[frozenset[int]]:
+) -> list[tuple[Tiling, Tiling]]:
     """Absorber family for complete patterns via a random vertex partition.
 
     The vertex set (minus core and forbidden) is split into r+1 seeded
@@ -193,7 +206,7 @@ def disjoint_absorber_family_clique(
     if cn_min is None:
         cn_min = math.ceil(config.degree_frac * n / (4 * (r + 1)))
 
-    collected: list[frozenset[int]] = []
+    collected: list[tuple[Tiling, Tiling]] = []
     out_of_play: set[int] = set(core_t) | set(forbidden)
     for attempt in range(PARTITION_RETRIES):
         rest = [v for v in range(n) if v not in out_of_play]
@@ -216,7 +229,7 @@ def disjoint_absorber_family_clique(
             if got is None:
                 break
             collected.append(got)
-            out_of_play |= got
+            out_of_play |= got[0].covered
         if len(collected) >= target:
             break
     return collected
@@ -273,9 +286,9 @@ def _build_partition_absorber(
     classes: list[int],
     used: list[int],
     cn_min: int,
-) -> frozenset[int] | None:
-    """Absorber for core_t from the class masks, none of it in the mask
-    used[i] of its class i; on success the absorber's vertices join `used`."""
+) -> tuple[Tiling, Tiling] | None:
+    """The tilings of an absorber for core_t from the class masks, none of
+    it in the mask used[i] of its class i; on success its vertices join `used`."""
     p = Pattern.clique(r)
     bits = g.bits
     seen: list[tuple[int, ...]] = []
@@ -296,17 +309,13 @@ def _build_partition_absorber(
                 legs.append(leg)
                 taken |= vertex_mask(leg)
             if len(legs) == r:
-                absorber = set(top)
-                for leg in legs:
-                    absorber |= set(leg)
-                try:
-                    verify_absorber(g, p, core_t, absorber, r)
-                except VerificationError:
+                tilings = absorber_tilings(g, p, core_t, set(top).union(*legs))
+                if tilings is None:
                     continue
                 used[r] |= vertex_mask(top)
                 for i in range(r):
                     used[i] |= vertex_mask(legs[i])
-                return frozenset(absorber)
+                return tilings
         # exclude this clique's smallest vertex and look for another
         pool &= ~(1 << min(top))
     return None

@@ -35,7 +35,7 @@ from .absorbers import (
 from .absorption import absorb
 from .config import SAMPLE_RETRIES, AbsorberConfig, CertificateBugError, StageFailure, TemplateBuildError
 from .embed import cliques_of_size, copy_sets_through, find_embedding
-from .graphs import Graph, Pattern, vertex_mask
+from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .rng import derive_seed, rng_for
 from .templates import TemplateGraph, _surplus_of, build_template
 from .verify import template_check_mode
@@ -49,8 +49,9 @@ class AbsorbingStructure:
     in increasing order; core: always matched through the template; the
     template's left side is the buffer followed by the core (left_vertex).
     slot_blocks: blocks of h-1 vertices (`slots`, in order), each tiled
-    together with one matched buffer/core vertex; edge_absorbers: one absorber per
-    template edge, keyed by the edge.  builder names the absorber
+    together with one matched buffer/core vertex; edge_absorbers: per template
+    edge, its absorber's tilings (alone, with_core), the second with the
+    edge's left vertex and slot block.  builder names the absorber
     construction that ran; seed records the build seed; size_report derives
     from the rest.  The copies into the buffer that absorption uses depend
     only on the graph and the buffer, so `absorb` finds them itself.
@@ -65,7 +66,7 @@ class AbsorbingStructure:
     core: tuple[int, ...]
     slot_blocks: tuple[tuple[int, ...], ...]
     template: TemplateGraph
-    edge_absorbers: dict[tuple[int, int], tuple[int, ...]]
+    edge_absorbers: dict[tuple[int, int], tuple[Tiling, Tiling]]
 
     @property
     def slots(self) -> tuple[int, ...]:
@@ -74,8 +75,8 @@ class AbsorbingStructure:
     @property
     def absorbing_set(self) -> frozenset[int]:
         out = set(self.buffer) | set(self.core) | set(self.slots)
-        for a in self.edge_absorbers.values():
-            out.update(a)
+        for alone, _with_core in self.edge_absorbers.values():
+            out.update(alone.covered)
         return frozenset(out)
 
     @property
@@ -94,7 +95,7 @@ class AbsorbingStructure:
             "buffer": len(self.buffer),
             "core": len(self.core),
             "slots": len(self.slots),
-            "edge_absorber_vertices": sum(len(a) for a in self.edge_absorbers.values()),
+            "edge_absorber_vertices": sum(len(a.covered) for a, _ in self.edge_absorbers.values()),
             "template_edges": len(self.edge_absorbers),
             "total": total,
             "bound_total": bound_total,
@@ -163,7 +164,7 @@ def build_absorbing_set(
     kind = builder if config.t == h else "direct"
     family_seed = derive_seed(seed, "families")
 
-    def absorber_for(core: tuple[int, ...], forbidden: frozenset[int]) -> frozenset[int] | None:
+    def absorber_for(core: tuple[int, ...], forbidden: frozenset[int]) -> tuple[Tiling, Tiling] | None:
         core_seed = derive_seed(family_seed, "fam", *core)
         if kind == "direct":
             got = disjoint_absorber_family_direct(g, p, core, config.t, 1, forbidden)
@@ -240,7 +241,7 @@ def build_absorbing_set(
 
     # stage 6: one absorber per template edge, pairwise disjoint
     used_set = set(buffer) | set(core) | set().union(*slot_blocks)
-    edge_absorbers: dict[tuple[int, int], tuple[int, ...]] = {}
+    edge_absorbers: dict[tuple[int, int], tuple[Tiling, Tiling]] = {}
     left_side = tuple(buffer) + core
     for l, rgt in template.edges():
         core_e = tuple(sorted({left_side[l]} | set(slot_blocks[rgt])))
@@ -251,8 +252,8 @@ def build_absorbing_set(
                 f"no absorber for template edge ({l},{rgt})",
                 blocking=core_e,
             )
-        edge_absorbers[(l, rgt)] = tuple(sorted(got))
-        used_set |= got
+        edge_absorbers[(l, rgt)] = got
+        used_set |= got[0].covered
 
     return AbsorbingStructure(
         n=n, pattern=p, config=config, seed=seed, builder=kind,

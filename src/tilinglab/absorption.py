@@ -1,8 +1,8 @@
 """Absorption: the perfect tiling of G[A + R] for a valid remainder R.
 
 Both of its exact covers run on `factor.exact_cover`, fed by the lazy copy
-enumerator `embed.copy_sets_through`: the disjoint copies into the buffer,
-and each template edge absorber's tiling inside its mask.
+enumerator `embed.copy_sets_through`: the disjoint copies into the buffer
+and the cover of its surplus.  Edge absorbers' tilings come from the structure.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING, Iterable
 from . import factor
 from .config import CertificateBugError, StageFailure
 from .embed import copy_sets_through
-from .factor import Tiling, exact_cover, find_factor_exact
-from .graphs import Graph, Pattern, vertex_mask
+from .factor import exact_cover
+from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .verify import verify_tiling
 
 if TYPE_CHECKING:
@@ -25,10 +25,10 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
 
     Steps: cover each remainder vertex with a copy into the buffer; cover
     surplus buffer vertices with further copies until exactly m remain;
-    match the m survivors plus the core side through the template; tile each
-    matched edge's absorber together with its endpoint vertices, and every
-    unmatched edge's absorber alone.  The copies into the buffer are read
-    off g lazily, as the search reaches each anchor, under
+    match the m survivors plus the core side through the template; take the
+    stored tiling of each matched edge's absorber with its endpoint vertices,
+    and of each unmatched edge's absorber alone.  The copies into the buffer
+    are read off g lazily, as the search reaches each anchor, under
     `factor.DEFAULT_BUDGET` nodes.  The result is verified before return.
     """
     p = structure.pattern
@@ -81,15 +81,8 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
 
     copies = chosen + cover
     for l, rgt in tpl.edges():
-        target = vertex_mask(structure.edge_absorbers[(l, rgt)])
-        if matching.get(l) == rgt:
-            target |= vertex_mask(structure.slot_blocks[rgt]) | 1 << structure.left_vertex(l)
-        res = find_factor_exact(g, p, within=target)
-        if not res.found:
-            raise CertificateBugError(
-                f"absorber for template edge ({l},{rgt}) failed to tile"
-            )
-        copies.extend(res.tiling.copies)
+        alone, with_core = structure.edge_absorbers[(l, rgt)]
+        copies.extend((with_core if matching.get(l) == rgt else alone).copies)
 
     tiling = Tiling(pattern=p, copies=tuple(copies))
     verify_tiling(g, tiling, require_cover=aset | set(rem))

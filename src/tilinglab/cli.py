@@ -130,6 +130,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_absorb(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, not {args.trials}")
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
     config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))

@@ -2,7 +2,8 @@
 
 `AbsorberConfig` holds the constants that drive absorber construction; the
 exceptions are the ones the template, absorber, absorbing-set and absorption
-modules raise.  This module imports nothing from the package, so every
+modules raise; `refuse_unknown_keys` is every loader's check of a JSON
+object's keys.  This module imports nothing from the package, so every
 absorbing layer can import it without a cycle.
 """
 
@@ -35,6 +36,13 @@ class TemplateBuildError(RuntimeError):
 
 class CertificateBugError(RuntimeError):
     """A property certified at build time failed at use time."""
+
+
+def refuse_unknown_keys(obj: dict, known, what: str) -> None:
+    """ValueError naming the keys of `obj` that `known` lacks, if any."""
+    unknown = obj.keys() - known
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +154,5 @@ class AbsorberConfig:
         if fixed:
             raise ValueError(f"config may not set {', '.join(sorted(fixed))}: the pattern "
                              "fixes h, and overrides is always true here")
-        unknown = obj.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown AbsorberConfig key(s): {', '.join(sorted(unknown))}")
+        refuse_unknown_keys(obj, {f.name for f in fields(cls)}, "AbsorberConfig")
         return cls.desk_scale(h=h, **obj)

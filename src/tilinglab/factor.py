@@ -17,31 +17,10 @@ from functools import partial
 from typing import Callable, Iterable
 
 from .embed import copy_sets_through, find_embedding
-from .graphs import Graph, Pattern, vertex_mask
+from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .rng import rng_for
 
 DEFAULT_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class Tiling:
-    """Vertex-disjoint copies of a pattern; copies[i][j] is the image of
-    pattern vertex j under the i-th copy."""
-
-    pattern: Pattern
-    copies: tuple[tuple[int, ...], ...]
-
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for c in self.copies for v in c)
-
-    def merged_with(self, other: "Tiling") -> "Tiling":
-        if other.pattern.graph != self.pattern.graph:
-            raise ValueError("cannot merge tilings of different patterns")
-        return Tiling(pattern=self.pattern, copies=self.copies + other.copies)
-
-    def __len__(self) -> int:
-        return len(self.copies)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .embed import cliques_of_size
-from .graphs import Graph, iter_pairs
+from .graphs import Graph, complete_graph
 from .rng import derive_seed, rng_for
 from .serialize import is_json_int
 
@@ -23,7 +23,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if p == 0.0 or n <= 0:  # Graph(n) refuses a negative n
         return Graph(n)
     if p == 1.0:
-        return Graph(n, iter_pairs(n))
+        return complete_graph(n)
     rand = rng_for(seed, "gnp", n).random
     bits = [0] * n
     for u in range(n):

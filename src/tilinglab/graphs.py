@@ -10,7 +10,8 @@ in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterable
 
 
 class GraphParseError(ValueError):
@@ -144,6 +145,22 @@ class Pattern:
         return f"Pattern(h={self.h}, m={self.graph.m})"
 
 
+@dataclass(frozen=True)
+class Tiling:
+    """Vertex-disjoint copies of a pattern; copies[i][j] is the image of
+    pattern vertex j under the i-th copy."""
+
+    pattern: Pattern
+    copies: tuple[tuple[int, ...], ...]
+
+    @property
+    def covered(self) -> frozenset[int]:
+        return frozenset(v for c in self.copies for v in c)
+
+    def __len__(self) -> int:
+        return len(self.copies)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "u v", u < v.
 
@@ -217,10 +234,4 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield u, v
+    return Graph(n, combinations(range(n), 2))

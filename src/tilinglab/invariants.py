@@ -33,12 +33,6 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("maximum degree of the empty graph is undefined")
-    return max(g.degree(v) for v in range(g.n))
-
-
 def max_clique(g: Graph) -> int:
     """Exact clique number via branch and bound with greedy coloring bound."""
     if g.n == 0:
@@ -309,7 +303,7 @@ def param_report(
         "n": g.n,
         "m": g.m,
         "min_degree": min_degree(g) if g.n else 0,
-        "max_degree": max_degree(g) if g.n else 0,
+        "max_degree": max(map(g.degree, range(g.n)), default=0),
         "max_clique": max_clique(g),
     }
     for ell in sorted(set(ells)):

@@ -202,7 +202,7 @@ def find_factor_absorbing(
             report.stages.append(StageOutcome("cover", True, f"leftover={len(left)}"))
             try:
                 absorbed = absorb(g, structure, left)
-                tiling = cover.merged_with(absorbed)
+                tiling = Tiling(p, cover.copies + absorbed.copies)
                 report.stages.append(StageOutcome("absorb", True))
             except (StageFailure, ValueError) as exc:
                 tiling, detail = _absorb_improved_cover(g, p, structure, cover, left)
@@ -255,7 +255,7 @@ def _absorb_improved_cover(
         absorbed = absorb(g, structure, better_left)
     except (StageFailure, ValueError):
         return None, ""
-    return (better.merged_with(absorbed),
+    return (Tiling(p, better.copies + absorbed.copies),
             f"improved cover: leftover {len(left)} -> {len(better_left)}")
 
 

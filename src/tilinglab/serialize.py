@@ -1,11 +1,11 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v2.  The structure loader ignores the
-top-level keys it does not read, such as the `harvest_sizes` and
-`copy_families` of older documents.  Patterns serialize inline (clique
-order, or an explicit edge list); a complete graph loads as a clique
-whatever its `kind`.
+tiling/v1 or absorbing-structure/v3, whose edge absorbers are {left, right,
+alone, with_core}, the last two tilings as lists of copies.  The structure
+loader refuses a key it does not read, at the top level or in an edge
+absorber.  Patterns serialize inline (clique order, or an explicit edge
+list); a complete graph loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
@@ -27,13 +27,15 @@ from typing import Any
 
 from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
-from .config import AbsorberConfig
-from .factor import Tiling
-from .graphs import Graph, Pattern
+from .config import AbsorberConfig, refuse_unknown_keys
+from .graphs import Graph, Pattern, Tiling
 from .templates import TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v2"
+SCHEMA_STRUCTURE = "absorbing-structure/v3"
+STRUCTURE_KEYS = {"schema", "n", "pattern", "config", "seed", "buffer", "core", "slots",
+                  "slot_blocks", "template", "edge_absorbers", "size_report"}
+EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
 
 
 def is_json_int(value: Any) -> bool:
@@ -135,9 +137,7 @@ def config_from_obj(obj: dict) -> AbsorberConfig:
     field takes its default, an unknown key raises ValueError."""
     kw = dict(obj)
     stored = kw.pop("remainder_frac", None)
-    unknown = kw.keys() - {f.name for f in fields(AbsorberConfig)}
-    if unknown:
-        raise ValueError(f"unknown AbsorberConfig key(s): {', '.join(sorted(unknown))}")
+    refuse_unknown_keys(kw, {f.name for f in fields(AbsorberConfig)}, "AbsorberConfig")
     c = AbsorberConfig(**kw)
     if stored is not None and not math.isclose(stored, c.remainder_frac,
                                                rel_tol=1e-9, abs_tol=1e-12):
@@ -182,24 +182,36 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
         "slot_blocks": [list(b) for b in s.slot_blocks],
         "template": template_to_obj(s.template),
         "edge_absorbers": [
-            {"left": l, "right": r, "vertices": list(a)}
-            for (l, r), a in sorted(s.edge_absorbers.items())
+            {"left": l, "right": r, "alone": [list(c) for c in alone.copies],
+             "with_core": [list(c) for c in with_core.copies]}
+            for (l, r), (alone, with_core) in sorted(s.edge_absorbers.items())
         ],
         "size_report": s.size_report,
     }
 
 
+def _edge_absorber(e: Any, p: Pattern, n: int) -> tuple[tuple[int, int], tuple[Tiling, Tiling]]:
+    """A stored edge absorber as its template edge and its two tilings."""
+    refuse_unknown_keys(_typed(e, dict, "edge absorber"), EDGE_ABSORBER_KEYS, "edge absorber")
+    edge = (json_int(e["left"], "edge absorber left", 0),
+            json_int(e["right"], "edge absorber right", 0))
+    alone, with_core = (Tiling(p, tuple(_vertices(c, f"edge absorber {key} copy", n)
+                                        for c in _typed(e[key], list, f"edge absorber {key}")))
+                        for key in ("alone", "with_core"))
+    return edge, (alone, with_core)
+
+
 def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
     """The structure in `obj`, for a graph on `graph_n` vertices: a pattern
     with more vertices than the graph is refused before it is built."""
+    refuse_unknown_keys(obj, STRUCTURE_KEYS, "structure")
     n = json_int(obj["n"], "structure n", 0)
-    absorbers = [_typed(e, dict, "edge absorber")
-                 for e in _typed(obj["edge_absorbers"], list, "structure edge_absorbers")]
     report = _typed(obj["size_report"], dict, "structure size_report")
     config = config_from_obj(obj["config"])
+    p = pattern_from_obj(obj["pattern"], config.h, graph_n)
     s = AbsorbingStructure(
         n=n,
-        pattern=pattern_from_obj(obj["pattern"], config.h, graph_n),
+        pattern=p,
         config=config,
         seed=json_int(obj["seed"], "structure seed"),
         builder=report.get("builder"),
@@ -208,12 +220,8 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
         slot_blocks=tuple(_vertices(b, "structure slot block", n)
                           for b in _typed(obj["slot_blocks"], list, "structure slot_blocks")),
         template=template_from_obj(obj["template"]),
-        edge_absorbers={
-            (json_int(e["left"], "edge absorber left", 0),
-             json_int(e["right"], "edge absorber right", 0)):
-            _vertices(e["vertices"], "edge absorber vertices", n)
-            for e in absorbers
-        },
+        edge_absorbers=dict(_edge_absorber(e, p, n) for e in
+                            _typed(obj["edge_absorbers"], list, "structure edge_absorbers")),
     )
     if obj["slots"] != list(s.slots):
         raise ValueError("structure slots are not the vertices of its slot_blocks in order")

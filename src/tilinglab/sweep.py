@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
 from .absorbers import check_builder
-from .config import AbsorberConfig
+from .config import AbsorberConfig, refuse_unknown_keys
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, check_param
 from .pipeline import FALLBACK_CAP, find_factor_absorbing
@@ -63,11 +63,9 @@ class ExperimentSpec:
         """Validated spec; raises ValueError naming what is malformed."""
         if not isinstance(obj, dict):
             raise ValueError(f"sweep spec must be a JSON object, not {type(obj).__name__}")
-        known = {f.name for f in fields(cls)}
+        refuse_unknown_keys(obj, {f.name for f in fields(cls)}, "sweep spec")
         required = {f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING}
-        if obj.keys() - known:
-            raise ValueError(f"unknown sweep spec key(s): {', '.join(sorted(obj.keys() - known))}")
         if required - obj.keys():
             raise ValueError(f"sweep spec lacks key(s): {', '.join(sorted(required - obj.keys()))}")
         spec = cls(**obj)

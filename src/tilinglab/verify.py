@@ -2,19 +2,17 @@
 
 Every object the solvers emit (tilings, absorbers, absorbing structures,
 traversing witnesses) can be re-checked here from scratch.  The checkers
-share no search code with the solvers beyond raw adjacency queries and the
-exact oracle where the definition itself demands factor existence.
+share no search code with the solvers: they check the tilings a certificate
+carries, and settle a traversing witness by brute force.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Iterable
 
-from .embed import traversing_copy
-from .factor import Tiling, find_factor_exact
-from .graphs import Graph, Pattern, vertex_mask
+from .graphs import Graph, Pattern, Tiling
 from .rng import rng_for
 
 # templates with at most this many flex m-subsets are checked exhaustively
@@ -23,8 +21,6 @@ TEMPLATE_EXHAUSTIVE_LIMIT = 2000
 TEMPLATE_EXHAUSTIVE_CAP = 20_000
 # flex subsets verify_structure samples when it cannot check them all
 STRUCTURE_TEMPLATE_TRIALS = 50
-# exact-search node budget of each of an absorber check's two tilings
-ABSORBER_CHECK_BUDGET = 500_000
 
 
 class VerificationError(AssertionError):
@@ -42,6 +38,7 @@ def verify_tiling(
     pairwise disjointness, and optional coverage requirements."""
     p = tiling.pattern
     h = p.h
+    pattern_edges = p.graph.edges()
     seen: dict[int, int] = {}
     for ci, emb in enumerate(tiling.copies):
         if len(emb) != h:
@@ -56,7 +53,7 @@ def verify_tiling(
                     f"copies {seen[v]} and {ci} share vertex {v} (disjointness)"
                 )
             seen[v] = ci
-        for a, b in p.graph.edges():
+        for a, b in pattern_edges:
             if not g.has_edge(emb[a], emb[b]):
                 raise VerificationError(
                     f"copy {ci} does not preserve pattern edge ({a},{b}): "
@@ -78,31 +75,31 @@ def verify_tiling(
 
 def verify_absorber(
     g: Graph,
-    p: Pattern,
     core: Iterable[int],
-    absorber: Iterable[int],
+    alone: Tiling,
+    with_core: Tiling,
     t: int,
 ) -> None:
-    """Check the defining property of an absorber for the h-set `core`:
-    |absorber| = h*t, disjoint from core, and both the absorber alone and
-    absorber plus core have perfect tilings, each found by the exact oracle
-    inside that vertex mask.  The absorber builders re-check every absorber
-    they construct with this function."""
+    """Check the defining property of an absorber for the h-set `core`,
+    whose vertices are those the tiling `alone` covers: |absorber| = h*t,
+    disjoint from core, and `alone` and `with_core` perfect tilings, by one
+    pattern, of G[absorber] and G[absorber + core] (verify_tiling checks
+    their vertices' range)."""
     s = sorted(set(core))
-    a = sorted(set(absorber))
-    h = p.h
+    a = sorted(alone.covered)
+    h = alone.pattern.h
+    if with_core.pattern != alone.pattern:
+        raise VerificationError("the absorber's two tilings use different patterns")
     if len(s) != h:
         raise VerificationError(f"core has {len(s)} vertices, expected {h}")
     if len(a) != h * t:
         raise VerificationError(f"absorber has {len(a)} vertices, expected {h * t}")
     if set(s) & set(a):
         raise VerificationError("absorber intersects its core set")
-    for v in s + a:
-        if not (0 <= v < g.n):
-            raise VerificationError(f"vertex {v} out of range")
-    for vertices, what in ((a, "absorber alone"), (a + s, "absorber plus core")):
-        if not find_factor_exact(g, p, ABSORBER_CHECK_BUDGET, vertex_mask(vertices)).found:
-            raise VerificationError(f"{what} has no perfect tiling")
+    verify_tiling(g, alone)
+    verify_tiling(g, with_core)
+    if with_core.covered != set(a + s):
+        raise VerificationError("tiling of the absorber plus core does not cover exactly its vertices")
 
 
 def verify_traversing_witness(
@@ -112,7 +109,8 @@ def verify_traversing_witness(
     parts: list[list[int]],
 ) -> None:
     """Check a failure witness: h pairwise-disjoint parts of size >= s with
-    no traversing copy of the pattern."""
+    no traversing copy of the pattern, by trying every pick of one vertex
+    per part under every ordering."""
     if len(parts) != p.h:
         raise VerificationError(f"witness has {len(parts)} parts, expected {p.h}")
     seen: set[int] = set()
@@ -127,7 +125,9 @@ def verify_traversing_witness(
             if v in seen:
                 raise VerificationError(f"parts overlap at vertex {v}")
             seen.add(v)
-    if traversing_copy(g, p, parts) is not None:
+    pattern_edges = p.graph.edges()
+    if any(all(g.has_edge(emb[a], emb[b]) for a, b in pattern_edges)
+           for pick in product(*parts) for emb in permutations(pick)):
         raise VerificationError("witness family does induce a traversing copy")
 
 
@@ -136,16 +136,15 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
 
     Disjointness of buffer/core/slots and all edge absorbers, the size
     arithmetic, the buffer's increasing order (which fixes the template's
-    flex indices), the absorbing property of every edge absorber (via
+    flex indices), the two stored tilings of every edge absorber (via
     verify_absorber), and the template's robust matching property
     (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS flex
     subsets sampled from `seed`, not the build seed).  The remainder
     fraction, slots and template surplus are derived, and the loader rejects
-    a document whose stored value disagrees; `absorb` reads the copy
-    families off the graph.
+    a document whose stored value disagrees; `absorb` reads the copies into
+    the buffer off the graph.
     """
-    p = structure.pattern
-    h = p.h
+    h = structure.pattern.h
     tpl = structure.template
 
     if structure.n != g.n:
@@ -176,14 +175,14 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     if set(structure.edge_absorbers) != edges:
         raise VerificationError("edge absorbers do not cover the template edges")
     taken = set(base)
-    for (l, r), a in sorted(structure.edge_absorbers.items()):
-        if set(a) & taken:
+    for (l, r), (alone, with_core) in sorted(structure.edge_absorbers.items()):
+        if alone.covered & taken:
             raise VerificationError(
                 f"absorber for edge ({l},{r}) overlaps earlier structure vertices"
             )
-        taken |= set(a)
+        taken |= alone.covered
         core_e = sorted({structure.left_vertex(l)} | set(structure.slot_blocks[r]))
-        verify_absorber(g, p, core_e, a, structure.config.t)
+        verify_absorber(g, core_e, alone, with_core, structure.config.t)
 
     mode = template_check_mode(tpl.flex_size, tpl.m)
     _, bad = check_template(tpl, mode, STRUCTURE_TEMPLATE_TRIALS, seed, "structure-verify")

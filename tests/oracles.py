@@ -23,9 +23,16 @@ from typing import Callable, Iterable, Sequence
 
 from tilinglab.embed import cliques_of_size, embeddings, pattern_order
 from tilinglab.generators import decompose_r
-from tilinglab.graphs import Graph, Pattern, iter_pairs, vertex_mask
+from tilinglab.graphs import Graph, Pattern, vertex_mask
 from tilinglab.matching import max_bipartite_matching
 from tilinglab.rng import rng_for
+
+# the patterns the property tests draw from
+SMALL_PATTERNS = {
+    "K3": Pattern.clique(3),
+    "P3": Pattern(Graph(3, [(0, 1), (1, 2)])),
+    "C4": Pattern(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
+}
 
 
 def set_hosts_copy(g: Graph, p: Pattern, block: tuple[int, ...]) -> bool:
@@ -286,9 +293,9 @@ def gen_gnp_reference(n: int, p: float, seed: int) -> Graph:
     if p == 0.0:
         return Graph(n)
     if p == 1.0:
-        return Graph(n, iter_pairs(n))
+        return Graph(n, combinations(range(n), 2))
     rng = rng_for(seed, "gnp", n)
-    edges = [(u, v) for u, v in iter_pairs(n) if rng.random() < p]
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)
 
 

@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs  # `st` names structures below
 
 from oracles import (
+    SMALL_PATTERNS,
     _choose_disjoint_members,
     _cover_buffer,
     copies_into_buffer_count,
     copy_families_reference,
+    factor_exists_bruteforce,
 )
 from tilinglab import absorbing, absorption, factor
+from tilinglab.absorbers import absorber_tilings
 from tilinglab.absorbing import (
     AbsorberConfig,
     CertificateBugError,
@@ -32,7 +35,7 @@ from tilinglab.absorbing import (
 )
 from tilinglab.factor import Tiling
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
-from tilinglab.graphs import Graph, Pattern, complete_graph, vertex_mask
+from tilinglab.graphs import Graph, Pattern, complete_graph, induced_subgraph, vertex_mask
 from tilinglab.rng import rng_for
 from tilinglab.cli import main
 from tilinglab.graphs import emit_graph
@@ -55,8 +58,10 @@ from tilinglab.verify import (
 
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
-# updates this constant and says why.
-K60_DIRECT_DOCUMENT_SHA256 = "5f852f9ea5e4b7a23012fefad103f3b119f39336924d2fc0296919e805055cd3"
+# updates this constant and says why.  absorbing-structure/v3 stores each
+# edge absorber as its two tilings, `alone` and `with_core`, in place of its
+# `vertices`; the structure itself is the one v2 described.
+K60_DIRECT_DOCUMENT_SHA256 = "76994630f44e78d67cab0339c8615d3d6ac710e5da312cc5295043e37c4ce8b9"
 
 
 def desk_k2(t=1, **kw):
@@ -179,63 +184,109 @@ class TestTemplate:
         assert broken.slot_matching([0, 1]) is None
 
 
+# K9 without the edge (2, 3): with the core [0, 1, 2] and the absorber
+# {3, 4, 5}, a copy through both 2 and 3 is not a triangle
+K9_CUT = Graph(9, [e for e in complete_graph(9).edges() if e != (2, 3)])
+
+
 class TestIsAbsorber:
+    """absorber_tilings finds an absorber's two tilings by exact search;
+    verify_absorber checks the tilings it is given, and searches nothing."""
+
     def test_complete_graph(self, k9, k3):
-        verify_absorber(k9, k3, [0, 1, 2], [3, 4, 5], 1)
+        alone, with_core = absorber_tilings(k9, k3, [0, 1, 2], [3, 4, 5])
+        assert alone.copies == ((3, 4, 5),)
+        assert with_core.covered == set(range(6))
+        verify_absorber(k9, [0, 1, 2], alone, with_core, 1)
 
     def test_triangle_free(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        with pytest.raises(VerificationError, match="absorber alone"):
-            verify_absorber(k66, k3, [0, 1, 2], [6, 7, 8], 1)
+        assert absorber_tilings(k66, k3, [0, 1, 2], [6, 7, 8]) is None
 
     def test_one_part_core_cannot_absorb(self, k3):
         g = gen_complete_multipartite([4, 4, 4])
         core = [0, 1, 2]  # inside the first part
         for cand in ([3, 4, 5], [4, 5, 8], [5, 8, 9]):
-            with pytest.raises(VerificationError, match="no perfect tiling"):
-                verify_absorber(g, k3, core, cand, 1)
+            assert absorber_tilings(g, k3, core, cand) is None
 
     def test_order_invariant(self, k9, k3):
-        verify_absorber(k9, k3, [2, 0, 1], [5, 3, 4], 1)
-        verify_absorber(k9, k3, [0, 1, 2], [3, 4, 5], 1)
-        k66 = gen_complete_multipartite([6, 6])
-        for core, cand in (([2, 0, 1], [8, 6, 7]), ([0, 1, 2], [6, 7, 8])):
-            with pytest.raises(VerificationError, match="absorber alone"):
-                verify_absorber(k66, k3, core, cand, 1)
+        tilings = absorber_tilings(k9, k3, [2, 0, 1], [5, 3, 4])
+        assert tilings == absorber_tilings(k9, k3, [0, 1, 2], [3, 4, 5])
+        verify_absorber(k9, [2, 0, 1], *tilings, 1)
 
-    def test_size_guards(self, k9, k3):
-        with pytest.raises(VerificationError, match="core has 2 vertices"):
-            verify_absorber(k9, k3, [0, 1], [3, 4, 5], 1)
-        with pytest.raises(VerificationError, match="absorber has 2 vertices"):
-            verify_absorber(k9, k3, [0, 1, 2], [3, 4], 1)
-        with pytest.raises(VerificationError, match="intersects"):
-            verify_absorber(k9, k3, [0, 1, 2], [2, 3, 4], 1)
+    def test_given_tilings_accepted(self, k3):
+        verify_absorber(K9_CUT, [0, 1, 2], Tiling(k3, ((3, 4, 5),)),
+                        Tiling(k3, ((0, 1, 2), (3, 4, 5))), 1)
 
-    def test_out_of_range_vertex(self, k9, k3):
-        with pytest.raises(VerificationError, match="vertex 9 out of range"):
-            verify_absorber(k9, k3, [0, 1, 2], [3, 4, 9], 1)
+    @pytest.mark.parametrize("core,alone,with_core,message", [
+        ([0, 1, 2], [(3, 4, 5)], [(0, 1, 4), (2, 3, 5)],
+         r"copy 1 does not preserve pattern edge \(0,1\): \(2,3\) is not an edge"),
+        ([0, 1, 2], [(3, 4, 5)], [(0, 1, 2)],
+         "tiling of the absorber plus core does not cover exactly its vertices"),
+        ([0, 1, 2], [(3, 4, 5)], [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+         "tiling of the absorber plus core does not cover exactly its vertices"),
+        ([0, 1, 2], [(3, 4, 5)], [(0, 1, 2), (2, 4, 5)], "share vertex 2"),
+        ([0, 1, 2], [(2, 4, 5)], [(0, 1, 3), (2, 4, 5)], "absorber intersects its core set"),
+        ([0, 1, 2], [(3, 4, 5), (6, 7, 8)], [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+         "absorber has 6 vertices, expected 3"),
+        ([0, 1], [(3, 4, 5)], [(0, 1, 3), (2, 4, 5)], "core has 2 vertices, expected 3"),
+        ([0, 1, 2], [(3, 4, 9)], [(0, 1, 2), (3, 4, 9)], "out-of-range vertex 9"),
+    ], ids=["non_edge", "missing_vertex", "extra_vertex", "overlapping_copies",
+            "core_overlap", "size", "core_size", "out_of_range"])
+    def test_given_tilings_rejected(self, k3, core, alone, with_core, message):
+        with pytest.raises(VerificationError, match=message):
+            verify_absorber(K9_CUT, core, Tiling(k3, tuple(alone)),
+                            Tiling(k3, tuple(with_core)), 1)
+
+    def test_tilings_of_different_patterns_rejected(self, k3, k2):
+        with pytest.raises(VerificationError, match="different patterns"):
+            verify_absorber(K9_CUT, [0, 1], Tiling(k2, ((3, 4),)),
+                            Tiling(k3, ((0, 1, 4), (3, 5, 6))), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.data())
+    def test_tilings_exist_exactly_when_bruteforce_finds_both(self, data):
+        # an absorber candidate is accepted exactly when G[A] and G[A + S]
+        # both have a perfect tiling, and the tilings it returns pass the check
+        p = SMALL_PATTERNS[data.draw(hs.sampled_from(sorted(SMALL_PATTERNS)))]
+        h = p.h
+        t = data.draw(hs.integers(1, 12 // h - 1))
+        n = data.draw(hs.integers(h * (t + 1), 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        # each pair is an edge with probability 3/4, so that both verdicts are common
+        keep = data.draw(hs.lists(hs.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+        order = data.draw(hs.permutations(range(n)))
+        core, absorber = order[:h], order[h:h * (t + 1)]
+        expected = all(factor_exists_bruteforce(induced_subgraph(g, vs)[0], p)
+                       for vs in (absorber, absorber + core))
+        tilings = absorber_tilings(g, p, core, absorber)
+        assert (tilings is not None) == expected
+        if tilings is not None:
+            assert tilings[0].covered == set(absorber)
+            verify_absorber(g, core, *tilings, t)
 
 
 class TestFamilyBuilders:
     def test_direct_family(self, k3):
-        fams = disjoint_absorber_family_direct(complete_graph(30), k3, [0, 1, 2],
-                                               t=3, target=2)
+        k30 = complete_graph(30)
+        fams = disjoint_absorber_family_direct(k30, k3, [0, 1, 2], t=3, target=2)
         assert len(fams) == 2
-        assert not (fams[0] & fams[1])
-        for a in fams:
-            verify_absorber(complete_graph(30), k3, [0, 1, 2], a, 3)
+        assert not (fams[0][0].covered & fams[1][0].covered)
+        for alone, with_core in fams:
+            verify_absorber(k30, [0, 1, 2], alone, with_core, 3)
 
     def test_general_on_complete(self, k3):
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=9)
-        fams = disjoint_absorber_family_general(complete_graph(30), k3,
-                                                [0, 1, 2], target=2,
+        k30 = complete_graph(30)
+        fams = disjoint_absorber_family_general(k30, k3, [0, 1, 2], target=2,
                                                 config=cfg, seed=1)
         assert len(fams) == 2
         seen = set()
-        for a in fams:
-            assert len(a) == 9
-            assert not (a & seen)
-            seen |= a
+        for alone, with_core in fams:
+            verify_absorber(k30, [0, 1, 2], alone, with_core, 3)
+            assert not (alone.covered & seen)
+            seen |= alone.covered
 
     def test_general_traversing_failure_on_bipartite(self, k3):
         k66 = gen_complete_multipartite([6, 6])
@@ -257,17 +308,19 @@ class TestFamilyBuilders:
                                                 config=cfg, seed=1)
         assert len(fams) == 5
         seen = set()
-        for a in fams:
-            verify_absorber(g, k3, core, a, 3)
-            assert not (a & seen)
-            seen |= a
+        for alone, with_core in fams:
+            verify_absorber(g, core, alone, with_core, 3)
+            assert not (alone.covered & seen)
+            seen |= alone.covered
 
     def test_clique_on_complete(self):
         cfg = AbsorberConfig.desk_scale(h=3, t=3)
-        fams = disjoint_absorber_family_clique(complete_graph(40), 3, 2,
-                                               [0, 1, 2], target=3,
+        k40 = complete_graph(40)
+        fams = disjoint_absorber_family_clique(k40, 3, 2, [0, 1, 2], target=3,
                                                config=cfg, seed=1)
         assert len(fams) == 3
+        for alone, with_core in fams:
+            verify_absorber(k40, [0, 1, 2], alone, with_core, 3)
 
     def test_clique_two_cliques_stays_inside(self):
         g = gen_two_cliques(40)  # parts 0..18 and 19..39
@@ -276,8 +329,9 @@ class TestFamilyBuilders:
         fams = disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
                                                config=cfg, seed=3)
         assert len(fams) == 1
-        assert all(v < 19 for v in fams[0])
-        verify_absorber(g, Pattern.clique(3), [0, 1, 2], fams[0], 3)
+        alone, with_core = fams[0]
+        assert all(v < 19 for v in with_core.covered)
+        verify_absorber(g, [0, 1, 2], alone, with_core, 3)
 
     def test_clique_fails_on_large_independent_sets(self):
         g = gen_complete_multipartite([13, 13, 14])
@@ -383,16 +437,25 @@ class TestBuildAbsorbingSet:
         with pytest.raises(VerificationError):
             verify_structure(k60, bad)
 
-    @pytest.mark.parametrize("key,value", [
-        ("harvest_sizes", {str(v): 12 for v in range(60)}),
-        ("copy_families", {"0": [[31]], "1": [[31], [44]]}),
-    ])
-    def test_older_documents_key_is_ignored(self, k60_structure, key, value):
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda obj: obj.update(harvest_sizes={str(v): 12 for v in range(60)}),
+         "unknown structure key(s): harvest_sizes"),
+        (lambda obj: obj.update(copy_families={"0": [[31]], "1": [[31], [44]]}),
+         "unknown structure key(s): copy_families"),
+        (lambda obj: obj["edge_absorbers"][0].update(vertices=[5, 6]),
+         "unknown edge absorber key(s): vertices"),
+    ], ids=["harvest_sizes", "copy_families", "absorber_vertices"])
+    def test_unread_key_is_refused(self, k60_structure, tmp_path, capsys, tamper, message):
+        # keys older documents carried, which a v3 document does not read
         k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
         obj = structure_to_obj(st)
-        assert key not in obj
-        older = dict(obj, **{key: value})
-        assert structure_to_obj(structure_from_obj(older, k60.n)) == obj
+        tamper(obj)
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
+        assert f"malformed certificate: {message}" in capsys.readouterr().err
 
     def test_structure_document_is_unchanged(self, k60_structure, tmp_path):
         _k60, st = k60_structure
@@ -454,8 +517,8 @@ class TestBuildAbsorbingSet:
          "structure core must lie in 0..59, not [60, 1]"),
         (lambda obj: obj["slot_blocks"].__setitem__(0, [True]),
          "structure slot block must be a list of integers, not [true]"),
-        (lambda obj: obj["edge_absorbers"][0]["vertices"].__setitem__(1, 1.5),
-         "edge absorber vertices must be a list of integers, not [5, 1.5]"),
+        (lambda obj: obj["edge_absorbers"][0]["alone"][0].__setitem__(1, 1.5),
+         "edge absorber alone copy must be a list of integers, not [5, 1.5]"),
         (lambda obj: obj["edge_absorbers"][0].update(left="0"),
          'edge absorber left must be an integer >= 0, not "0"'),
         (lambda obj: obj["edge_absorbers"][0].update(right=-1),
@@ -618,12 +681,6 @@ class TestAbsorb:
 # the K3 desk-scale constants of tests/test_pipeline.py
 K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
                m_cap=1, degree_frac=0.1, threshold_frac=0.1)
-
-SMALL_PATTERNS = {
-    "K3": Pattern.clique(3),
-    "P3": Pattern(Graph(3, [(0, 1), (1, 2)])),
-    "C4": Pattern(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
-}
 
 
 @hs.composite

@@ -208,14 +208,17 @@ class TestVerify:
 
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
-        # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 are
-        # no longer read
+        # absorber/v1, traversing-witness/v1, absorbing-structure/v1 and
+        # absorbing-structure/v2 are no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
         structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
                         "pattern": {"kind": "clique", "r": 3}, "buffer": [0, 1, 2],
                         "buffer_map": [0, 1, 2], "core": [3], "core_map": [3]}
-        for obj in ({"schema": "mystery/v9"}, absorber, structure_v1,
+        # v2 stored each edge absorber's vertices, not its two tilings
+        structure_v2 = dict(structure_v1, schema="absorbing-structure/v2",
+                            edge_absorbers=[{"left": 0, "right": 0, "vertices": [4, 5, 6]}])
+        for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))
@@ -270,19 +273,50 @@ class TestVerify:
         assert "malformed certificate" in capsys.readouterr().err
 
 
+K60_K2_CONFIG = json.dumps({"t": 1, "absorber_frac": 0.2, "sample_prob": 0.06,
+                            "surplus_ratio": 2.0, "m_cap": 1})
+
+
+@pytest.fixture()
+def k60(tmp_path):
+    path = tmp_path / "k60.el"
+    assert run_cli("gen", "--construction", "gnp", "--n", "60", "--p", "1.0",
+                   "--out", str(path)) == 0
+    return path
+
+
 class TestAbsorbCommand:
-    def test_build_trials_and_verify(self, tmp_path):
-        g = tmp_path / "k60.el"
-        run_cli("gen", "--construction", "gnp", "--n", "60", "--p", "1.0",
-                "--out", str(g))
+    def test_build_trials_and_verify(self, k60, tmp_path):
         structure = tmp_path / "structure.json"
-        config = json.dumps({"t": 1, "absorber_frac": 0.2, "sample_prob": 0.06,
-                             "surplus_ratio": 2.0, "m_cap": 1})
-        assert run_cli("absorb", "--graph", str(g), "--pattern", "K2",
-                       "--config", config, "--trials", "5", "--seed", "1",
+        assert run_cli("absorb", "--graph", str(k60), "--pattern", "K2",
+                       "--config", K60_K2_CONFIG, "--trials", "5", "--seed", "1",
                        "--out", str(structure)) == 0
         assert run_cli("verify", "--certificate", str(structure),
-                       "--graph", str(g)) == 0
+                       "--graph", str(k60)) == 0
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one_exit_2(self, k60, capsys, trials):
+        # 0 trials printed "0/0 ok" and exited 0, a verdict on no trial
+        assert run_cli("absorb", "--graph", str(k60), "--pattern", "K2",
+                       "--config", K60_K2_CONFIG, "--trials", str(trials),
+                       "--seed", "1") == 2
+        assert f"error: --trials must be >= 1, not {trials}" in capsys.readouterr().err
+
+    def test_tampered_absorber_tiling_is_invalid(self, k60, tmp_path, capsys):
+        structure = tmp_path / "structure.json"
+        assert run_cli("absorb", "--graph", str(k60), "--pattern", "K2",
+                       "--config", K60_K2_CONFIG, "--trials", "1", "--seed", "1",
+                       "--out", str(structure)) == 0
+        obj = load_json(str(structure))
+        named = {v for key in ("buffer", "core", "slots") for v in obj[key]}
+        named |= {v for e in obj["edge_absorbers"] for copy in e["alone"] for v in copy}
+        # a K60 vertex outside the structure, so the copy still maps onto edges
+        obj["edge_absorbers"][0]["with_core"][0][0] = min(set(range(60)) - named)
+        structure.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run_cli("verify", "--certificate", str(structure), "--graph", str(k60)) == 1
+        err = capsys.readouterr().err
+        assert "INVALID: tiling of the absorber plus core does not cover exactly" in err
 
     @pytest.mark.parametrize("builder", ["general", "clique"])
     def test_prints_hypothesis_verdict(self, tmp_path, capsys, builder):

@@ -1,0 +1,61 @@
+"""The verifiers share no search code with the solvers.  `verify.py` imports
+nothing from the package but `graphs` and `rng`, and neither it nor
+`absorption.py`, which reads its absorber tilings off the structure, names
+the exact factor search.  Both are read as syntax trees, not imported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tilinglab"
+
+
+def syntax_tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / module).read_text(), filename=module)
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, relatively or by full name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("tilinglab.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("tilinglab."):
+                out.add(module.split(".")[1])
+            elif node.level and module:
+                out.add(module.split(".")[0])
+            elif node.level or module == "tilinglab":  # from . import factor
+                out |= {a.name for a in node.names}
+    return out
+
+
+def names(tree: ast.Module) -> set[str]:
+    """Every name, attribute and imported name a module mentions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_package_imports_reads_every_form():
+    tree = ast.parse("import tilinglab.embed\nfrom tilinglab.factor import Tiling\n"
+                     "from . import matching\nfrom .graphs import Graph\n"
+                     "from tilinglab import sweep\nimport json\n")
+    assert package_imports(tree) == {"embed", "factor", "matching", "graphs", "sweep"}
+
+
+def test_verify_imports_only_graphs_and_rng():
+    assert package_imports(syntax_tree("verify.py")) <= {"graphs", "rng"}
+
+
+@pytest.mark.parametrize("module", ["verify.py", "absorption.py"])
+def test_module_names_no_exact_factor_search(module):
+    assert "find_factor_exact" not in names(syntax_tree(module))

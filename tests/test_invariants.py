@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alpha_exhaustive, has_clique, max_density_subgraphs
-from tilinglab.embed import cliques_of_size
+from oracles import SMALL_PATTERNS, alpha_exhaustive, has_clique, max_density_subgraphs
+from tilinglab.embed import cliques_of_size, traversing_copy
 from tilinglab.generators import gen_complete_multipartite, gen_gnp
 from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph, vertex_mask
 from tilinglab.invariants import (
@@ -20,7 +20,7 @@ from tilinglab.invariants import (
     traversing_threshold,
 )
 from tilinglab.rng import rng_for
-from tilinglab.verify import verify_traversing_witness
+from tilinglab.verify import VerificationError, verify_traversing_witness
 
 
 def random_graph(n, p, seed):
@@ -161,6 +161,27 @@ class TestTraversing:
         v = traversing_check(g, k3, 2, mode="exhaustive")
         assert v.witness is not None
         verify_traversing_witness(g, k3, 2, [list(x) for x in v.witness])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_witness_check_agrees_with_traversing_copy(self, data):
+        # the verifier's brute force over picks and orderings accepts a
+        # family exactly when the solver's search finds no traversing copy
+        p = SMALL_PATTERNS[data.draw(st.sampled_from(sorted(SMALL_PATTERNS)))]
+        sizes = [data.draw(st.integers(1, 3)) for _ in range(p.h)]
+        n = data.draw(st.integers(sum(sizes), 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+        order = data.draw(st.permutations(range(n)))
+        cuts = [sum(sizes[:i]) for i in range(p.h + 1)]
+        parts = [list(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+        try:
+            verify_traversing_witness(g, p, min(sizes), parts)
+            accepted = True
+        except VerificationError:
+            accepted = False
+        assert accepted == (traversing_copy(g, p, parts) is None)
 
 
 class TestOneDensity:
