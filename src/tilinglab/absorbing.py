@@ -33,7 +33,7 @@ from .absorbers import (
     disjoint_absorber_family_general,
 )
 from .absorption import absorb
-from .config import SAMPLE_RETRIES, AbsorberConfig, CertificateBugError, StageFailure, TemplateBuildError
+from .config import SAMPLE_RETRIES, AbsorberConfig, CertificateBugError, StageFailure
 from .embed import cliques_of_size, copy_sets_through, find_embedding
 from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .rng import derive_seed, rng_for
@@ -52,8 +52,9 @@ class AbsorbingStructure:
     together with one matched buffer/core vertex; edge_absorbers: per template
     edge, its absorber's tilings (alone, with_core), the second with the
     edge's left vertex and slot block.  builder names the absorber
-    construction that ran; seed records the build seed; size_report derives
-    from the rest.  The copies into the buffer that absorption uses depend
+    construction that ran; seed records the build seed; `slots` and
+    size_report derive from the rest, so a structure document stores
+    neither.  The copies into the buffer that absorption uses depend
     only on the graph and the buffer, so `absorb` finds them itself.
     """
 
@@ -149,12 +150,14 @@ def build_absorbing_set(
     sample is small enough and every vertex has q^(h-1)*gamma/2 copies
     into the buffer: an integer count reaches that exactly when it reaches
     its ceiling, so each count stops there, the first short vertex rejects
-    the sample, and no copy is kept; (3) build the template at the implied
-    round size; (4) reserve core and slot vertices; (5) map template sides
-    onto them; (6) pick pairwise-disjoint absorbers for every template
-    edge, the only stage that runs the builder; (7) assemble.  Any stage
-    that exhausts its candidates raises StageFailure naming the stage and
-    the blocking vertices.
+    the sample, and no copy is kept; no sample is drawn when m_cap = 0 or
+    a small enough sample, at most ceil(2nq) vertices, is too small for
+    m = 1, which needs 1 + ceil(surplus_ratio); (3) build the template at
+    the implied round size; (4) reserve core and slot vertices; (5) map
+    template sides onto them; (6) pick pairwise-disjoint absorbers for
+    every template edge, the only stage that runs the builder; (7)
+    assemble.  Any stage that exhausts its candidates or fails its check
+    raises StageFailure naming the stage and the blocking vertices.
     """
     h = p.h
     if config.h != h:
@@ -188,13 +191,22 @@ def build_absorbing_set(
                                    blocking=(v,))
             allowed ^= vertex_mask(emb) ^ 1 << v
 
-    # stage 2: buffer sampling with the concentration event checked directly
+    # stage 2: buffer sampling with the concentration event checked directly.
+    # A sample keeps at most ceil(2nq) vertices and round size m >= 1 needs
+    # 1 + ceil(beta) of them, so no sample can pass when the cap is lower.
     q = config.sample_prob
     beta = config.surplus_ratio
+    cap = math.ceil(2 * n * q)
+    need = 1 + _surplus_of(1, beta)
+    if config.m_cap == 0:
+        raise StageFailure("buffer-sample", "no sample can pass: m_cap = 0")
+    if cap < need:
+        raise StageFailure("buffer-sample", f"no sample can pass: it keeps at most ceil(2nq) = "
+                                            f"{cap} vertices, and m = 1 needs {need}")
     for attempt in range(SAMPLE_RETRIES):
         rng = rng_for(seed, "buffer", attempt)
         raw = [v for v in range(n) if rng.random() < q]
-        if len(raw) > math.ceil(2 * n * q):
+        if len(raw) > cap:
             continue
         mm = 0
         while (mm + 1) + _surplus_of(mm + 1, beta) <= len(raw):

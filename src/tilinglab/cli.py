@@ -16,7 +16,7 @@ from functools import partial
 from .absorbers import BUILDERS
 from .absorbing import build_absorbing_set
 from .absorption import absorb
-from .config import AbsorberConfig, StageFailure, TemplateBuildError
+from .config import AbsorberConfig, StageFailure
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph
@@ -142,7 +142,7 @@ def cmd_absorb(args) -> int:
     try:
         structure = build_absorbing_set(g, pattern, config, seed=args.seed,
                                         builder=args.builder, ell=args.ell)
-    except (StageFailure, TemplateBuildError) as exc:
+    except StageFailure as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return FAILURE
     if args.out:

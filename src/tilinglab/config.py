@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields
 
 
 class StageFailure(RuntimeError):
-    """A greedy stage ran out of candidates; carries the stage name."""
+    """A build stage ran out of candidates or failed its check; carries the
+    stage name and, when known, the blocking vertices or flex subset."""
 
     def __init__(self, stage: str, detail: str = "", blocking: tuple | None = None):
         self.stage = stage
@@ -23,14 +24,6 @@ class StageFailure(RuntimeError):
         msg = f"stage '{stage}' failed"
         if detail:
             msg += f": {detail}"
-        super().__init__(msg)
-
-
-class TemplateBuildError(RuntimeError):
-    """Template verification kept failing; carries a falsifying subset."""
-
-    def __init__(self, msg: str, falsifying: tuple[int, ...] | None = None):
-        self.falsifying = falsifying
         super().__init__(msg)
 
 
@@ -69,8 +62,9 @@ class AbsorberConfig:
     Desk-scale configurations override both (overrides=True).  The
     absorbable remainder fraction remainder_frac = surplus_ratio/(h-1), on
     which the divisibility bookkeeping depends, is derived, so it holds in
-    every configuration.  This class is the only place that lists the
-    fields; the loaders and the codec read them from `fields()`.
+    every configuration, and a serialized config does not store it.  This
+    class is the only place that lists the fields; the loaders and the
+    codec read them from `fields()`.
     """
 
     h: int

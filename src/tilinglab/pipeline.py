@@ -20,7 +20,7 @@ from typing import Iterable
 from .absorbers import check_builder
 from .absorbing import AbsorbingStructure, build_absorbing_set
 from .absorption import absorb
-from .config import AbsorberConfig, StageFailure, TemplateBuildError
+from .config import AbsorberConfig, StageFailure
 from .embed import embed_in_set, find_embedding
 from .factor import DEFAULT_BUDGET, Tiling, find_factor_exact, greedy_max_tiling, leftover_of
 from .graphs import Graph, Pattern, vertex_mask
@@ -57,17 +57,16 @@ class PipelineReport:
     nodes: int = 0
     millis: float | None = None
     tiling: Tiling | None = None
-    structure: AbsorbingStructure | None = None
 
     def stage_ok(self, name: str) -> bool:
         return any(s.name == name and s.ok for s in self.stages)
 
     def to_obj(self, include_tiling: bool = True) -> dict:
-        """Every field but `structure`, and `tiling` only when asked for."""
+        """Every field, `tiling` only when asked for."""
         from .serialize import tiling_to_obj
 
         out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("tiling", "structure")}
+               if f.name != "tiling"}
         out["schema"] = "pipeline-report/v1"
         out["stages"] = [asdict(s) for s in self.stages]
         if include_tiling and self.tiling is not None:
@@ -185,11 +184,9 @@ def find_factor_absorbing(
             "absorbing-set", True,
             f"|A|={len(structure.absorbing_set)} m={structure.template.m} "
             f"builder={structure.builder}"))
-        report.structure = structure
-    except (StageFailure, TemplateBuildError) as exc:
-        stage = getattr(exc, "stage", "template")
-        report.stages.append(StageOutcome("absorbing-set", False, f"{stage}: {exc}"))
-        report.failure_stage = f"absorbing-set/{stage}"
+    except StageFailure as exc:
+        report.stages.append(StageOutcome("absorbing-set", False, f"{exc.stage}: {exc}"))
+        report.failure_stage = f"absorbing-set/{exc.stage}"
 
     tiling: Tiling | None = None
     if structure is not None:
@@ -204,7 +201,7 @@ def find_factor_absorbing(
                 absorbed = absorb(g, structure, left)
                 tiling = Tiling(p, cover.copies + absorbed.copies)
                 report.stages.append(StageOutcome("absorb", True))
-            except (StageFailure, ValueError) as exc:
+            except StageFailure as exc:
                 tiling, detail = _absorb_improved_cover(g, p, structure, cover, left)
                 report.stages.append(StageOutcome("absorb", tiling is not None,
                                                   detail or str(exc)))
@@ -253,7 +250,7 @@ def _absorb_improved_cover(
         return None, ""
     try:
         absorbed = absorb(g, structure, better_left)
-    except (StageFailure, ValueError):
+    except StageFailure:
         return None, ""
     return (Tiling(p, better.copies + absorbed.copies),
             f"improved cover: leftover {len(left)} -> {len(better_left)}")

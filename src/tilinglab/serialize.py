@@ -1,27 +1,25 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v3, whose edge absorbers are {left, right,
-alone, with_core}, the last two tilings as lists of copies.  The structure
-loader refuses a key it does not read, at the top level or in an edge
-absorber.  Patterns serialize inline (clique order, or an explicit edge
+tiling/v1 or absorbing-structure/v4, whose edge absorbers are {left, right,
+alone, with_core}, the last two tilings as lists of copies.  A document
+stores each fact once: a structure's slots, size report and template
+surplus and its config's remainder fraction derive from the rest, so none
+is written.  Every loader refuses a key it does not read, in every object
+it reads but a template's free-form `verification` record.  Patterns serialize inline (clique order, or an explicit edge
 list); a complete graph loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
 vertex outside 0..n-1, on a pattern with more vertices than the graph,
-checked before the pattern is built, and on a stored value other than the
-one it derives:
-a structure's `slots` (its `slot_blocks` in order) and `size_report` (the
-structure's `size_report`, whose `builder` is read from the document), a
-template's `surplus` (len(left_adj) - 3m) and a config's `remainder_frac`
-(surplus_ratio/(h-1)).
+checked before the pattern is built, on a template `mode` that
+`build_template` does not know, and on a structure `builder` that is not
+one of BUILDERS or cannot have run at the stored `t` and pattern.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields
 from typing import Any
 
@@ -29,12 +27,16 @@ from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
 from .config import AbsorberConfig, refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
-from .templates import TemplateGraph
+from .templates import TEMPLATE_MODES, TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v3"
-STRUCTURE_KEYS = {"schema", "n", "pattern", "config", "seed", "buffer", "core", "slots",
-                  "slot_blocks", "template", "edge_absorbers", "size_report"}
+SCHEMA_STRUCTURE = "absorbing-structure/v4"
+# the keys each loader reads, which are exactly the keys each writer emits
+TILING_KEYS = {"schema", "pattern", "copies"}
+PATTERN_KEYS = {"clique": {"kind", "r"}, "general": {"kind", "n", "edges"}}
+TEMPLATE_KEYS = {"m", "mode", "left_adj", "verification"}
+STRUCTURE_KEYS = {"schema", "n", "pattern", "config", "seed", "builder", "buffer", "core",
+                  "slot_blocks", "template", "edge_absorbers"}
 EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
 
 
@@ -86,9 +88,10 @@ def pattern_to_obj(p: Pattern) -> dict:
 def pattern_from_obj(obj: dict, h: int | None = None, n: int | None = None) -> Pattern:
     """The pattern in `obj`, checked before it is built to have `h` vertices,
     if given, and at most `n`, the vertex count of the graph, if given."""
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "pattern")["kind"]
     if kind not in ("clique", "general"):
         raise ValueError(f'pattern kind must be "clique" or "general", not {json.dumps(kind)}')
+    refuse_unknown_keys(obj, PATTERN_KEYS[kind], f"{kind} pattern")
     key = "r" if kind == "clique" else "n"
     size = json_int(obj[key], f"pattern {key}")
     if h is not None and size != h:
@@ -122,34 +125,26 @@ def tiling_to_obj(t: Tiling) -> dict:
 def tiling_from_obj(obj: dict, n: int) -> Tiling:
     """The tiling in `obj`, for a graph on `n` vertices: a pattern with more
     vertices than the graph is refused before it is built."""
+    refuse_unknown_keys(obj, TILING_KEYS, "tiling")
     p = pattern_from_obj(obj["pattern"], n=n)
     return Tiling(pattern=p, copies=tuple(_ints(c, "tiling copy") for c in obj["copies"]))
 
 
 def config_to_obj(c: AbsorberConfig) -> dict:
-    obj = {f.name: getattr(c, f.name) for f in fields(AbsorberConfig)}
-    obj["remainder_frac"] = c.remainder_frac
-    return obj
+    return {f.name: getattr(c, f.name) for f in fields(AbsorberConfig)}
 
 
 def config_from_obj(obj: dict) -> AbsorberConfig:
     """The config in `obj`, whose keys the dataclass lists: a missing optional
     field takes its default, an unknown key raises ValueError."""
-    kw = dict(obj)
-    stored = kw.pop("remainder_frac", None)
-    refuse_unknown_keys(kw, {f.name for f in fields(AbsorberConfig)}, "AbsorberConfig")
-    c = AbsorberConfig(**kw)
-    if stored is not None and not math.isclose(stored, c.remainder_frac,
-                                               rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(f"config remainder_frac {stored} is not "
-                         f"surplus_ratio/(h-1) = {c.remainder_frac}")
-    return c
+    refuse_unknown_keys(_typed(obj, dict, "config"), {f.name for f in fields(AbsorberConfig)},
+                        "AbsorberConfig")
+    return AbsorberConfig(**obj)
 
 
 def template_to_obj(t: TemplateGraph) -> dict:
     return {
         "m": t.m,
-        "surplus": t.surplus,
         "mode": t.mode,
         "left_adj": [list(row) for row in t.left_adj],
         "verification": dict(t.verification),
@@ -157,16 +152,17 @@ def template_to_obj(t: TemplateGraph) -> dict:
 
 
 def template_from_obj(obj: dict) -> TemplateGraph:
+    refuse_unknown_keys(_typed(obj, dict, "template"), TEMPLATE_KEYS, "template")
     m = json_int(obj["m"], "template m", 1)
+    if obj["mode"] not in TEMPLATE_MODES:
+        raise ValueError(f"template mode must be one of {', '.join(TEMPLATE_MODES)}, "
+                         f"not {json.dumps(obj['mode'])}")
     left_adj = tuple(_ints(row, "template left_adj row") for row in obj["left_adj"])
     if any(not 0 <= r < 3 * m for row in left_adj for r in row):
         raise ValueError(f"template left_adj entries must lie in 0..{3 * m - 1}")
-    t = TemplateGraph(m=m, mode=obj["mode"], left_adj=left_adj,
-                      verification=dict(obj["verification"]))
-    if obj["surplus"] != t.surplus:
-        raise ValueError(f"template surplus {json.dumps(obj['surplus'])} is not "
-                         f"len(left_adj) - 3m = {t.surplus}")
-    return t
+    return TemplateGraph(m=m, mode=obj["mode"], left_adj=left_adj,
+                         verification=dict(_typed(obj["verification"], dict,
+                                                  "template verification")))
 
 
 def structure_to_obj(s: AbsorbingStructure) -> dict:
@@ -176,9 +172,9 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
         "pattern": pattern_to_obj(s.pattern),
         "config": config_to_obj(s.config),
         "seed": s.seed,
+        "builder": s.builder,
         "buffer": list(s.buffer),
         "core": list(s.core),
-        "slots": list(s.slots),
         "slot_blocks": [list(b) for b in s.slot_blocks],
         "template": template_to_obj(s.template),
         "edge_absorbers": [
@@ -186,7 +182,6 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
              "with_core": [list(c) for c in with_core.copies]}
             for (l, r), (alone, with_core) in sorted(s.edge_absorbers.items())
         ],
-        "size_report": s.size_report,
     }
 
 
@@ -206,7 +201,6 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
     with more vertices than the graph is refused before it is built."""
     refuse_unknown_keys(obj, STRUCTURE_KEYS, "structure")
     n = json_int(obj["n"], "structure n", 0)
-    report = _typed(obj["size_report"], dict, "structure size_report")
     config = config_from_obj(obj["config"])
     p = pattern_from_obj(obj["pattern"], config.h, graph_n)
     s = AbsorbingStructure(
@@ -214,7 +208,7 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
         pattern=p,
         config=config,
         seed=json_int(obj["seed"], "structure seed"),
-        builder=report.get("builder"),
+        builder=obj["builder"],
         buffer=_vertices(obj["buffer"], "structure buffer", n),
         core=_vertices(obj["core"], "structure core", n),
         slot_blocks=tuple(_vertices(b, "structure slot block", n)
@@ -223,22 +217,15 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
         edge_absorbers=dict(_edge_absorber(e, p, n) for e in
                             _typed(obj["edge_absorbers"], list, "structure edge_absorbers")),
     )
-    if obj["slots"] != list(s.slots):
-        raise ValueError("structure slots are not the vertices of its slot_blocks in order")
     # the partition and traversing constructions run only at t = h, and
     # the partition one only on a clique K_r with r >= 3
     if s.builder not in BUILDERS:
-        raise ValueError(f"structure size_report builder must be one of {', '.join(BUILDERS)}, "
+        raise ValueError(f"structure builder must be one of {', '.join(BUILDERS)}, "
                          f"not {json.dumps(s.builder)}")
     if s.builder != "direct" and (s.config.t != s.pattern.h
                                   or s.builder == "clique" and (s.pattern.r or 0) < 3):
-        raise ValueError(f"structure size_report builder {s.builder} cannot have built a "
+        raise ValueError(f"structure builder {s.builder} cannot have built a "
                          f"structure for this pattern at t={s.config.t}")
-    derived = s.size_report
-    for key in sorted(report.keys() | derived.keys()):
-        if json.dumps(report.get(key)) != json.dumps(derived.get(key)):
-            raise ValueError(f"structure size_report {key} {json.dumps(report.get(key))} "
-                             f"is not the derived {json.dumps(derived.get(key))}")
     return s
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .config import TEMPLATE_RETRIES, TemplateBuildError
+from .config import TEMPLATE_RETRIES, StageFailure
 from .matching import max_bipartite_matching
 from .rng import derive_seed, rng_for
 from .verify import check_template
@@ -81,6 +81,8 @@ def _surplus_of(m: int, beta: float) -> int:
 
 # left degree of a random-regular template
 TEMPLATE_DEGREE = 12
+# the modes build_template dispatches on
+TEMPLATE_MODES = ("complete-bipartite", "random-regular")
 
 
 def build_template(
@@ -99,6 +101,8 @@ def build_template(
     configuration-style pairing with all degrees in [8, 40] and certifies the
     property by matching checks (exhaustive, or `trials` sampled subsets when
     verify="sampled"), resampling on failure up to TEMPLATE_RETRIES times.
+    A failed verification raises StageFailure("template"), whose `blocking`
+    is the falsifying flex subset when there is one.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -114,7 +118,7 @@ def build_template(
         tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
         record, bad = check_template(tpl, verify, trials, seed, "template-verify")
         if bad is not None:
-            raise TemplateBuildError("flex subset without perfect matching", falsifying=bad)
+            raise StageFailure("template", "flex subset without perfect matching", blocking=bad)
         return replace(tpl, verification=record)
 
     if mode == "random-regular":
@@ -146,8 +150,8 @@ def build_template(
                                          derive_seed(seed, "verify", attempt), "template-verify")
             if bad is None:
                 return replace(tpl, verification=record)
-        raise TemplateBuildError(
-            f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
+        raise StageFailure(
+            "template", f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
         )
 
-    raise ValueError(f"unknown template mode: {mode}")
+    raise ValueError(f"template mode must be one of {', '.join(TEMPLATE_MODES)}, not {mode!r}")

@@ -140,9 +140,9 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     verify_absorber), and the template's robust matching property
     (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS flex
     subsets sampled from `seed`, not the build seed).  The remainder
-    fraction, slots and template surplus are derived, and the loader rejects
-    a document whose stored value disagrees; `absorb` reads the copies into
-    the buffer off the graph.
+    fraction, slots, template surplus and size report are derived, so a
+    document stores none of them and the loader refuses each as an unknown
+    key; `absorb` reads the copies into the buffer off the graph.
     """
     h = structure.pattern.h
     tpl = structure.template

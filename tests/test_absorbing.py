@@ -40,6 +40,11 @@ from tilinglab.rng import rng_for
 from tilinglab.cli import main
 from tilinglab.graphs import emit_graph
 from tilinglab.serialize import (
+    EDGE_ABSORBER_KEYS,
+    PATTERN_KEYS,
+    STRUCTURE_KEYS,
+    TEMPLATE_KEYS,
+    TILING_KEYS,
     config_from_obj,
     config_to_obj,
     dump_json,
@@ -58,10 +63,11 @@ from tilinglab.verify import (
 
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
-# updates this constant and says why.  absorbing-structure/v3 stores each
-# edge absorber as its two tilings, `alone` and `with_core`, in place of its
-# `vertices`; the structure itself is the one v2 described.
-K60_DIRECT_DOCUMENT_SHA256 = "76994630f44e78d67cab0339c8615d3d6ac710e5da312cc5295043e37c4ce8b9"
+# updates this constant and says why.  absorbing-structure/v4 stores each
+# fact once: it drops v3's derived `slots`, `size_report`, template
+# `surplus` and config `remainder_frac`, and keeps the one fact the size
+# report alone carried, `builder`, as a top-level key.
+K60_DIRECT_DOCUMENT_SHA256 = "419bfcd4470de9596775d6a648c65ec821feda17b2f4d12bd6ea54d365eacafb"
 
 
 def desk_k2(t=1, **kw):
@@ -87,11 +93,10 @@ class TestConfig:
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.1,
                            surplus_ratio=6.0, remainder_frac=1.0, overrides=True)
         obj = config_to_obj(c)
-        assert obj["remainder_frac"] == 3.0
+        assert "remainder_frac" not in obj
         assert config_from_obj(obj) == c
-        obj["remainder_frac"] = 1.0
-        with pytest.raises(ValueError, match="remainder_frac 1.0 is not surplus_ratio"):
-            config_from_obj(obj)
+        with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: remainder_frac"):
+            config_from_obj(dict(obj, remainder_frac=3.0))
 
     def test_non_override_rejects_custom_constants(self):
         with pytest.raises(ValueError):
@@ -111,7 +116,7 @@ class TestConfig:
     def test_codec_defaults_and_unknown_keys(self):
         c = AbsorberConfig.desk_scale(h=3, pool_size=7, m_cap=4)
         obj = config_to_obj(c)
-        del obj["pool_size"], obj["m_cap"], obj["remainder_frac"]
+        del obj["pool_size"], obj["m_cap"]
         assert config_from_obj(obj) == AbsorberConfig.desk_scale(h=3)
         # the two retry counts older documents carried are unknown keys now
         older = dict(obj, sample_retries=9, partition_retries=8)
@@ -123,6 +128,13 @@ class TestConfig:
 
 
 class TestTemplate:
+    def test_failed_check_is_a_template_stage_failure(self, monkeypatch):
+        from tilinglab import templates
+        monkeypatch.setattr(templates, "check_template", lambda *a: ({}, (0,)))
+        with pytest.raises(StageFailure) as exc:
+            build_template(1, 1.0, mode="complete-bipartite")
+        assert (exc.value.stage, exc.value.blocking) == ("template", (0,))
+
     def test_complete_bipartite_m4(self):
         tpl = build_template(4, 0.25, mode="complete-bipartite", verify="exhaustive")
         assert (tpl.flex_size, tpl.core_size, tpl.slot_count) == (5, 8, 12)
@@ -402,6 +414,22 @@ class TestBuildAbsorbingSet:
                 assert exc.detail == "vertex 0: 3 disjoint copies, need 4"
         assert (stage == "copy-families") == (copies == 3)
 
+    @pytest.mark.parametrize("kw,detail", [
+        (dict(sample_prob=0.1),
+         "no sample can pass: it keeps at most ceil(2nq) = 6 vertices, and m = 1 needs 7"),
+        (dict(sample_prob=0.2, m_cap=0), "no sample can pass: m_cap = 0"),
+    ], ids=["cap", "m_cap"])
+    def test_buffer_sample_fails_before_sampling(self, k3, monkeypatch, kw, detail):
+        # on K30 a sample keeps at most ceil(2 * 30 * 0.1) = 6 vertices, and
+        # m = 1 needs 1 + ceil(surplus_ratio) = 7; m_cap = 0 allows no round
+        def draw(*args):
+            raise AssertionError("a buffer sample was drawn")
+        monkeypatch.setattr(absorbing, "rng_for", draw)
+        cfg = AbsorberConfig.desk_scale(h=3, t=1, surplus_ratio=6.0, **kw)
+        with pytest.raises(StageFailure) as exc:
+            build_absorbing_set(complete_graph(30), k3, cfg, seed=1)
+        assert (exc.value.stage, exc.value.detail) == ("buffer-sample", detail)
+
     def test_triangle_free_fails_at_copy_families(self, k3):
         k66 = gen_complete_multipartite([6, 6])
         cfg = AbsorberConfig.desk_scale(h=3, t=1, absorber_frac=0.1,
@@ -430,7 +458,6 @@ class TestBuildAbsorbingSet:
         k60 = complete_graph(60)
         st = build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
         first, second = sorted(st.edge_absorbers)[:2]
-        # the document of the tampered structure carries its own size_report
         tampered = dataclasses.replace(st, edge_absorbers={
             **st.edge_absorbers, first: st.edge_absorbers[second]})
         bad = structure_from_obj(structure_to_obj(tampered), k60.n)
@@ -444,14 +471,29 @@ class TestBuildAbsorbingSet:
          "unknown structure key(s): copy_families"),
         (lambda obj: obj["edge_absorbers"][0].update(vertices=[5, 6]),
          "unknown edge absorber key(s): vertices"),
-    ], ids=["harvest_sizes", "copy_families", "absorber_vertices"])
+        (lambda obj: obj.update(slots=[v for b in obj["slot_blocks"] for v in b]),
+         "unknown structure key(s): slots"),
+        (lambda obj: obj.update(size_report={"builder": obj["builder"]}),
+         "unknown structure key(s): size_report"),
+        (lambda obj: obj["template"].update(surplus=2), "unknown template key(s): surplus"),
+        (lambda obj: obj["config"].update(remainder_frac=2.0),
+         "unknown AbsorberConfig key(s): remainder_frac"),
+        (lambda obj: obj["template"].update(extra=1), "unknown template key(s): extra"),
+        (lambda obj: obj["pattern"].update(edges="junk"),
+         "unknown clique pattern key(s): edges"),
+        (lambda obj: dict(tiling_to_obj(Tiling(Pattern.clique(2), ())), extra=1),
+         "unknown tiling key(s): extra"),
+    ], ids=["harvest_sizes", "copy_families", "absorber_vertices", "slots", "size_report",
+            "surplus", "remainder_frac", "template_extra", "clique_pattern_edges",
+            "tiling_extra"])
     def test_unread_key_is_refused(self, k60_structure, tmp_path, capsys, tamper, message):
-        # keys older documents carried, which a v3 document does not read
+        # keys older documents carried, derived values v4 no longer stores,
+        # and keys no writer emits; a tamper may return another document
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
         obj = structure_to_obj(st)
-        tamper(obj)
+        obj = tamper(obj) or obj
         doc = tmp_path / "structure.json"
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
@@ -462,18 +504,6 @@ class TestBuildAbsorbingSet:
         doc = tmp_path / "structure.json"
         dump_json(structure_to_obj(st), str(doc))
         assert hashlib.sha256(doc.read_bytes()).hexdigest() == K60_DIRECT_DOCUMENT_SHA256
-
-    def test_wrong_remainder_frac_is_malformed(self, k60_structure, tmp_path, capsys):
-        k60, st = k60_structure
-        graph = tmp_path / "k60.el"
-        graph.write_text(emit_graph(k60))
-        obj = structure_to_obj(st)
-        obj["config"]["remainder_frac"] *= 2
-        doc = tmp_path / "structure.json"
-        doc.write_text(json.dumps(obj))
-        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
-        err = capsys.readouterr().err
-        assert "malformed certificate" in err and "remainder_frac" in err
 
     def test_unsorted_buffer_rejected(self, k60_structure):
         k60, st = k60_structure
@@ -490,25 +520,30 @@ class TestBuildAbsorbingSet:
         assert st.size_report["builder"] == builder
         doc = json.loads(json.dumps(structure_to_obj(st)))
         assert structure_to_obj(structure_from_obj(doc, g.n)) == doc
-        assert doc["slots"] == [v for b in doc["slot_blocks"] for v in b]
-        assert doc["template"]["surplus"] == len(doc["template"]["left_adj"]) - 3 * doc["template"]["m"]
+        assert doc["builder"] == builder
+        # derived values are not stored
+        assert not doc.keys() & {"slots", "size_report"}
+        assert "surplus" not in doc["template"] and "remainder_frac" not in doc["config"]
 
     @pytest.mark.parametrize("tamper,message", [
-        (lambda obj: obj.update(slots=obj["slots"][::-1]),
-         "structure slots are not the vertices of its slot_blocks in order"),
-        (lambda obj: obj["template"].update(surplus=obj["template"]["surplus"] + 1),
-         "template surplus 3 is not len(left_adj) - 3m = 2"),
         (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
-        (lambda obj: obj.update(n=10**400), "int too large to convert to float"),
         (lambda obj: obj["pattern"].update(r=3), "pattern r 3 is not the config's h = 2"),
-        (lambda obj: (obj["pattern"].update(r=3000), obj["config"].update(h=3000),
-                      obj["config"].pop("remainder_frac")),
+        (lambda obj: (obj["pattern"].update(r=3000), obj["config"].update(h=3000)),
          "pattern r 3000 has more vertices than the graph's 60"),
         (lambda obj: (obj.update(n=100000), obj["pattern"].update(r=3000),
-                      obj["config"].update(h=3000), obj["config"].pop("remainder_frac")),
+                      obj["config"].update(h=3000)),
          "pattern r 3000 has more vertices than the graph's 60"),
         (lambda obj: obj["template"].update(m="1"),
          'template m must be an integer >= 1, not "1"'),
+        (lambda obj: obj.update(pattern=[1]), "pattern must be an object, not [1]"),
+        (lambda obj: obj.update(config=[1]), "config must be an object, not [1]"),
+        (lambda obj: obj.update(template=[1]), "template must be an object, not [1]"),
+        (lambda obj: obj["template"].update(mode=5),
+         "template mode must be one of complete-bipartite, random-regular, not 5"),
+        (lambda obj: obj["template"].update(verification=[["checks", "lots"]]),
+         'template verification must be an object, not [["checks", "lots"]]'),
+        (lambda obj: obj["template"].update(verification="ab"),
+         'template verification must be an object, not "ab"'),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
          "template left_adj entries must lie in 0..2"),
         (lambda obj: obj["buffer"].__setitem__(0, str(obj["buffer"][0])),
@@ -527,36 +562,85 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj.update(edge_absorbers=[5]), "edge absorber must be an object, not 5"),
         (lambda obj: obj.update(edge_absorbers={}),
          "structure edge_absorbers must be a list, not {}"),
-        (lambda obj: obj.update(size_report=[1]),
-         "structure size_report must be an object, not [1]"),
-        (lambda obj: obj["size_report"].update(total=5),
-         "structure size_report total 5 is not the derived 38"),
-        (lambda obj: obj["size_report"].pop("bound_target"),
-         "structure size_report bound_target null is not the derived 6.0"),
-        (lambda obj: obj["size_report"].update(builder="clique"),
-         "structure size_report builder clique cannot have built a structure "
-         "for this pattern at t=1"),
-        (lambda obj: obj["size_report"].update(builder="exact"),
-         'structure size_report builder must be one of direct, general, clique, not "exact"'),
-    ], ids=["slots", "surplus", "n", "n_overflow", "pattern_size", "pattern_above_n",
-            "pattern_above_graph_n", "m",
-            "left_adj", "buffer", "core", "slot_block",
+        (lambda obj: obj.update(builder="clique"),
+         "structure builder clique cannot have built a structure for this pattern at t=1"),
+        (lambda obj: obj.update(builder="exact"),
+         'structure builder must be one of direct, general, clique, not "exact"'),
+    ], ids=["n", "pattern_size", "pattern_above_n",
+            "pattern_above_graph_n", "m", "pattern_type", "config_type", "template_type",
+            "template_mode", "verification_pairs",
+            "verification_string", "left_adj", "buffer", "core", "slot_block",
             "absorber_vertex", "absorber_left", "absorber_right", "seed",
-            "absorber_entry", "absorbers_type", "size_report_type",
-            "size_report_total", "size_report_missing_key", "size_report_builder",
-            "size_report_unknown_builder"])
+            "absorber_entry", "absorbers_type", "builder", "unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
                                             tamper, message):
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
         obj = structure_to_obj(st)
-        assert (obj["template"]["m"], obj["template"]["surplus"]) == (1, 2)
+        assert obj["template"]["m"] == 1
         tamper(obj)
         doc = tmp_path / "structure.json"
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
+
+    def test_huge_n_is_invalid_for_the_graph(self, k60_structure, tmp_path, capsys):
+        # a JSON integer, so it loads; verify rejects it against the graph
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(dict(structure_to_obj(st), n=10**400)))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
+        assert f"INVALID: structure built for n={10**400}, graph has 60" in capsys.readouterr().err
+
+    def test_writers_emit_the_keys_loaders_read(self, k60_structure, c4_pattern):
+        _k60, st = k60_structure
+        doc = structure_to_obj(st)
+        assert doc.keys() == STRUCTURE_KEYS
+        assert doc["config"].keys() == {f.name for f in dataclasses.fields(AbsorberConfig)}
+        assert doc["template"].keys() == TEMPLATE_KEYS
+        assert all(e.keys() == EDGE_ABSORBER_KEYS for e in doc["edge_absorbers"])
+        for document in ("clique_tiling", "general_tiling"):
+            tiling = _document(document, st, c4_pattern)
+            assert tiling.keys() == TILING_KEYS
+            assert tiling["pattern"].keys() == PATTERN_KEYS[tiling["pattern"]["kind"]]
+
+    @pytest.mark.parametrize("document", ["structure", "clique_tiling", "general_tiling"])
+    def test_every_written_key_is_read(self, k60_structure, c4_pattern, tmp_path, capsys,
+                                       document):
+        # in each object a loader reads, deleting a written key is malformed,
+        # except a config field with a default, and so is adding a key
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        doc = tmp_path / "document.json"
+        written = _document(document, st, c4_pattern)
+        optional = {f.name for f in dataclasses.fields(AbsorberConfig)
+                    if f.default is not dataclasses.MISSING}
+
+        def verify(obj):
+            doc.write_text(json.dumps(obj))
+            return main(["verify", "--certificate", str(doc), "--graph", str(graph)])
+
+        assert verify(written) == 0
+        paths = [(), ("pattern",)]
+        if document == "structure":
+            paths += [("config",), ("template",), ("edge_absorbers", 0)]
+        for path in paths:
+            for key in [*_at(written, path), None]:
+                if path == ("config",) and key in optional:
+                    continue
+                obj = json.loads(json.dumps(written))
+                if key is None:
+                    _at(obj, path)["extra"] = 1
+                else:
+                    del _at(obj, path)[key]
+                capsys.readouterr()
+                assert verify(obj) == 2, (path, key)
+                if key is None:
+                    assert "key(s): extra" in capsys.readouterr().err
 
     @pytest.mark.parametrize("document", ["structure", "clique_tiling", "general_tiling"])
     @settings(max_examples=200, deadline=None)
@@ -567,18 +651,9 @@ class TestBuildAbsorbingSet:
         folder = tmp_path_factory.mktemp("leaf")
         graph = folder / "k60.el"
         graph.write_text(emit_graph(k60))
-        # small tilings, so that the pattern's size is often the leaf replaced
-        if document == "structure":
-            obj = structure_to_obj(st)
-        elif document == "clique_tiling":
-            obj = tiling_to_obj(Tiling(st.pattern, ((0, 1), (2, 3))))
-        else:
-            obj = tiling_to_obj(Tiling(c4_pattern, ((0, 1, 2, 3),)))
+        obj = _document(document, st, c4_pattern)
         path = data.draw(hs.sampled_from(sorted(_leaf_paths(obj), key=str)))
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = data.draw(JSON_VALUES)
+        _at(obj, path[:-1])[path[-1]] = data.draw(JSON_VALUES)
         doc = folder / "document.json"
         doc.write_text(json.dumps(obj))
         err = io.StringIO()
@@ -588,6 +663,24 @@ class TestBuildAbsorbingSet:
         if code == 2:  # a replaced schema tag makes the document another kind
             assert err.getvalue().startswith(("malformed certificate:", "error:",
                                               "unknown certificate schema:"))
+
+
+def _document(kind, st, c4_pattern):
+    """The written document of the structure `st`, or a valid tiling of
+    K60 by its clique pattern or by C4.  The tilings are small, so that the
+    pattern's size is often the leaf a fuzz test replaces."""
+    if kind == "structure":
+        return structure_to_obj(st)
+    if kind == "clique_tiling":
+        return tiling_to_obj(Tiling(st.pattern, ((0, 1), (2, 3))))
+    return tiling_to_obj(Tiling(c4_pattern, ((0, 1, 2, 3),)))
+
+
+def _at(obj, path):
+    """The value at key path `path` inside a JSON value."""
+    for key in path:
+        obj = obj[key]
+    return obj
 
 
 # any JSON value, as json.loads returns it

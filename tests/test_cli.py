@@ -208,8 +208,8 @@ class TestVerify:
 
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
-        # absorber/v1, traversing-witness/v1, absorbing-structure/v1 and
-        # absorbing-structure/v2 are no longer read
+        # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 to
+        # v3 are no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
         structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
@@ -218,7 +218,13 @@ class TestVerify:
         # v2 stored each edge absorber's vertices, not its two tilings
         structure_v2 = dict(structure_v1, schema="absorbing-structure/v2",
                             edge_absorbers=[{"left": 0, "right": 0, "vertices": [4, 5, 6]}])
-        for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2,
+        # v3 also stored the derived slots, size report, template surplus and
+        # config remainder fraction
+        structure_v3 = dict(structure_v1, schema="absorbing-structure/v3", slots=[4, 5],
+                            size_report={"builder": "direct"},
+                            edge_absorbers=[{"left": 0, "right": 0, "alone": [[4, 5, 6]],
+                                             "with_core": [[0, 1, 2], [4, 5, 6]]}])
+        for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2, structure_v3,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))
@@ -308,7 +314,7 @@ class TestAbsorbCommand:
                        "--config", K60_K2_CONFIG, "--trials", "1", "--seed", "1",
                        "--out", str(structure)) == 0
         obj = load_json(str(structure))
-        named = {v for key in ("buffer", "core", "slots") for v in obj[key]}
+        named = {*obj["buffer"], *obj["core"], *(v for b in obj["slot_blocks"] for v in b)}
         named |= {v for e in obj["edge_absorbers"] for copy in e["alone"] for v in copy}
         # a K60 vertex outside the structure, so the copy still maps onto edges
         obj["edge_absorbers"][0]["with_core"][0][0] = min(set(range(60)) - named)

@@ -1,6 +1,8 @@
 import hashlib
 
-from tilinglab import pipeline
+import pytest
+
+from tilinglab import pipeline, templates
 from tilinglab.absorbing import AbsorberConfig
 from tilinglab.embed import find_embedding
 from tilinglab.factor import find_factor_exact
@@ -14,6 +16,8 @@ from tilinglab.verify import verify_tiling
 
 K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
                m_cap=1, degree_frac=0.1, threshold_frac=0.1)
+K2_DESK = AbsorberConfig.desk_scale(h=2, absorber_frac=0.2, sample_prob=0.06,
+                                    surplus_ratio=2.0, m_cap=1)
 
 
 class TestHypotheses:
@@ -143,6 +147,24 @@ class TestPipeline:
             rng.shuffle(extra)
             g2 = Graph(n, g.edges() + extra[:3])
             assert find_factor_exact(g2, k3).found
+
+    def test_absorb_input_guard_is_not_an_absorb_failure(self, k2, monkeypatch):
+        # the pipeline cannot trip absorb's input guards, so a ValueError
+        # from absorb is a bug to surface, not a failed stage to record
+        def guard(*args):
+            raise ValueError("remainder guard")
+        monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
+        monkeypatch.setattr(pipeline, "absorb", guard)
+        with pytest.raises(ValueError, match="remainder guard"):
+            find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
+
+    def test_failed_template_is_an_absorbing_set_stage(self, k2, monkeypatch):
+        monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
+        monkeypatch.setattr(templates, "check_template", lambda *a: ({}, (0,)))
+        rep = find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
+        assert rep.failure_stage == "absorbing-set/template"
+        assert rep.stages[-1].detail == ("template: stage 'template' failed: "
+                                         "flex subset without perfect matching")
 
     def test_report_serializes(self, k3):
         rep = find_factor_absorbing(complete_graph(12), k3, mode="clique", seed=1)
