@@ -52,10 +52,10 @@ class AbsorbingStructure:
     together with one matched buffer/core vertex; edge_absorbers: per template
     edge, its absorber's tilings (alone, with_core), the second with the
     edge's left vertex and slot block.  builder names the absorber
-    construction that ran; seed records the build seed; `slots` and
-    size_report derive from the rest, so a structure document stores
-    neither.  The copies into the buffer that absorption uses depend
-    only on the graph and the buffer, so `absorb` finds them itself.
+    construction that ran; seed records the build seed; `slots` derives
+    from the rest, so a structure document does not store it.  The copies
+    into the buffer that absorption uses depend only on the graph and the
+    buffer, so `absorb` finds them itself.
     """
 
     n: int
@@ -81,40 +81,9 @@ class AbsorbingStructure:
         return frozenset(out)
 
     @property
-    def size_report(self) -> dict:
-        """Part sizes, |A|, and the paper's size bounds at these constants."""
-        n, m, c = self.n, self.template.m, self.config
-        total = len(self.absorbing_set)
-        ht = self.pattern.h * c.t
-        bound_total = 124 * ht * m
-        bound_sample = 240 * ht * n * c.sample_prob
-        bound_target = c.absorber_frac * n / 2
-        return {
-            "n": n,
-            "m": m,
-            "surplus": self.template.surplus,
-            "buffer": len(self.buffer),
-            "core": len(self.core),
-            "slots": len(self.slots),
-            "edge_absorber_vertices": sum(len(a.covered) for a, _ in self.edge_absorbers.values()),
-            "template_edges": len(self.edge_absorbers),
-            "total": total,
-            "bound_total": bound_total,
-            "bound_sample": bound_sample,
-            "bound_target": bound_target,
-            "bound_chain_holds": total < bound_total < bound_sample <= bound_target,
-            "within_absorber_frac": total <= c.absorber_frac * n,
-            "uses_overrides": c.overrides,
-            "builder": self.builder,
-        }
-
-    @property
     def max_remainder(self) -> int:
         """Largest remainder size absorbable by this structure."""
-        h = self.pattern.h
-        by_surplus = self.template.surplus // (h - 1)
-        by_frac = math.floor(self.config.remainder_frac * self.n)
-        return min(by_surplus, by_frac)
+        return _max_remainder(self.config, self.template.surplus, self.n)
 
     def valid_remainder_sizes(self) -> list[int]:
         h = self.pattern.h
@@ -152,11 +121,14 @@ def build_absorbing_set(
     its ceiling, so each count stops there, the first short vertex rejects
     the sample, and no copy is kept; no sample is drawn when m_cap = 0 or
     a small enough sample, at most ceil(2nq) vertices, is too small for
-    m = 1, which needs 1 + ceil(surplus_ratio); (3) build the template at
-    the implied round size; (4) reserve core and slot vertices; (5) map
-    template sides onto them; (6) pick pairwise-disjoint absorbers for
-    every template edge, the only stage that runs the builder; (7)
-    assemble.  Any stage that exhausts its candidates or fails its check
+    m = 1, which needs 1 + ceil(surplus_ratio); then stop at
+    `remainder-sizes` when no remainder size can be absorbed: |A| is
+    3mh + s plus h*t per absorber, so the least k with h dividing |A| + k
+    is -s mod h, and it must not exceed max_remainder; (3) build the
+    template at the implied round size; (4) reserve core and slot
+    vertices; (5) map template sides onto them; (6) pick pairwise-disjoint
+    absorbers for every template edge, the only stage that runs the
+    builder; (7) assemble.  Any stage that exhausts its candidates or fails its check
     raises StageFailure naming the stage and the blocking vertices.
     """
     h = p.h
@@ -222,6 +194,11 @@ def build_absorbing_set(
     else:
         raise StageFailure("buffer-sample", f"no acceptable buffer in {SAMPLE_RETRIES} samples")
     surplus = _surplus_of(m, beta)
+    least, most = -surplus % h, _max_remainder(config, surplus, n)
+    if least > most:
+        raise StageFailure("remainder-sizes",
+                           f"no remainder size is absorbable: h = {h} must divide |A| + k, |A| is "
+                           f"s = {surplus} mod h, so k >= {least} > max_remainder = {most}")
 
     # stage 3: template
     left = 3 * m + surplus
@@ -273,6 +250,11 @@ def build_absorbing_set(
         template=template,
         edge_absorbers=edge_absorbers,
     )
+
+
+def _max_remainder(config: AbsorberConfig, surplus: int, n: int) -> int:
+    """Largest remainder size a structure with this surplus on n vertices absorbs."""
+    return min(surplus // (config.h - 1), math.floor(config.remainder_frac * n))
 
 
 def _every_vertex_reaches(g: Graph, p: Pattern, pool: int, need: int) -> bool:

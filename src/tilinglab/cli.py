@@ -157,7 +157,7 @@ def cmd_absorb(args) -> int:
     ok = 0
     for i in range(args.trials):
         rng = rng_for(args.seed, "trial", i)
-        size = sizes[rng.randrange(len(sizes))] if sizes else 0
+        size = sizes[rng.randrange(len(sizes))]  # the build refuses an empty list
         rem = sorted(rng.sample(outside, size)) if size else []
         try:
             absorb(g, structure, rem)

@@ -1,20 +1,22 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v4, whose edge absorbers are {left, right,
-alone, with_core}, the last two tilings as lists of copies.  A document
-stores each fact once: a structure's slots, size report and template
-surplus and its config's remainder fraction derive from the rest, so none
-is written.  Every loader refuses a key it does not read, in every object
-it reads but a template's free-form `verification` record.  Patterns serialize inline (clique order, or an explicit edge
-list); a complete graph loads as a clique whatever its `kind`.
+tiling/v1 or absorbing-structure/v5, whose edge absorbers are {left, right,
+alone, with_core}, the last two tilings as lists of copies, and whose
+template is {m, left_adj}.  A document stores each fact once: a
+structure's slots and template surplus and its config's remainder fraction
+derive from the rest, and `verify` checks the template itself, so none of
+them, nor the check a build ran, is written.  Every loader refuses a key
+it does not read, in every object.  Patterns serialize inline (clique
+order, or an explicit edge list); a complete graph loads as a clique
+whatever its `kind`.
 
 A loader raises ValueError on a count, seed, vertex or edge that is not a
 JSON integer, on a list or object of the wrong JSON type, on a structure's
 vertex outside 0..n-1, on a pattern with more vertices than the graph,
-checked before the pattern is built, on a template `mode` that
-`build_template` does not know, and on a structure `builder` that is not
-one of BUILDERS or cannot have run at the stored `t` and pattern.
+checked before the pattern is built, on a template row that is not
+strictly increasing, and on a structure `builder` that is not one of
+BUILDERS or cannot have run at the stored `t` and pattern.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
 from .config import AbsorberConfig, refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
-from .templates import TEMPLATE_MODES, TemplateGraph
+from .templates import TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v4"
+SCHEMA_STRUCTURE = "absorbing-structure/v5"
 # the keys each loader reads, which are exactly the keys each writer emits
 TILING_KEYS = {"schema", "pattern", "copies"}
 PATTERN_KEYS = {"clique": {"kind", "r"}, "general": {"kind", "n", "edges"}}
-TEMPLATE_KEYS = {"m", "mode", "left_adj", "verification"}
+TEMPLATE_KEYS = {"m", "left_adj"}
 STRUCTURE_KEYS = {"schema", "n", "pattern", "config", "seed", "builder", "buffer", "core",
                   "slot_blocks", "template", "edge_absorbers"}
 EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
@@ -143,26 +145,19 @@ def config_from_obj(obj: dict) -> AbsorberConfig:
 
 
 def template_to_obj(t: TemplateGraph) -> dict:
-    return {
-        "m": t.m,
-        "mode": t.mode,
-        "left_adj": [list(row) for row in t.left_adj],
-        "verification": dict(t.verification),
-    }
+    return {"m": t.m, "left_adj": [list(row) for row in t.left_adj]}
 
 
 def template_from_obj(obj: dict) -> TemplateGraph:
     refuse_unknown_keys(_typed(obj, dict, "template"), TEMPLATE_KEYS, "template")
     m = json_int(obj["m"], "template m", 1)
-    if obj["mode"] not in TEMPLATE_MODES:
-        raise ValueError(f"template mode must be one of {', '.join(TEMPLATE_MODES)}, "
-                         f"not {json.dumps(obj['mode'])}")
     left_adj = tuple(_ints(row, "template left_adj row") for row in obj["left_adj"])
     if any(not 0 <= r < 3 * m for row in left_adj for r in row):
         raise ValueError(f"template left_adj entries must lie in 0..{3 * m - 1}")
-    return TemplateGraph(m=m, mode=obj["mode"], left_adj=left_adj,
-                         verification=dict(_typed(obj["verification"], dict,
-                                                  "template verification")))
+    # both writers emit each row sorted; a repeated slot would double an edge
+    if any(a >= b for row in left_adj for a, b in zip(row, row[1:])):
+        raise ValueError("template left_adj rows must be strictly increasing")
+    return TemplateGraph(m=m, left_adj=left_adj)
 
 
 def structure_to_obj(s: AbsorbingStructure) -> dict:

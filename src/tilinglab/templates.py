@@ -22,13 +22,13 @@ class TemplateGraph:
     """Bipartite template on (flex + core, slots) with the robust property:
     for every m-subset F of the flex side, (F + core, slots) has a perfect
     matching.  Sizes: flex = m + surplus, core = 2m, slots = 3m; maximum
-    degree at most 40.
+    degree at most 40.  `verification`, which is not compared, records the
+    check a build ran; a loaded template has none.
     """
 
     m: int
-    mode: str
     left_adj: tuple[tuple[int, ...], ...]
-    verification: dict = field(hash=False)
+    verification: dict = field(default_factory=dict, compare=False)
 
     @property
     def surplus(self) -> int:
@@ -81,8 +81,6 @@ def _surplus_of(m: int, beta: float) -> int:
 
 # left degree of a random-regular template
 TEMPLATE_DEGREE = 12
-# the modes build_template dispatches on
-TEMPLATE_MODES = ("complete-bipartite", "random-regular")
 
 
 def build_template(
@@ -115,7 +113,7 @@ def build_template(
                 f"complete-bipartite mode needs 3m + ceil(beta*m) <= 40, got {left}"
             )
         adj = tuple(tuple(range(slots)) for _ in range(left))
-        tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
+        tpl = TemplateGraph(m=m, left_adj=adj)
         record, bad = check_template(tpl, verify, trials, seed, "template-verify")
         if bad is not None:
             raise StageFailure("template", "flex subset without perfect matching", blocking=bad)
@@ -145,7 +143,7 @@ def build_template(
             if min(degs) < 8 or max(degs) > 40:
                 continue
             adj = tuple(tuple(sorted(s)) for s in adj_sets)
-            tpl = TemplateGraph(m=m, mode=mode, left_adj=adj, verification={})
+            tpl = TemplateGraph(m=m, left_adj=adj)
             record, bad = check_template(tpl, verify, trials,
                                          derive_seed(seed, "verify", attempt), "template-verify")
             if bad is None:
@@ -154,4 +152,4 @@ def build_template(
             "template", f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
         )
 
-    raise ValueError(f"template mode must be one of {', '.join(TEMPLATE_MODES)}, not {mode!r}")
+    raise ValueError(f"template mode must be complete-bipartite or random-regular, not {mode!r}")

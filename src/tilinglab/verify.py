@@ -137,12 +137,12 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     Disjointness of buffer/core/slots and all edge absorbers, the size
     arithmetic, the buffer's increasing order (which fixes the template's
     flex indices), the two stored tilings of every edge absorber (via
-    verify_absorber), and the template's robust matching property
-    (exhaustively when small, otherwise by STRUCTURE_TEMPLATE_TRIALS flex
-    subsets sampled from `seed`, not the build seed).  The remainder
-    fraction, slots, template surplus and size report are derived, so a
-    document stores none of them and the loader refuses each as an unknown
-    key; `absorb` reads the copies into the buffer off the graph.
+    verify_absorber), that some remainder size is absorbable (else the
+    property below can hold for want of a flex m-subset), and the
+    template's robust matching property (exhaustively when small, otherwise
+    by STRUCTURE_TEMPLATE_TRIALS flex subsets sampled from `seed`, not the
+    build seed).  A document stores no derived value and not the build's
+    own template check, so nothing is compared against a stored copy.
     """
     h = structure.pattern.h
     tpl = structure.template
@@ -183,6 +183,10 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
         taken |= alone.covered
         core_e = sorted({structure.left_vertex(l)} | set(structure.slot_blocks[r]))
         verify_absorber(g, core_e, alone, with_core, structure.config.t)
+
+    if not structure.valid_remainder_sizes():
+        raise VerificationError(f"no remainder size k <= max_remainder = "
+                                f"{structure.max_remainder} makes |A| + k divisible by h = {h}")
 
     mode = template_check_mode(tpl.flex_size, tpl.m)
     _, bad = check_template(tpl, mode, STRUCTURE_TEMPLATE_TRIALS, seed, "structure-verify")

@@ -63,11 +63,11 @@ from tilinglab.verify import (
 
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
-# updates this constant and says why.  absorbing-structure/v4 stores each
-# fact once: it drops v3's derived `slots`, `size_report`, template
-# `surplus` and config `remainder_frac`, and keeps the one fact the size
-# report alone carried, `builder`, as a top-level key.
-K60_DIRECT_DOCUMENT_SHA256 = "419bfcd4470de9596775d6a648c65ec821feda17b2f4d12bd6ea54d365eacafb"
+# updates this constant and says why.  absorbing-structure/v5 writes the
+# template as {m, left_adj} only: it drops v4's template `mode` and
+# `verification` record, which nothing read, since verify_structure checks
+# the template's robustness itself.
+K60_DIRECT_DOCUMENT_SHA256 = "ceebd6a93f2707fb01bdbef023120e409acbe20ec37cbd0d4c3008914d29e5c3"
 
 
 def desk_k2(t=1, **kw):
@@ -158,7 +158,6 @@ class TestTemplate:
     def test_random_regular_fixture(self):
         tpl = build_template(50, 0.1, mode="random-regular", verify="sampled",
                              trials=200, seed=2)
-        assert tpl.mode == "random-regular"
         assert 8 <= tpl.max_degree <= 40
         assert tpl.verification["trials"] == 200
 
@@ -172,8 +171,7 @@ class TestTemplate:
     def test_check_template_finds_falsifying_subset(self):
         tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
         # flex vertex 0 loses its edges: every flex subset containing it fails
-        broken = TemplateGraph(m=tpl.m, mode=tpl.mode,
-                               left_adj=((),) + tpl.left_adj[1:], verification={})
+        broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
         assert check_template(broken, "exhaustive", 0, 0, "t") == (
             {"mode": "exhaustive", "checks": 3}, (0, 1))
         record, bad = check_template(broken, "sampled", 50, 4, "t")
@@ -191,8 +189,7 @@ class TestTemplate:
         for bad in ([0], [0, 0], [0, 3], [-1, 0]):  # size, duplicate, range
             with pytest.raises(ValueError, match="exactly m flex indices"):
                 tpl.slot_matching(bad)
-        broken = TemplateGraph(m=tpl.m, mode=tpl.mode,
-                               left_adj=((),) + tpl.left_adj[1:], verification={})
+        broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
         assert broken.slot_matching([0, 1]) is None
 
 
@@ -359,8 +356,11 @@ class TestBuildAbsorbingSet:
         cfg = desk_k2(t=1)
         st = build_absorbing_set(k60, k2, cfg, seed=1)
         verify_structure(k60, st)
-        assert st.size_report["uses_overrides"]
-        assert st.size_report["total"] == len(st.absorbing_set)
+        assert st.config.overrides
+        # buffer, core and slots hold 3mh + s vertices, each absorber h*t
+        m, h, t = st.template.m, k2.h, cfg.t
+        assert len(st.absorbing_set) == (3 * m * h + st.template.surplus
+                                         + h * t * len(st.edge_absorbers))
         sizes = st.valid_remainder_sizes()
         assert 0 in sizes and 2 in sizes
         outside = sorted(set(range(60)) - st.absorbing_set)
@@ -371,7 +371,7 @@ class TestBuildAbsorbingSet:
 
     def test_k60_k2_through_general_builder(self, k60_general_structure):
         k60, st = k60_general_structure
-        assert st.size_report["builder"] == "general"
+        assert st.builder == "general"
         verify_structure(k60, st)
         assert st.valid_remainder_sizes() == [1]
         outside = sorted(set(range(60)) - st.absorbing_set)
@@ -382,7 +382,7 @@ class TestBuildAbsorbingSet:
         cfg = desk_k2(t=1)  # the traversing construction needs t = h = 2
         direct = build_absorbing_set(k60, k2, cfg, seed=1)
         general = build_absorbing_set(k60, k2, cfg, seed=1, builder="general")
-        assert general.size_report["builder"] == direct.size_report["builder"] == "direct"
+        assert general.builder == direct.builder == "direct"
         assert structure_to_obj(general) == structure_to_obj(direct)
 
     def test_absorber_builder_runs_only_for_template_edges(self, k2, monkeypatch):
@@ -395,7 +395,7 @@ class TestBuildAbsorbingSet:
 
         monkeypatch.setattr(absorbing, "disjoint_absorber_family_direct", spy)
         st = build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
-        assert len(calls) == st.size_report["template_edges"] == 15
+        assert len(calls) == len(st.edge_absorbers) == 15
 
     @pytest.mark.parametrize("copies", [3, 4])
     def test_copy_families_boundary(self, k3, copies):
@@ -429,6 +429,19 @@ class TestBuildAbsorbingSet:
         with pytest.raises(StageFailure) as exc:
             build_absorbing_set(complete_graph(30), k3, cfg, seed=1)
         assert (exc.value.stage, exc.value.detail) == ("buffer-sample", detail)
+
+    def test_no_absorbable_remainder_size_fails_the_build(self, monkeypatch):
+        # K4 at m = 1 and s = ceil(5.0) = 5: |A| is 5 mod 4, so the least
+        # remainder size is 3, and max_remainder = 5 // 3 = 1
+        def template(*args, **kwargs):
+            raise AssertionError("a template was built")
+        monkeypatch.setattr(absorbing, "build_template", template)
+        cfg = AbsorberConfig.from_overrides(4, {"surplus_ratio": 5.0, "m_cap": 1})
+        with pytest.raises(StageFailure) as exc:
+            build_absorbing_set(complete_graph(120), Pattern.clique(4), cfg, seed=1)
+        assert (exc.value.stage, exc.value.detail) == (
+            "remainder-sizes", "no remainder size is absorbable: h = 4 must divide |A| + k, "
+                               "|A| is s = 5 mod h, so k >= 3 > max_remainder = 1")
 
     def test_triangle_free_fails_at_copy_families(self, k3):
         k66 = gen_complete_multipartite([6, 6])
@@ -479,16 +492,22 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj["config"].update(remainder_frac=2.0),
          "unknown AbsorberConfig key(s): remainder_frac"),
         (lambda obj: obj["template"].update(extra=1), "unknown template key(s): extra"),
+        (lambda obj: obj["template"].update(mode="random-regular"),
+         "unknown template key(s): mode"),
+        (lambda obj: obj["template"].update(
+            verification={"mode": "exhaustive", "checks": 1000000000, "forged": [1]}),
+         "unknown template key(s): verification"),
         (lambda obj: obj["pattern"].update(edges="junk"),
          "unknown clique pattern key(s): edges"),
         (lambda obj: dict(tiling_to_obj(Tiling(Pattern.clique(2), ())), extra=1),
          "unknown tiling key(s): extra"),
     ], ids=["harvest_sizes", "copy_families", "absorber_vertices", "slots", "size_report",
-            "surplus", "remainder_frac", "template_extra", "clique_pattern_edges",
-            "tiling_extra"])
+            "surplus", "remainder_frac", "template_extra", "template_mode",
+            "template_verification", "clique_pattern_edges", "tiling_extra"])
     def test_unread_key_is_refused(self, k60_structure, tmp_path, capsys, tamper, message):
         # keys older documents carried, derived values v4 no longer stores,
-        # and keys no writer emits; a tamper may return another document
+        # v4's template `mode` and `verification`, which nothing checked, and
+        # keys no writer emits; a tamper may return another document
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
@@ -505,6 +524,25 @@ class TestBuildAbsorbingSet:
         dump_json(structure_to_obj(st), str(doc))
         assert hashlib.sha256(doc.read_bytes()).hexdigest() == K60_DIRECT_DOCUMENT_SHA256
 
+    def test_structure_that_absorbs_no_remainder_is_invalid(self, k60_structure, tmp_path,
+                                                             capsys):
+        # only the template's 2 core rows at m = 1: surplus -1 and an empty
+        # buffer, so the robustness check has no flex m-subset to fail on
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        flex = len(obj["buffer"])
+        obj["template"]["left_adj"] = obj["template"]["left_adj"][flex:]
+        obj["buffer"] = []
+        obj["edge_absorbers"] = [dict(e, left=e["left"] - flex) for e in obj["edge_absorbers"]
+                                 if e["left"] >= flex]
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
+        assert ("INVALID: no remainder size k <= max_remainder = -1 makes |A| + k divisible "
+                "by h = 2") in capsys.readouterr().err
+
     def test_unsorted_buffer_rejected(self, k60_structure):
         k60, st = k60_structure
         obj = structure_to_obj(st)
@@ -517,13 +555,13 @@ class TestBuildAbsorbingSet:
                                   k150_clique_structure):
         g, st = {"direct": k60_structure, "general": k60_general_structure,
                  "clique": k150_clique_structure}[builder]
-        assert st.size_report["builder"] == builder
+        assert st.builder == builder
         doc = json.loads(json.dumps(structure_to_obj(st)))
         assert structure_to_obj(structure_from_obj(doc, g.n)) == doc
         assert doc["builder"] == builder
         # derived values are not stored
         assert not doc.keys() & {"slots", "size_report"}
-        assert "surplus" not in doc["template"] and "remainder_frac" not in doc["config"]
+        assert doc["template"].keys() == {"m", "left_adj"} and "remainder_frac" not in doc["config"]
 
     @pytest.mark.parametrize("tamper,message", [
         (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
@@ -538,14 +576,13 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj.update(pattern=[1]), "pattern must be an object, not [1]"),
         (lambda obj: obj.update(config=[1]), "config must be an object, not [1]"),
         (lambda obj: obj.update(template=[1]), "template must be an object, not [1]"),
-        (lambda obj: obj["template"].update(mode=5),
-         "template mode must be one of complete-bipartite, random-regular, not 5"),
-        (lambda obj: obj["template"].update(verification=[["checks", "lots"]]),
-         'template verification must be an object, not [["checks", "lots"]]'),
-        (lambda obj: obj["template"].update(verification="ab"),
-         'template verification must be an object, not "ab"'),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
          "template left_adj entries must lie in 0..2"),
+        # a repeated slot doubles a template edge, which absorb then tiles twice
+        (lambda obj: obj["template"]["left_adj"].__setitem__(0, [0, 0, 1, 2]),
+         "template left_adj rows must be strictly increasing"),
+        (lambda obj: obj["template"]["left_adj"].__setitem__(0, [2, 1, 0]),
+         "template left_adj rows must be strictly increasing"),
         (lambda obj: obj["buffer"].__setitem__(0, str(obj["buffer"][0])),
          "structure buffer must be a list of integers, not [\"31\", 44, 50]"),
         (lambda obj: obj["core"].__setitem__(0, 60),
@@ -568,8 +605,7 @@ class TestBuildAbsorbingSet:
          'structure builder must be one of direct, general, clique, not "exact"'),
     ], ids=["n", "pattern_size", "pattern_above_n",
             "pattern_above_graph_n", "m", "pattern_type", "config_type", "template_type",
-            "template_mode", "verification_pairs",
-            "verification_string", "left_adj", "buffer", "core", "slot_block",
+            "left_adj", "repeated_slot", "unsorted_row", "buffer", "core", "slot_block",
             "absorber_vertex", "absorber_left", "absorber_right", "seed",
             "absorber_entry", "absorbers_type", "builder", "unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
@@ -663,6 +699,16 @@ class TestBuildAbsorbingSet:
         if code == 2:  # a replaced schema tag makes the document another kind
             assert err.getvalue().startswith(("malformed certificate:", "error:",
                                               "unknown certificate schema:"))
+        if code == 0 and document == "structure":
+            # a structure verify accepts can absorb a remainder of each valid
+            # size; only a search that comes up short may stop it
+            loaded = structure_from_obj(json.loads(doc.read_text()), k60.n)
+            outside = sorted(set(range(k60.n)) - loaded.absorbing_set)
+            for size in loaded.valid_remainder_sizes():
+                try:
+                    absorb(k60, loaded, outside[:size])
+                except StageFailure:
+                    pass
 
 
 def _document(kind, st, c4_pattern):

@@ -209,7 +209,7 @@ class TestVerify:
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
         # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 to
-        # v3 are no longer read
+        # v4 are no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
         structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
@@ -224,7 +224,15 @@ class TestVerify:
                             size_report={"builder": "direct"},
                             edge_absorbers=[{"left": 0, "right": 0, "alone": [[4, 5, 6]],
                                              "with_core": [[0, 1, 2], [4, 5, 6]]}])
+        # v4 dropped v3's derived values but stored the template's `mode`
+        # and `verification` record
+        structure_v4 = dict(structure_v1, schema="absorbing-structure/v4", builder="direct",
+                            template={"m": 1, "mode": "complete-bipartite",
+                                      "left_adj": [[0, 1, 2]] * 5,
+                                      "verification": {"mode": "exhaustive", "checks": 3}},
+                            edge_absorbers=structure_v3["edge_absorbers"])
         for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2, structure_v3,
+                    structure_v4,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))
