@@ -8,10 +8,10 @@ divisibility.  The flexibility comes from a robust bipartite template: a
 bounded-degree graph on (flex + core, slots) such that every m-subset of the
 flex side, together with the core side, has a perfect matching onto slots.
 
-Desk-scale runs use override constants (flagged in AbsorberConfig); the
-structural identity remainder_frac = surplus_ratio/(h-1), which the
-divisibility bookkeeping depends on, holds in every configuration because
-remainder_frac is derived rather than set.
+Desk-scale runs use override constants (flagged in AbsorberConfig).  A
+structure keeps only the two constants its readers use: the multiplicity t
+its absorbers are checked against, and surplus_ratio, which caps the
+absorbable remainder at surplus_ratio/(h-1) * n in every configuration.
 
 The layers live in their own modules: config (constants and errors),
 templates, absorbers (the family builders) and absorption.  This module
@@ -51,17 +51,17 @@ class AbsorbingStructure:
     slot_blocks: blocks of h-1 vertices (`slots`, in order), each tiled
     together with one matched buffer/core vertex; edge_absorbers: per template
     edge, its absorber's tilings (alone, with_core), the second with the
-    edge's left vertex and slot block.  builder names the absorber
-    construction that ran; seed records the build seed; `slots` derives
-    from the rest, so a structure document does not store it.  The copies
-    into the buffer that absorption uses depend only on the graph and the
-    buffer, so `absorb` finds them itself.
+    edge's left vertex and slot block.  Of the build's inputs it keeps t,
+    each edge absorber holding h*t vertices, surplus_ratio, which sets
+    max_remainder, and the builder that ran; the pattern fixes h.  `slots`
+    derives from the rest, so a document does not store it.  `absorb` finds
+    the copies into the buffer itself: they depend only on graph and buffer.
     """
 
     n: int
     pattern: Pattern
-    config: AbsorberConfig
-    seed: int
+    t: int
+    surplus_ratio: float
     builder: str
     buffer: tuple[int, ...]
     core: tuple[int, ...]
@@ -83,7 +83,7 @@ class AbsorbingStructure:
     @property
     def max_remainder(self) -> int:
         """Largest remainder size absorbable by this structure."""
-        return _max_remainder(self.config, self.template.surplus, self.n)
+        return _max_remainder(self.pattern.h, self.surplus_ratio, self.template.surplus, self.n)
 
     def valid_remainder_sizes(self) -> list[int]:
         h = self.pattern.h
@@ -194,7 +194,7 @@ def build_absorbing_set(
     else:
         raise StageFailure("buffer-sample", f"no acceptable buffer in {SAMPLE_RETRIES} samples")
     surplus = _surplus_of(m, beta)
-    least, most = -surplus % h, _max_remainder(config, surplus, n)
+    least, most = -surplus % h, _max_remainder(h, beta, surplus, n)
     if least > most:
         raise StageFailure("remainder-sizes",
                            f"no remainder size is absorbable: h = {h} must divide |A| + k, |A| is "
@@ -245,16 +245,17 @@ def build_absorbing_set(
         used_set |= got[0].covered
 
     return AbsorbingStructure(
-        n=n, pattern=p, config=config, seed=seed, builder=kind,
+        n=n, pattern=p, t=config.t, surplus_ratio=beta, builder=kind,
         buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
         template=template,
         edge_absorbers=edge_absorbers,
     )
 
 
-def _max_remainder(config: AbsorberConfig, surplus: int, n: int) -> int:
-    """Largest remainder size a structure with this surplus on n vertices absorbs."""
-    return min(surplus // (config.h - 1), math.floor(config.remainder_frac * n))
+def _max_remainder(h: int, surplus_ratio: float, surplus: int, n: int) -> int:
+    """Largest remainder size a structure with this surplus on n vertices
+    absorbs; a ratio whose product with n overflows to inf leaves the surplus's cap."""
+    return math.floor(min(surplus // (h - 1), surplus_ratio / (h - 1) * n))
 
 
 def _every_vertex_reaches(g: Graph, p: Pattern, pool: int, need: int) -> bool:

@@ -59,12 +59,12 @@ class AbsorberConfig:
 
     The asymptotic bindings are sample_prob = absorber_frac/(500*h*t) and
     surplus_ratio = sample_prob**(h-1)*absorber_frac/4, all in (0,1).
-    Desk-scale configurations override both (overrides=True).  The
-    absorbable remainder fraction remainder_frac = surplus_ratio/(h-1), on
-    which the divisibility bookkeeping depends, is derived, so it holds in
-    every configuration, and a serialized config does not store it.  This
-    class is the only place that lists the fields; the loaders and the
-    codec read them from `fields()`.
+    Desk-scale configurations override both (overrides=True).  A config
+    is a build's input only: the structure it builds keeps t and
+    surplus_ratio, which fixes the absorbable remainder fraction
+    surplus_ratio/(h-1), and a structure document stores no config.  This
+    class is the only place that lists the fields; `from_overrides` reads
+    them from `fields()`.
     """
 
     h: int
@@ -110,11 +110,6 @@ class AbsorberConfig:
             for x in (self.absorber_frac, self.sample_prob, self.surplus_ratio):
                 if not 0 < x < 1:
                     raise ValueError("asymptotic constants must lie in (0, 1)")
-
-    @property
-    def remainder_frac(self) -> float:
-        """Absorbable remainder fraction, surplus_ratio/(h-1)."""
-        return self.surplus_ratio / (self.h - 1)
 
     @classmethod
     def asymptotic(cls, h: int, t: int, absorber_frac: float, **kw) -> "AbsorberConfig":

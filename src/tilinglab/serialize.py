@@ -1,43 +1,46 @@
 """JSON serialization for every certificate the tools emit.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v5, whose edge absorbers are {left, right,
+tiling/v1 or absorbing-structure/v6, whose edge absorbers are {left, right,
 alone, with_core}, the last two tilings as lists of copies, and whose
-template is {m, left_adj}.  A document stores each fact once: a
-structure's slots and template surplus and its config's remainder fraction
-derive from the rest, and `verify` checks the template itself, so none of
-them, nor the check a build ran, is written.  Every loader refuses a key
-it does not read, in every object.  Patterns serialize inline (clique
-order, or an explicit edge list); a complete graph loads as a clique
-whatever its `kind`.
+template is {m, left_adj}.  A document stores each fact once and only what
+`verify` and `absorb` read: of the build's inputs a structure keeps t and
+surplus_ratio, the pattern gives h, its slots and template surplus derive
+from the rest, and `verify` checks the template itself, so none of them,
+nor the build's config, seed or template check, is written.  Every loader
+refuses a key it does not read, in every object.  Patterns serialize
+inline (clique order, or an explicit edge list); a complete graph loads as
+a clique whatever its `kind`.
 
-A loader raises ValueError on a count, seed, vertex or edge that is not a
-JSON integer, on a list or object of the wrong JSON type, on a structure's
-vertex outside 0..n-1, on a pattern with more vertices than the graph,
-checked before the pattern is built, on a template row that is not
-strictly increasing, and on a structure `builder` that is not one of
-BUILDERS or cannot have run at the stored `t` and pattern.
+A loader raises ValueError on a count, vertex or edge that is not a JSON
+integer, on a structure `t` below 1 or a `surplus_ratio` that is not a
+number in (0, largest float], on a list or object of the wrong JSON type,
+on a structure's vertex outside 0..n-1, on a pattern with more vertices
+than the graph, checked before the pattern is built, on a template row
+that is not strictly increasing, on a template edge with two edge
+absorbers, and on a structure `builder` that is not one of BUILDERS or
+cannot have run at the stored `t` and pattern.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+import sys
 from typing import Any
 
 from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
-from .config import AbsorberConfig, refuse_unknown_keys
+from .config import refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
 from .templates import TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v5"
+SCHEMA_STRUCTURE = "absorbing-structure/v6"
 # the keys each loader reads, which are exactly the keys each writer emits
 TILING_KEYS = {"schema", "pattern", "copies"}
 PATTERN_KEYS = {"clique": {"kind", "r"}, "general": {"kind", "n", "edges"}}
 TEMPLATE_KEYS = {"m", "left_adj"}
-STRUCTURE_KEYS = {"schema", "n", "pattern", "config", "seed", "builder", "buffer", "core",
+STRUCTURE_KEYS = {"schema", "n", "pattern", "t", "surplus_ratio", "builder", "buffer", "core",
                   "slot_blocks", "template", "edge_absorbers"}
 EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
 
@@ -87,17 +90,15 @@ def pattern_to_obj(p: Pattern) -> dict:
     return {"kind": "general", "n": p.h, "edges": [list(e) for e in p.graph.edges()]}
 
 
-def pattern_from_obj(obj: dict, h: int | None = None, n: int | None = None) -> Pattern:
-    """The pattern in `obj`, checked before it is built to have `h` vertices,
-    if given, and at most `n`, the vertex count of the graph, if given."""
+def pattern_from_obj(obj: dict, n: int | None = None) -> Pattern:
+    """The pattern in `obj`, checked before it is built to have at most `n`
+    vertices, the vertex count of the graph, if given."""
     kind = _typed(obj, dict, "pattern")["kind"]
     if kind not in ("clique", "general"):
         raise ValueError(f'pattern kind must be "clique" or "general", not {json.dumps(kind)}')
     refuse_unknown_keys(obj, PATTERN_KEYS[kind], f"{kind} pattern")
     key = "r" if kind == "clique" else "n"
     size = json_int(obj[key], f"pattern {key}")
-    if h is not None and size != h:
-        raise ValueError(f"pattern {key} {size} is not the config's h = {h}")
     if n is not None and size > n:
         raise ValueError(f"pattern {key} {size} has more vertices than the graph's {n}")
     if kind == "clique":
@@ -132,18 +133,6 @@ def tiling_from_obj(obj: dict, n: int) -> Tiling:
     return Tiling(pattern=p, copies=tuple(_ints(c, "tiling copy") for c in obj["copies"]))
 
 
-def config_to_obj(c: AbsorberConfig) -> dict:
-    return {f.name: getattr(c, f.name) for f in fields(AbsorberConfig)}
-
-
-def config_from_obj(obj: dict) -> AbsorberConfig:
-    """The config in `obj`, whose keys the dataclass lists: a missing optional
-    field takes its default, an unknown key raises ValueError."""
-    refuse_unknown_keys(_typed(obj, dict, "config"), {f.name for f in fields(AbsorberConfig)},
-                        "AbsorberConfig")
-    return AbsorberConfig(**obj)
-
-
 def template_to_obj(t: TemplateGraph) -> dict:
     return {"m": t.m, "left_adj": [list(row) for row in t.left_adj]}
 
@@ -165,8 +154,8 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
         "schema": SCHEMA_STRUCTURE,
         "n": s.n,
         "pattern": pattern_to_obj(s.pattern),
-        "config": config_to_obj(s.config),
-        "seed": s.seed,
+        "t": s.t,
+        "surplus_ratio": s.surplus_ratio,
         "builder": s.builder,
         "buffer": list(s.buffer),
         "core": list(s.core),
@@ -180,15 +169,30 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
     }
 
 
-def _edge_absorber(e: Any, p: Pattern, n: int) -> tuple[tuple[int, int], tuple[Tiling, Tiling]]:
-    """A stored edge absorber as its template edge and its two tilings."""
-    refuse_unknown_keys(_typed(e, dict, "edge absorber"), EDGE_ABSORBER_KEYS, "edge absorber")
-    edge = (json_int(e["left"], "edge absorber left", 0),
-            json_int(e["right"], "edge absorber right", 0))
-    alone, with_core = (Tiling(p, tuple(_vertices(c, f"edge absorber {key} copy", n)
-                                        for c in _typed(e[key], list, f"edge absorber {key}")))
-                        for key in ("alone", "with_core"))
-    return edge, (alone, with_core)
+def _edge_absorbers(entries: Any, p: Pattern,
+                    n: int) -> dict[tuple[int, int], tuple[Tiling, Tiling]]:
+    """The stored edge absorbers, each as its template edge and its two
+    tilings; a template edge has at most one."""
+    out = {}
+    for e in _typed(entries, list, "structure edge_absorbers"):
+        refuse_unknown_keys(_typed(e, dict, "edge absorber"), EDGE_ABSORBER_KEYS, "edge absorber")
+        edge = (json_int(e["left"], "edge absorber left", 0),
+                json_int(e["right"], "edge absorber right", 0))
+        if edge in out:
+            raise ValueError(f"template edge {edge} has more than one edge absorber")
+        out[edge] = tuple(Tiling(p, tuple(_vertices(c, f"edge absorber {key} copy", n)
+                                          for c in _typed(e[key], list, f"edge absorber {key}")))
+                          for key in ("alone", "with_core"))
+    return out
+
+
+def _positive_number(value: Any, what: str) -> float:
+    """`value` if it is a finite JSON number > 0, at most the largest float;
+    else ValueError naming `what`."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{what} must be a finite number > 0, not {json.dumps(value)}")
+    return value
 
 
 def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
@@ -196,31 +200,29 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
     with more vertices than the graph is refused before it is built."""
     refuse_unknown_keys(obj, STRUCTURE_KEYS, "structure")
     n = json_int(obj["n"], "structure n", 0)
-    config = config_from_obj(obj["config"])
-    p = pattern_from_obj(obj["pattern"], config.h, graph_n)
+    p = pattern_from_obj(obj["pattern"], graph_n)
     s = AbsorbingStructure(
         n=n,
         pattern=p,
-        config=config,
-        seed=json_int(obj["seed"], "structure seed"),
+        t=json_int(obj["t"], "structure t", 1),
+        surplus_ratio=_positive_number(obj["surplus_ratio"], "structure surplus_ratio"),
         builder=obj["builder"],
         buffer=_vertices(obj["buffer"], "structure buffer", n),
         core=_vertices(obj["core"], "structure core", n),
         slot_blocks=tuple(_vertices(b, "structure slot block", n)
                           for b in _typed(obj["slot_blocks"], list, "structure slot_blocks")),
         template=template_from_obj(obj["template"]),
-        edge_absorbers=dict(_edge_absorber(e, p, n) for e in
-                            _typed(obj["edge_absorbers"], list, "structure edge_absorbers")),
+        edge_absorbers=_edge_absorbers(obj["edge_absorbers"], p, n),
     )
     # the partition and traversing constructions run only at t = h, and
     # the partition one only on a clique K_r with r >= 3
     if s.builder not in BUILDERS:
         raise ValueError(f"structure builder must be one of {', '.join(BUILDERS)}, "
                          f"not {json.dumps(s.builder)}")
-    if s.builder != "direct" and (s.config.t != s.pattern.h
+    if s.builder != "direct" and (s.t != s.pattern.h
                                   or s.builder == "clique" and (s.pattern.r or 0) < 3):
         raise ValueError(f"structure builder {s.builder} cannot have built a "
-                         f"structure for this pattern at t={s.config.t}")
+                         f"structure for this pattern at t={s.t}")
     return s
 
 

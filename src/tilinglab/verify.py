@@ -182,7 +182,7 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
             )
         taken |= alone.covered
         core_e = sorted({structure.left_vertex(l)} | set(structure.slot_blocks[r]))
-        verify_absorber(g, core_e, alone, with_core, structure.config.t)
+        verify_absorber(g, core_e, alone, with_core, structure.t)
 
     if not structure.valid_remainder_sizes():
         raise VerificationError(f"no remainder size k <= max_remainder = "

@@ -23,6 +23,7 @@ from tilinglab import absorbing, absorption, factor
 from tilinglab.absorbers import absorber_tilings
 from tilinglab.absorbing import (
     AbsorberConfig,
+    AbsorbingStructure,
     CertificateBugError,
     StageFailure,
     TemplateGraph,
@@ -45,8 +46,6 @@ from tilinglab.serialize import (
     STRUCTURE_KEYS,
     TEMPLATE_KEYS,
     TILING_KEYS,
-    config_from_obj,
-    config_to_obj,
     dump_json,
     structure_from_obj,
     structure_to_obj,
@@ -63,11 +62,10 @@ from tilinglab.verify import (
 
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
-# updates this constant and says why.  absorbing-structure/v5 writes the
-# template as {m, left_adj} only: it drops v4's template `mode` and
-# `verification` record, which nothing read, since verify_structure checks
-# the template's robustness itself.
-K60_DIRECT_DOCUMENT_SHA256 = "ceebd6a93f2707fb01bdbef023120e409acbe20ec37cbd0d4c3008914d29e5c3"
+# updates this constant and says why.  absorbing-structure/v6 stores the
+# structure's `t` and `surplus_ratio` in place of v5's build `config` and
+# `seed`, which nothing read; everything else is as v5 wrote it.
+K60_DIRECT_DOCUMENT_SHA256 = "7b4ff447af0ff90179eb359111269c2d9e648a192576a8f21d9381416e31450c"
 
 
 def desk_k2(t=1, **kw):
@@ -83,48 +81,35 @@ class TestConfig:
         c = AbsorberConfig.asymptotic(h=3, t=3, absorber_frac=0.1)
         assert math.isclose(c.sample_prob, 0.1 / (500 * 9))
         assert math.isclose(c.surplus_ratio, c.sample_prob**2 * 0.1 / 4)
-        assert math.isclose(c.remainder_frac, c.surplus_ratio / 2)
         assert not c.overrides
 
     def test_identity_enforced_even_with_overrides(self):
-        c = AbsorberConfig.desk_scale(h=3, surplus_ratio=6.0)
-        assert c.remainder_frac == 3.0
-        with pytest.raises(TypeError):  # derived, so it cannot be set
+        # the remainder fraction is surplus_ratio/(h-1), so it cannot be set
+        with pytest.raises(TypeError):
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.1,
                            surplus_ratio=6.0, remainder_frac=1.0, overrides=True)
-        obj = config_to_obj(c)
-        assert "remainder_frac" not in obj
-        assert config_from_obj(obj) == c
-        with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: remainder_frac"):
-            config_from_obj(dict(obj, remainder_frac=3.0))
+        # h = 3 and surplus_ratio 6.0 give the fraction 3.0: 30 on 10 vertices,
+        # below the surplus's 100 // 2, and the surplus's 7 // 2 on 100
+        assert absorbing._max_remainder(3, 6.0, 100, 10) == 30
+        assert absorbing._max_remainder(3, 6.0, 7, 100) == 3
+        # 1e308 / 2 * 100 is inf, which math.floor cannot take
+        assert absorbing._max_remainder(3, 1e308, 7, 100) == 3
 
     def test_non_override_rejects_custom_constants(self):
         with pytest.raises(ValueError):
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.5,
                            surplus_ratio=1.0, overrides=False)
 
-    def test_codec_round_trips_every_field(self):
-        values = dict(h=4, t=2, absorber_frac=0.3, sample_prob=0.2, surplus_ratio=1.5,
-                      degree_frac=0.15, threshold_frac=0.25, overrides=True, pool_size=7,
+    def test_from_overrides_sets_every_field(self):
+        # every field but h, which the pattern fixes, and overrides
+        values = dict(t=2, absorber_frac=0.3, sample_prob=0.2, surplus_ratio=1.5,
+                      degree_frac=0.15, threshold_frac=0.25, pool_size=7,
                       part_degree_min=3, common_nbhd_min=2, m_cap=4)
         fields = dataclasses.fields(AbsorberConfig)
-        assert {f.name for f in fields} == set(values)
-        assert all(values[f.name] != f.default for f in fields)
-        c = AbsorberConfig(**values)
-        assert config_from_obj(json.loads(json.dumps(config_to_obj(c)))) == c
-
-    def test_codec_defaults_and_unknown_keys(self):
-        c = AbsorberConfig.desk_scale(h=3, pool_size=7, m_cap=4)
-        obj = config_to_obj(c)
-        del obj["pool_size"], obj["m_cap"]
-        assert config_from_obj(obj) == AbsorberConfig.desk_scale(h=3)
-        # the two retry counts older documents carried are unknown keys now
-        older = dict(obj, sample_retries=9, partition_retries=8)
-        with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: "
-                                             "partition_retries, sample_retries"):
-            config_from_obj(older)
-        with pytest.raises(ValueError, match="unknown AbsorberConfig key.s.: template_retries"):
-            config_from_obj(dict(obj, template_retries=5))
+        assert {f.name for f in fields} == set(values) | {"h", "overrides"}
+        assert all(values[f.name] != f.default for f in fields if f.name in values)
+        assert AbsorberConfig.from_overrides(4, json.loads(json.dumps(values))) == \
+            AbsorberConfig(h=4, overrides=True, **values)
 
 
 class TestTemplate:
@@ -356,7 +341,8 @@ class TestBuildAbsorbingSet:
         cfg = desk_k2(t=1)
         st = build_absorbing_set(k60, k2, cfg, seed=1)
         verify_structure(k60, st)
-        assert st.config.overrides
+        # of the config, the structure keeps t and surplus_ratio
+        assert (st.t, st.surplus_ratio) == (cfg.t, cfg.surplus_ratio)
         # buffer, core and slots hold 3mh + s vertices, each absorber h*t
         m, h, t = st.template.m, k2.h, cfg.t
         assert len(st.absorbing_set) == (3 * m * h + st.template.surplus
@@ -489,8 +475,14 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj.update(size_report={"builder": obj["builder"]}),
          "unknown structure key(s): size_report"),
         (lambda obj: obj["template"].update(surplus=2), "unknown template key(s): surplus"),
-        (lambda obj: obj["config"].update(remainder_frac=2.0),
-         "unknown AbsorberConfig key(s): remainder_frac"),
+        (lambda obj: obj.update(remainder_frac=2.0), "unknown structure key(s): remainder_frac"),
+        # v5 stored the build's whole config and seed, and nothing read them
+        (lambda obj: obj.update(config={
+            "h": 2, "t": 1, "absorber_frac": 0.9, "sample_prob": 0.9, "surplus_ratio": 2.0,
+            "degree_frac": 0.9, "threshold_frac": 0.9, "overrides": True, "pool_size": 5,
+            "part_degree_min": 50, "common_nbhd_min": 50, "m_cap": 99}),
+         "unknown structure key(s): config"),
+        (lambda obj: obj.update(seed=123456), "unknown structure key(s): seed"),
         (lambda obj: obj["template"].update(extra=1), "unknown template key(s): extra"),
         (lambda obj: obj["template"].update(mode="random-regular"),
          "unknown template key(s): mode"),
@@ -502,12 +494,13 @@ class TestBuildAbsorbingSet:
         (lambda obj: dict(tiling_to_obj(Tiling(Pattern.clique(2), ())), extra=1),
          "unknown tiling key(s): extra"),
     ], ids=["harvest_sizes", "copy_families", "absorber_vertices", "slots", "size_report",
-            "surplus", "remainder_frac", "template_extra", "template_mode",
+            "surplus", "remainder_frac", "config", "seed", "template_extra", "template_mode",
             "template_verification", "clique_pattern_edges", "tiling_extra"])
     def test_unread_key_is_refused(self, k60_structure, tmp_path, capsys, tamper, message):
         # keys older documents carried, derived values v4 no longer stores,
-        # v4's template `mode` and `verification`, which nothing checked, and
-        # keys no writer emits; a tamper may return another document
+        # v4's template `mode` and `verification` and v5's `config` and
+        # `seed`, which nothing checked, and keys no writer emits; a tamper
+        # may return another document
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
@@ -561,20 +554,39 @@ class TestBuildAbsorbingSet:
         assert doc["builder"] == builder
         # derived values are not stored
         assert not doc.keys() & {"slots", "size_report"}
-        assert doc["template"].keys() == {"m", "left_adj"} and "remainder_frac" not in doc["config"]
+        assert doc["template"].keys() == {"m", "left_adj"}
+        # nor are the build's inputs beyond t and surplus_ratio
+        assert not doc.keys() & {"config", "seed"}
 
     @pytest.mark.parametrize("tamper,message", [
         (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
-        (lambda obj: obj["pattern"].update(r=3), "pattern r 3 is not the config's h = 2"),
-        (lambda obj: (obj["pattern"].update(r=3000), obj["config"].update(h=3000)),
+        (lambda obj: obj["pattern"].update(r=3000),
          "pattern r 3000 has more vertices than the graph's 60"),
-        (lambda obj: (obj.update(n=100000), obj["pattern"].update(r=3000),
-                      obj["config"].update(h=3000)),
+        (lambda obj: (obj.update(n=100000), obj["pattern"].update(r=3000)),
          "pattern r 3000 has more vertices than the graph's 60"),
+        (lambda obj: obj.update(t="1"), 'structure t must be an integer >= 1, not "1"'),
+        (lambda obj: obj.update(t=0), "structure t must be an integer >= 1, not 0"),
+        (lambda obj: obj.update(t=True), "structure t must be an integer >= 1, not true"),
+        (lambda obj: obj.update(t=1.0), "structure t must be an integer >= 1, not 1.0"),
+        # json.dumps writes these two as the bare tokens Infinity and NaN,
+        # which json.load reads back
+        (lambda obj: obj.update(surplus_ratio=math.inf),
+         "structure surplus_ratio must be a finite number > 0, not Infinity"),
+        (lambda obj: obj.update(surplus_ratio=math.nan),
+         "structure surplus_ratio must be a finite number > 0, not NaN"),
+        (lambda obj: obj.update(surplus_ratio=10**400),
+         f"structure surplus_ratio must be a finite number > 0, not {10**400}"),
+        (lambda obj: obj.update(surplus_ratio=0),
+         "structure surplus_ratio must be a finite number > 0, not 0"),
+        (lambda obj: obj.update(surplus_ratio=-2),
+         "structure surplus_ratio must be a finite number > 0, not -2"),
+        (lambda obj: obj.update(surplus_ratio=True),
+         "structure surplus_ratio must be a finite number > 0, not true"),
+        (lambda obj: obj.update(surplus_ratio="6"),
+         'structure surplus_ratio must be a finite number > 0, not "6"'),
         (lambda obj: obj["template"].update(m="1"),
          'template m must be an integer >= 1, not "1"'),
         (lambda obj: obj.update(pattern=[1]), "pattern must be an object, not [1]"),
-        (lambda obj: obj.update(config=[1]), "config must be an object, not [1]"),
         (lambda obj: obj.update(template=[1]), "template must be an object, not [1]"),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
          "template left_adj entries must lie in 0..2"),
@@ -595,19 +607,26 @@ class TestBuildAbsorbingSet:
          'edge absorber left must be an integer >= 0, not "0"'),
         (lambda obj: obj["edge_absorbers"][0].update(right=-1),
          "edge absorber right must be an integer >= 0, not -1"),
-        (lambda obj: obj.update(seed="x"), 'structure seed must be an integer, not "x"'),
         (lambda obj: obj.update(edge_absorbers=[5]), "edge absorber must be an object, not 5"),
         (lambda obj: obj.update(edge_absorbers={}),
          "structure edge_absorbers must be a list, not {}"),
+        # a second absorber for a template edge would replace the first
+        (lambda obj: obj["edge_absorbers"].insert(0, FORGED_EDGE_ABSORBER),
+         "template edge (0, 0) has more than one edge absorber"),
+        (lambda obj: obj["edge_absorbers"].append(FORGED_EDGE_ABSORBER),
+         "template edge (0, 0) has more than one edge absorber"),
         (lambda obj: obj.update(builder="clique"),
          "structure builder clique cannot have built a structure for this pattern at t=1"),
         (lambda obj: obj.update(builder="exact"),
          'structure builder must be one of direct, general, clique, not "exact"'),
-    ], ids=["n", "pattern_size", "pattern_above_n",
-            "pattern_above_graph_n", "m", "pattern_type", "config_type", "template_type",
-            "left_adj", "repeated_slot", "unsorted_row", "buffer", "core", "slot_block",
-            "absorber_vertex", "absorber_left", "absorber_right", "seed",
-            "absorber_entry", "absorbers_type", "builder", "unknown_builder"])
+    ], ids=["n", "pattern_above_n", "pattern_above_graph_n", "t_string", "t_zero", "t_bool",
+            "t_float", "surplus_ratio_infinity", "surplus_ratio_nan", "surplus_ratio_huge",
+            "surplus_ratio_zero", "surplus_ratio_negative", "surplus_ratio_bool",
+            "surplus_ratio_string", "m",
+            "pattern_type", "template_type", "left_adj", "repeated_slot", "unsorted_row",
+            "buffer", "core", "slot_block", "absorber_vertex", "absorber_left",
+            "absorber_right", "absorber_entry", "absorbers_type", "repeated_edge_first",
+            "repeated_edge_last", "builder", "unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
                                             tamper, message):
         k60, st = k60_structure
@@ -620,6 +639,19 @@ class TestBuildAbsorbingSet:
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
+
+    def test_pattern_size_differs_from_slots_is_invalid(self, k60_structure, tmp_path, capsys):
+        # the pattern alone fixes h, so a K3 over K2 slot blocks loads and
+        # verify refuses it
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        obj["pattern"]["r"] = 3
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
+        assert "INVALID: slot count differs from template * (h-1)" in capsys.readouterr().err
 
     def test_huge_n_is_invalid_for_the_graph(self, k60_structure, tmp_path, capsys):
         # a JSON integer, so it loads; verify rejects it against the graph
@@ -635,7 +667,9 @@ class TestBuildAbsorbingSet:
         _k60, st = k60_structure
         doc = structure_to_obj(st)
         assert doc.keys() == STRUCTURE_KEYS
-        assert doc["config"].keys() == {f.name for f in dataclasses.fields(AbsorberConfig)}
+        # a structure keeps in memory exactly what its document stores
+        assert ({f.name for f in dataclasses.fields(AbsorbingStructure)}
+                == STRUCTURE_KEYS - {"schema"})
         assert doc["template"].keys() == TEMPLATE_KEYS
         assert all(e.keys() == EDGE_ABSORBER_KEYS for e in doc["edge_absorbers"])
         for document in ("clique_tiling", "general_tiling"):
@@ -647,14 +681,12 @@ class TestBuildAbsorbingSet:
     def test_every_written_key_is_read(self, k60_structure, c4_pattern, tmp_path, capsys,
                                        document):
         # in each object a loader reads, deleting a written key is malformed,
-        # except a config field with a default, and so is adding a key
+        # and so is adding a key
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
         doc = tmp_path / "document.json"
         written = _document(document, st, c4_pattern)
-        optional = {f.name for f in dataclasses.fields(AbsorberConfig)
-                    if f.default is not dataclasses.MISSING}
 
         def verify(obj):
             doc.write_text(json.dumps(obj))
@@ -663,11 +695,9 @@ class TestBuildAbsorbingSet:
         assert verify(written) == 0
         paths = [(), ("pattern",)]
         if document == "structure":
-            paths += [("config",), ("template",), ("edge_absorbers", 0)]
+            paths += [("template",), ("edge_absorbers", 0)]
         for path in paths:
             for key in [*_at(written, path), None]:
-                if path == ("config",) and key in optional:
-                    continue
                 obj = json.loads(json.dumps(written))
                 if key is None:
                     _at(obj, path)["extra"] = 1
@@ -700,15 +730,91 @@ class TestBuildAbsorbingSet:
             assert err.getvalue().startswith(("malformed certificate:", "error:",
                                               "unknown certificate schema:"))
         if code == 0 and document == "structure":
-            # a structure verify accepts can absorb a remainder of each valid
-            # size; only a search that comes up short may stop it
-            loaded = structure_from_obj(json.loads(doc.read_text()), k60.n)
-            outside = sorted(set(range(k60.n)) - loaded.absorbing_set)
-            for size in loaded.valid_remainder_sizes():
-                try:
-                    absorb(k60, loaded, outside[:size])
-                except StageFailure:
-                    pass
+            _absorbs_each_valid_size(k60, json.loads(doc.read_text()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.data())
+    def test_plausible_mutation_never_crashes_verify(self, k60_structure, tmp_path_factory,
+                                                     data):
+        # one change that keeps the document well formed, so that verify
+        # reaches its checks: swap two stored vertices, rename one to a
+        # vertex outside A, or move a template edge, with its absorber, to
+        # the free slot of its row.  K60 looks the same from every vertex,
+        # so a renamed structure stays valid unless its buffer falls out of
+        # order, and a moved edge's absorber no longer tiles with its core
+        k60, st = k60_structure
+        folder = tmp_path_factory.mktemp("plausible")
+        graph = folder / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = _thinned(structure_to_obj(st))
+        kind = data.draw(hs.sampled_from(["swap", "outside", "move"]))
+        if kind == "move":
+            rows = obj["template"]["left_adj"]
+            l, old, new = data.draw(hs.sampled_from(
+                [(l, old, new) for l, row in enumerate(rows) for old in row
+                 for new in range(3 * obj["template"]["m"]) if new not in row]))
+            rows[l] = sorted({*rows[l], new} - {old})
+            moved = next(e for e in obj["edge_absorbers"] if (e["left"], e["right"]) == (l, old))
+            moved["right"] = new
+            expected = ("INVALID: tiling of the absorber plus core does not cover exactly "
+                        "its vertices")
+        else:
+            stored = sorted({v for vs in _stored_vertex_lists(obj) for v in vs})
+            a = data.draw(hs.sampled_from(stored))
+            others = ([v for v in stored if v != a] if kind == "swap"
+                      else sorted(set(range(k60.n)) - set(stored)))
+            b = data.draw(hs.sampled_from(others))
+            for vs in _stored_vertex_lists(obj):
+                vs[:] = [{a: b, b: a}.get(v, v) for v in vs]
+            buffer = obj["buffer"]
+            in_order = all(u < v for u, v in zip(buffer, buffer[1:]))
+            expected = "valid" if in_order else "INVALID: buffer is not strictly increasing"
+        doc = folder / "document.json"
+        doc.write_text(json.dumps(obj))
+        out = io.StringIO()
+        with redirect_stderr(out), redirect_stdout(out):
+            code = main(["verify", "--certificate", str(doc), "--graph", str(graph)])
+        assert (code, out.getvalue().strip()) == (0 if expected == "valid" else 1, expected)
+        if code == 0:
+            _absorbs_each_valid_size(k60, obj)
+
+
+def _absorbs_each_valid_size(g, obj):
+    """Absorb a remainder of each valid size into the structure in `obj`,
+    which verify accepts on g; only a search that comes up short may stop it."""
+    loaded = structure_from_obj(obj, g.n)
+    outside = sorted(set(range(g.n)) - loaded.absorbing_set)
+    for size in loaded.valid_remainder_sizes():
+        try:
+            absorb(g, loaded, outside[:size])
+        except StageFailure:
+            pass
+
+
+def _thinned(obj):
+    """The k60_structure document, whose m = 1 template is complete, with
+    slot l and that edge's absorber gone from each flex row l.  One flex
+    vertex and the two core vertices still match onto the three slots."""
+    flex = len(obj["buffer"])
+    assert obj["template"]["m"] == 1 and flex == 3
+    for l in range(flex):
+        obj["template"]["left_adj"][l].remove(l)
+    obj["edge_absorbers"] = [e for e in obj["edge_absorbers"]
+                             if not (e["left"] < flex and e["right"] == e["left"])]
+    return obj
+
+
+def _stored_vertex_lists(obj):
+    """The lists of graph vertices in a structure document."""
+    return [obj["buffer"], obj["core"], *obj["slot_blocks"],
+            *(copy for e in obj["edge_absorbers"] for key in ("alone", "with_core")
+              for copy in e[key])]
+
+
+# a second absorber for template edge (0, 0) of the k60_structure document:
+# a K2 on {0, 59} and, with the core, {0, 59, 58, 57}
+FORGED_EDGE_ABSORBER = {"left": 0, "right": 0, "alone": [[0, 59]],
+                        "with_core": [[0, 59], [58, 57]]}
 
 
 def _document(kind, st, c4_pattern):

@@ -172,6 +172,7 @@ class TestFactor:
         ('{"remainder_frac": 0.5}', "unknown AbsorberConfig key(s): remainder_frac"),
         ('{"sample_retries": 5}', "unknown AbsorberConfig key(s): sample_retries"),
         ('{"partition_retries": 5}', "unknown AbsorberConfig key(s): partition_retries"),
+        ('{"template_retries": 5}', "unknown AbsorberConfig key(s): template_retries"),
         ('{"h": 3}', "config may not set h"),
         ('{"overrides": false}', "config may not set overrides"),
         ("[1]", "--config must be a JSON object, not list"),
@@ -209,7 +210,7 @@ class TestVerify:
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
         # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 to
-        # v4 are no longer read
+        # v5 are no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
         structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
@@ -231,8 +232,14 @@ class TestVerify:
                                       "left_adj": [[0, 1, 2]] * 5,
                                       "verification": {"mode": "exhaustive", "checks": 3}},
                             edge_absorbers=structure_v3["edge_absorbers"])
+        # v5 wrote the template as {m, left_adj} but stored the build's
+        # whole config and seed
+        structure_v5 = dict(structure_v4, schema="absorbing-structure/v5", seed=1,
+                            template={"m": 1, "left_adj": [[0, 1, 2]] * 5},
+                            config={"h": 3, "t": 1, "absorber_frac": 0.05, "sample_prob": 0.08,
+                                    "surplus_ratio": 6.0, "overrides": True})
         for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2, structure_v3,
-                    structure_v4,
+                    structure_v4, structure_v5,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))
