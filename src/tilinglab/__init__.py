@@ -6,7 +6,7 @@ from .config import AbsorberConfig
 from .factor import FactorResult, Tiling, find_factor_exact, greedy_max_tiling
 from .graphs import Graph, Pattern, emit_graph, parse_graph
 from .invariants import alpha_ell, min_degree, one_density, traversing_threshold
-from .pipeline import PipelineReport, cover_check, find_factor_absorbing
+from .pipeline import PipelineReport, find_factor_absorbing
 from .templates import TemplateGraph, build_template
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "alpha_ell",
     "build_absorbing_set",
     "build_template",
-    "cover_check",
     "emit_graph",
     "find_factor_absorbing",
     "find_factor_exact",

@@ -1,8 +1,10 @@
-"""Absorption: the perfect tiling of G[A + R] for a valid remainder R.
+"""Absorption: the perfect tiling of G[A + R] for a valid remainder R, and
+the factor of G that covers V - A up to such an R and absorbs it.
 
-Both of its exact covers run on `factor.exact_cover`, fed by the lazy copy
-enumerator `embed.copy_sets_through`: the disjoint copies into the buffer
-and the cover of its surplus.  Edge absorbers' tilings come from the structure.
+Its exact covers run on `factor.exact_cover`, fed by the lazy copy
+enumerator `embed.copy_sets_through`: the almost-cover of V - A, the
+disjoint copies into the buffer and the cover of its surplus.  Edge
+absorbers' tilings come from the structure.
 """
 
 from __future__ import annotations
@@ -89,6 +91,42 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     if len(tiling.covered) != len(aset) + len(rem):
         raise CertificateBugError("absorption covered vertices outside A + R")
     return tiling
+
+
+def cover_and_absorb(g: Graph, structure: AbsorbingStructure) -> tuple[Tiling, int]:
+    """Perfect tiling of g through the structure; returns (tiling, k).
+
+    For each valid remainder size k, smallest first, cover V - A with
+    disjoint copies that leave exactly k vertices (`_disjoint_copies`, which
+    may pass over k anchors) and absorb that leftover; the first leftover
+    `absorb` takes is kept.  A size whose cover is found but whose leftover
+    `absorb` refuses is skipped.  If some cover was found but every leftover
+    was refused, this is a StageFailure at 'absorb'; if no size gave a cover
+    (none exists, or the search passed its budget), one at 'cover'.  Either
+    detail names each size tried and how it ended.
+    """
+    p = structure.pattern
+    outside = [v for v in range(g.n) if v not in structure.absorbing_set]
+    tried = []
+    stage = "cover"
+    for k in structure.valid_remainder_sizes():
+        try:
+            cover = _disjoint_copies(g, p, outside, outside, (len(outside) - k) // p.h, k)
+        except StageFailure:
+            tried.append(f"k={k}: cover search over budget")
+            continue
+        if cover is None:
+            tried.append(f"k={k}: no cover")
+            continue
+        used = {u for copy in cover for u in copy}
+        try:
+            absorbed = absorb(g, structure, [v for v in outside if v not in used])
+        except StageFailure as exc:
+            tried.append(f"k={k}: {exc.stage}")
+            stage = "absorb"
+            continue
+        return Tiling(pattern=p, copies=tuple(cover) + absorbed.copies), k
+    raise StageFailure(stage, "; ".join(tried))
 
 
 def _disjoint_copies(

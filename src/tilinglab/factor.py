@@ -5,7 +5,8 @@ anchor still to cover, trying the candidates through it in the order its
 caller yields them.  find_factor_exact, the ground truth everything else is
 checked against, feeds it the lazy lex-order `embed.copy_sets_through`
 inside the uncovered vertices (of g, or of a mask `within`), and
-`absorption._disjoint_copies` the copies into the buffer.  A node is one
+`absorption._disjoint_copies` the pipeline's almost-cover of V - A and the
+copies into the buffer.  A node is one
 anchor reached while copies are still needed; budgets count nodes, never
 wall time, and a search past its budget says so.
 """

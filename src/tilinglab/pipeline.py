@@ -1,13 +1,12 @@
-"""End-to-end factor finding: absorbing set, greedy cover, absorption.
+"""End-to-end factor finding: absorbing set, almost-cover, absorption.
 
 A run checks the hypotheses for the chosen construction, builds an absorbing
-structure, greedily tiles the rest of the graph, absorbs the leftover, and
-verifies the merged factor.  A leftover that does not absorb gets one second
-try: the greedy cover is locally improved and its leftover, if different
-and within the structure's cap, is absorbed instead.  Any stage failure is
-recorded in the report;
-when the graph is small enough the exact oracle is used as a fallback so the
-run still settles existence.
+structure, covers the rest of the graph up to a remainder the structure
+promises to absorb, absorbs it, and verifies the merged factor.  The cover
+is an exact search for each valid remainder size in turn
+(`absorption.cover_and_absorb`).  Any stage failure is recorded in the
+report; when the graph is small enough the exact oracle is used as a
+fallback so the run still settles existence.
 """
 
 from __future__ import annotations
@@ -15,15 +14,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable
 
 from .absorbers import check_builder
 from .absorbing import AbsorbingStructure, build_absorbing_set
-from .absorption import absorb
+from .absorption import cover_and_absorb
 from .config import AbsorberConfig, StageFailure
-from .embed import embed_in_set, find_embedding
-from .factor import DEFAULT_BUDGET, Tiling, find_factor_exact, greedy_max_tiling, leftover_of
-from .graphs import Graph, Pattern, vertex_mask
+from .factor import DEFAULT_BUDGET, Tiling, find_factor_exact
+from .graphs import Graph, Pattern
 from .invariants import alpha_ell, min_degree, traversing_check
 from .rng import derive_seed
 from .verify import verify_tiling
@@ -190,27 +187,15 @@ def find_factor_absorbing(
 
     tiling: Tiling | None = None
     if structure is not None:
-        aset = structure.absorbing_set
-        cover = greedy_max_tiling(g, p, forbidden=aset, seed=derive_seed(seed, "cover"))
-        left = leftover_of(g, cover, forbidden=aset)
-        report.leftover = len(left)
-        cap = structure.max_remainder
-        if len(left) <= cap:
-            report.stages.append(StageOutcome("cover", True, f"leftover={len(left)}"))
-            try:
-                absorbed = absorb(g, structure, left)
-                tiling = Tiling(p, cover.copies + absorbed.copies)
-                report.stages.append(StageOutcome("absorb", True))
-            except StageFailure as exc:
-                tiling, detail = _absorb_improved_cover(g, p, structure, cover, left)
-                report.stages.append(StageOutcome("absorb", tiling is not None,
-                                                  detail or str(exc)))
-                if tiling is None:
-                    report.failure_stage = "absorb"
-        else:
-            report.stages.append(StageOutcome(
-                "cover", False, f"leftover={len(left)} exceeds absorbable cap {cap}"))
-            report.failure_stage = "cover"
+        try:
+            tiling, report.leftover = cover_and_absorb(g, structure)
+            report.stages.append(StageOutcome("cover", True, f"leftover={report.leftover}"))
+            report.stages.append(StageOutcome("absorb", True))
+        except StageFailure as exc:
+            if exc.stage == "absorb":
+                report.stages.append(StageOutcome("cover", True))
+            report.stages.append(StageOutcome(exc.stage, False, exc.detail))
+            report.failure_stage = exc.stage
 
     if tiling is None and g.n <= fallback_cap:
         report.fallback_used = True
@@ -232,77 +217,3 @@ def find_factor_absorbing(
     report.millis = (time.perf_counter() - t0) * 1000
     return report
 
-
-def _absorb_improved_cover(
-    g: Graph,
-    p: Pattern,
-    structure: AbsorbingStructure,
-    cover: Tiling,
-    left: list[int],
-) -> tuple[Tiling | None, str]:
-    """Second try after absorbing the greedy leftover `left` failed: improve
-    the greedy cover, and absorb its leftover if that differs from `left` and
-    is within the structure's cap.  Returns (factor, absorb stage detail), or
-    (None, "") when there is nothing new to try or the second absorb fails
-    too."""
-    better_left, better = improve_cover(g, p, cover, forbidden=structure.absorbing_set)
-    if better_left == left or len(better_left) > structure.max_remainder:
-        return None, ""
-    try:
-        absorbed = absorb(g, structure, better_left)
-    except StageFailure:
-        return None, ""
-    return (Tiling(p, better.copies + absorbed.copies),
-            f"improved cover: leftover {len(left)} -> {len(better_left)}")
-
-
-def improve_cover(
-    g: Graph,
-    p: Pattern,
-    tiling: Tiling,
-    forbidden: Iterable[int] = (),
-) -> tuple[list[int], Tiling]:
-    """Local improvement of a tiling of G minus `forbidden`; returns
-    (leftover, improved tiling).
-
-    While some leftover vertex can trade places with a tile vertex (the
-    tile's vertex set plus the leftover vertex contains a copy avoiding the
-    swapped-out vertex) and the swap enables a new copy among the leftovers,
-    apply it.
-    """
-    copies = list(tiling.copies)
-    left = set(leftover_of(g, tiling, forbidden=forbidden))
-
-    def first_swap():
-        for v in sorted(left):
-            for ci, emb in enumerate(copies):
-                for out in sorted(emb):
-                    new_emb = embed_in_set(g, p, (set(emb) - {out}) | {v})
-                    if new_emb is None:
-                        continue
-                    trial_left = (left - {v}) | {out}
-                    extra = find_embedding(g, p, allowed=vertex_mask(trial_left))
-                    if extra is not None:
-                        return ci, new_emb, extra, trial_left
-        return None
-
-    while (swap := first_swap()) is not None:
-        ci, new_emb, extra, trial_left = swap
-        copies[ci] = new_emb
-        copies.append(extra)
-        left = trial_left - set(extra)
-    return sorted(left), Tiling(pattern=p, copies=tuple(copies))
-
-
-def cover_check(
-    g: Graph,
-    p: Pattern,
-    avoid: list[int],
-    xi: float,
-    seed: int = 0,
-) -> tuple[list[int], Tiling, bool]:
-    """Greedy tiling of G minus `avoid`, then improve_cover's local pass.
-    Returns (leftover, tiling, leftover <= xi*n)."""
-    tiling = greedy_max_tiling(g, p, forbidden=avoid, seed=seed)
-    leftover, final = improve_cover(g, p, tiling, forbidden=avoid)
-    return leftover, final, len(leftover) <= xi * g.n

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from oracles import alpha_exhaustive, factor_exists_bruteforce
 from tilinglab.absorbing import AbsorberConfig, absorb, build_absorbing_set, build_template
-from tilinglab.factor import find_factor_exact
+from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import (
     gen_complete_multipartite,
     gen_gnp,
@@ -21,7 +21,7 @@ from tilinglab.generators import (
 )
 from tilinglab.graphs import Pattern, complete_graph, parse_graph
 from tilinglab.invariants import alpha_ell, one_density, traversing_threshold
-from tilinglab.pipeline import check_hypotheses, cover_check, find_factor_absorbing
+from tilinglab.pipeline import check_hypotheses, find_factor_absorbing
 from tilinglab.rng import rng_for
 from tilinglab.verify import verify_structure, verify_tiling
 
@@ -158,8 +158,8 @@ def test_06_greedy_cover_bound():
         if not held:
             continue
         avoid = sorted(rng.sample(range(n), max(1, n // 12)))
-        left, _, _ = cover_check(g, k3, avoid=avoid, xi=1.0,
-                                 seed=rng.randrange(10**9))
+        tiling = greedy_max_tiling(g, k3, forbidden=avoid, seed=rng.randrange(10**9))
+        left = leftover_of(g, tiling, forbidden=avoid)
         s_star, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
                                          seed=rng.randrange(10**9))
         assert len(left) < 3 * s_star, (n, len(left), s_star)

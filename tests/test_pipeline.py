@@ -2,14 +2,15 @@ import hashlib
 
 import pytest
 
-from tilinglab import pipeline, templates
+from tilinglab import absorption, pipeline, templates
 from tilinglab.absorbing import AbsorberConfig
+from tilinglab.config import StageFailure
 from tilinglab.embed import find_embedding
-from tilinglab.factor import find_factor_exact
+from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Graph, complete_graph, vertex_mask
 from tilinglab.invariants import AlphaResult, traversing_threshold
-from tilinglab.pipeline import check_hypotheses, cover_check, find_factor_absorbing
+from tilinglab.pipeline import check_hypotheses, find_factor_absorbing
 from tilinglab.rng import derive_seed, rng_for
 from tilinglab.sweep import ExperimentSpec, rows_to_csv, run_sweep
 from tilinglab.verify import verify_tiling
@@ -96,19 +97,53 @@ class TestPipeline:
         assert rep.factor_found
         assert rep.hypothesis_held
 
-    def test_absorb_retries_on_improved_cover(self, k3):
-        # the greedy cover leaves 3 vertices that no disjoint copy choice
-        # absorbs; the improved cover leaves none
+    def test_cover_search_absorbs_with_no_retry(self, k3):
+        # a greedy cover here leaves 3 vertices that no disjoint copy choice
+        # absorbs; the cover search leaves none
         g = gen_gnp(120, 0.7, derive_seed(1, "pipeline-graph", 4))
         cfg = AbsorberConfig.desk_scale(h=3, **K3_DESK)
         rep = find_factor_absorbing(g, k3, mode="general", ell=2, config=cfg,
                                     seed=derive_seed(1, "pipeline", 4))
         assert rep.factor_found and not rep.fallback_used
-        assert rep.leftover == 3
+        assert rep.leftover == 0
         absorb_stage = [s for s in rep.stages if s.name == "absorb"]
-        assert [(s.ok, s.detail) for s in absorb_stage] == [
-            (True, "improved cover: leftover 3 -> 0")]
+        assert [(s.ok, s.detail) for s in absorb_stage] == [(True, "")]
         verify_tiling(g, rep.tiling, require_factor=True)
+
+    def test_remainder_size_that_does_not_absorb_is_skipped(self, k3):
+        # sizes 0 and 3 are valid here, but absorb refuses the empty
+        # remainder (absorb-surplus); a cover leaving 3 then absorbs
+        g = gen_gnp(120, 0.7, derive_seed(7, "pipeline-graph", 2))
+        cfg = AbsorberConfig.desk_scale(h=3, **K3_DESK)
+        rep = find_factor_absorbing(g, k3, mode="general", ell=2, config=cfg,
+                                    seed=derive_seed(7, "pipeline", 2))
+        assert rep.factor_found and not rep.fallback_used
+        assert rep.leftover == 3
+        verify_tiling(g, rep.tiling, require_factor=True)
+
+    def test_every_leftover_refused_is_an_absorb_failure(self, k2, monkeypatch):
+        seen = []
+
+        def refuse(g, structure, remainder):
+            seen.append((len(remainder), structure))
+            raise StageFailure("absorb-remainder", "refused")
+        monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
+        monkeypatch.setattr(absorption, "absorb", refuse)
+        rep = find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
+        assert not rep.factor_found and not rep.fallback_used
+        assert rep.failure_stage == "absorb"
+        sizes = [k for k, _ in seen]
+        assert len(sizes) > 1 and sizes == seen[0][1].valid_remainder_sizes()
+        assert [(s.name, s.ok) for s in rep.stages[-2:]] == [("cover", True), ("absorb", False)]
+        assert rep.stages[-1].detail == "; ".join(f"k={k}: absorb-remainder" for k in sizes)
+
+    def test_no_cover_is_a_cover_failure(self, k2, monkeypatch):
+        monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
+        monkeypatch.setattr(absorption, "_disjoint_copies", lambda *a: None)
+        rep = find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
+        assert rep.failure_stage == "cover" and rep.leftover is None
+        assert rep.stages[-1].name == "cover" and not rep.stages[-1].ok
+        assert rep.stages[-1].detail.startswith("k=0: no cover; k=2: no cover")
 
     def test_two_cliques_hypothesis_sensitivity(self, k3):
         # r | (n/2 - 1) fails on both sides, so no factor exists; the clique
@@ -154,7 +189,7 @@ class TestPipeline:
         def guard(*args):
             raise ValueError("remainder guard")
         monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
-        monkeypatch.setattr(pipeline, "absorb", guard)
+        monkeypatch.setattr(absorption, "absorb", guard)
         with pytest.raises(ValueError, match="remainder guard"):
             find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
 
@@ -176,21 +211,23 @@ class TestPipeline:
 
 class TestCoverCheck:
     def test_complete_graph_no_leftover(self, k3):
-        left, tiling, met = cover_check(complete_graph(30), k3,
-                                        avoid=list(range(6)), xi=0.1, seed=1)
-        assert left == [] and met
+        avoid = list(range(6))
+        tiling = greedy_max_tiling(complete_graph(30), k3, forbidden=avoid, seed=1)
+        left = leftover_of(complete_graph(30), tiling, forbidden=avoid)
+        assert left == [] and len(left) <= 0.1 * 30
         verify_tiling(complete_graph(30), tiling, forbidden=range(6))
 
     def test_bipartite_all_leftover(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        left, _, met = cover_check(k66, k3, avoid=[], xi=0.5, seed=1)
-        assert len(left) == 12 and not met
+        left = leftover_of(k66, greedy_max_tiling(k66, k3, seed=1))
+        assert len(left) == 12 and not len(left) <= 0.5 * 12
 
     def test_gnp_small_leftover(self, k3):
         g = gen_gnp(90, 0.6, 5)
         avoid = sorted(rng_for(3, "avoid").sample(range(90), 9))
-        left, tiling, met = cover_check(g, k3, avoid=avoid, xi=0.1, seed=2)
-        assert len(left) <= 9 and met
+        tiling = greedy_max_tiling(g, k3, forbidden=avoid, seed=2)
+        left = leftover_of(g, tiling, forbidden=avoid)
+        assert len(left) <= 9 and len(left) <= 0.1 * 90
         verify_tiling(g, tiling, forbidden=avoid)
 
     def test_leftover_below_pattern_times_threshold(self, k3):
@@ -201,20 +238,12 @@ class TestCoverCheck:
             n = rng.randrange(45, 61)
             g = gen_gnp(n, rng.uniform(0.55, 0.75), rng.randrange(10**9))
             avoid = sorted(rng.sample(range(n), max(1, n // 12)))
-            left, _, _ = cover_check(g, k3, avoid=avoid, xi=1.0,
-                                     seed=rng.randrange(10**9))
+            tiling = greedy_max_tiling(g, k3, forbidden=avoid, seed=rng.randrange(10**9))
+            left = leftover_of(g, tiling, forbidden=avoid)
             s, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
                                         seed=rng.randrange(10**9))
             assert find_embedding(g, k3, vertex_mask(left)) is None
             assert len(left) < 3 * s, (i, len(left), s)
-
-    def test_local_improvement_shrinks(self, k3):
-        # a wheel-ish instance where one swap rescues a vertex: two triangles
-        # sharing structure with one extra vertex attached
-        g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                      (5, 6), (4, 6), (2, 3)])
-        left, tiling, _ = cover_check(g, k3, avoid=[0], xi=1.0, seed=0)
-        assert find_embedding(g, k3, vertex_mask(left)) is None
 
 
 # sha256 of the acceptance sweep's CSV (test_08's spec).  A change that
