@@ -38,7 +38,6 @@ from .embed import cliques_of_size, copy_sets_through, find_embedding
 from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .rng import derive_seed, rng_for
 from .templates import TemplateGraph, _surplus_of, build_template
-from .verify import template_check_mode
 
 
 @dataclass
@@ -203,8 +202,7 @@ def build_absorbing_set(
     # stage 3: template
     left = 3 * m + surplus
     mode = "complete-bipartite" if left <= 40 else "random-regular"
-    template = build_template(m, beta, mode=mode, verify=template_check_mode(m + surplus, m),
-                              seed=derive_seed(seed, "template"))
+    template = build_template(m, beta, mode=mode, seed=derive_seed(seed, "template"))
 
     # stages 4-5: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a

@@ -1,8 +1,9 @@
 """Command-line surface: gen, params, factor, absorb, verify, sweep.
 
 Exit codes: 0 success, 1 solver or verification failure, 2 usage error.
-The default seed comes from --seed, falling back to the TILINGLAB_SEED
-environment variable, falling back to 0.
+gen, params, factor and absorb take --seed, whose default is the
+TILINGLAB_SEED environment variable, falling back to 0; sweep takes
+--seed-base, and verify draws nothing at random.
 """
 
 from __future__ import annotations
@@ -181,8 +182,7 @@ def cmd_verify(args) -> int:
             check = partial(verify_tiling, tiling=tiling_from_obj(obj, g.n),
                             require_factor=args.factor)
         elif schema == SCHEMA_STRUCTURE:
-            check = partial(verify_structure, structure=structure_from_obj(obj, g.n),
-                            seed=args.seed)
+            check = partial(verify_structure, structure=structure_from_obj(obj, g.n))
         else:
             print(f"unknown certificate schema: {schema}", file=sys.stderr)
             return USAGE_ERROR
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--factor", action="store_true",
                    help="require the tiling to cover every vertex")
-    p.add_argument("--seed", type=int, default=seed_default)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run an experiment spec, write CSV")

@@ -135,10 +135,6 @@ class Pattern:
             raise ValueError("clique pattern needs r >= 2")
         return cls(complete_graph(r))
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> "Pattern":
-        return cls(g)  # the older name of Pattern(g)
-
     def __repr__(self) -> str:
         if self.is_clique:
             return f"Pattern(K_{self.r})"

@@ -8,13 +8,13 @@ perfect matching onto the slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .config import TEMPLATE_RETRIES, StageFailure
 from .matching import max_bipartite_matching
-from .rng import derive_seed, rng_for
-from .verify import check_template
+from .rng import rng_for
+from .verify import VerificationError, check_template
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,12 @@ class TemplateGraph:
     """Bipartite template on (flex + core, slots) with the robust property:
     for every m-subset F of the flex side, (F + core, slots) has a perfect
     matching.  Sizes: flex = m + surplus, core = 2m, slots = 3m; maximum
-    degree at most 40.  `verification`, which is not compared, records the
-    check a build ran; a loaded template has none.
+    degree at most 40.  A template is its round size and adjacency; a build
+    and `verify` certify the property with verify.check_template.
     """
 
     m: int
     left_adj: tuple[tuple[int, ...], ...]
-    verification: dict = field(default_factory=dict, compare=False)
 
     @property
     def surplus(self) -> int:
@@ -83,24 +82,17 @@ def _surplus_of(m: int, beta: float) -> int:
 TEMPLATE_DEGREE = 12
 
 
-def build_template(
-    m: int,
-    beta: float,
-    mode: str = "complete-bipartite",
-    verify: str = "exhaustive",
-    trials: int = 1000,
-    seed: int = 0,
-) -> TemplateGraph:
+def build_template(m: int, beta: float, mode: str = "complete-bipartite",
+                   seed: int = 0) -> TemplateGraph:
     """Build a robust template at round size m and surplus ceil(beta*m).
 
     complete-bipartite mode joins every left vertex to every slot; the robust
     property is then immediate from Hall's condition, and the degree-40 bound
     requires 3m + ceil(beta*m) <= 40.  random-regular mode samples a
-    configuration-style pairing with all degrees in [8, 40] and certifies the
-    property by matching checks (exhaustive, or `trials` sampled subsets when
-    verify="sampled"), resampling on failure up to TEMPLATE_RETRIES times.
-    A failed verification raises StageFailure("template"), whose `blocking`
-    is the falsifying flex subset when there is one.
+    configuration-style pairing with all degrees in [8, 40], resampling up
+    to TEMPLATE_RETRIES times until check_template certifies it on every
+    flex m-subset.  A template too large to check, or no certified sample,
+    raises StageFailure("template").
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -114,10 +106,10 @@ def build_template(
             )
         adj = tuple(tuple(range(slots)) for _ in range(left))
         tpl = TemplateGraph(m=m, left_adj=adj)
-        record, bad = check_template(tpl, verify, trials, seed, "template-verify")
+        bad = check_template(tpl)
         if bad is not None:
             raise StageFailure("template", "flex subset without perfect matching", blocking=bad)
-        return replace(tpl, verification=record)
+        return tpl
 
     if mode == "random-regular":
         for attempt in range(TEMPLATE_RETRIES):
@@ -144,10 +136,12 @@ def build_template(
                 continue
             adj = tuple(tuple(sorted(s)) for s in adj_sets)
             tpl = TemplateGraph(m=m, left_adj=adj)
-            record, bad = check_template(tpl, verify, trials,
-                                         derive_seed(seed, "verify", attempt), "template-verify")
+            try:
+                bad = check_template(tpl)
+            except VerificationError as exc:  # too many flex subsets to check
+                raise StageFailure("template", str(exc)) from None
             if bad is None:
-                return replace(tpl, verification=record)
+                return tpl
         raise StageFailure(
             "template", f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
         )

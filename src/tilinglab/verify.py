@@ -3,7 +3,9 @@
 Every object the solvers emit (tilings, absorbers, absorbing structures,
 traversing witnesses) can be re-checked here from scratch.  The checkers
 share no search code with the solvers: they check the tilings a certificate
-carries, and settle a traversing witness by brute force.
+carries, and settle a traversing witness by brute force.  A template's
+robust property is certified exactly, never on a sample: a template with
+too many flex subsets to check them all is refused.
 """
 
 from __future__ import annotations
@@ -13,14 +15,10 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 from .graphs import Graph, Pattern, Tiling
-from .rng import rng_for
 
-# templates with at most this many flex m-subsets are checked exhaustively
-TEMPLATE_EXHAUSTIVE_LIMIT = 2000
-# an explicitly requested exhaustive check enumerates at most this many
+# a template check enumerates at most this many flex m-subsets, and refuses
+# a template with more
 TEMPLATE_EXHAUSTIVE_CAP = 20_000
-# flex subsets verify_structure samples when it cannot check them all
-STRUCTURE_TEMPLATE_TRIALS = 50
 
 
 class VerificationError(AssertionError):
@@ -131,7 +129,7 @@ def verify_traversing_witness(
         raise VerificationError("witness family does induce a traversing copy")
 
 
-def verify_structure(g: Graph, structure, seed: int = 0) -> None:
+def verify_structure(g: Graph, structure) -> None:
     """Re-check every invariant of an absorbing structure from scratch.
 
     Disjointness of buffer/core/slots and all edge absorbers, the size
@@ -139,10 +137,9 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
     flex indices), the two stored tilings of every edge absorber (via
     verify_absorber), that some remainder size is absorbable (else the
     property below can hold for want of a flex m-subset), and the
-    template's robust matching property (exhaustively when small, otherwise
-    by STRUCTURE_TEMPLATE_TRIALS flex subsets sampled from `seed`, not the
-    build seed).  A document stores no derived value and not the build's
-    own template check, so nothing is compared against a stored copy.
+    template's robust matching property, certified by check_template (a
+    template it refuses is invalid).  A document stores no derived value,
+    so nothing is compared against a stored copy.
     """
     h = structure.pattern.h
     tpl = structure.template
@@ -188,38 +185,27 @@ def verify_structure(g: Graph, structure, seed: int = 0) -> None:
         raise VerificationError(f"no remainder size k <= max_remainder = "
                                 f"{structure.max_remainder} makes |A| + k divisible by h = {h}")
 
-    mode = template_check_mode(tpl.flex_size, tpl.m)
-    _, bad = check_template(tpl, mode, STRUCTURE_TEMPLATE_TRIALS, seed, "structure-verify")
+    bad = check_template(tpl)
     if bad is not None:
         raise VerificationError(f"template flex subset {bad} without perfect matching")
 
 
-def template_check_mode(flex_size: int, m: int) -> str:
-    """How a template with `flex_size` flex vertices and round size m is
-    checked: exhaustively up to TEMPLATE_EXHAUSTIVE_LIMIT flex m-subsets,
-    by sampling beyond."""
-    return "exhaustive" if math.comb(flex_size, m) <= TEMPLATE_EXHAUSTIVE_LIMIT else "sampled"
+def check_template(tpl) -> tuple[int, ...] | None:
+    """Certify a template's robust matching property exactly: return the
+    first flex m-subset that, with the core, has no perfect matching onto
+    the slots, or None when every one has.
 
-
-def check_template(tpl, verify: str, trials: int, seed: int, label: str) -> tuple[dict, tuple | None]:
-    """Check a template's robust matching property on its flex m-subsets.
-
-    verify="exhaustive" checks every subset (at most TEMPLATE_EXHAUSTIVE_CAP
-    of them); verify="sampled" checks `trials` subsets drawn from
-    rng_for(seed, label), so the result is an estimate.  Returns the
-    verification record and the first subset without a perfect matching,
-    or None when every checked subset has one.
+    A template that joins every left vertex to every slot is robust by
+    Hall's condition, and no subset is enumerated.  Any other template has
+    every flex m-subset checked, and one with more than
+    TEMPLATE_EXHAUSTIVE_CAP of them is refused with a VerificationError.
     """
-    if verify == "exhaustive":
-        count = math.comb(tpl.flex_size, tpl.m)
-        if count > TEMPLATE_EXHAUSTIVE_CAP:
-            raise ValueError(f"{count} flex subsets exceed the exhaustive cap; use sampled mode")
-        subsets = combinations(range(tpl.flex_size), tpl.m)
-        record = {"mode": "exhaustive", "checks": count}
-    elif verify == "sampled":
-        rng = rng_for(seed, label)
-        subsets = (tuple(sorted(rng.sample(range(tpl.flex_size), tpl.m))) for _ in range(trials))
-        record = {"mode": "sampled", "trials": trials, "seed": seed}
-    else:
-        raise ValueError(f"unknown verification mode: {verify}")
-    return record, next((sub for sub in subsets if tpl.slot_matching(sub) is None), None)
+    slots = set(range(tpl.slot_count))
+    if all(set(row) == slots for row in tpl.left_adj):
+        return None
+    count = math.comb(tpl.flex_size, tpl.m)
+    if count > TEMPLATE_EXHAUSTIVE_CAP:
+        raise VerificationError(f"{count} flex m-subsets exceed the "
+                                f"{TEMPLATE_EXHAUSTIVE_CAP} a template check enumerates")
+    return next((sub for sub in combinations(range(tpl.flex_size), tpl.m)
+                 if tpl.slot_matching(sub) is None), None)

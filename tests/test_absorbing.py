@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -52,6 +53,7 @@ from tilinglab.serialize import (
     tiling_to_obj,
 )
 from tilinglab.verify import (
+    TEMPLATE_EXHAUSTIVE_CAP,
     VerificationError,
     check_template,
     verify_absorber,
@@ -115,59 +117,67 @@ class TestConfig:
 class TestTemplate:
     def test_failed_check_is_a_template_stage_failure(self, monkeypatch):
         from tilinglab import templates
-        monkeypatch.setattr(templates, "check_template", lambda *a: ({}, (0,)))
+        monkeypatch.setattr(templates, "check_template", lambda tpl: (0,))
         with pytest.raises(StageFailure) as exc:
             build_template(1, 1.0, mode="complete-bipartite")
         assert (exc.value.stage, exc.value.blocking) == ("template", (0,))
 
     def test_complete_bipartite_m4(self):
-        tpl = build_template(4, 0.25, mode="complete-bipartite", verify="exhaustive")
+        tpl = build_template(4, 0.25, mode="complete-bipartite")
         assert (tpl.flex_size, tpl.core_size, tpl.slot_count) == (5, 8, 12)
-        assert tpl.verification == {"mode": "exhaustive", "checks": 5}
+        assert check_template(tpl) is None
         assert tpl.max_degree <= 40
 
     def test_m1(self):
-        tpl = build_template(1, 0.9, mode="complete-bipartite", verify="exhaustive")
-        assert tpl.slot_count == 3
-        assert tpl.verification["checks"] == 2
+        tpl = build_template(1, 0.9, mode="complete-bipartite")
+        assert (tpl.slot_count, tpl.flex_size) == (3, 2)
+        assert check_template(tpl) is None
 
     def test_degree_bound_guard(self):
         with pytest.raises(ValueError, match="40"):
             build_template(20, 0.5, mode="complete-bipartite")
 
     def test_exhaustive_small_complete_windows(self):
+        # a complete template is robust by Hall's condition: certified with
+        # no subset enumerated, and equal to the adjacency a check confirms
         for m in range(1, 7):
-            tpl = build_template(m, 0.3, mode="complete-bipartite", verify="exhaustive")
-            assert tpl.verification["mode"] == "exhaustive"
+            tpl = build_template(m, 0.3, mode="complete-bipartite")
+            assert check_template(tpl) is None
+            assert all(tpl.slot_matching(sub) is not None
+                       for sub in itertools.combinations(range(tpl.flex_size), m))
+
+    def test_complete_template_past_the_cap_needs_no_matching(self, monkeypatch):
+        # C(30, 5) = 142,506 flex subsets, more than a check enumerates
+        def no_matching(self, flex_subset):
+            raise AssertionError("a complete template needs no slot matching")
+        monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
+        tpl = build_template(5, 5.0, mode="complete-bipartite")
+        assert math.comb(tpl.flex_size, tpl.m) == 142_506 > TEMPLATE_EXHAUSTIVE_CAP
+        assert check_template(tpl) is None
 
     def test_random_regular_fixture(self):
-        tpl = build_template(50, 0.1, mode="random-regular", verify="sampled",
-                             trials=200, seed=2)
+        # 41 left vertices: every one of C(15, 13) = 105 flex subsets is checked
+        tpl = build_template(13, 0.1, mode="random-regular", seed=2)
+        assert (tpl.left_size, math.comb(tpl.flex_size, tpl.m)) == (41, 105)
         assert 8 <= tpl.max_degree <= 40
-        assert tpl.verification["trials"] == 200
+        assert check_template(tpl) is None
 
     def test_random_regular_deterministic(self):
-        a = build_template(12, 0.2, mode="random-regular", verify="sampled",
-                           trials=50, seed=5)
-        b = build_template(12, 0.2, mode="random-regular", verify="sampled",
-                           trials=50, seed=5)
+        a = build_template(12, 0.2, mode="random-regular", seed=5)
+        b = build_template(12, 0.2, mode="random-regular", seed=5)
         assert a.left_adj == b.left_adj
 
     def test_check_template_finds_falsifying_subset(self):
-        tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
+        tpl = build_template(2, 0.5, mode="complete-bipartite")
         # flex vertex 0 loses its edges: every flex subset containing it fails
         broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
-        assert check_template(broken, "exhaustive", 0, 0, "t") == (
-            {"mode": "exhaustive", "checks": 3}, (0, 1))
-        record, bad = check_template(broken, "sampled", 50, 4, "t")
-        assert record == {"mode": "sampled", "trials": 50, "seed": 4}
-        assert bad is not None and 0 in bad
-        assert check_template(tpl, "sampled", 50, 4, "t")[1] is None
-        with pytest.raises(ValueError, match="unknown verification mode"):
-            check_template(tpl, "guess", 50, 4, "t")
+        assert check_template(broken) == (0, 1)
+        # one missing edge makes the template incomplete but still robust
+        thinned = TemplateGraph(m=tpl.m, left_adj=(tpl.left_adj[0][1:],) + tpl.left_adj[1:])
+        assert check_template(thinned) is None
 
     def test_slot_matching(self):
-        tpl = build_template(2, 0.5, mode="complete-bipartite", verify="exhaustive")
+        tpl = build_template(2, 0.5, mode="complete-bipartite")
         matching = tpl.slot_matching([2, 0])
         assert sorted(matching) == [0, 2, 3, 4, 5, 6]  # flex 0 and 2, then the core
         assert sorted(matching.values()) == list(range(tpl.slot_count))
@@ -536,6 +546,18 @@ class TestBuildAbsorbingSet:
         assert ("INVALID: no remainder size k <= max_remainder = -1 makes |A| + k divisible "
                 "by h = 2") in capsys.readouterr().err
 
+    def test_incomplete_template_past_the_cap_is_invalid(self, k2, tmp_path, capsys):
+        # a robust template is refused, not sampled, when it has more flex
+        # m-subsets than a check enumerates and is not complete
+        g, st = _sparse_robust_structure(k2)
+        graph = tmp_path / "g.el"
+        graph.write_text(emit_graph(g))
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(structure_to_obj(st)))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
+        assert ("INVALID: 20825 flex m-subsets exceed the 20000 a template check "
+                "enumerates") in capsys.readouterr().err
+
     def test_unsorted_buffer_rejected(self, k60_structure):
         k60, st = k60_structure
         obj = structure_to_obj(st)
@@ -802,6 +824,32 @@ def _thinned(obj):
     obj["edge_absorbers"] = [e for e in obj["edge_absorbers"]
                              if not (e["left"] < flex and e["right"] == e["left"])]
     return obj
+
+
+def _sparse_robust_structure(k2):
+    """A K2 structure at m = 3 whose template is robust but not complete:
+    the 6 core rows are complete and each of the 51 flex rows has 3 slots,
+    so every 3 flex vertices and the core match onto the 9 slots, and
+    C(51, 3) = 20,825 flex subsets exceed the check's cap.  The graph has
+    just the edges the structure's tilings use."""
+    m, flex = 3, 51
+    buffer, core = tuple(range(flex)), tuple(range(flex, flex + 2 * m))
+    slot_blocks = tuple((v,) for v in range(flex + 2 * m, flex + 5 * m))
+    left_adj = tuple(tuple(sorted({l % 9, (l + 1) % 9, (l + 2) % 9})) for l in range(flex))
+    template = TemplateGraph(m=m, left_adj=left_adj + (tuple(range(3 * m)),) * (2 * m))
+    free = itertools.count(flex + 5 * m, 2)
+    edge_absorbers, edges = {}, []
+    for l, r in template.edges():
+        a = next(free)
+        left, slot = (buffer + core)[l], slot_blocks[r][0]
+        edge_absorbers[(l, r)] = (Tiling(k2, ((a, a + 1),)),
+                                  Tiling(k2, ((left, slot), (a, a + 1))))
+        edges += [(a, a + 1), (left, slot)]
+    n = next(free)
+    st = AbsorbingStructure(n=n, pattern=k2, t=1, surplus_ratio=1.0, builder="direct",
+                            buffer=buffer, core=core, slot_blocks=slot_blocks,
+                            template=template, edge_absorbers=edge_absorbers)
+    return Graph(n, edges), st
 
 
 def _stored_vertex_lists(obj):

@@ -5,13 +5,20 @@ per criterion (prints also appear in failure output without -s).
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 from oracles import alpha_exhaustive, factor_exists_bruteforce
-from tilinglab.absorbing import AbsorberConfig, absorb, build_absorbing_set, build_template
+from tilinglab.absorbing import (
+    AbsorberConfig,
+    StageFailure,
+    absorb,
+    build_absorbing_set,
+    build_template,
+)
 from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import (
     gen_complete_multipartite,
@@ -23,7 +30,7 @@ from tilinglab.graphs import Pattern, complete_graph, parse_graph
 from tilinglab.invariants import alpha_ell, one_density, traversing_threshold
 from tilinglab.pipeline import check_hypotheses, find_factor_absorbing
 from tilinglab.rng import rng_for
-from tilinglab.verify import verify_structure, verify_tiling
+from tilinglab.verify import check_template, verify_structure, verify_tiling
 
 K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
                m_cap=1, degree_frac=0.1, threshold_frac=0.1)
@@ -103,17 +110,24 @@ def test_03_positive_controls():
 
 
 def test_04_template_robustness():
-    tpl = build_template(4, 0.25, mode="complete-bipartite", verify="exhaustive")
-    ok_small = tpl.verification == {"mode": "exhaustive", "checks": 5}
+    # a template is certified on every flex m-subset, by Hall's condition
+    # when it is complete, or refused when it has too many to check
+    tpl = build_template(4, 0.25, mode="complete-bipartite")
+    ok_small = tpl.flex_size == 5 and check_template(tpl) is None
     t0 = time.perf_counter()
-    tpl50 = build_template(50, 0.1, mode="random-regular", verify="sampled",
-                           trials=1000, seed=2)
+    tpl13 = build_template(13, 0.1, mode="random-regular", seed=2)
     elapsed = time.perf_counter() - t0
-    ok_big = (tpl50.verification["mode"] == "sampled"
-              and tpl50.verification["trials"] == 1000
-              and tpl50.max_degree <= 40)
-    report("4 template-robustness", ok_small and ok_big,
-           f"m=4 exhaustive 5/5; m=50 sampled 1000 in {elapsed:.1f}s")
+    ok_mid = (math.comb(tpl13.flex_size, 13) == 105 and tpl13.max_degree <= 40
+              and check_template(tpl13) is None)
+    try:
+        build_template(50, 0.1, mode="random-regular", seed=2)
+        refusal = None
+    except StageFailure as exc:
+        refusal = exc
+    ok_big = (refusal is not None and refusal.stage == "template"
+              and "3478761 flex m-subsets" in str(refusal))
+    report("4 template-robustness", ok_small and ok_mid and ok_big,
+           f"m=4 complete; m=13 all 105 subsets in {elapsed:.2f}s; m=50 refused: {refusal}")
 
 
 def test_05_absorbing_soundness():
@@ -171,7 +185,7 @@ def test_06_greedy_cover_bound():
 def test_07_invariant_computations():
     dens_ok = all(one_density(Pattern.clique(r)) == Fraction(r, 2)
                   for r in range(2, 8))
-    c4 = Pattern.from_graph(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
+    c4 = Pattern(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
     dens_ok = dens_ok and one_density(c4) == Fraction(4, 3)
 
     rng = rng_for(707, "alpha-corpus")

@@ -207,6 +207,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "INVALID" in err and "share vertex" in err
 
+    def test_verify_takes_no_seed(self, capsys):
+        # verify certifies a template exactly, so it has nothing to seed
+        assert run_cli("verify", "--certificate", "s.json", "--graph", "g.el",
+                       "--seed", "1") == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
         # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 to

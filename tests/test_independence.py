@@ -1,7 +1,8 @@
-"""The verifiers share no search code with the solvers.  `verify.py` imports
-nothing from the package but `graphs` and `rng`, and neither it nor
-`absorption.py`, which reads its absorber tilings off the structure, names
-the exact factor search.  Both are read as syntax trees, not imported."""
+"""The verifiers share no search code with the solvers and draw no sample.
+`verify.py` imports nothing from the package but `graphs`, and neither it
+nor `absorption.py`, which reads its absorber tilings off the structure,
+names the exact factor search.  Both are read as syntax trees, not
+imported."""
 
 import ast
 from pathlib import Path
@@ -52,8 +53,8 @@ def test_package_imports_reads_every_form():
     assert package_imports(tree) == {"embed", "factor", "matching", "graphs", "sweep"}
 
 
-def test_verify_imports_only_graphs_and_rng():
-    assert package_imports(syntax_tree("verify.py")) <= {"graphs", "rng"}
+def test_verify_imports_only_graphs():
+    assert package_imports(syntax_tree("verify.py")) <= {"graphs"}
 
 
 @pytest.mark.parametrize("module", ["verify.py", "absorption.py"])

@@ -195,7 +195,7 @@ class TestPipeline:
 
     def test_failed_template_is_an_absorbing_set_stage(self, k2, monkeypatch):
         monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
-        monkeypatch.setattr(templates, "check_template", lambda *a: ({}, (0,)))
+        monkeypatch.setattr(templates, "check_template", lambda tpl: (0,))
         rep = find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
         assert rep.failure_stage == "absorbing-set/template"
         assert rep.stages[-1].detail == ("template: stage 'template' failed: "
