@@ -6,8 +6,10 @@
 It reads no cached bytecode, so every module is compiled from source, as in
 a fresh checkout; -B keeps it from writing any.  It imports the package once
 and prints, for each tilinglab module in the order its import finished, the
-source size, the time and the tracemalloc peak of compiling that source.
-Then it prints the peak RSS (ru_maxrss) before and after the import and the
+source size, the time and the tracemalloc peak of compiling that source,
+and the totals of size and compile time.  Then it prints how many
+dataclasses the package defines, each of which the import generates code
+for, the peak RSS (ru_maxrss) before and after the import, and the
 standard-library modules that the import loaded.  Stdlib only.
 """
 
@@ -53,12 +55,20 @@ def main() -> int:
     ours = [name for name in added if name == "tilinglab" or name.startswith("tilinglab.")]
 
     print(f"{'module':<24}{'bytes':>8}{'compile ms':>12}{'peak MiB':>10}")
-    total = 0
+    total, total_s = 0, 0.0
     for name in ours:
         size, seconds, peak = compile_cost(Path(sys.modules[name].__file__))
         total += size
+        total_s += seconds
         print(f"{name:<24}{size:>8}{seconds * 1e3:>12.2f}{peak / 2**20:>10.3f}")
-    print(f"{'total':<24}{total:>8}")
+    print(f"{'total':<24}{total:>8}{total_s * 1e3:>12.2f}")
+    import dataclasses  # only now, so that the stdlib list below is the import's
+
+    made = sorted(f"{name}.{obj.__name__}" for name in ours
+                  for obj in vars(sys.modules[name]).values()
+                  if isinstance(obj, type) and obj.__module__ == name
+                  and dataclasses.is_dataclass(obj))
+    print(f"dataclasses the import created ({len(made)}): {' '.join(made)}")
     print(f"ru_maxrss before import tilinglab: {before:.2f} MB")
     print(f"ru_maxrss after import tilinglab:  {after:.2f} MB")
     stdlib = sorted(name for name in added if name not in ours)

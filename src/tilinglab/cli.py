@@ -20,7 +20,7 @@ from .absorption import absorb
 from .config import AbsorberConfig, StageFailure
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, gen_gamma
-from .graphs import GraphParseError, emit_graph, parse_graph
+from .graphs import GraphParseError, emit_graph, parse_graph, parse_pattern_spec
 from .invariants import EnumerationCapError, param_report
 from .pipeline import FALLBACK_CAP, check_hypotheses, find_factor_absorbing
 from .rng import rng_for
@@ -29,7 +29,6 @@ from .serialize import (
     SCHEMA_TILING,
     dump_json,
     load_json,
-    parse_pattern_spec,
     structure_from_obj,
     structure_to_obj,
     tiling_from_obj,

@@ -1,16 +1,21 @@
-"""Absorber configuration and the errors of the absorbing layers.
+"""Absorber configuration, the errors of the absorbing layers, and the
+checks of JSON values.
 
 `AbsorberConfig` holds the constants that drive absorber construction; the
 exceptions are the ones the template, absorber, absorbing-set and absorption
-modules raise; `refuse_unknown_keys` is every loader's check of a JSON
-object's keys.  This module imports nothing from the package, so every
-absorbing layer can import it without a cycle.
+modules raise.  `refuse_unknown_keys`, `is_json_int`, `json_int` and
+`is_json_number` are the one check each of a JSON object's keys, integers
+and numbers, which the config, the generator grid, the sweep spec and the
+document loaders share.  This module imports nothing from the package, so
+every layer can import it without a cycle.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
+from typing import Any
 
 
 class StageFailure(RuntimeError):
@@ -36,6 +41,30 @@ def refuse_unknown_keys(obj: dict, known, what: str) -> None:
     unknown = obj.keys() - known
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
+
+
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value: Any, what: str, lo: int | None = None) -> int:
+    """`value` if it is a JSON integer, and at least `lo` when given; else
+    ValueError naming `what`."""
+    if not is_json_int(value) or (lo is not None and value < lo):
+        import json  # here, so that `import tilinglab` loads no json
+
+        want = "an integer" if lo is None else f"an integer >= {lo}"
+        raise ValueError(f"{what} must be {want}, not {json.dumps(value)}")
+    return value
+
+
+def is_json_number(value: Any) -> bool:
+    """True for a finite JSON number: an int or float, not a bool, within
+    the largest float either way.  Comparisons, unlike math.isfinite, refuse
+    an int too large for a float instead of raising."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +113,12 @@ class AbsorberConfig:
         # fields arrive from JSON, so every type and range is checked here
         for f in fields(self):
             x = getattr(self, f.name)
-            is_int = isinstance(x, int) and not isinstance(x, bool)
             if f.type == "bool":
                 ok = isinstance(x, bool)
             elif f.type == "float":
-                ok = (is_int or isinstance(x, float)) and math.isfinite(x)
+                ok = is_json_number(x)
             else:  # "int" or "int | None", never negative
-                ok = (is_int and x >= 0) or (x is None and f.type == "int | None")
+                ok = (is_json_int(x) and x >= 0) or (x is None and f.type == "int | None")
             if not ok:
                 raise ValueError(f"AbsorberConfig.{f.name} must be a non-negative "
                                  f"{f.type}, not {x!r}")

@@ -260,14 +260,6 @@ def copy_sets_through(
             yield img, first[img][1]
 
 
-def embed_in_set(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ...] | None:
-    """Embedding of `p` using exactly the given |V(p)| vertices, or None."""
-    vs = vertex_mask(vertices)
-    if vs.bit_count() != p.h:
-        return None
-    return find_embedding(g, p, vs)
-
-
 def traversing_copy_fixed(
     g: Graph,
     p: Pattern,

@@ -13,9 +13,8 @@ wall time, and a search past its budget says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .embed import copy_sets_through, find_embedding
 from .graphs import Graph, Pattern, Tiling, vertex_mask
@@ -24,8 +23,7 @@ from .rng import rng_for
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(NamedTuple):
     """Outcome of the exact search: 'factor', 'none', or 'budget'."""
 
     status: str

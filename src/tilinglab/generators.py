@@ -7,13 +7,12 @@ produce identical graphs on every platform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
+from .config import is_json_int, is_json_number
 from .embed import cliques_of_size
 from .graphs import Graph, complete_graph
 from .rng import derive_seed, rng_for
-from .serialize import is_json_int
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -101,8 +100,7 @@ def gamma_graph(ell: int, n: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(NamedTuple):
     """Generation report: clique-freeness certificate plus size parameters."""
 
     graph: Graph
@@ -175,8 +173,7 @@ def gen_hs_tripartite(n: int) -> Graph:
     return gen_complete_multipartite([k - 1, k, k + 1])
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """A named generator: the parameters it reads and its builder."""
 
     params: tuple[str, ...]
@@ -208,7 +205,7 @@ def check_param(key: str, value: Any) -> None:
     fail only once the trials before it had run."""
     if key == "p":
         want = "a number in [0, 1]"
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+        ok = is_json_number(value) and 0 <= value <= 1
     elif key == "sizes":
         want = "a list of integers >= 1, with at least one part"
         ok = isinstance(value, list) and value != [] and all(

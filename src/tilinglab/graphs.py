@@ -201,6 +201,15 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def parse_pattern_spec(spec: str) -> Pattern:
+    """Parse 'K<r>' into a clique pattern, or read an edge-list file path."""
+    s = spec.strip()
+    if s.upper().startswith("K") and s[1:].isdigit():
+        return Pattern.clique(int(s[1:]))
+    with open(s, "r", encoding="ascii") as fh:
+        return Pattern(parse_graph(fh.read()))
+
+
 def emit_graph(g: Graph) -> str:
     """Edge-list text for `g`: edges with u < v in lexicographic order."""
     out = [f"{g.n} {g.m}"]

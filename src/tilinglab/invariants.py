@@ -11,10 +11,9 @@ each subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .embed import cliques_of_size, traversing_copy
 from .graphs import Graph, Pattern, members
@@ -71,8 +70,7 @@ def max_clique(g: Graph) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """Result of the clique-free-subgraph solver."""
 
     value: int
@@ -132,8 +130,7 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
     return AlphaResult(value=len(best), witness=tuple(best), exact=not exhausted, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class TraversingVerdict:
+class TraversingVerdict(NamedTuple):
     """Outcome of a traversing-copy check at probe size s.
 
     holds: every examined family of h disjoint s-subsets induced a copy of H

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .absorbers import check_builder
 from .absorbing import AbsorbingStructure, build_absorbing_set
@@ -26,8 +27,7 @@ from .rng import derive_seed
 from .verify import verify_tiling
 
 
-@dataclass
-class StageOutcome:
+class StageOutcome(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -65,7 +65,7 @@ class PipelineReport:
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "tiling"}
         out["schema"] = "pipeline-report/v1"
-        out["stages"] = [asdict(s) for s in self.stages]
+        out["stages"] = [s._asdict() for s in self.stages]
         if include_tiling and self.tiling is not None:
             out["tiling"] = tiling_to_obj(self.tiling)
         return out

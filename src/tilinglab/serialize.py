@@ -1,4 +1,9 @@
-"""JSON serialization for every certificate the tools emit.
+"""The CLI's document codec: JSON for every certificate the tools emit.
+
+Only `cli` imports this module, and `PipelineReport.to_obj` when it is
+called; the JSON value checks it shares with the config, the generator
+grid and the sweep spec live in `config`, and `graphs.parse_pattern_spec`
+reads a pattern argument.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
 tiling/v1 or absorbing-structure/v6, whose edge absorbers are {left, right,
@@ -25,12 +30,11 @@ cannot have run at the stored `t` and pattern.
 from __future__ import annotations
 
 import json
-import sys
 from typing import Any
 
 from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
-from .config import refuse_unknown_keys
+from .config import is_json_int, is_json_number, json_int, refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
 from .templates import TemplateGraph
 
@@ -43,20 +47,6 @@ TEMPLATE_KEYS = {"m", "left_adj"}
 STRUCTURE_KEYS = {"schema", "n", "pattern", "t", "surplus_ratio", "builder", "buffer", "core",
                   "slot_blocks", "template", "edge_absorbers"}
 EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
-
-
-def is_json_int(value: Any) -> bool:
-    """True for a JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def json_int(value: Any, what: str, lo: int | None = None) -> int:
-    """`value` if it is a JSON integer, and at least `lo` when given; else
-    ValueError naming `what`."""
-    if not is_json_int(value) or (lo is not None and value < lo):
-        want = "an integer" if lo is None else f"an integer >= {lo}"
-        raise ValueError(f"{what} must be {want}, not {json.dumps(value)}")
-    return value
 
 
 def _ints(values: Any, what: str, size: int | None = None) -> tuple[int, ...]:
@@ -103,18 +93,8 @@ def pattern_from_obj(obj: dict, n: int | None = None) -> Pattern:
         raise ValueError(f"pattern {key} {size} has more vertices than the graph's {n}")
     if kind == "clique":
         return Pattern.clique(size)
-    return Pattern(Graph(size, [_ints(e, "pattern edge", 2) for e in obj["edges"]]))
-
-
-def parse_pattern_spec(spec: str) -> Pattern:
-    """Parse 'K<r>' into a clique pattern, or read an edge-list file path."""
-    s = spec.strip()
-    if s.upper().startswith("K") and s[1:].isdigit():
-        return Pattern.clique(int(s[1:]))
-    from .graphs import parse_graph
-
-    with open(s, "r", encoding="ascii") as fh:
-        return Pattern(parse_graph(fh.read()))
+    return Pattern(Graph(size, [_ints(e, "pattern edge", 2)
+                                for e in _typed(obj["edges"], list, "pattern edges")]))
 
 
 def tiling_to_obj(t: Tiling) -> dict:
@@ -130,7 +110,8 @@ def tiling_from_obj(obj: dict, n: int) -> Tiling:
     vertices than the graph is refused before it is built."""
     refuse_unknown_keys(obj, TILING_KEYS, "tiling")
     p = pattern_from_obj(obj["pattern"], n=n)
-    return Tiling(pattern=p, copies=tuple(_ints(c, "tiling copy") for c in obj["copies"]))
+    return Tiling(pattern=p, copies=tuple(_ints(c, "tiling copy")
+                                          for c in _typed(obj["copies"], list, "tiling copies")))
 
 
 def template_to_obj(t: TemplateGraph) -> dict:
@@ -187,10 +168,9 @@ def _edge_absorbers(entries: Any, p: Pattern,
 
 
 def _positive_number(value: Any, what: str) -> float:
-    """`value` if it is a finite JSON number > 0, at most the largest float;
-    else ValueError naming `what`."""
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value <= sys.float_info.max):
+    """`value` if it is a finite JSON number > 0; else ValueError naming
+    `what`."""
+    if not (is_json_number(value) and value > 0):
         raise ValueError(f"{what} must be a finite number > 0, not {json.dumps(value)}")
     return value
 

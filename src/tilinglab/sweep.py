@@ -17,12 +17,12 @@ from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
 from .absorbers import check_builder
-from .config import AbsorberConfig, refuse_unknown_keys
+from .config import AbsorberConfig, json_int, refuse_unknown_keys
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, check_param
+from .graphs import parse_pattern_spec
 from .pipeline import FALLBACK_CAP, find_factor_absorbing
 from .rng import derive_seed
-from .serialize import json_int, parse_pattern_spec
 
 CSV_SCHEMA = "sweep/v1"
 

@@ -8,8 +8,7 @@ perfect matching onto the slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import TEMPLATE_RETRIES, StageFailure
 from .matching import max_bipartite_matching
@@ -17,8 +16,7 @@ from .rng import rng_for
 from .verify import VerificationError, check_template
 
 
-@dataclass(frozen=True)
-class TemplateGraph:
+class TemplateGraph(NamedTuple):
     """Bipartite template on (flex + core, slots) with the robust property:
     for every m-subset F of the flex side, (F + core, slots) has a perfect
     matching.  Sizes: flex = m + surplus, core = 2m, slots = 3m; maximum

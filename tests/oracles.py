@@ -21,9 +21,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
-from tilinglab.embed import cliques_of_size, embeddings, pattern_order
+from tilinglab.embed import cliques_of_size, pattern_order
 from tilinglab.generators import decompose_r
-from tilinglab.graphs import Graph, Pattern, vertex_mask
+from tilinglab.graphs import Graph, Pattern
 from tilinglab.matching import max_bipartite_matching
 from tilinglab.rng import rng_for
 
@@ -222,8 +222,8 @@ def _cover_buffer(
     return result if rec(list(remaining), need_copies, m) else None
 
 
-# References for embed.traversing_copy_fixed and embed.embed_in_set: the
-# searches they replaced, which must keep returning the same embedding.
+# Reference for embed.traversing_copy_fixed: the search it replaced, which
+# must keep returning the same embedding.
 
 
 def traversing_copy_fixed_reference(
@@ -263,23 +263,6 @@ def traversing_copy_fixed_reference(
         return None
 
     return rec(0)
-
-
-def embed_in_set_reference(g: Graph, p: Pattern, vertices: Iterable[int]) -> tuple[int, ...] | None:
-    """Embedding of `p` using exactly the given |V(p)| vertices, or None."""
-    vs = frozenset(vertices)
-    if len(vs) != p.h:
-        return None
-    if p.is_clique:
-        t = tuple(sorted(vs))
-        for i, u in enumerate(t):
-            for v in t[i + 1 :]:
-                if not g.has_edge(u, v):
-                    return None
-        return t
-    for emb in embeddings(g, p, vertex_mask(vs)):
-        return emb
-    return None
 
 
 # Reference for generators.gen_gnp: the loop it replaced, which must keep

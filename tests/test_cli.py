@@ -182,7 +182,8 @@ class TestFactor:
         ('{"t": true}', "AbsorberConfig.t must be"),
         ('{"surplus_ratio": "6"}', "AbsorberConfig.surplus_ratio must be"),
         ('{"sample_prob": -1}', "AbsorberConfig.sample_prob must lie in [0, 1]"),
-        ('{"absorber_frac": 1%s}' % ("0" * 400), "error: int too large to convert to float"),
+        ('{"absorber_frac": 1%s}' % ("0" * 400), "AbsorberConfig.absorber_frac must be"),
+        ('{"surplus_ratio": %s}' % ("9" * 400), "AbsorberConfig.surplus_ratio must be"),
     ])
     def test_malformed_config_exit_2(self, g30, capsys, command, config, message):
         extra = ["--solver", "absorbing"] if command == "factor" else []
@@ -270,7 +271,16 @@ class TestVerify:
          'pattern n must be an integer, not "2"'),
         ({"kind": "clique", "r": 3}, [[0, "a", 2]],
          'tiling copy must be a list of integers, not [0, "a", 2]'),
-    ], ids=["r", "kind", "n", "copies"])
+        ({"kind": "clique", "r": 3}, 5, "tiling copies must be a list, not 5"),
+        ({"kind": "clique", "r": 3}, None, "tiling copies must be a list, not null"),
+        ({"kind": "clique", "r": 3}, "abc", 'tiling copies must be a list, not "abc"'),
+        ({"kind": "general", "n": 3, "edges": 5}, [], "pattern edges must be a list, not 5"),
+        ({"kind": "general", "n": 3, "edges": None}, [],
+         "pattern edges must be a list, not null"),
+        ({"kind": "general", "n": 3, "edges": "abc"}, [],
+         'pattern edges must be a list, not "abc"'),
+    ], ids=["r", "kind", "n", "copies", "copies-int", "copies-null", "copies-str",
+            "edges-int", "edges-null", "edges-str"])
     def test_tiling_values_must_be_json_integers(self, g30, tmp_path, capsys,
                                                   pattern, copies, message):
         doc = tmp_path / "tiling.json"

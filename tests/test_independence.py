@@ -1,8 +1,9 @@
 """The verifiers share no search code with the solvers and draw no sample.
 `verify.py` imports nothing from the package but `graphs`, and neither it
 nor `absorption.py`, which reads its absorber tilings off the structure,
-names the exact factor search.  Both are read as syntax trees, not
-imported."""
+names the exact factor search.  The document codec `serialize` is the
+CLI's: no other module imports it when it loads.  Modules are read as
+syntax trees, not imported."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,13 @@ def package_imports(tree: ast.Module) -> set[str]:
     return out
 
 
+def load_time_imports(tree: ast.Module) -> set[str]:
+    """As `package_imports`, but only the imports at a module's top level,
+    which run when it loads; an import inside a function runs at call time."""
+    top = [s for s in tree.body if isinstance(s, (ast.Import, ast.ImportFrom))]
+    return package_imports(ast.Module(body=top, type_ignores=[]))
+
+
 def names(tree: ast.Module) -> set[str]:
     """Every name, attribute and imported name a module mentions."""
     out = set()
@@ -55,6 +63,12 @@ def test_package_imports_reads_every_form():
 
 def test_verify_imports_only_graphs():
     assert package_imports(syntax_tree("verify.py")) <= {"graphs"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                           if p.name != "cli.py"))
+def test_only_cli_imports_serialize_when_it_loads(module):
+    assert "serialize" not in load_time_imports(syntax_tree(module))
 
 
 @pytest.mark.parametrize("module", ["verify.py", "absorption.py"])

@@ -6,11 +6,17 @@ from tilinglab import absorption, pipeline, templates
 from tilinglab.absorbing import AbsorberConfig
 from tilinglab.config import StageFailure
 from tilinglab.embed import find_embedding
-from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
-from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
+from tilinglab.factor import FactorResult, find_factor_exact, greedy_max_tiling, leftover_of
+from tilinglab.generators import (
+    Construction,
+    GammaReport,
+    gen_complete_multipartite,
+    gen_gnp,
+    gen_two_cliques,
+)
 from tilinglab.graphs import Graph, complete_graph, vertex_mask
-from tilinglab.invariants import AlphaResult, traversing_threshold
-from tilinglab.pipeline import check_hypotheses, find_factor_absorbing
+from tilinglab.invariants import AlphaResult, TraversingVerdict, traversing_threshold
+from tilinglab.pipeline import StageOutcome, check_hypotheses, find_factor_absorbing
 from tilinglab.rng import derive_seed, rng_for
 from tilinglab.sweep import ExperimentSpec, rows_to_csv, run_sweep
 from tilinglab.verify import verify_tiling
@@ -19,6 +25,23 @@ K3_DESK = dict(t=1, absorber_frac=0.05, sample_prob=0.08, surplus_ratio=6.0,
                m_cap=1, degree_frac=0.1, threshold_frac=0.1)
 K2_DESK = AbsorberConfig.desk_scale(h=2, absorber_frac=0.2, sample_prob=0.06,
                                     surplus_ratio=2.0, m_cap=1)
+
+
+@pytest.mark.parametrize("record", [
+    FactorResult(status="none", tiling=None, nodes=0),
+    AlphaResult(value=1, witness=(0,), exact=True, nodes=1),
+    TraversingVerdict(s=1, mode="exhaustive", holds=True),
+    templates.TemplateGraph(m=1, left_adj=((0, 1, 2),) * 4),
+    StageOutcome("cover", True),
+    GammaReport(graph=Graph(1), ell=2, max_degree=0, alpha_ell=1, alpha_exact=True),
+    Construction(("n",), lambda c, seed: Graph(int(c["n"]))),
+], ids=lambda r: type(r).__name__)
+def test_value_records_refuse_assignment(record):
+    first = next(iter(type(record).__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError):
+        record.unknown = None
 
 
 class TestHypotheses:

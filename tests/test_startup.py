@@ -27,6 +27,12 @@ def test_csv_loads_only_to_write_a_csv():
     assert out.strip() == "False"
 
 
+def test_serialize_loads_only_for_the_cli():
+    out = run_fresh("import sys, tilinglab, tilinglab.sweep, tilinglab.generators; "
+                    "print('tilinglab.serialize' in sys.modules)")
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_compile_peak(module):
     path = SRC / "tilinglab" / module
