@@ -1,10 +1,10 @@
 """Absorption: the perfect tiling of G[A + R] for a valid remainder R, and
 the factor of G that covers V - A up to such an R and absorbs it.
 
-Its exact covers run on `factor.exact_cover`, fed by the lazy copy
-enumerator `embed.copy_sets_through`: the almost-cover of V - A, the
-disjoint copies into the buffer and the cover of its surplus.  Edge
-absorbers' tilings come from the structure.
+Its exact covers are each one `factor.exact_cover`, which reads the copies
+off g lazily: the almost-cover of V - A, the disjoint copies into the
+buffer and the cover of its surplus.  Edge absorbers' tilings come from the
+structure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from . import factor
 from .config import CertificateBugError, StageFailure
-from .embed import copy_sets_through
 from .factor import exact_cover
 from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .verify import verify_tiling
@@ -139,15 +138,13 @@ def _disjoint_copies(
 ) -> list[tuple[int, ...]] | None:
     """`need` pairwise-disjoint copies of p, each an anchor plus vertices of
     `pool`, as embeddings in anchor order, or None.  This is
-    `factor.exact_cover` over the anchors, lowest first, fed lazily by
-    `copy_sets_through`: an anchor may be passed over `spare` times in all,
-    a reached anchor leaves the pool, and a copy's vertices leave both the
-    pool and the anchors.  A search past `factor.DEFAULT_BUDGET` nodes is a
-    StageFailure."""
+    `factor.exact_cover` over the anchors, lowest first: an anchor may be
+    passed over `spare` times in all, a reached anchor leaves the pool, and
+    a copy's vertices leave both the pool and the anchors.  A search past
+    `factor.DEFAULT_BUDGET` nodes is a StageFailure."""
     budget = factor.DEFAULT_BUDGET
-    got, _nodes, budget_hit = exact_cover(
-        vertex_mask(anchors), vertex_mask(pool), need, spare,
-        lambda v, live: copy_sets_through(g, p, v, live | 1 << v), budget)
+    got, _nodes, budget_hit = exact_cover(g, p, vertex_mask(anchors), vertex_mask(pool),
+                                          need, spare, budget)
     if budget_hit:
         raise StageFailure("absorb-budget",
                            f"the disjoint-copy search exceeded its {budget}-node budget")

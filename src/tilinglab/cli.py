@@ -17,7 +17,7 @@ from functools import partial
 from .absorbers import BUILDERS
 from .absorbing import build_absorbing_set
 from .absorption import absorb
-from .config import AbsorberConfig, StageFailure
+from .config import AbsorberConfig, StageFailure, load_json_text
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph, parse_pattern_spec
@@ -67,6 +67,11 @@ def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
+def _config(args, h: int) -> AbsorberConfig:
+    """The config that `--config` sets for pattern size h."""
+    return AbsorberConfig.from_overrides(h, load_json_text(args.config or "{}", "--config"))
+
+
 def cmd_gen(args) -> int:
     if args.construction == "gamma":  # gen_gamma also reports its alpha_ell
         rep = gen_gamma(args.ell, args.n, args.seed)
@@ -85,9 +90,10 @@ def cmd_gen(args) -> int:
 def cmd_params(args) -> int:
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern) if args.pattern else None
-    ells = [int(x) for x in args.ell.split(",")] if args.ell else [2]
+    if not args.ell:
+        raise ValueError("--ell must name at least one integer")
     report = param_report(
-        g, ells=ells, pattern=pattern,
+        g, ells=args.ell, pattern=pattern,
         traversing_s=args.traversing_s,
         traversing_mode=args.traversing_mode,
         trials=args.trials, seed=args.seed,
@@ -111,7 +117,7 @@ def cmd_factor(args) -> int:
             return OK
         print(f"no factor: {res.status} ({res.nodes} nodes)")
         return FAILURE
-    config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))
+    config = _config(args, pattern.h)
     report = find_factor_absorbing(
         g, pattern, mode=args.mode, ell=args.ell, config=config,
         seed=args.seed, fallback_cap=args.fallback_cap, budget=args.budget_nodes,
@@ -134,7 +140,7 @@ def cmd_absorb(args) -> int:
         raise ValueError(f"--trials must be >= 1, not {args.trials}")
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
-    config = AbsorberConfig.from_overrides(pattern.h, json.loads(args.config or "{}"))
+    config = _config(args, pattern.h)
     if args.builder != "direct":
         held, detail = check_hypotheses(g, pattern, args.builder, config,
                                         ell=args.ell, seed=args.seed)
@@ -170,13 +176,11 @@ def cmd_absorb(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)  # first: the loaders check the pattern against g.n
-    obj = load_json(args.certificate)
-    if not isinstance(obj, dict):
-        print(f"malformed certificate: a JSON {type(obj).__name__}, not an object",
-              file=sys.stderr)
-        return USAGE_ERROR
-    schema = obj.get("schema")
     try:  # load only; the checks run below
+        obj = load_json(args.certificate)  # a ValueError if not JSON or not ASCII
+        if not isinstance(obj, dict):
+            raise ValueError(f"a JSON {type(obj).__name__}, not an object")
+        schema = obj.get("schema")
         if schema == SCHEMA_TILING:
             check = partial(verify_tiling, tiling=tiling_from_obj(obj, g.n),
                             require_factor=args.factor)
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="compute graph parameters as JSON")
     p.add_argument("--graph", required=True)
-    p.add_argument("--ell", type=str, default="2")
+    p.add_argument("--ell", type=_int_list, default="2")
     p.add_argument("--pattern", type=str, default=None)
     p.add_argument("--traversing-s", type=int, default=None)
     p.add_argument("--traversing-mode", choices=["exhaustive", "sampled"],
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["general", "clique"], default="general")
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--config", type=str, default=None,
-                   help="JSON object of AbsorberConfig fields (any but h and overrides)")
+                   help="JSON object of AbsorberConfig fields (any field but h)")
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--fallback-cap", type=int, default=FALLBACK_CAP)
     p.add_argument("--seed", type=int, default=seed_default)
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builder", choices=BUILDERS, default="direct")
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--config", type=str, default=None,
-                   help="JSON object of AbsorberConfig fields (any but h and overrides)")
+                   help="JSON object of AbsorberConfig fields (any field but h)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)

@@ -1,21 +1,22 @@
 """Absorber configuration, the errors of the absorbing layers, and the
 checks of JSON values.
 
-`AbsorberConfig` holds the constants that drive absorber construction; the
+`AbsorberConfig` holds the constants that drive absorber construction:
+`asymptotic` binds two of them to the others as the theory does, and
+`desk_scale` sets each one, as every build in the package does.  The
 exceptions are the ones the template, absorber, absorbing-set and absorption
-modules raise.  `refuse_unknown_keys`, `is_json_int`, `json_int` and
-`is_json_number` are the one check each of a JSON object's keys, integers
-and numbers, which the config, the generator grid, the sweep spec and the
-document loaders share.  This module imports nothing from the package, so
+modules raise.  `load_json_text`, `refuse_unknown_keys`, `is_json_int`,
+`json_int` and `is_json_number` are the one check each of a JSON text,
+object keys, integers and numbers, which the config, the generator grid,
+the sweep spec and the document loaders share.  This module imports nothing from the package, so
 every layer can import it without a cycle.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import IO, Any
 
 
 class StageFailure(RuntimeError):
@@ -34,6 +35,18 @@ class StageFailure(RuntimeError):
 
 class CertificateBugError(RuntimeError):
     """A property certified at build time failed at use time."""
+
+
+def load_json_text(source: str | IO[str], what: str) -> Any:
+    """The JSON value of `source`, a string or an open text file; a
+    ValueError naming `what` if it does not decode (not JSON, or a file
+    that is not in its encoding)."""
+    import json  # here, so that `import tilinglab` loads no json
+
+    try:
+        return json.loads(source if isinstance(source, str) else source.read())
+    except ValueError as exc:
+        raise ValueError(f"{what} is not JSON: {exc}") from None
 
 
 def refuse_unknown_keys(obj: dict, known, what: str) -> None:
@@ -76,20 +89,14 @@ SAMPLE_RETRIES = 50
 PARTITION_RETRIES = 20
 
 
-def _asymptotic_bindings(h: int, t: int, absorber_frac: float) -> tuple[float, float]:
-    """(sample_prob, surplus_ratio) as the theory binds them."""
-    q = absorber_frac / (500 * h * t)
-    return q, q ** (h - 1) * absorber_frac / 4
-
-
 @dataclass(frozen=True)
 class AbsorberConfig:
     """Constants driving absorber construction.
 
-    The asymptotic bindings are sample_prob = absorber_frac/(500*h*t) and
-    surplus_ratio = sample_prob**(h-1)*absorber_frac/4, all in (0,1).
-    Desk-scale configurations override both (overrides=True).  A config
-    is a build's input only: the structure it builds keeps t and
+    `asymptotic` binds sample_prob = absorber_frac/(500*h*t) and
+    surplus_ratio = sample_prob**(h-1)*absorber_frac/4 as the theory does;
+    `desk_scale` sets both directly, as every build in the package does.
+    A config is a build's input only: the structure it builds keeps t and
     surplus_ratio, which fixes the absorbable remainder fraction
     surplus_ratio/(h-1), and a structure document stores no config.  This
     class is the only place that lists the fields; `from_overrides` reads
@@ -103,7 +110,6 @@ class AbsorberConfig:
     surplus_ratio: float      # buffer surplus per template round: |buffer| = (1+ratio)*m
     degree_frac: float = 0.1       # minimum-degree fraction for hypothesis checks
     threshold_frac: float = 0.2    # clique-free / traversing threshold fraction
-    overrides: bool = False
     pool_size: int | None = None         # neighbor-pool size per core vertex
     part_degree_min: int | None = None   # per-class degree floor for the partition build
     common_nbhd_min: int | None = None   # common-neighborhood floor for clique descent
@@ -113,9 +119,7 @@ class AbsorberConfig:
         # fields arrive from JSON, so every type and range is checked here
         for f in fields(self):
             x = getattr(self, f.name)
-            if f.type == "bool":
-                ok = isinstance(x, bool)
-            elif f.type == "float":
+            if f.type == "float":
                 ok = is_json_number(x)
             else:  # "int" or "int | None", never negative
                 ok = (is_json_int(x) and x >= 0) or (x is None and f.type == "int | None")
@@ -130,20 +134,16 @@ class AbsorberConfig:
         for name, low in dict(h=2, t=1).items():
             if getattr(self, name) < low:
                 raise ValueError(f"AbsorberConfig.{name} must be at least {low}")
-        if not self.overrides:
-            q, b = _asymptotic_bindings(self.h, self.t, self.absorber_frac)
-            if not (math.isclose(self.sample_prob, q, rel_tol=1e-9)
-                    and math.isclose(self.surplus_ratio, b, rel_tol=1e-9)):
-                raise ValueError("non-override config must use the asymptotic bindings")
-            for x in (self.absorber_frac, self.sample_prob, self.surplus_ratio):
-                if not 0 < x < 1:
-                    raise ValueError("asymptotic constants must lie in (0, 1)")
 
     @classmethod
-    def asymptotic(cls, h: int, t: int, absorber_frac: float, **kw) -> "AbsorberConfig":
-        q, b = _asymptotic_bindings(h, t, absorber_frac)
+    def asymptotic(cls, h: int, t: int, absorber_frac: float) -> "AbsorberConfig":
+        """The config with sample_prob and surplus_ratio as the theory binds
+        them; absorber_frac must lie in (0, 1), as the theory's does."""
+        if not 0 < absorber_frac < 1:
+            raise ValueError("asymptotic absorber_frac must lie in (0, 1)")
+        q = absorber_frac / (500 * h * t)
         return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=q,
-                   surplus_ratio=b, overrides=False, **kw)
+                   surplus_ratio=q ** (h - 1) * absorber_frac / 4)
 
     @classmethod
     def desk_scale(
@@ -155,21 +155,19 @@ class AbsorberConfig:
         surplus_ratio: float = 6.0,
         **kw,
     ) -> "AbsorberConfig":
-        """Override constants; `kw` sets any further field except overrides."""
+        """Desk-scale constants; `kw` sets any further field."""
         return cls(h=h, t=t, absorber_frac=absorber_frac, sample_prob=sample_prob,
-                   surplus_ratio=surplus_ratio, overrides=True, **kw)
+                   surplus_ratio=surplus_ratio, **kw)
 
     @classmethod
     def from_overrides(cls, h: int, obj) -> "AbsorberConfig":
         """The desk_scale config for pattern size h with the fields set in
         `obj`, the JSON object given to `--config` or as a sweep spec's
         `config`.  `obj` may set any field except h, which the pattern
-        fixes, and overrides; anything else raises a ValueError naming it."""
+        fixes; anything else raises a ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"--config must be a JSON object, not {type(obj).__name__}")
-        fixed = obj.keys() & {"h", "overrides"}
-        if fixed:
-            raise ValueError(f"config may not set {', '.join(sorted(fixed))}: the pattern "
-                             "fixes h, and overrides is always true here")
+        if "h" in obj:
+            raise ValueError("config may not set h: the pattern fixes it")
         refuse_unknown_keys(obj, {f.name for f in fields(cls)}, "AbsorberConfig")
         return cls.desk_scale(h=h, **obj)

@@ -3,7 +3,9 @@
 Everything here iterates candidates in a fixed order (vertex index, or an
 explicitly supplied ranking), so repeated runs return identical results.
 Candidate sets are vertex masks, intersected with a Graph's neighbour
-masks; `allowed` is a mask too, or None for every vertex.
+masks; `allowed` is a mask too (`cliques_of_size` also takes None for every
+vertex).  Every caller looks for copies through a given vertex, so
+`embeddings` and `find_embedding` take that anchor as a required argument.
 An *embedding* of a pattern H into G is a tuple `emb` of length v(H) with
 `emb[i]` the image of pattern vertex i; pattern edges must map to graph
 edges (copies are subgraphs, not necessarily induced).
@@ -139,24 +141,19 @@ def _extend_embedding(bits: Sequence[int], order: Sequence[int], back: Sequence[
 def embeddings(
     g: Graph,
     p: Pattern,
-    allowed: int | None = None,
-    anchor: int | None = None,
+    allowed: int,
+    anchor: int,
     rank: Callable[[int], int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """All embeddings of `p` into `g` within `allowed`.
-
-    With `anchor`, only embeddings whose image contains the anchor vertex are
-    produced (the anchor is tried at every pattern position).  Beware that
-    distinct embeddings may share an image set.
+    """All embeddings of `p` into `g` within the mask `allowed` whose image
+    contains the vertex `anchor`; the anchor is tried at every pattern
+    position, in the order of `pattern_order`.  Beware that distinct
+    embeddings may share an image set.
     """
-    pool = (1 << g.n) - 1 if allowed is None else allowed
-    domains = [pool] * p.h
+    if not allowed >> anchor & 1:
+        return
+    domains = [allowed] * p.h
     order = pattern_order(p)
-    if anchor is None:
-        yield from _embed_backtrack(g, order, _back_edges(p, order), domains, {}, rank)
-        return
-    if not pool >> anchor & 1:
-        return
     for slot in order:
         new_order = [slot] + [q for q in order if q != slot]
         yield from _embed_backtrack(g, new_order, _back_edges(p, new_order), domains,
@@ -166,14 +163,15 @@ def embeddings(
 def find_embedding(
     g: Graph,
     p: Pattern,
-    allowed: int | None = None,
-    anchor: int | None = None,
+    allowed: int,
+    anchor: int,
     rank: Callable[[int], int] | None = None,
 ) -> tuple[int, ...] | None:
-    """First embedding in deterministic order, or None."""
+    """First embedding through `anchor` within `allowed` in deterministic
+    order, or None."""
     if p.is_clique:
         return next(cliques_of_size(g, p.h, allowed, require=anchor), None)
-    return next(embeddings(g, p, allowed, anchor=anchor, rank=rank), None)
+    return next(embeddings(g, p, allowed, anchor, rank), None)
 
 
 def _layers(g: Graph, v: int, within: int, radius: int) -> list[int]:

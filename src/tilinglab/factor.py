@@ -1,20 +1,19 @@
 """Exact tiling oracle: decide H-factor existence, build maximal tilings.
 
 `exact_cover` is the one exact-cover search: it branches on the lowest
-anchor still to cover, trying the candidates through it in the order its
-caller yields them.  find_factor_exact, the ground truth everything else is
-checked against, feeds it the lazy lex-order `embed.copy_sets_through`
-inside the uncovered vertices (of g, or of a mask `within`), and
-`absorption._disjoint_copies` the pipeline's almost-cover of V - A and the
-copies into the buffer.  A node is one
-anchor reached while copies are still needed; budgets count nodes, never
-wall time, and a search past its budget says so.
+anchor still to cover, trying the copies through it in the lex order of
+the lazy `embed.copy_sets_through` inside the live vertices.
+find_factor_exact, the ground truth everything else is checked against,
+runs it on the vertices of g (or of a mask `within`), and
+`absorption._disjoint_copies` on the pipeline's almost-cover of V - A and
+the copies into the buffer.  A node is one anchor reached while copies are
+still needed; budgets count nodes, never wall time, and a search past its
+budget says so.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .embed import copy_sets_through, find_embedding
 from .graphs import Graph, Pattern, Tiling, vertex_mask
@@ -35,17 +34,16 @@ class FactorResult(NamedTuple):
         return self.status == "factor"
 
 
-def exact_cover(anchors: int, live: int, need: int, spare: int,
-                options: Callable[[int, int], Iterable[tuple[Iterable[int], object]]],
+def exact_cover(g: Graph, p: Pattern, anchors: int, live: int, need: int, spare: int,
                 budget: int) -> tuple[list | None, int, bool]:
-    """Choose `need` pairwise-disjoint candidates by backtracking.
+    """Choose `need` pairwise-disjoint copies of p in g by backtracking.
 
-    The lowest vertex v of the mask `anchors` is reached first, and
-    `options(v, live)` yields the candidates through it as (vertices, item),
-    v among the vertices.  Taking a candidate removes its vertices from both
+    The lowest vertex v of the mask `anchors` is reached first, and its
+    candidates are the copies through v in `live` plus v, in the order of
+    `copy_sets_through`.  Taking a copy removes its vertices from both
     masks; in all, `spare` reached anchors may be passed over, and such an
-    anchor leaves `live`.  Returns (the items in the order taken, or None,
-    nodes, budget_hit); the search stops once it passes `budget` nodes.
+    anchor leaves `live`.  Returns (the embeddings in the order taken, or
+    None, nodes, budget_hit); the search stops once it passes `budget` nodes.
     """
     nodes = 0
     budget_hit = False
@@ -62,15 +60,15 @@ def exact_cover(anchors: int, live: int, need: int, spare: int,
             return None
         low = anchors & -anchors
         anchors ^= low
-        for vertices, item in options(low.bit_length() - 1, live):
+        for img, emb in copy_sets_through(g, p, low.bit_length() - 1, live | low):
             cut = 0
-            for u in vertices:  # vertex_mask, inlined: this runs once per candidate
+            for u in img:  # vertex_mask, inlined: this runs once per candidate
                 cut |= 1 << u
             rest = rec(anchors & ~cut, live & ~cut, need - 1, spare)
             if budget_hit:
                 return None
             if rest is not None:
-                return [item] + rest
+                return [emb] + rest
         return rec(anchors, live & ~low, need, spare - 1) if spare else None
 
     got = rec(anchors, live, need, spare)
@@ -94,8 +92,7 @@ def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET,
     size = within.bit_count()
     if size % p.h != 0:
         return FactorResult(status="none", tiling=None, nodes=0)
-    got, nodes, budget_hit = exact_cover(within, within, size // p.h, 0,
-                                         partial(copy_sets_through, g, p), budget)
+    got, nodes, budget_hit = exact_cover(g, p, within, within, size // p.h, 0, budget)
     if budget_hit:
         return FactorResult(status="budget", tiling=None, nodes=nodes)
     if got is None:

@@ -5,7 +5,8 @@ alpha_ell(G) is the size of a largest induced subgraph without a clique on
 ell vertices (ell = 2 gives the independence number).  The traversing
 threshold of (G, H) is the smallest s such that every family of v(H)
 pairwise-disjoint s-subsets of V(G) induces a copy of H with one vertex in
-each subset.
+each subset; `traversing_check` either samples the families or enumerates
+them all, refusing when they number more than EXHAUSTIVE_FAMILY_CAP.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ EXHAUSTIVE_FAMILY_CAP = 500_000
 
 
 class EnumerationCapError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed EXHAUSTIVE_FAMILY_CAP."""
 
 
 def min_degree(g: Graph) -> int:
@@ -135,7 +136,8 @@ class TraversingVerdict(NamedTuple):
 
     holds: every examined family of h disjoint s-subsets induced a copy of H
     with one vertex per subset.  On failure, `witness` is one family with no
-    such copy (re-checkable by traversing-copy search).
+    such copy (re-checkable by traversing-copy search).  In sampled mode a
+    failure is conclusive, but holding is an empirical estimate.
     """
 
     s: int
@@ -143,8 +145,6 @@ class TraversingVerdict(NamedTuple):
     holds: bool
     witness: tuple[tuple[int, ...], ...] | None = None
     families_checked: int = 0
-    trials: int | None = None
-    note: str = ""
 
 
 def _count_disjoint_families(n: int, h: int, s: int) -> int:
@@ -163,14 +163,14 @@ def traversing_check(
     mode: str = "exhaustive",
     trials: int = 500,
     seed: int = 0,
-    cap: int = EXHAUSTIVE_FAMILY_CAP,
 ) -> TraversingVerdict:
     """Check whether every family of h disjoint s-subsets spans a traversing
     copy of the pattern (one vertex in each subset, any assignment).
 
     Exhaustive mode enumerates all families and refuses if their count
-    exceeds `cap`.  Sampled mode draws `trials` (at least 1) uniformly
-    random disjoint families.  A failing family is returned as a witness.
+    exceeds EXHAUSTIVE_FAMILY_CAP.  Sampled mode draws `trials` (at least 1)
+    uniformly random disjoint families.  A failing family is returned as a
+    witness.
     """
     h = p.h
     if s < 1:
@@ -180,9 +180,9 @@ def traversing_check(
 
     if mode == "exhaustive":
         count = _count_disjoint_families(g.n, h, s)
-        if count > cap:
+        if count > EXHAUSTIVE_FAMILY_CAP:
             raise EnumerationCapError(
-                f"{count} families exceed the exhaustive cap of {cap}"
+                f"{count} families exceed the exhaustive cap of {EXHAUSTIVE_FAMILY_CAP}"
             )
         checked = 0
         for fam in _iter_families_one_per_min(list(range(g.n)), h, s):
@@ -203,15 +203,9 @@ def traversing_check(
             picked = rng.sample(range(g.n), h * s)
             fam = [tuple(sorted(picked[i * s : (i + 1) * s])) for i in range(h)]
             if traversing_copy(g, p, fam) is None:
-                return TraversingVerdict(
-                    s=s, mode=mode, holds=False,
-                    witness=tuple(fam), families_checked=t + 1, trials=trials,
-                    note="sampled verdict; failure is conclusive",
-                )
-        return TraversingVerdict(
-            s=s, mode=mode, holds=True, families_checked=trials, trials=trials,
-            note="sampled verdict; holding is an empirical estimate",
-        )
+                return TraversingVerdict(s=s, mode=mode, holds=False,
+                                         witness=tuple(fam), families_checked=t + 1)
+        return TraversingVerdict(s=s, mode=mode, holds=True, families_checked=trials)
 
     raise ValueError(f"unknown mode: {mode}")
 
@@ -246,17 +240,16 @@ def traversing_threshold(
     mode: str = "exhaustive",
     trials: int = 500,
     seed: int = 0,
-    cap: int = EXHAUSTIVE_FAMILY_CAP,
 ) -> tuple[float, TraversingVerdict | None]:
     """Smallest s in 1..floor(n/h) passing traversing_check, scanned upward.
 
     Returns (s, verdict); if no s passes (for instance when G has no copy of
     the pattern at all) the value is math.inf with verdict None.  In sampled
-    mode the result is an empirical estimate, flagged via the verdict note.
+    mode the result is an empirical estimate.
     """
     h = p.h
     for s in range(1, g.n // h + 1):
-        verdict = traversing_check(g, p, s, mode=mode, trials=trials, seed=seed, cap=cap)
+        verdict = traversing_check(g, p, s, mode=mode, trials=trials, seed=seed)
         if verdict.holds:
             return s, verdict
     return math.inf, None

@@ -34,7 +34,7 @@ from typing import Any
 
 from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
-from .config import is_json_int, is_json_number, json_int, refuse_unknown_keys
+from .config import is_json_int, is_json_number, json_int, load_json_text, refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
 from .templates import TemplateGraph
 
@@ -121,7 +121,8 @@ def template_to_obj(t: TemplateGraph) -> dict:
 def template_from_obj(obj: dict) -> TemplateGraph:
     refuse_unknown_keys(_typed(obj, dict, "template"), TEMPLATE_KEYS, "template")
     m = json_int(obj["m"], "template m", 1)
-    left_adj = tuple(_ints(row, "template left_adj row") for row in obj["left_adj"])
+    left_adj = tuple(_ints(row, "template left_adj row")
+                     for row in _typed(obj["left_adj"], list, "template left_adj"))
     if any(not 0 <= r < 3 * m for row in left_adj for r in row):
         raise ValueError(f"template left_adj entries must lie in 0..{3 * m - 1}")
     # both writers emit each row sorted; a repeated slot would double an edge
@@ -214,4 +215,4 @@ def dump_json(obj: Any, path: str) -> None:
 
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+        return load_json_text(fh, path)

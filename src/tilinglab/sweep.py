@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from itertools import product
 
 from .absorbers import check_builder
-from .config import AbsorberConfig, json_int, refuse_unknown_keys
+from .config import AbsorberConfig, json_int, load_json_text, refuse_unknown_keys
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, check_param
 from .graphs import parse_pattern_spec
@@ -103,7 +103,7 @@ class ExperimentSpec:
     @classmethod
     def load(cls, path: str) -> "ExperimentSpec":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_obj(json.load(fh))
+            return cls.from_obj(load_json_text(fh, f"sweep spec {path}"))
 
     def grid_keys(self) -> list[str]:
         return sorted(self.grid)

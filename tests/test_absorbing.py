@@ -83,13 +83,18 @@ class TestConfig:
         c = AbsorberConfig.asymptotic(h=3, t=3, absorber_frac=0.1)
         assert math.isclose(c.sample_prob, 0.1 / (500 * 9))
         assert math.isclose(c.surplus_ratio, c.sample_prob**2 * 0.1 / 4)
-        assert not c.overrides
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0])
+    def test_asymptotic_absorber_frac_is_open_interval(self, frac):
+        # the theory's density lies strictly inside (0, 1)
+        with pytest.raises(ValueError, match=r"absorber_frac must lie in \(0, 1\)"):
+            AbsorberConfig.asymptotic(h=3, t=1, absorber_frac=frac)
 
     def test_identity_enforced_even_with_overrides(self):
         # the remainder fraction is surplus_ratio/(h-1), so it cannot be set
         with pytest.raises(TypeError):
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.1,
-                           surplus_ratio=6.0, remainder_frac=1.0, overrides=True)
+                           surplus_ratio=6.0, remainder_frac=1.0)
         # h = 3 and surplus_ratio 6.0 give the fraction 3.0: 30 on 10 vertices,
         # below the surplus's 100 // 2, and the surplus's 7 // 2 on 100
         assert absorbing._max_remainder(3, 6.0, 100, 10) == 30
@@ -97,21 +102,22 @@ class TestConfig:
         # 1e308 / 2 * 100 is inf, which math.floor cannot take
         assert absorbing._max_remainder(3, 1e308, 7, 100) == 3
 
-    def test_non_override_rejects_custom_constants(self):
-        with pytest.raises(ValueError):
+    def test_overrides_keyword_is_gone(self):
+        # there is no overrides flag: asymptotic() binds the constants itself
+        with pytest.raises(TypeError):
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.5,
                            surplus_ratio=1.0, overrides=False)
 
     def test_from_overrides_sets_every_field(self):
-        # every field but h, which the pattern fixes, and overrides
+        # every field but h, which the pattern fixes
         values = dict(t=2, absorber_frac=0.3, sample_prob=0.2, surplus_ratio=1.5,
                       degree_frac=0.15, threshold_frac=0.25, pool_size=7,
                       part_degree_min=3, common_nbhd_min=2, m_cap=4)
         fields = dataclasses.fields(AbsorberConfig)
-        assert {f.name for f in fields} == set(values) | {"h", "overrides"}
+        assert {f.name for f in fields} == set(values) | {"h"}
         assert all(values[f.name] != f.default for f in fields if f.name in values)
         assert AbsorberConfig.from_overrides(4, json.loads(json.dumps(values))) == \
-            AbsorberConfig(h=4, overrides=True, **values)
+            AbsorberConfig(h=4, **values)
 
 
 class TestTemplate:
@@ -612,6 +618,12 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj.update(template=[1]), "template must be an object, not [1]"),
         (lambda obj: obj["template"]["left_adj"][0].append(7),
          "template left_adj entries must lie in 0..2"),
+        (lambda obj: obj["template"].update(left_adj=5),
+         "template left_adj must be a list, not 5"),
+        (lambda obj: obj["template"].update(left_adj=None),
+         "template left_adj must be a list, not null"),
+        (lambda obj: obj["template"].update(left_adj="abc"),
+         'template left_adj must be a list, not "abc"'),
         # a repeated slot doubles a template edge, which absorb then tiles twice
         (lambda obj: obj["template"]["left_adj"].__setitem__(0, [0, 0, 1, 2]),
          "template left_adj rows must be strictly increasing"),
@@ -645,7 +657,8 @@ class TestBuildAbsorbingSet:
             "t_float", "surplus_ratio_infinity", "surplus_ratio_nan", "surplus_ratio_huge",
             "surplus_ratio_zero", "surplus_ratio_negative", "surplus_ratio_bool",
             "surplus_ratio_string", "m",
-            "pattern_type", "template_type", "left_adj", "repeated_slot", "unsorted_row",
+            "pattern_type", "template_type", "left_adj", "left_adj_int", "left_adj_null",
+            "left_adj_str", "repeated_slot", "unsorted_row",
             "buffer", "core", "slot_block", "absorber_vertex", "absorber_left",
             "absorber_right", "absorber_entry", "absorbers_type", "repeated_edge_first",
             "repeated_edge_last", "builder", "unknown_builder"])

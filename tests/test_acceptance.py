@@ -137,7 +137,6 @@ def test_05_absorbing_soundness():
     config = AbsorberConfig.desk_scale(h=3, **K3_DESK)
     held, detail = check_hypotheses(g, k3, "clique", config, ell=2, seed=1)
     assert held, detail
-    assert config.overrides
     structure = build_absorbing_set(g, k3, config, seed=2)
     verify_structure(g, structure)
     aset = structure.absorbing_set

@@ -120,6 +120,14 @@ class TestParams:
                        "--traversing-s", s, "--traversing-mode", "exhaustive") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ell,message", [
+        ("abc", "argument --ell: invalid"),
+        (",", "--ell must name at least one integer"),
+    ])
+    def test_malformed_ell_exit_2(self, g30, capsys, ell, message):
+        assert run_cli("params", "--graph", str(g30), "--ell", ell) == 2
+        assert message in capsys.readouterr().err
+
     def test_sampled_probe_without_trials_exit_2(self, g30, capsys):
         assert run_cli("params", "--graph", str(g30), "--pattern", "K3",
                        "--traversing-s", "2", "--trials", "0") == 2
@@ -174,9 +182,10 @@ class TestFactor:
         ('{"partition_retries": 5}', "unknown AbsorberConfig key(s): partition_retries"),
         ('{"template_retries": 5}', "unknown AbsorberConfig key(s): template_retries"),
         ('{"h": 3}', "config may not set h"),
-        ('{"overrides": false}', "config may not set overrides"),
+        ('{"overrides": false}', "unknown AbsorberConfig key(s): overrides"),
         ("[1]", "--config must be a JSON object, not list"),
         ("{", "error:"),
+        ("{bad", "error: --config is not JSON: Expecting property name"),
         ('{"m_cap": "x"}', "AbsorberConfig.m_cap must be"),
         ('{"t": 1.5}', "AbsorberConfig.t must be"),
         ('{"t": true}', "AbsorberConfig.t must be"),
@@ -301,6 +310,16 @@ class TestVerify:
         doc.write_text(json.dumps({"schema": "tiling/v1", "pattern": pattern, "copies": []}))
         assert run_cli("verify", "--certificate", str(doc), "--graph", str(graph)) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data,message", [
+        (b'{"schema": ', "is not JSON: Expecting value"),
+        ('{"schema": "tiling/v1\u00e9"}'.encode(), "is not JSON: 'ascii' codec"),
+    ], ids=["not-json", "not-ascii"])
+    def test_unreadable_certificate_is_malformed(self, g30, tmp_path, capsys, data, message):
+        doc = tmp_path / "bad.json"
+        doc.write_bytes(data)
+        assert run_cli("verify", "--certificate", str(doc), "--graph", str(g30)) == 2
+        assert f"malformed certificate: {doc} {message}" in capsys.readouterr().err
 
     def test_top_level_list_is_malformed(self, g30, tmp_path, capsys):
         doc = tmp_path / "list.json"
@@ -473,6 +492,13 @@ class TestSweep:
         monkeypatch.setattr(sweep, "run_trial", None)  # no trial may start
         assert run_cli("sweep", "--spec", str(path)) == 2
         assert message in capsys.readouterr().err
+
+    def test_spec_that_is_not_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"generator": ')
+        assert run_cli("sweep", "--spec", str(path)) == 2
+        assert (f"error: sweep spec {path} is not JSON: Expecting value"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("solver,code", [("pipeline", 2), ("exact", 0)])
     def test_clique_mode_on_path_pattern(self, tmp_path, capsys, monkeypatch, solver, code):

@@ -11,11 +11,11 @@ from oracles import (
     traversing_copy_bruteforce,
     traversing_copy_fixed_reference,
 )
+from tilinglab import absorption
 from tilinglab.embed import (
     cliques_of_size,
     copy_sets_through,
     embeddings,
-    find_embedding,
     traversing_copy,
     traversing_copy_fixed,
 )
@@ -101,6 +101,38 @@ class TestExactFactor:
             assert res.found == (2 * len(matching) == n), i
 
 
+# The exact search's branch order: the status, node count and tiling of
+# find_factor_exact on four instances, and one _disjoint_copies result.  A
+# change to the order in which the search tries anchors or copies changes
+# these values, and should do so on purpose.
+P3 = Pattern(parse_graph("3 2\n0 1\n1 2\n"))
+C4 = Pattern(parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
+
+
+@pytest.mark.parametrize("pattern,graph,status,nodes,copies", [
+    (Pattern.clique(3), (30, 0.6, 0), "factor", 101,
+     ((0, 2, 4), (1, 3, 10), (5, 8, 12), (6, 7, 9), (11, 14, 15), (13, 16, 17),
+      (18, 21, 29), (19, 20, 23), (22, 24, 27), (25, 26, 28))),
+    (P3, (30, 0.5, 0), "factor", 20,
+     ((0, 8, 1), (3, 2, 4), (5, 22, 6), (9, 7, 11), (12, 10, 16), (13, 17, 14),
+      (15, 20, 18), (19, 23, 24), (27, 21, 29), (26, 25, 28))),
+    (C4, (28, 0.5, 1), "factor", 36,
+     ((0, 1, 4, 2), (3, 7, 5, 9), (6, 10, 8, 12), (11, 16, 13, 17), (14, 21, 19, 26),
+      (15, 23, 18, 25), (20, 22, 24, 27))),
+    (C4, (16, 0.25, 0), "none", 91, None),
+], ids=["K3", "P3", "C4", "C4-none"])
+def test_exact_search_branch_order(pattern, graph, status, nodes, copies):
+    res = find_factor_exact(gen_gnp(*graph), pattern)
+    assert (res.status, res.nodes) == (status, nodes)
+    assert (None if res.tiling is None else res.tiling.copies) == copies
+
+
+def test_disjoint_copies_branch_order():
+    # anchors outside the pool, two of them passed over
+    got = absorption._disjoint_copies(gen_gnp(18, 0.3, 4), C4, range(5), range(5, 18), 3, 2)
+    assert got == [(1, 13, 9, 16), (2, 11, 7, 14), (3, 5, 10, 8)]
+
+
 class TestGreedyTiling:
     def test_k9_tiles_fully(self, k3):
         t = greedy_max_tiling(complete_graph(9), k3)
@@ -118,7 +150,7 @@ class TestGreedyTiling:
             g = gen_gnp(21, 0.35, seed)
             t = greedy_max_tiling(g, k3, seed=seed)
             left = leftover_of(g, t)
-            assert find_embedding(g, k3, vertex_mask(left)) is None
+            assert next(cliques_of_size(g, 3, vertex_mask(left)), None) is None
             verify_tiling(g, t)
 
     def test_respects_forbidden(self, k3):
@@ -243,10 +275,10 @@ class TestBitsetKernelsMatchBruteForce:
     def test_embeddings(self, host, data):
         edges, g, p = host
         allowed = data.draw(st.none() | st.lists(st.integers(0, g.n - 1)), label="allowed")
-        anchor = data.draw(st.none() | st.integers(0, g.n - 1), label="anchor")
+        anchor = data.draw(st.integers(0, g.n - 1), label="anchor")
         ranking = data.draw(st.none() | st.permutations(range(g.n)), label="rank")
         rank = None if ranking is None else ranking.__getitem__
-        mask = None if allowed is None else vertex_mask(allowed)
+        mask = (1 << g.n) - 1 if allowed is None else vertex_mask(allowed)
         assert (list(embeddings(g, p, mask, anchor=anchor, rank=rank))
                 == embeddings_bruteforce(g.n, edges, p, allowed, anchor, rank))
 

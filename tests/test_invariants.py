@@ -113,7 +113,7 @@ class TestTraversing:
         g = gen_gnp(60, 0.5, 3)
         v = traversing_check(g, k3, 6, mode="sampled", trials=500, seed=9)
         assert v.holds
-        assert v.trials == 500
+        assert v.families_checked == 500
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_sampled_needs_a_trial(self, k3, trials):
@@ -150,7 +150,7 @@ class TestTraversing:
     def test_cap_guard(self, k3):
         g = gen_gnp(40, 0.5, 1)
         with pytest.raises(EnumerationCapError):
-            traversing_check(g, k3, 5, mode="exhaustive", cap=1000)
+            traversing_check(g, k3, 5, mode="exhaustive")
 
     def test_precondition(self, k3):
         with pytest.raises(ValueError):

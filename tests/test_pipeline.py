@@ -5,7 +5,7 @@ import pytest
 from tilinglab import absorption, pipeline, templates
 from tilinglab.absorbing import AbsorberConfig
 from tilinglab.config import StageFailure
-from tilinglab.embed import find_embedding
+from tilinglab.embed import cliques_of_size
 from tilinglab.factor import FactorResult, find_factor_exact, greedy_max_tiling, leftover_of
 from tilinglab.generators import (
     Construction,
@@ -265,7 +265,7 @@ class TestCoverCheck:
             left = leftover_of(g, tiling, forbidden=avoid)
             s, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
                                         seed=rng.randrange(10**9))
-            assert find_embedding(g, k3, vertex_mask(left)) is None
+            assert next(cliques_of_size(g, 3, vertex_mask(left)), None) is None
             assert len(left) < 3 * s, (i, len(left), s)
 
 

@@ -23,7 +23,7 @@ CALLS = {
     "max_clique": lambda: max_clique(G30),
     "max_bipartite_matching": lambda: max_bipartite_matching(
         30, 30, [list(G30.neighbors(v)) for v in range(30)]),
-    "embeddings": lambda: list(embeddings(G30, C4, anchor=0)),
+    "embeddings": lambda: list(embeddings(G30, C4, (1 << 30) - 1, anchor=0)),
     "disjoint_copies": lambda: absorption._disjoint_copies(
         gen_gnp(8, 0.6, 3), Pattern.clique(3), [0, 1], range(2, 8), 2, 0),
     "traversing_check": lambda: traversing_check(gen_gnp(8, 0.6, 1), Pattern.clique(3), 2,
