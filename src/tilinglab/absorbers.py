@@ -16,7 +16,7 @@ from .config import PARTITION_RETRIES, AbsorberConfig, StageFailure
 from .embed import cliques_of_size, copy_sets_through, traversing_copy
 from .factor import find_factor_exact, greedy_max_tiling
 from .graphs import Graph, Pattern, Tiling, members, vertex_mask
-from .rng import derive_seed, rng_for
+from .rng import rng_for
 
 # exact-search node budget of each of an absorber's two tilings
 ABSORBER_BUDGET = 200_000
@@ -118,18 +118,18 @@ def disjoint_absorber_family_general(
     core: Iterable[int],
     target: int,
     config: AbsorberConfig,
-    seed: int = 0,
     forbidden: Iterable[int] = (),
 ) -> list[tuple[Tiling, Tiling]]:
     """Absorber family via disjoint neighbor pools and traversing copies.
 
-    For each core vertex w, a pool inside N(w) is reserved and greedily
-    tiled; one designated vertex per copy goes into w's mark set.  Every
-    copy traversing all mark sets, combined with the designated copies it
-    hits, is one absorber of h*h vertices, and a 'verify' StageFailure if it
-    does not tile.  Extraction repeats until the target is met or the
-    traversing search is exhausted; the result is empty when some core
-    vertex lacks a full pool.
+    For each core vertex w, a pool inside N(w) is reserved and tiled by
+    `greedy_max_tiling`, in vertex index order (the construction needs only
+    some maximal tiling); one designated vertex per copy goes into w's mark
+    set.  Every copy traversing all mark sets, combined with the designated
+    copies it hits, is one absorber of h*h vertices, and a 'verify'
+    StageFailure if it does not tile.  Extraction repeats until the target
+    is met or the traversing search is exhausted; the result is empty when
+    some core vertex lacks a full pool.
     """
     h = p.h
     core_t = tuple(sorted(set(core)))
@@ -147,9 +147,9 @@ def disjoint_absorber_family_general(
         blocked.update(pools[w])
 
     designated: dict[int, dict[int, frozenset[int]]] = {}
-    for i, w in enumerate(core_t):
+    for w in core_t:
         outside = set(range(n)) - set(pools[w])
-        tiling = greedy_max_tiling(g, p, forbidden=outside, seed=derive_seed(seed, "pool", i))
+        tiling = greedy_max_tiling(g, p, forbidden=outside)
         designated[w] = {min(emb): frozenset(emb) for emb in tiling.copies}
 
     marks = {w: sorted(designated[w]) for w in core_t}

@@ -8,7 +8,7 @@ divisibility.  The flexibility comes from a robust bipartite template: a
 bounded-degree graph on (flex + core, slots) such that every m-subset of the
 flex side, together with the core side, has a perfect matching onto slots.
 
-Desk-scale runs use override constants (flagged in AbsorberConfig).  A
+Desk-scale runs use override constants (AbsorberConfig.desk_scale).  A
 structure keeps only the two constants its readers use: the multiplicity t
 its absorbers are checked against, and surplus_ratio, which caps the
 absorbable remainder at surplus_ratio/(h-1) * n in every configuration.
@@ -139,15 +139,14 @@ def build_absorbing_set(
     family_seed = derive_seed(seed, "families")
 
     def absorber_for(core: tuple[int, ...], forbidden: frozenset[int]) -> tuple[Tiling, Tiling] | None:
-        core_seed = derive_seed(family_seed, "fam", *core)
         if kind == "direct":
             got = disjoint_absorber_family_direct(g, p, core, config.t, 1, forbidden)
         elif kind == "general":
-            got = disjoint_absorber_family_general(g, p, core, 1, config,
-                                                   seed=core_seed, forbidden=forbidden)
+            got = disjoint_absorber_family_general(g, p, core, 1, config, forbidden=forbidden)
         else:
             got = disjoint_absorber_family_clique(g, p.r, ell, core, 1, config,
-                                                  seed=core_seed, forbidden=forbidden)
+                                                  seed=derive_seed(family_seed, "fam", *core),
+                                                  forbidden=forbidden)
         return got[0] if got else None
 
     # stage 1: gamma copies through each vertex, sharing only that vertex

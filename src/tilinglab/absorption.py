@@ -105,7 +105,8 @@ def cover_and_absorb(g: Graph, structure: AbsorbingStructure) -> tuple[Tiling, i
     detail names each size tried and how it ended.
     """
     p = structure.pattern
-    outside = [v for v in range(g.n) if v not in structure.absorbing_set]
+    aset = structure.absorbing_set  # a property that rebuilds the set on each read
+    outside = [v for v in range(g.n) if v not in aset]
     tried = []
     stage = "cover"
     for k in structure.valid_remainder_sizes():

@@ -52,7 +52,11 @@ def _default_seed() -> int:
 
 def _read_graph(path: str):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--graph {path} is not ASCII: {exc}") from None
+    return parse_graph(text)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -108,6 +112,7 @@ def cmd_factor(args) -> int:
         raise ValueError(f"--budget-nodes must be >= 1, not {args.budget_nodes}")
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
+    config = _config(args, pattern.h)
     if args.solver == "exact":
         res = find_factor_exact(g, pattern, budget=args.budget_nodes)
         if res.found:
@@ -117,13 +122,12 @@ def cmd_factor(args) -> int:
             return OK
         print(f"no factor: {res.status} ({res.nodes} nodes)")
         return FAILURE
-    config = _config(args, pattern.h)
     report = find_factor_absorbing(
         g, pattern, mode=args.mode, ell=args.ell, config=config,
         seed=args.seed, fallback_cap=args.fallback_cap, budget=args.budget_nodes,
     )
     if args.report:
-        dump_json(report.to_obj(include_tiling=False), args.report)
+        dump_json(report.to_obj(), args.report)
     if report.factor_found:
         if args.out:
             dump_json(tiling_to_obj(report.tiling), args.out)
@@ -303,8 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that is missing, a directory or unreadable
+        print(f"file error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, OverflowError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Deterministic clique enumeration and subgraph-embedding search.
 
-Everything here iterates candidates in a fixed order (vertex index, or an
-explicitly supplied ranking), so repeated runs return identical results.
+Everything here iterates candidates in vertex index order, so repeated
+runs return identical results.
 Candidate sets are vertex masks, intersected with a Graph's neighbour
 masks; `allowed` is a mask too (`cliques_of_size` also takes None for every
 vertex).  Every caller looks for copies through a given vertex, so
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, Pattern, members, vertex_mask
 
@@ -101,20 +101,18 @@ def _embed_backtrack(
     back: Sequence[Sequence[int]],
     domains: Sequence[int],
     assigned: dict[int, int],
-    rank: Callable[[int], int] | None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield embeddings extending `assigned` (pattern vertex -> graph vertex)
     with pattern vertex i in the mask domains[i].  Each vertex of `order` in
     turn tries its domain within the neighbourhoods of the images of its
     placed pattern neighbours `back` (see `_back_edges`), minus the used
-    vertices, in increasing order (or by `rank`)."""
-    return _extend_embedding(g.bits, order, back, domains, assigned, rank,
+    vertices, in increasing order."""
+    return _extend_embedding(g.bits, order, back, domains, assigned,
                              len(assigned), vertex_mask(assigned.values()))
 
 
 def _extend_embedding(bits: Sequence[int], order: Sequence[int], back: Sequence[Sequence[int]],
-                      domains: Sequence[int], assigned: dict[int, int],
-                      rank: Callable[[int], int] | None, depth: int,
+                      domains: Sequence[int], assigned: dict[int, int], depth: int,
                       used: int) -> Iterator[tuple[int, ...]]:
     """The search of `_embed_backtrack` from position `depth` of `order`,
     `used` masking the images assigned so far.  It takes its state as
@@ -127,13 +125,12 @@ def _extend_embedding(bits: Sequence[int], order: Sequence[int], back: Sequence[
     cand = domains[pv] & ~used
     for q in back[depth]:
         cand &= bits[assigned[q]]
-    ordered = members(cand) if rank is None else sorted(members(cand), key=rank)
-    for gv in ordered:
+    for gv in members(cand):
         assigned[pv] = gv
         if depth + 1 == h:
             yield tuple(assigned[i] for i in range(h))
         else:
-            yield from _extend_embedding(bits, order, back, domains, assigned, rank,
+            yield from _extend_embedding(bits, order, back, domains, assigned,
                                          depth + 1, used | 1 << gv)
         del assigned[pv]
 
@@ -143,7 +140,6 @@ def embeddings(
     p: Pattern,
     allowed: int,
     anchor: int,
-    rank: Callable[[int], int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """All embeddings of `p` into `g` within the mask `allowed` whose image
     contains the vertex `anchor`; the anchor is tried at every pattern
@@ -157,7 +153,7 @@ def embeddings(
     for slot in order:
         new_order = [slot] + [q for q in order if q != slot]
         yield from _embed_backtrack(g, new_order, _back_edges(p, new_order), domains,
-                                    {slot: anchor}, rank)
+                                    {slot: anchor})
 
 
 def find_embedding(
@@ -165,13 +161,12 @@ def find_embedding(
     p: Pattern,
     allowed: int,
     anchor: int,
-    rank: Callable[[int], int] | None = None,
 ) -> tuple[int, ...] | None:
     """First embedding through `anchor` within `allowed` in deterministic
     order, or None."""
     if p.is_clique:
         return next(cliques_of_size(g, p.h, allowed, require=anchor), None)
-    return next(embeddings(g, p, allowed, anchor, rank), None)
+    return next(embeddings(g, p, allowed, anchor), None)
 
 
 def _layers(g: Graph, v: int, within: int, radius: int) -> list[int]:
@@ -249,7 +244,7 @@ def copy_sets_through(
             # images, which the backtracker never tests
             if span < apart:
                 continue
-            for emb in _embed_backtrack(g, sub_order, back, domains, {sa: anchor, su: u}, None):
+            for emb in _embed_backtrack(g, sub_order, back, domains, {sa: anchor, su: u}):
                 key = (slot, [emb[q] for q in rest])
                 img = tuple(sorted(emb))
                 if img not in first or key < first[img][0]:
@@ -270,7 +265,7 @@ def traversing_copy_fixed(
         raise ValueError("need exactly v(H) parts")
     domains = [vertex_mask(part) for part in parts]
     order = range(p.h)
-    return next(_embed_backtrack(g, order, _back_edges(p, order), domains, {}, None), None)
+    return next(_embed_backtrack(g, order, _back_edges(p, order), domains, {}), None)
 
 
 def traversing_copy(

@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple
 
 from .embed import copy_sets_through, find_embedding
 from .graphs import Graph, Pattern, Tiling, vertex_mask
-from .rng import rng_for
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -100,31 +99,21 @@ def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET,
     return FactorResult(status="factor", tiling=Tiling(p, tuple(got)), nodes=nodes)
 
 
-def greedy_max_tiling(
-    g: Graph,
-    p: Pattern,
-    forbidden: Iterable[int] = (),
-    seed: int = 0,
-) -> Tiling:
-    """Maximal tiling avoiding `forbidden`, grown in a seeded vertex order.
+def greedy_max_tiling(g: Graph, p: Pattern, forbidden: Iterable[int] = ()) -> Tiling:
+    """Maximal tiling avoiding `forbidden`, grown in vertex index order.
 
-    Vertices are visited in a seeded random permutation; for each still
-    available vertex the first copy through it (candidates ranked by the
-    same permutation) is taken.  A vertex with no copy at its turn can never
-    gain one later, so the leftover set contains no copy of the pattern.
+    For each still available vertex, lowest first, the first copy through
+    it (`find_embedding`'s order) is taken.  A vertex with no copy at its
+    turn can never gain one later, so the leftover set contains no copy of
+    the pattern.
     """
     banned = frozenset(forbidden)
-    order = list(range(g.n))
-    rng_for(seed, "greedy").shuffle(order)
-    rank = {v: i for i, v in enumerate(order)}
-
     available = vertex_mask(v for v in range(g.n) if v not in banned)
     copies: list[tuple[int, ...]] = []
-    for v in order:
+    for v in range(g.n):
         if not available >> v & 1:
             continue
-        emb = find_embedding(g, p, allowed=available, anchor=v,
-                             rank=None if p.is_clique else rank.__getitem__)
+        emb = find_embedding(g, p, allowed=available, anchor=v)
         if emb is None:
             continue
         copies.append(emb)

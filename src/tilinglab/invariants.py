@@ -33,12 +33,33 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def max_clique(g: Graph) -> int:
-    """Exact clique number via branch and bound with greedy coloring bound."""
+class SearchResult(NamedTuple):
+    """Result of a budgeted branch and bound: the best value found, a
+    witness vertex set of that size, whether the search ran to the end,
+    and the nodes it visited."""
+
+    value: int
+    witness: tuple[int, ...]
+    exact: bool
+    nodes: int
+
+
+# search-node budget of max_clique, and of each alpha_ell in param_report
+PARAM_BUDGET = 200_000
+
+
+def max_clique(g: Graph) -> SearchResult:
+    """Clique number by branch and bound with a greedy colouring bound.
+
+    A node is one call of the search; past PARAM_BUDGET nodes it stops and
+    returns the largest clique found so far with exact=False, a lower bound.
+    """
     if g.n == 0:
-        return 0
+        return SearchResult(value=0, witness=(), exact=True, nodes=0)
     bits = g.bits
-    best = 1
+    best: tuple[int, ...] = (0,)
+    nodes = 0
+    exhausted = False
 
     def color_bound(cands: int) -> int:
         # greedy coloring of the induced subgraph; chromatic number bounds clique
@@ -52,35 +73,33 @@ def max_clique(g: Graph) -> int:
                 colors.append(1 << v)
         return len(colors)
 
-    def expand(size: int, cands: int) -> None:
-        nonlocal best
+    def expand(base: list[int], cands: int) -> None:
+        nonlocal best, nodes, exhausted
+        nodes += 1
+        if nodes > PARAM_BUDGET:
+            exhausted = True
+            return
         if not cands:
-            best = max(best, size)
+            if len(base) > len(best):
+                best = tuple(base)
             return
-        if size + color_bound(cands) <= best:
+        if len(base) + color_bound(cands) <= len(best):
             return
-        while cands:
-            if size + cands.bit_count() <= best:
+        while cands and not exhausted:
+            if len(base) + cands.bit_count() <= len(best):
                 return
             low = cands & -cands
             cands ^= low
-            expand(size + 1, cands & bits[low.bit_length() - 1])
+            base.append(low.bit_length() - 1)
+            expand(base, cands & bits[base[-1]])
+            base.pop()
 
-    expand(0, (1 << g.n) - 1)
+    expand([], (1 << g.n) - 1)
     del expand  # expand refers to itself; dropping the name frees it without the gc
-    return best
+    return SearchResult(value=len(best), witness=best, exact=not exhausted, nodes=nodes)
 
 
-class AlphaResult(NamedTuple):
-    """Result of the clique-free-subgraph solver."""
-
-    value: int
-    witness: tuple[int, ...]
-    exact: bool
-    nodes: int
-
-
-def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
+def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> SearchResult:
     """Largest induced K_ell-free subgraph, by branch and bound.
 
     Branches on a clique copy in the current candidate set: one branch per
@@ -128,7 +147,7 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> AlphaResult:
 
     rec((1 << n) - 1, 0)
     del rec  # rec refers to itself; dropping the name frees it without the gc
-    return AlphaResult(value=len(best), witness=tuple(best), exact=not exhausted, nodes=nodes)
+    return SearchResult(value=len(best), witness=tuple(best), exact=not exhausted, nodes=nodes)
 
 
 class TraversingVerdict(NamedTuple):
@@ -273,10 +292,6 @@ def one_density(p: Pattern) -> Fraction:
     return best
 
 
-# search-node budget of each alpha_ell in param_report
-PARAM_ALPHA_BUDGET = 200_000
-
-
 def param_report(
     g: Graph,
     ells: list[int] = (2,),
@@ -294,10 +309,13 @@ def param_report(
         "m": g.m,
         "min_degree": min_degree(g) if g.n else 0,
         "max_degree": max(map(g.degree, range(g.n)), default=0),
-        "max_clique": max_clique(g),
     }
+    clique = max_clique(g)
+    out["max_clique"] = clique.value
+    out["max_clique_exact"] = clique.exact
+    out["max_clique_witness"] = list(clique.witness)
     for ell in sorted(set(ells)):
-        res = alpha_ell(g, ell, budget=PARAM_ALPHA_BUDGET)
+        res = alpha_ell(g, ell, budget=PARAM_BUDGET)
         out[f"alpha_{ell}"] = res.value
         out[f"alpha_{ell}_exact"] = res.exact
         out[f"alpha_{ell}_witness"] = list(res.witness)

@@ -58,16 +58,13 @@ class PipelineReport:
     def stage_ok(self, name: str) -> bool:
         return any(s.name == name and s.ok for s in self.stages)
 
-    def to_obj(self, include_tiling: bool = True) -> dict:
-        """Every field, `tiling` only when asked for."""
-        from .serialize import tiling_to_obj
-
+    def to_obj(self) -> dict:
+        """Every field but `tiling`, which is written as its own
+        certificate."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "tiling"}
         out["schema"] = "pipeline-report/v1"
         out["stages"] = [s._asdict() for s in self.stages]
-        if include_tiling and self.tiling is not None:
-            out["tiling"] = tiling_to_obj(self.tiling)
         return out
 
 

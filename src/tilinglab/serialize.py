@@ -1,9 +1,8 @@
 """The CLI's document codec: JSON for every certificate the tools emit.
 
-Only `cli` imports this module, and `PipelineReport.to_obj` when it is
-called; the JSON value checks it shares with the config, the generator
-grid and the sweep spec live in `config`, and `graphs.parse_pattern_spec`
-reads a pattern argument.
+Only `cli` imports this module; the JSON value checks it shares with the
+config, the generator grid and the sweep spec live in `config`, and
+`graphs.parse_pattern_spec` reads a pattern argument.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
 tiling/v1 or absorbing-structure/v6, whose edge absorbers are {left, right,

@@ -19,7 +19,7 @@ layout.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from tilinglab.embed import cliques_of_size, pattern_order
 from tilinglab.generators import decompose_r
@@ -341,13 +341,12 @@ def traversing_copy_bruteforce(
 def embeddings_bruteforce(
     n: int, edges: set[tuple[int, int]], p: Pattern,
     allowed: Iterable[int] | None = None, anchor: int | None = None,
-    rank: Callable[[int], int] | None = None,
 ) -> list[tuple[int, ...]]:
     """Every embedding inside `allowed` in the order of `embed.embeddings`:
     with an anchor, by the anchor's slot in `pattern_order`; then by the
     images of the pattern vertices in search order, compared by vertex
-    index, or by `rank` when given."""
-    pool = sorted(set(range(n) if allowed is None else allowed), key=rank)
+    index."""
+    pool = sorted(set(range(n) if allowed is None else allowed))
     order = pattern_order(p)
     pedges = p.graph.edges()
     if anchor is None:

@@ -290,7 +290,7 @@ class TestFamilyBuilders:
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=9)
         k30 = complete_graph(30)
         fams = disjoint_absorber_family_general(k30, k3, [0, 1, 2], target=2,
-                                                config=cfg, seed=1)
+                                                config=cfg)
         assert len(fams) == 2
         seen = set()
         for alone, with_core in fams:
@@ -302,20 +302,20 @@ class TestFamilyBuilders:
         k66 = gen_complete_multipartite([6, 6])
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=2)
         assert disjoint_absorber_family_general(k66, k3, [0, 1, 6], target=1,
-                                                config=cfg, seed=1) == []
+                                                config=cfg) == []
 
     def test_general_pool_failure_names_vertex(self, k3):
         g = gen_gnp(12, 0.3, 3)
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=11)
         assert disjoint_absorber_family_general(g, k3, [0, 1, 2], target=1,
-                                                config=cfg, seed=1) == []
+                                                config=cfg) == []
 
     def test_general_verified_on_gnp(self, k3):
         g = gen_gnp(90, 0.6, 5)
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=22, degree_frac=0.3)
         core = sorted(rng_for(7, "core").sample(range(90), 3))
         fams = disjoint_absorber_family_general(g, k3, core, target=5,
-                                                config=cfg, seed=1)
+                                                config=cfg)
         assert len(fams) == 5
         seen = set()
         for alone, with_core in fams:

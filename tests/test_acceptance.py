@@ -171,7 +171,7 @@ def test_06_greedy_cover_bound():
         if not held:
             continue
         avoid = sorted(rng.sample(range(n), max(1, n // 12)))
-        tiling = greedy_max_tiling(g, k3, forbidden=avoid, seed=rng.randrange(10**9))
+        tiling = greedy_max_tiling(g, k3, forbidden=avoid)
         left = leftover_of(g, tiling, forbidden=avoid)
         s_star, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
                                          seed=rng.randrange(10**9))

@@ -200,6 +200,22 @@ class TestFactor:
                        "--config", config) == 2
         assert message in capsys.readouterr().err
 
+    def test_exact_solver_reads_config(self, g30, capsys):
+        assert run_cli("factor", "--graph", str(g30), "--pattern", "K3",
+                       "--config", "{bad") == 2
+        assert "error: --config is not JSON" in capsys.readouterr().err
+
+    def test_graph_that_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli("factor", "--graph", str(tmp_path), "--pattern", "K3") == 2
+        assert f"file error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_graph_that_is_not_ascii_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(b"\xff\xfe3 0\n")
+        assert run_cli("factor", "--graph", str(bad), "--pattern", "K3") == 2
+        assert (f"error: --graph {bad} is not ASCII: 'ascii' codec can't decode byte 0xff"
+                in capsys.readouterr().err)
+
 
 class TestVerify:
     def test_tampered_tiling_names_invariant(self, g30, tmp_path, capsys):
@@ -320,6 +336,10 @@ class TestVerify:
         doc.write_bytes(data)
         assert run_cli("verify", "--certificate", str(doc), "--graph", str(g30)) == 2
         assert f"malformed certificate: {doc} {message}" in capsys.readouterr().err
+
+    def test_certificate_that_is_a_directory_exit_2(self, g30, tmp_path, capsys):
+        assert run_cli("verify", "--certificate", str(tmp_path), "--graph", str(g30)) == 2
+        assert f"file error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
     def test_top_level_list_is_malformed(self, g30, tmp_path, capsys):
         doc = tmp_path / "list.json"

@@ -148,24 +148,23 @@ class TestGreedyTiling:
     def test_leftover_has_no_copy(self, k3):
         for seed in range(10):
             g = gen_gnp(21, 0.35, seed)
-            t = greedy_max_tiling(g, k3, seed=seed)
+            t = greedy_max_tiling(g, k3)
             left = leftover_of(g, t)
             assert next(cliques_of_size(g, 3, vertex_mask(left)), None) is None
             verify_tiling(g, t)
 
     def test_respects_forbidden(self, k3):
         g = complete_graph(12)
-        t = greedy_max_tiling(g, k3, forbidden=range(6), seed=1)
+        t = greedy_max_tiling(g, k3, forbidden=range(6))
         assert t.covered.isdisjoint(range(6))
         verify_tiling(g, t, forbidden=range(6))
 
-    def test_seed_changes_order_not_validity(self, k3):
+    def test_index_order_tiling(self, k3):
+        # each copy is the first through the lowest vertex still available
         g = gen_gnp(18, 0.6, 2)
-        t1 = greedy_max_tiling(g, k3, seed=1)
-        t2 = greedy_max_tiling(g, k3, seed=2)
-        verify_tiling(g, t1)
-        verify_tiling(g, t2)
-        assert greedy_max_tiling(g, k3, seed=1).copies == t1.copies
+        t = greedy_max_tiling(g, k3)
+        verify_tiling(g, t)
+        assert t.copies == ((0, 2, 3), (1, 4, 5), (6, 10, 12), (7, 8, 13), (9, 11, 14))
 
 
 class TestTraversing:
@@ -276,11 +275,9 @@ class TestBitsetKernelsMatchBruteForce:
         edges, g, p = host
         allowed = data.draw(st.none() | st.lists(st.integers(0, g.n - 1)), label="allowed")
         anchor = data.draw(st.integers(0, g.n - 1), label="anchor")
-        ranking = data.draw(st.none() | st.permutations(range(g.n)), label="rank")
-        rank = None if ranking is None else ranking.__getitem__
         mask = (1 << g.n) - 1 if allowed is None else vertex_mask(allowed)
-        assert (list(embeddings(g, p, mask, anchor=anchor, rank=rank))
-                == embeddings_bruteforce(g.n, edges, p, allowed, anchor, rank))
+        assert (list(embeddings(g, p, mask, anchor=anchor))
+                == embeddings_bruteforce(g.n, edges, p, allowed, anchor))
 
     @settings(max_examples=200, deadline=None)
     @given(host_and_pattern(), st.data())

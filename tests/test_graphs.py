@@ -180,7 +180,7 @@ class TestGenerators:
         g = gen_complete_multipartite([3, 4, 5])
         assert g.n == 12
         assert min_degree(g) == 7
-        assert max_clique(g) == 3
+        assert max_clique(g).value == 3
 
     def test_multipartite_degenerate(self):
         assert gen_complete_multipartite([1, 1, 1]) == complete_graph(3)
@@ -199,7 +199,7 @@ class TestGenerators:
     def test_two_cliques(self):
         g = gen_two_cliques(12)
         assert min_degree(g) == 4
-        assert max_clique(g) == 7
+        assert max_clique(g).value == 7
         small = gen_two_cliques(4)
         assert small.m == 3  # one isolated vertex plus a triangle
 

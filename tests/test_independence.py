@@ -2,8 +2,9 @@
 `verify.py` imports nothing from the package but `graphs`, and neither it
 nor `absorption.py`, which reads its absorber tilings off the structure,
 names the exact factor search.  The document codec `serialize` is the
-CLI's: no other module imports it when it loads.  Modules are read as
-syntax trees, not imported."""
+CLI's: no other module imports it when it loads.  The searches of `factor`
+and `embed` import nothing from `rng`, so their order depends on no random
+draw.  Modules are read as syntax trees, not imported."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,11 @@ def test_verify_imports_only_graphs():
                                            if p.name != "cli.py"))
 def test_only_cli_imports_serialize_when_it_loads(module):
     assert "serialize" not in load_time_imports(syntax_tree(module))
+
+
+@pytest.mark.parametrize("module", ["factor.py", "embed.py"])
+def test_search_imports_nothing_from_rng(module):
+    assert "rng" not in package_imports(syntax_tree(module))
 
 
 @pytest.mark.parametrize("module", ["verify.py", "absorption.py"])

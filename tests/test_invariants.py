@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import SMALL_PATTERNS, alpha_exhaustive, has_clique, max_density_subgraphs
 from tilinglab.embed import cliques_of_size, traversing_copy
 from tilinglab.generators import gen_complete_multipartite, gen_gnp
+from tilinglab import invariants
 from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph, vertex_mask
 from tilinglab.invariants import (
     EnumerationCapError,
@@ -44,10 +45,10 @@ class TestMinDegree:
 
 class TestMaxClique:
     def test_examples(self):
-        assert max_clique(complete_graph(5)) == 5
+        assert max_clique(complete_graph(5)).value == 5
         c5 = parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n0 4")
-        assert max_clique(c5) == 2
-        assert max_clique(gen_complete_multipartite([3, 4, 5])) == 3
+        assert max_clique(c5).value == 2
+        assert max_clique(gen_complete_multipartite([3, 4, 5])).value == 3
 
     def test_enumeration_lex_and_deterministic(self):
         g = gen_gnp(12, 0.6, 3)
@@ -59,10 +60,19 @@ class TestMaxClique:
     @given(st.integers(0, 10**6))
     def test_matches_alpha_relation(self, seed):
         g = random_graph(9, 0.5, seed)
-        w = max_clique(g)
+        w = max_clique(g).value
         for ell in (2, 3, 4):
             res = alpha_ell(g, ell)
             assert (res.value == g.n) == (w < ell)
+
+    def test_budget_stops_with_a_clique(self, monkeypatch):
+        monkeypatch.setattr(invariants, "PARAM_BUDGET", 50)
+        g = gen_gnp(60, 0.9, 1)
+        res = max_clique(g)
+        assert not res.exact and res.nodes == 51
+        assert len(res.witness) == res.value
+        assert all(g.has_edge(u, v) for i, u in enumerate(res.witness)
+                   for v in res.witness[i + 1:])
 
 
 class TestAlphaEll:
@@ -212,6 +222,8 @@ class TestParamReport:
         assert report["min_degree"] == 7
         assert report["alpha_2"] == 5
         assert report["max_clique"] == 3
+        assert report["max_clique_exact"] is True
+        assert len(report["max_clique_witness"]) == 3
         assert report["one_density"] == "3/2"
         assert report["traversing_holds"] is False
         assert isinstance(report["traversing_witness"], list)

@@ -15,7 +15,7 @@ from tilinglab.generators import (
     gen_two_cliques,
 )
 from tilinglab.graphs import Graph, complete_graph, vertex_mask
-from tilinglab.invariants import AlphaResult, TraversingVerdict, traversing_threshold
+from tilinglab.invariants import SearchResult, TraversingVerdict, traversing_threshold
 from tilinglab.pipeline import StageOutcome, check_hypotheses, find_factor_absorbing
 from tilinglab.rng import derive_seed, rng_for
 from tilinglab.sweep import ExperimentSpec, rows_to_csv, run_sweep
@@ -29,7 +29,7 @@ K2_DESK = AbsorberConfig.desk_scale(h=2, absorber_frac=0.2, sample_prob=0.06,
 
 @pytest.mark.parametrize("record", [
     FactorResult(status="none", tiling=None, nodes=0),
-    AlphaResult(value=1, witness=(0,), exact=True, nodes=1),
+    SearchResult(value=1, witness=(0,), exact=True, nodes=1),
     TraversingVerdict(s=1, mode="exhaustive", holds=True),
     templates.TemplateGraph(m=1, left_adj=((0, 1, 2),) * 4),
     StageOutcome("cover", True),
@@ -66,7 +66,7 @@ class TestHypotheses:
         assert held and "alpha_2=1 [exact]" in detail
         # a search stopped at its budget on a small graph is still a bound
         monkeypatch.setattr(pipeline, "alpha_ell",
-                            lambda g, ell, budget=0: AlphaResult(1, (0,), False, budget))
+                            lambda g, ell, budget=0: SearchResult(1, (0,), False, budget))
         _, detail = check_hypotheses(complete_graph(30), k3, "clique", cfg, ell=2)
         assert "alpha_2=1 [branch-and-bound lower bound]" in detail
 
@@ -235,20 +235,20 @@ class TestPipeline:
 class TestCoverCheck:
     def test_complete_graph_no_leftover(self, k3):
         avoid = list(range(6))
-        tiling = greedy_max_tiling(complete_graph(30), k3, forbidden=avoid, seed=1)
+        tiling = greedy_max_tiling(complete_graph(30), k3, forbidden=avoid)
         left = leftover_of(complete_graph(30), tiling, forbidden=avoid)
         assert left == [] and len(left) <= 0.1 * 30
         verify_tiling(complete_graph(30), tiling, forbidden=range(6))
 
     def test_bipartite_all_leftover(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        left = leftover_of(k66, greedy_max_tiling(k66, k3, seed=1))
+        left = leftover_of(k66, greedy_max_tiling(k66, k3))
         assert len(left) == 12 and not len(left) <= 0.5 * 12
 
     def test_gnp_small_leftover(self, k3):
         g = gen_gnp(90, 0.6, 5)
         avoid = sorted(rng_for(3, "avoid").sample(range(90), 9))
-        tiling = greedy_max_tiling(g, k3, forbidden=avoid, seed=2)
+        tiling = greedy_max_tiling(g, k3, forbidden=avoid)
         left = leftover_of(g, tiling, forbidden=avoid)
         assert len(left) <= 9 and len(left) <= 0.1 * 90
         verify_tiling(g, tiling, forbidden=avoid)
@@ -261,7 +261,7 @@ class TestCoverCheck:
             n = rng.randrange(45, 61)
             g = gen_gnp(n, rng.uniform(0.55, 0.75), rng.randrange(10**9))
             avoid = sorted(rng.sample(range(n), max(1, n // 12)))
-            tiling = greedy_max_tiling(g, k3, forbidden=avoid, seed=rng.randrange(10**9))
+            tiling = greedy_max_tiling(g, k3, forbidden=avoid)
             left = leftover_of(g, tiling, forbidden=avoid)
             s, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
                                         seed=rng.randrange(10**9))
