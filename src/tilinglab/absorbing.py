@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .absorbers import (
@@ -72,7 +73,7 @@ class AbsorbingStructure:
     def slots(self) -> tuple[int, ...]:
         return tuple(v for b in self.slot_blocks for v in b)
 
-    @property
+    @cached_property
     def absorbing_set(self) -> frozenset[int]:
         out = set(self.buffer) | set(self.core) | set(self.slots)
         for alone, _with_core in self.edge_absorbers.values():
@@ -199,9 +200,7 @@ def build_absorbing_set(
                            f"s = {surplus} mod h, so k >= {least} > max_remainder = {most}")
 
     # stage 3: template
-    left = 3 * m + surplus
-    mode = "complete-bipartite" if left <= 40 else "random-regular"
-    template = build_template(m, beta, mode=mode, seed=derive_seed(seed, "template"))
+    template = build_template(m, beta, seed=derive_seed(seed, "template"))
 
     # stages 4-5: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a

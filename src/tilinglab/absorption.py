@@ -105,7 +105,7 @@ def cover_and_absorb(g: Graph, structure: AbsorbingStructure) -> tuple[Tiling, i
     detail names each size tried and how it ended.
     """
     p = structure.pattern
-    aset = structure.absorbing_set  # a property that rebuilds the set on each read
+    aset = structure.absorbing_set
     outside = [v for v in range(g.n) if v not in aset]
     tried = []
     stage = "cover"

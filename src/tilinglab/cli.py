@@ -21,7 +21,7 @@ from .config import AbsorberConfig, StageFailure, load_json_text
 from .factor import DEFAULT_BUDGET, find_factor_exact
 from .generators import GENERATORS, gen_gamma
 from .graphs import GraphParseError, emit_graph, parse_graph, parse_pattern_spec
-from .invariants import EnumerationCapError, param_report
+from .invariants import param_report
 from .pipeline import FALLBACK_CAP, check_hypotheses, find_factor_absorbing
 from .rng import rng_for
 from .serialize import (
@@ -96,10 +96,11 @@ def cmd_params(args) -> int:
     pattern = parse_pattern_spec(args.pattern) if args.pattern else None
     if not args.ell:
         raise ValueError("--ell must name at least one integer")
+    if args.traversing_s is not None and pattern is None:
+        raise ValueError("--traversing-s needs --pattern")
     report = param_report(
         g, ells=args.ell, pattern=pattern,
         traversing_s=args.traversing_s,
-        traversing_mode=args.traversing_mode,
         trials=args.trials, seed=args.seed,
     )
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
@@ -244,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_int_list, default="2")
     p.add_argument("--pattern", type=str, default=None)
     p.add_argument("--traversing-s", type=int, default=None)
-    p.add_argument("--traversing-mode", choices=["exhaustive", "sampled"],
-                   default="sampled")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200,
+                   help="traversing families examined: all of them when they number at "
+                        "most this, else this many sampled")
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_params)
@@ -310,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a path that is missing, a directory or unreadable
         print(f"file error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OverflowError, EnumerationCapError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -119,9 +119,3 @@ def greedy_max_tiling(g: Graph, p: Pattern, forbidden: Iterable[int] = ()) -> Ti
         copies.append(emb)
         available &= ~vertex_mask(emb)
     return Tiling(pattern=p, copies=tuple(copies))
-
-
-def leftover_of(g: Graph, tiling: Tiling, forbidden: Iterable[int] = ()) -> list[int]:
-    """Vertices not covered by the tiling and not forbidden."""
-    out = set(range(g.n)) - tiling.covered - set(forbidden)
-    return sorted(out)

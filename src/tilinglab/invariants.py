@@ -5,8 +5,8 @@ alpha_ell(G) is the size of a largest induced subgraph without a clique on
 ell vertices (ell = 2 gives the independence number).  The traversing
 threshold of (G, H) is the smallest s such that every family of v(H)
 pairwise-disjoint s-subsets of V(G) induces a copy of H with one vertex in
-each subset; `traversing_check` either samples the families or enumerates
-them all, refusing when they number more than EXHAUSTIVE_FAMILY_CAP.
+each subset; `traversing_check` examines at most `trials` families: all of
+them when they number no more, a random draw of `trials` otherwise.
 """
 
 from __future__ import annotations
@@ -19,12 +19,6 @@ from typing import Iterator, NamedTuple
 from .embed import cliques_of_size, traversing_copy
 from .graphs import Graph, Pattern, members
 from .rng import rng_for
-
-EXHAUSTIVE_FAMILY_CAP = 500_000
-
-
-class EnumerationCapError(RuntimeError):
-    """Exhaustive enumeration would exceed EXHAUSTIVE_FAMILY_CAP."""
 
 
 def min_degree(g: Graph) -> int:
@@ -155,8 +149,10 @@ class TraversingVerdict(NamedTuple):
 
     holds: every examined family of h disjoint s-subsets induced a copy of H
     with one vertex per subset.  On failure, `witness` is one family with no
-    such copy (re-checkable by traversing-copy search).  In sampled mode a
-    failure is conclusive, but holding is an empirical estimate.
+    such copy (re-checkable by traversing-copy search).  mode "exhaustive"
+    means every family was examined, so the verdict is exact; mode "sampled"
+    means a random draw was, so a failure is conclusive but holding is an
+    empirical estimate.
     """
 
     s: int
@@ -179,16 +175,16 @@ def traversing_check(
     g: Graph,
     p: Pattern,
     s: int,
-    mode: str = "exhaustive",
     trials: int = 500,
     seed: int = 0,
 ) -> TraversingVerdict:
     """Check whether every family of h disjoint s-subsets spans a traversing
     copy of the pattern (one vertex in each subset, any assignment).
 
-    Exhaustive mode enumerates all families and refuses if their count
-    exceeds EXHAUSTIVE_FAMILY_CAP.  Sampled mode draws `trials` (at least 1)
-    uniformly random disjoint families.  A failing family is returned as a
+    `trials` (at least 1) bounds the families examined.  When the families
+    number at most `trials` all of them are enumerated and the verdict is
+    exact (mode "exhaustive"); otherwise `trials` uniformly random disjoint
+    families are drawn (mode "sampled").  A failing family is returned as a
     witness.
     """
     h = p.h
@@ -196,37 +192,29 @@ def traversing_check(
         raise ValueError("s must be >= 1")
     if h * s > g.n:
         raise ValueError(f"need h*s <= n ({h}*{s} > {g.n})")
+    if trials < 1:
+        raise ValueError("traversing check needs trials >= 1")
 
-    if mode == "exhaustive":
-        count = _count_disjoint_families(g.n, h, s)
-        if count > EXHAUSTIVE_FAMILY_CAP:
-            raise EnumerationCapError(
-                f"{count} families exceed the exhaustive cap of {EXHAUSTIVE_FAMILY_CAP}"
-            )
-        checked = 0
-        for fam in _iter_families_one_per_min(list(range(g.n)), h, s):
-            checked += 1
-            if traversing_copy(g, p, fam) is None:
-                return TraversingVerdict(
-                    s=s, mode=mode, holds=False,
-                    witness=tuple(tuple(x) for x in fam),
-                    families_checked=checked,
-                )
-        return TraversingVerdict(s=s, mode=mode, holds=True, families_checked=checked)
+    if _count_disjoint_families(g.n, h, s) <= trials:
+        mode, families = "exhaustive", _iter_families_one_per_min(list(range(g.n)), h, s)
+    else:
+        mode, families = "sampled", _sample_families(g.n, h, s, trials, seed)
+    checked = 0
+    for fam in families:
+        checked += 1
+        if traversing_copy(g, p, fam) is None:
+            return TraversingVerdict(s=s, mode=mode, holds=False, witness=tuple(fam),
+                                     families_checked=checked)
+    return TraversingVerdict(s=s, mode=mode, holds=True, families_checked=checked)
 
-    if mode == "sampled":
-        if trials < 1:
-            raise ValueError("sampled mode needs trials >= 1")
-        rng = rng_for(seed, "traversing", s)
-        for t in range(trials):
-            picked = rng.sample(range(g.n), h * s)
-            fam = [tuple(sorted(picked[i * s : (i + 1) * s])) for i in range(h)]
-            if traversing_copy(g, p, fam) is None:
-                return TraversingVerdict(s=s, mode=mode, holds=False,
-                                         witness=tuple(fam), families_checked=t + 1)
-        return TraversingVerdict(s=s, mode=mode, holds=True, families_checked=trials)
 
-    raise ValueError(f"unknown mode: {mode}")
+def _sample_families(n: int, h: int, s: int, trials: int,
+                     seed: int) -> Iterator[list[tuple[int, ...]]]:
+    """`trials` uniformly random families of h disjoint sorted s-subsets of range(n)."""
+    rng = rng_for(seed, "traversing", s)
+    for _ in range(trials):
+        picked = rng.sample(range(n), h * s)
+        yield [tuple(sorted(picked[i * s : (i + 1) * s])) for i in range(h)]
 
 
 def _iter_families_one_per_min(avail: list[int], k: int, s: int) -> Iterator[list[tuple[int, ...]]]:
@@ -256,19 +244,19 @@ def _iter_families_one_per_min(avail: list[int], k: int, s: int) -> Iterator[lis
 def traversing_threshold(
     g: Graph,
     p: Pattern,
-    mode: str = "exhaustive",
     trials: int = 500,
     seed: int = 0,
 ) -> tuple[float, TraversingVerdict | None]:
     """Smallest s in 1..floor(n/h) passing traversing_check, scanned upward.
 
     Returns (s, verdict); if no s passes (for instance when G has no copy of
-    the pattern at all) the value is math.inf with verdict None.  In sampled
-    mode the result is an empirical estimate.
+    the pattern at all) the value is math.inf with verdict None.  The result
+    is exact only if every s up to it was checked exhaustively (each verdict
+    says which); a sampled pass is an empirical estimate.
     """
     h = p.h
     for s in range(1, g.n // h + 1):
-        verdict = traversing_check(g, p, s, mode=mode, trials=trials, seed=seed)
+        verdict = traversing_check(g, p, s, trials=trials, seed=seed)
         if verdict.holds:
             return s, verdict
     return math.inf, None
@@ -297,7 +285,6 @@ def param_report(
     ells: list[int] = (2,),
     pattern: Pattern | None = None,
     traversing_s: int | None = None,
-    traversing_mode: str = "sampled",
     trials: int = 200,
     seed: int = 0,
 ) -> dict:
@@ -322,9 +309,7 @@ def param_report(
     if pattern is not None:
         out["one_density"] = str(one_density(pattern))
         if traversing_s is not None:
-            t = traversing_check(
-                g, pattern, traversing_s, mode=traversing_mode, trials=trials, seed=seed
-            )
+            t = traversing_check(g, pattern, traversing_s, trials=trials, seed=seed)
             out["traversing_s"] = t.s
             out["traversing_mode"] = t.mode
             out["traversing_holds"] = t.holds

@@ -93,7 +93,9 @@ def check_hypotheses(
     whether its value is exact or, stopped at the budget, a branch-and-bound
     lower bound.  General mode
     needs delta(G) >= eps n and the traversing property at probe size
-    ceil(eps' n), checked on HYPOTHESIS_TRIALS sampled families.
+    ceil(eps' n), checked on every family when they number at most
+    HYPOTHESIS_TRIALS and on that many sampled ones otherwise; the detail
+    string says which.
     """
     n = g.n
     eps = config.degree_frac
@@ -119,11 +121,11 @@ def check_hypotheses(
         deg_ok = delta >= need
         s = max(1, math.ceil(eps2 * n))
         if p.h * s <= n:
-            verdict = traversing_check(g, p, s, mode="sampled", trials=HYPOTHESIS_TRIALS,
+            verdict = traversing_check(g, p, s, trials=HYPOTHESIS_TRIALS,
                                        seed=derive_seed(seed, "hyp"))
             trav_ok = verdict.holds
-            tdetail = (f"traversing at s={s} sampled({HYPOTHESIS_TRIALS}): "
-                       f"{'holds' if trav_ok else 'fails'}")
+            how = f"sampled({HYPOTHESIS_TRIALS})" if verdict.mode == "sampled" else "exhaustive"
+            tdetail = f"traversing at s={s} {how}: {'holds' if trav_ok else 'fails'}"
         else:
             trav_ok = False
             tdetail = f"probe size s={s} infeasible (h*s > n)"

@@ -80,28 +80,23 @@ def _surplus_of(m: int, beta: float) -> int:
 TEMPLATE_DEGREE = 12
 
 
-def build_template(m: int, beta: float, mode: str = "complete-bipartite",
-                   seed: int = 0) -> TemplateGraph:
+def build_template(m: int, beta: float, seed: int = 0) -> TemplateGraph:
     """Build a robust template at round size m and surplus ceil(beta*m).
 
-    complete-bipartite mode joins every left vertex to every slot; the robust
-    property is then immediate from Hall's condition, and the degree-40 bound
-    requires 3m + ceil(beta*m) <= 40.  random-regular mode samples a
-    configuration-style pairing with all degrees in [8, 40], resampling up
-    to TEMPLATE_RETRIES times until check_template certifies it on every
-    flex m-subset.  A template too large to check, or no certified sample,
-    raises StageFailure("template").
+    When 3m + ceil(beta*m) <= 40 the template is complete bipartite: every
+    left vertex is joined to every slot, so the degree-40 bound holds and
+    the robust property is immediate from Hall's condition.  Otherwise it
+    is random-regular: a configuration-style pairing with all degrees in
+    [8, 40], resampled up to TEMPLATE_RETRIES times until check_template
+    certifies it on every flex m-subset.  A template too large to check, or
+    no certified sample, raises StageFailure("template").
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     left = 3 * m + _surplus_of(m, beta)
     slots = 3 * m
 
-    if mode == "complete-bipartite":
-        if left > 40:
-            raise ValueError(
-                f"complete-bipartite mode needs 3m + ceil(beta*m) <= 40, got {left}"
-            )
+    if left <= 40:
         adj = tuple(tuple(range(slots)) for _ in range(left))
         tpl = TemplateGraph(m=m, left_adj=adj)
         bad = check_template(tpl)
@@ -109,39 +104,24 @@ def build_template(m: int, beta: float, mode: str = "complete-bipartite",
             raise StageFailure("template", "flex subset without perfect matching", blocking=bad)
         return tpl
 
-    if mode == "random-regular":
-        for attempt in range(TEMPLATE_RETRIES):
-            rng = rng_for(seed, "template", attempt)
-            total = TEMPLATE_DEGREE * left
-            right_stubs: list[int] = []
-            base, extra = divmod(total, slots)
-            for r in range(slots):
-                right_stubs.extend([r] * (base + (1 if r < extra else 0)))
-            rng.shuffle(right_stubs)
-            adj_sets: list[set[int]] = [set() for _ in range(left)]
-            idx = 0
-            for l in range(left):
-                for _ in range(TEMPLATE_DEGREE):
-                    adj_sets[l].add(right_stubs[idx])
-                    idx += 1
-            left_deg = [len(s) for s in adj_sets]
-            right_deg = [0] * slots
-            for s in adj_sets:
-                for r in s:
-                    right_deg[r] += 1
-            degs = left_deg + right_deg
-            if min(degs) < 8 or max(degs) > 40:
-                continue
-            adj = tuple(tuple(sorted(s)) for s in adj_sets)
-            tpl = TemplateGraph(m=m, left_adj=adj)
-            try:
-                bad = check_template(tpl)
-            except VerificationError as exc:  # too many flex subsets to check
-                raise StageFailure("template", str(exc)) from None
-            if bad is None:
-                return tpl
-        raise StageFailure(
-            "template", f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
-        )
-
-    raise ValueError(f"template mode must be complete-bipartite or random-regular, not {mode!r}")
+    # TEMPLATE_DEGREE stubs per left vertex, spread evenly over the slots
+    base, extra = divmod(TEMPLATE_DEGREE * left, slots)
+    for attempt in range(TEMPLATE_RETRIES):
+        right_stubs = [r for r in range(slots) for _ in range(base + (r < extra))]
+        rng_for(seed, "template", attempt).shuffle(right_stubs)
+        adj_sets = [set(right_stubs[l * TEMPLATE_DEGREE : (l + 1) * TEMPLATE_DEGREE])
+                    for l in range(left)]
+        degs = [len(s) for s in adj_sets] + [sum(r in s for s in adj_sets) for r in range(slots)]
+        if min(degs) < 8 or max(degs) > 40:
+            continue
+        adj = tuple(tuple(sorted(s)) for s in adj_sets)
+        tpl = TemplateGraph(m=m, left_adj=adj)
+        try:
+            bad = check_template(tpl)
+        except VerificationError as exc:  # too many flex subsets to check
+            raise StageFailure("template", str(exc)) from None
+        if bad is None:
+            return tpl
+    raise StageFailure(
+        "template", f"no verified template after {TEMPLATE_RETRIES} samples (m={m}, beta={beta})"
+    )

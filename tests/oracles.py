@@ -18,7 +18,7 @@ layout.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
 from tilinglab.embed import cliques_of_size, pattern_order
@@ -336,6 +336,23 @@ def traversing_copy_bruteforce(
         if all(v in ps for v, ps in zip(emb, psets)) and _preserves(emb, pedges, edges):
             return emb
     return None
+
+
+def traversing_families_bruteforce(
+    n: int, edges: set[tuple[int, int]], p: Pattern, s: int,
+) -> dict[tuple[tuple[int, ...], ...], bool]:
+    """Every family of h pairwise-disjoint s-subsets of range(n), a sorted
+    tuple of sorted tuples, mapped to whether it spans a traversing copy:
+    some pick of one vertex per subset and some ordering of the picks map
+    every pattern edge onto an edge."""
+    pedges = p.graph.edges()
+    out = {}
+    for fam in combinations(combinations(range(n), s), p.h):
+        if len({v for part in fam for v in part}) < p.h * s:
+            continue
+        out[fam] = any(_preserves(emb, pedges, edges)
+                       for pick in product(*fam) for emb in permutations(pick))
+    return out
 
 
 def embeddings_bruteforce(

@@ -125,29 +125,32 @@ class TestTemplate:
         from tilinglab import templates
         monkeypatch.setattr(templates, "check_template", lambda tpl: (0,))
         with pytest.raises(StageFailure) as exc:
-            build_template(1, 1.0, mode="complete-bipartite")
+            build_template(1, 1.0)
         assert (exc.value.stage, exc.value.blocking) == ("template", (0,))
 
     def test_complete_bipartite_m4(self):
-        tpl = build_template(4, 0.25, mode="complete-bipartite")
+        tpl = build_template(4, 0.25)
         assert (tpl.flex_size, tpl.core_size, tpl.slot_count) == (5, 8, 12)
         assert check_template(tpl) is None
         assert tpl.max_degree <= 40
 
     def test_m1(self):
-        tpl = build_template(1, 0.9, mode="complete-bipartite")
+        tpl = build_template(1, 0.9)
         assert (tpl.slot_count, tpl.flex_size) == (3, 2)
         assert check_template(tpl) is None
 
     def test_degree_bound_guard(self):
-        with pytest.raises(ValueError, match="40"):
-            build_template(20, 0.5, mode="complete-bipartite")
+        # 70 left vertices are past the degree bound of a complete template,
+        # and a random-regular one has C(30, 20) flex subsets, too many to check
+        with pytest.raises(StageFailure, match="30045015 flex m-subsets") as exc:
+            build_template(20, 0.5)
+        assert exc.value.stage == "template"
 
     def test_exhaustive_small_complete_windows(self):
         # a complete template is robust by Hall's condition: certified with
         # no subset enumerated, and equal to the adjacency a check confirms
         for m in range(1, 7):
-            tpl = build_template(m, 0.3, mode="complete-bipartite")
+            tpl = build_template(m, 0.3)
             assert check_template(tpl) is None
             assert all(tpl.slot_matching(sub) is not None
                        for sub in itertools.combinations(range(tpl.flex_size), m))
@@ -157,24 +160,25 @@ class TestTemplate:
         def no_matching(self, flex_subset):
             raise AssertionError("a complete template needs no slot matching")
         monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
-        tpl = build_template(5, 5.0, mode="complete-bipartite")
+        tpl = build_template(5, 5.0)
         assert math.comb(tpl.flex_size, tpl.m) == 142_506 > TEMPLATE_EXHAUSTIVE_CAP
         assert check_template(tpl) is None
 
     def test_random_regular_fixture(self):
         # 41 left vertices: every one of C(15, 13) = 105 flex subsets is checked
-        tpl = build_template(13, 0.1, mode="random-regular", seed=2)
+        tpl = build_template(13, 0.1, seed=2)
         assert (tpl.left_size, math.comb(tpl.flex_size, tpl.m)) == (41, 105)
         assert 8 <= tpl.max_degree <= 40
         assert check_template(tpl) is None
 
     def test_random_regular_deterministic(self):
-        a = build_template(12, 0.2, mode="random-regular", seed=5)
-        b = build_template(12, 0.2, mode="random-regular", seed=5)
-        assert a.left_adj == b.left_adj
+        # 42 left vertices, past the complete template's bound; 560 flex subsets
+        a = build_template(13, 0.2, seed=5)
+        b = build_template(13, 0.2, seed=5)
+        assert a.left_size == 42 and a.left_adj == b.left_adj
 
     def test_check_template_finds_falsifying_subset(self):
-        tpl = build_template(2, 0.5, mode="complete-bipartite")
+        tpl = build_template(2, 0.5)
         # flex vertex 0 loses its edges: every flex subset containing it fails
         broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
         assert check_template(broken) == (0, 1)
@@ -183,7 +187,7 @@ class TestTemplate:
         assert check_template(thinned) is None
 
     def test_slot_matching(self):
-        tpl = build_template(2, 0.5, mode="complete-bipartite")
+        tpl = build_template(2, 0.5)
         matching = tpl.slot_matching([2, 0])
         assert sorted(matching) == [0, 2, 3, 4, 5, 6]  # flex 0 and 2, then the core
         assert sorted(matching.values()) == list(range(tpl.slot_count))

@@ -19,7 +19,7 @@ from tilinglab.absorbing import (
     build_absorbing_set,
     build_template,
 )
-from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
+from tilinglab.factor import find_factor_exact, greedy_max_tiling
 from tilinglab.generators import (
     gen_complete_multipartite,
     gen_gnp,
@@ -112,15 +112,15 @@ def test_03_positive_controls():
 def test_04_template_robustness():
     # a template is certified on every flex m-subset, by Hall's condition
     # when it is complete, or refused when it has too many to check
-    tpl = build_template(4, 0.25, mode="complete-bipartite")
+    tpl = build_template(4, 0.25)
     ok_small = tpl.flex_size == 5 and check_template(tpl) is None
     t0 = time.perf_counter()
-    tpl13 = build_template(13, 0.1, mode="random-regular", seed=2)
+    tpl13 = build_template(13, 0.1, seed=2)
     elapsed = time.perf_counter() - t0
     ok_mid = (math.comb(tpl13.flex_size, 13) == 105 and tpl13.max_degree <= 40
               and check_template(tpl13) is None)
     try:
-        build_template(50, 0.1, mode="random-regular", seed=2)
+        build_template(50, 0.1, seed=2)
         refusal = None
     except StageFailure as exc:
         refusal = exc
@@ -172,8 +172,8 @@ def test_06_greedy_cover_bound():
             continue
         avoid = sorted(rng.sample(range(n), max(1, n // 12)))
         tiling = greedy_max_tiling(g, k3, forbidden=avoid)
-        left = leftover_of(g, tiling, forbidden=avoid)
-        s_star, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
+        left = sorted(set(range(g.n)) - tiling.covered - set(avoid))
+        s_star, _ = traversing_threshold(g, k3, trials=150,
                                          seed=rng.randrange(10**9))
         assert len(left) < 3 * s_star, (n, len(left), s_star)
         worst = f"last: leftover {len(left)} < 3*{s_star}"

@@ -112,13 +112,23 @@ class TestParams:
         assert obj["one_density"] == "3/2"
 
     @pytest.mark.parametrize("s,message", [
-        ("2", "error: 8906625 families exceed the exhaustive cap of 500000"),
         ("20", "error: need h*s <= n"),
     ])
     def test_traversing_probe_out_of_reach_exit_2(self, g30, capsys, s, message):
         assert run_cli("params", "--graph", str(g30), "--pattern", "K3",
-                       "--traversing-s", s, "--traversing-mode", "exhaustive") == 2
+                       "--traversing-s", s) == 2
         assert message in capsys.readouterr().err
+
+    def test_traversing_probe_past_the_trials_is_sampled(self, g30, tmp_path):
+        # 8,906,625 families at s = 2, more than the 200 trials
+        out = tmp_path / "params.json"
+        assert run_cli("params", "--graph", str(g30), "--pattern", "K3",
+                       "--traversing-s", "2", "--out", str(out)) == 0
+        assert load_json(str(out))["traversing_mode"] == "sampled"
+
+    def test_traversing_probe_without_pattern_exit_2(self, g30, capsys):
+        assert run_cli("params", "--graph", str(g30), "--traversing-s", "3") == 2
+        assert "error: --traversing-s needs --pattern" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ell,message", [
         ("abc", "argument --ell: invalid"),
@@ -131,7 +141,7 @@ class TestParams:
     def test_sampled_probe_without_trials_exit_2(self, g30, capsys):
         assert run_cli("params", "--graph", str(g30), "--pattern", "K3",
                        "--traversing-s", "2", "--trials", "0") == 2
-        assert "error: sampled mode needs trials >= 1" in capsys.readouterr().err
+        assert "error: traversing check needs trials >= 1" in capsys.readouterr().err
 
 
 class TestFactor:

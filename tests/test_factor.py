@@ -19,7 +19,7 @@ from tilinglab.embed import (
     traversing_copy,
     traversing_copy_fixed,
 )
-from tilinglab.factor import find_factor_exact, greedy_max_tiling, leftover_of
+from tilinglab.factor import find_factor_exact, greedy_max_tiling
 from tilinglab.generators import gen_complete_multipartite, gen_gnp, gen_two_cliques
 from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph, vertex_mask
 from tilinglab.rng import rng_for
@@ -137,19 +137,19 @@ class TestGreedyTiling:
     def test_k9_tiles_fully(self, k3):
         t = greedy_max_tiling(complete_graph(9), k3)
         assert len(t) == 3
-        assert leftover_of(complete_graph(9), t) == []
+        assert sorted(set(range(9)) - t.covered) == []
 
     def test_triangle_free_leaves_everything(self, k3):
         k66 = gen_complete_multipartite([6, 6])
         t = greedy_max_tiling(k66, k3)
         assert len(t) == 0
-        assert len(leftover_of(k66, t)) == 12
+        assert len(sorted(set(range(k66.n)) - t.covered)) == 12
 
     def test_leftover_has_no_copy(self, k3):
         for seed in range(10):
             g = gen_gnp(21, 0.35, seed)
             t = greedy_max_tiling(g, k3)
-            left = leftover_of(g, t)
+            left = sorted(set(range(g.n)) - t.covered)
             assert next(cliques_of_size(g, 3, vertex_mask(left)), None) is None
             verify_tiling(g, t)
 

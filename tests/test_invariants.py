@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SMALL_PATTERNS, alpha_exhaustive, has_clique, max_density_subgraphs
+from oracles import (
+    SMALL_PATTERNS,
+    alpha_exhaustive,
+    has_clique,
+    max_density_subgraphs,
+    traversing_families_bruteforce,
+)
 from tilinglab.embed import cliques_of_size, traversing_copy
 from tilinglab.generators import gen_complete_multipartite, gen_gnp
 from tilinglab import invariants
 from tilinglab.graphs import Graph, Pattern, complete_graph, parse_graph, vertex_mask
 from tilinglab.invariants import (
-    EnumerationCapError,
     alpha_ell,
     max_clique,
     min_degree,
@@ -110,34 +115,33 @@ class TestAlphaEll:
 
 class TestTraversing:
     def test_k9_singletons_hold(self, k9, k3):
-        v = traversing_check(k9, k3, 1, mode="exhaustive")
-        assert v.holds and v.families_checked == 84
+        v = traversing_check(k9, k3, 1)
+        assert v.holds and v.families_checked == 84 and v.mode == "exhaustive"
 
     def test_k66_fails_with_witness(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        v = traversing_check(k66, k3, 4, mode="exhaustive")
-        assert not v.holds
+        v = traversing_check(k66, k3, 4, trials=5_775)  # every family
+        assert not v.holds and v.mode == "exhaustive"
         verify_traversing_witness(k66, k3, 4, [list(x) for x in v.witness])
 
     def test_sampled_fixture_holds(self, k3):
         g = gen_gnp(60, 0.5, 3)
-        v = traversing_check(g, k3, 6, mode="sampled", trials=500, seed=9)
-        assert v.holds
+        v = traversing_check(g, k3, 6, trials=500, seed=9)
+        assert v.holds and v.mode == "sampled"
         assert v.families_checked == 500
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_sampled_needs_a_trial(self, k3, trials):
         # with no family drawn, "holds" would be a verdict on nothing
         with pytest.raises(ValueError, match="trials >= 1"):
-            traversing_check(gen_gnp(12, 0.3, 1), k3, 2, mode="sampled", trials=trials)
+            traversing_check(gen_gnp(12, 0.3, 1), k3, 2, trials=trials)
 
     def test_threshold_complete(self, k3):
-        s, _ = traversing_threshold(complete_graph(9), k3, mode="exhaustive")
+        s, _ = traversing_threshold(complete_graph(9), k3)
         assert s == 1
 
     def test_threshold_bipartite_sentinel(self, k3):
-        s, verdict = traversing_threshold(gen_complete_multipartite([6, 6]), k3,
-                                          mode="exhaustive")
+        s, verdict = traversing_threshold(gen_complete_multipartite([6, 6]), k3)
         assert s == math.inf and verdict is None
 
     def test_threshold_multipartite_444(self, k3):
@@ -145,30 +149,31 @@ class TestTraversing:
         # one part block every traversing triangle, but at s = 3 no blocking
         # family fits inside the parts of size 4
         g = gen_complete_multipartite([4, 4, 4])
-        v2 = traversing_check(g, k3, 2, mode="exhaustive")
-        assert not v2.holds
-        s, _ = traversing_threshold(g, k3, mode="exhaustive")
+        v2 = traversing_check(g, k3, 2, trials=13_860)  # every family
+        assert not v2.holds and v2.mode == "exhaustive"
+        s, _ = traversing_threshold(g, k3, trials=13_860)
         assert s == 3
 
     def test_monotone_in_s(self, k3):
         g = gen_gnp(9, 0.7, 13)
-        held = [traversing_check(g, k3, s, mode="exhaustive").holds
+        held = [traversing_check(g, k3, s).holds
                 for s in (1, 2, 3)]
         for a, b in zip(held, held[1:]):
             assert (not a) or b
 
     def test_cap_guard(self, k3):
+        # about 5*10^15 families, far past the trials: a sample is drawn
         g = gen_gnp(40, 0.5, 1)
-        with pytest.raises(EnumerationCapError):
-            traversing_check(g, k3, 5, mode="exhaustive")
+        v = traversing_check(g, k3, 5, trials=300)
+        assert v.mode == "sampled" and v.families_checked == 300
 
     def test_precondition(self, k3):
         with pytest.raises(ValueError):
-            traversing_check(complete_graph(5), k3, 2, mode="exhaustive")
+            traversing_check(complete_graph(5), k3, 2)
 
     def test_failing_witness_reverifies(self, k3):
         g = gen_complete_multipartite([4, 4, 4])
-        v = traversing_check(g, k3, 2, mode="exhaustive")
+        v = traversing_check(g, k3, 2, trials=13_860)
         assert v.witness is not None
         verify_traversing_witness(g, k3, 2, [list(x) for x in v.witness])
 
@@ -192,6 +197,32 @@ class TestTraversing:
         except VerificationError:
             accepted = False
         assert accepted == (traversing_copy(g, p, parts) is None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_trials_pick_the_path(self, data):
+        # every family is enumerated exactly when they number at most
+        # `trials`; an exhaustive verdict agrees with a brute force over every
+        # family, and any witness is a family with no traversing copy
+        p = SMALL_PATTERNS[data.draw(st.sampled_from(sorted(SMALL_PATTERNS)))]
+        s = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(p.h * s, 8))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = {e for e, kept in zip(pairs, keep) if kept}
+        g = Graph(n, sorted(edges))
+        trials = data.draw(st.integers(1, 500))
+        families = traversing_families_bruteforce(n, edges, p, s)
+        v = traversing_check(g, p, s, trials=trials, seed=data.draw(st.integers(0, 99)))
+        assert v.mode == ("exhaustive" if len(families) <= trials else "sampled")
+        assert v.families_checked <= max(len(families), trials)
+        if v.mode == "exhaustive":
+            assert v.holds == all(families.values())
+        if v.witness is None:
+            assert v.holds
+        else:
+            assert not v.holds and families[tuple(sorted(v.witness))] is False
+            verify_traversing_witness(g, p, s, [list(x) for x in v.witness])
 
 
 class TestOneDensity:
@@ -217,8 +248,7 @@ class TestOneDensity:
 class TestParamReport:
     def test_flat_serialization(self, k3):
         g = gen_complete_multipartite([3, 4, 5])
-        report = param_report(g, ells=[2, 3], pattern=k3, traversing_s=1,
-                              traversing_mode="exhaustive")
+        report = param_report(g, ells=[2, 3], pattern=k3, traversing_s=1)
         assert report["min_degree"] == 7
         assert report["alpha_2"] == 5
         assert report["max_clique"] == 3

@@ -6,7 +6,7 @@ from tilinglab import absorption, pipeline, templates
 from tilinglab.absorbing import AbsorberConfig
 from tilinglab.config import StageFailure
 from tilinglab.embed import cliques_of_size
-from tilinglab.factor import FactorResult, find_factor_exact, greedy_max_tiling, leftover_of
+from tilinglab.factor import FactorResult, find_factor_exact, greedy_max_tiling
 from tilinglab.generators import (
     Construction,
     GammaReport,
@@ -81,6 +81,15 @@ class TestHypotheses:
                                         "general", cfg, seed=1)
         assert not held
         assert "traversing at s=2 sampled(100): fails" in detail
+
+    def test_general_mode_checks_every_family_when_few(self, k3):
+        # at n = 6 and s = 2 there are 15 families, no more than
+        # HYPOTHESIS_TRIALS, so all of them are checked and the verdict is exact
+        cfg = AbsorberConfig.desk_scale(h=3, **{**K3_DESK, "threshold_frac": 0.2})
+        held, detail = check_hypotheses(complete_graph(6), k3, "general", cfg)
+        assert held and "traversing at s=2 exhaustive: holds" in detail
+        held, detail = check_hypotheses(gen_complete_multipartite([3, 3]), k3, "general", cfg)
+        assert not held and "traversing at s=2 exhaustive: fails" in detail
 
 
 class TestPipeline:
@@ -236,20 +245,20 @@ class TestCoverCheck:
     def test_complete_graph_no_leftover(self, k3):
         avoid = list(range(6))
         tiling = greedy_max_tiling(complete_graph(30), k3, forbidden=avoid)
-        left = leftover_of(complete_graph(30), tiling, forbidden=avoid)
+        left = sorted(set(range(30)) - tiling.covered - set(avoid))
         assert left == [] and len(left) <= 0.1 * 30
         verify_tiling(complete_graph(30), tiling, forbidden=range(6))
 
     def test_bipartite_all_leftover(self, k3):
         k66 = gen_complete_multipartite([6, 6])
-        left = leftover_of(k66, greedy_max_tiling(k66, k3))
+        left = sorted(set(range(k66.n)) - greedy_max_tiling(k66, k3).covered)
         assert len(left) == 12 and not len(left) <= 0.5 * 12
 
     def test_gnp_small_leftover(self, k3):
         g = gen_gnp(90, 0.6, 5)
         avoid = sorted(rng_for(3, "avoid").sample(range(90), 9))
         tiling = greedy_max_tiling(g, k3, forbidden=avoid)
-        left = leftover_of(g, tiling, forbidden=avoid)
+        left = sorted(set(range(g.n)) - tiling.covered - set(avoid))
         assert len(left) <= 9 and len(left) <= 0.1 * 90
         verify_tiling(g, tiling, forbidden=avoid)
 
@@ -262,8 +271,8 @@ class TestCoverCheck:
             g = gen_gnp(n, rng.uniform(0.55, 0.75), rng.randrange(10**9))
             avoid = sorted(rng.sample(range(n), max(1, n // 12)))
             tiling = greedy_max_tiling(g, k3, forbidden=avoid)
-            left = leftover_of(g, tiling, forbidden=avoid)
-            s, _ = traversing_threshold(g, k3, mode="sampled", trials=150,
+            left = sorted(set(range(g.n)) - tiling.covered - set(avoid))
+            s, _ = traversing_threshold(g, k3, trials=150,
                                         seed=rng.randrange(10**9))
             assert next(cliques_of_size(g, 3, vertex_mask(left)), None) is None
             assert len(left) < 3 * s, (i, len(left), s)

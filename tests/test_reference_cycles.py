@@ -26,8 +26,7 @@ CALLS = {
     "embeddings": lambda: list(embeddings(G30, C4, (1 << 30) - 1, anchor=0)),
     "disjoint_copies": lambda: absorption._disjoint_copies(
         gen_gnp(8, 0.6, 3), Pattern.clique(3), [0, 1], range(2, 8), 2, 0),
-    "traversing_check": lambda: traversing_check(gen_gnp(8, 0.6, 1), Pattern.clique(3), 2,
-                                                mode="exhaustive"),
+    "traversing_check": lambda: traversing_check(gen_gnp(8, 0.6, 1), Pattern.clique(3), 2),
 }
 
 
