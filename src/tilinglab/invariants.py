@@ -250,9 +250,9 @@ def traversing_threshold(
     """Smallest s in 1..floor(n/h) passing traversing_check, scanned upward.
 
     Returns (s, verdict); if no s passes (for instance when G has no copy of
-    the pattern at all) the value is math.inf with verdict None.  The result
-    is exact only if every s up to it was checked exhaustively (each verdict
-    says which); a sampled pass is an empirical estimate.
+    the pattern at all) the value is math.inf with verdict None.  A failure
+    is conclusive in either mode, so the returned s is exact when the
+    returned verdict's mode is "exhaustive" and an estimate otherwise.
     """
     h = p.h
     for s in range(1, g.n // h + 1):

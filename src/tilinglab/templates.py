@@ -104,14 +104,26 @@ def build_template(m: int, beta: float, seed: int = 0) -> TemplateGraph:
             raise StageFailure("template", "flex subset without perfect matching", blocking=bad)
         return tpl
 
-    # TEMPLATE_DEGREE stubs per left vertex, spread evenly over the slots
-    base, extra = divmod(TEMPLATE_DEGREE * left, slots)
     for attempt in range(TEMPLATE_RETRIES):
-        right_stubs = [r for r in range(slots) for _ in range(base + (r < extra))]
-        rng_for(seed, "template", attempt).shuffle(right_stubs)
-        adj_sets = [set(right_stubs[l * TEMPLATE_DEGREE : (l + 1) * TEMPLATE_DEGREE])
-                    for l in range(left)]
-        degs = [len(s) for s in adj_sets] + [sum(r in s for s in adj_sets) for r in range(slots)]
+        rng = rng_for(seed, "template", attempt)
+        total = TEMPLATE_DEGREE * left
+        right_stubs: list[int] = []
+        base, extra = divmod(total, slots)
+        for r in range(slots):
+            right_stubs.extend([r] * (base + (1 if r < extra else 0)))
+        rng.shuffle(right_stubs)
+        adj_sets: list[set[int]] = [set() for _ in range(left)]
+        idx = 0
+        for l in range(left):
+            for _ in range(TEMPLATE_DEGREE):
+                adj_sets[l].add(right_stubs[idx])
+                idx += 1
+        left_deg = [len(s) for s in adj_sets]
+        right_deg = [0] * slots
+        for s in adj_sets:
+            for r in s:
+                right_deg[r] += 1
+        degs = left_deg + right_deg
         if min(degs) < 8 or max(degs) > 40:
             continue
         adj = tuple(tuple(sorted(s)) for s in adj_sets)

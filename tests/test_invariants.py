@@ -141,7 +141,9 @@ class TestTraversing:
         assert s == 1
 
     def test_threshold_bipartite_sentinel(self, k3):
-        s, verdict = traversing_threshold(gen_complete_multipartite([6, 6]), k3)
+        # at most 61,600 families at each s (s = 3): every one is enumerated
+        s, verdict = traversing_threshold(gen_complete_multipartite([6, 6]), k3,
+                                          trials=61_600)
         assert s == math.inf and verdict is None
 
     def test_threshold_multipartite_444(self, k3):
@@ -156,8 +158,10 @@ class TestTraversing:
 
     def test_monotone_in_s(self, k3):
         g = gen_gnp(9, 0.7, 13)
-        held = [traversing_check(g, k3, s).holds
-                for s in (1, 2, 3)]
+        # 84, 1,260 and 280 families at s = 1, 2, 3: every one is enumerated
+        verdicts = [traversing_check(g, k3, s, trials=1_260) for s in (1, 2, 3)]
+        assert all(v.mode == "exhaustive" for v in verdicts)
+        held = [v.holds for v in verdicts]
         for a, b in zip(held, held[1:]):
             assert (not a) or b
 
@@ -248,13 +252,15 @@ class TestOneDensity:
 class TestParamReport:
     def test_flat_serialization(self, k3):
         g = gen_complete_multipartite([3, 4, 5])
-        report = param_report(g, ells=[2, 3], pattern=k3, traversing_s=1)
+        # C(12, 3) = 220 families at s = 1: every one is enumerated
+        report = param_report(g, ells=[2, 3], pattern=k3, traversing_s=1, trials=220)
         assert report["min_degree"] == 7
         assert report["alpha_2"] == 5
         assert report["max_clique"] == 3
         assert report["max_clique_exact"] is True
         assert len(report["max_clique_witness"]) == 3
         assert report["one_density"] == "3/2"
+        assert report["traversing_mode"] == "exhaustive"
         assert report["traversing_holds"] is False
         assert isinstance(report["traversing_witness"], list)
         assert report["schema"] == "param-report/v1"
