@@ -14,10 +14,13 @@ run_seconds with tracing off, and reads the last JSON line of each run.  It
 prints every run, then for each end-to-end metric of BENCHMARK.json the
 median and quartiles of each side, the relative change of the median, and
 the pairs the change won (ties count for neither side), and last the
-attempted and failed counts of each side.  The change of the median is
-"within" or "past" the metric's bound, or "unresolved" when the base's own
-spread (q3 - q1) / median is wider than the bound, unless every change run
-beats every base run.  BENCHMARK.json is read, never edited.  Stdlib only.
+attempted and failed counts of each side and whether the change's failed
+share is above the base's.  The change of the median is "within" or "past"
+the metric's bound, or "unresolved" when the base's own spread
+(q3 - q1) / median is wider than the bound, unless every change run beats
+every base run.  The script exits 1 when the change's failed share is above
+the base's on any workload, else 0.  BENCHMARK.json is read, never edited.
+Stdlib only.
 """
 
 import argparse
@@ -92,6 +95,7 @@ def main() -> int:
                           f"attempted={out['attempted']} failed={out['failed']}", flush=True)
             results[workload] = runs
 
+    more_failures = []
     for workload, runs in results.items():
         print(f"\n{workload}")
         for m in metrics:
@@ -119,11 +123,19 @@ def main() -> int:
                 verdict = "past" if worse > m["bound"] else "within"
             print(f"  {name:12} change of the median {change:+.1%} (bound {m['bound']:.0%}: "
                   f"{verdict}); change won {won} of {args.pairs} pairs")
+        share = {}
         for side in ("base", "change"):
             attempted = sum(r["attempted"] for r in runs[side])
             failed = sum(r["failed"] for r in runs[side])
-            print(f"  {side:6} attempted {attempted}, failed {failed} ({failed / attempted:.4g})")
-    return 0
+            share[side] = failed / attempted
+            print(f"  {side:6} attempted {attempted}, failed {failed} ({share[side]:.4g})")
+        above = share["change"] > share["base"]
+        print(f"  failed share: the change's is {'' if above else 'not '}above the base's")
+        if above:
+            more_failures.append(workload)
+    if more_failures:
+        print(f"\nfailed share above the base's on {', '.join(more_failures)}")
+    return 1 if more_failures else 0
 
 
 if __name__ == "__main__":

@@ -136,7 +136,9 @@ def disjoint_absorber_family_general(
     if len(core_t) != h:
         raise ValueError(f"core set must have exactly {h} vertices")
     n = g.n
-    pool_size = config.pool_size or max(h, math.ceil(config.degree_frac * n / (2 * h)))
+    pool_size = config.pool_size
+    if pool_size is None:
+        pool_size = max(h, math.ceil(config.degree_frac * n / (2 * h)))
     blocked: set[int] = set(core_t) | set(forbidden)
     pools: dict[int, list[int]] = {}
     for w in core_t:

@@ -6,7 +6,7 @@ ell vertices (ell = 2 gives the independence number).  The traversing
 threshold of (G, H) is the smallest s such that every family of v(H)
 pairwise-disjoint s-subsets of V(G) induces a copy of H with one vertex in
 each subset; `traversing_check` examines at most `trials` families: all of
-them when they number no more, a random draw of `trials` otherwise.
+them when they number no more, `trials` distinct random ones otherwise.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def traversing_check(
 
     `trials` (at least 1) bounds the families examined.  When the families
     number at most `trials` all of them are enumerated and the verdict is
-    exact (mode "exhaustive"); otherwise `trials` uniformly random disjoint
+    exact (mode "exhaustive"); otherwise `trials` distinct uniformly random
     families are drawn (mode "sampled").  A failing family is returned as a
     witness.
     """
@@ -210,11 +210,18 @@ def traversing_check(
 
 def _sample_families(n: int, h: int, s: int, trials: int,
                      seed: int) -> Iterator[list[tuple[int, ...]]]:
-    """`trials` uniformly random families of h disjoint sorted s-subsets of range(n)."""
+    """`trials` distinct uniformly random families of h disjoint sorted
+    s-subsets of range(n): a family drawn again is redrawn, so the families
+    must outnumber `trials`, as they do whenever traversing_check samples."""
     rng = rng_for(seed, "traversing", s)
-    for _ in range(trials):
+    drawn: set[tuple[tuple[int, ...], ...]] = set()
+    while len(drawn) < trials:
         picked = rng.sample(range(n), h * s)
-        yield [tuple(sorted(picked[i * s : (i + 1) * s])) for i in range(h)]
+        family = [tuple(sorted(picked[i * s : (i + 1) * s])) for i in range(h)]
+        key = tuple(sorted(family))
+        if key not in drawn:
+            drawn.add(key)
+            yield family
 
 
 def _iter_families_one_per_min(avail: list[int], k: int, s: int) -> Iterator[list[tuple[int, ...]]]:

@@ -1,60 +1,40 @@
-"""Bipartite maximum matching via Hopcroft-Karp augmenting paths."""
+"""Bipartite maximum matching by Kuhn's augmenting paths, one left vertex at
+a time.  It matches template rows to slots: 3 onto 3 in every absorb the
+benchmark runs, and each flex m-subset plus the core in check_template."""
 
 from __future__ import annotations
 
-from collections import deque
-
-INF = -1
+from typing import Sequence
 
 
-def max_bipartite_matching(
-    n_left: int,
-    n_right: int,
-    adj: list[list[int]],
-) -> tuple[int, list[int], list[int]]:
+def max_bipartite_matching(n_left: int, n_right: int,
+                           adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
     """Maximum matching of the bipartite graph left -> adj[left].
 
     Returns (size, pair_left, pair_right) where pair_left[u] is the right
-    vertex matched to u (or -1), and symmetrically for pair_right.
-    """
+    vertex matched to u (or -1), and symmetrically for pair_right.  Left
+    vertices are matched in index order, so on a complete graph with sorted
+    rows the k-th left vertex gets right vertex k."""
     pair_l = [-1] * n_left
     pair_r = [-1] * n_right
-    dist = [0] * n_left
-
-    def bfs() -> bool:
-        q: deque[int] = deque()
-        for u in range(n_left):
-            if pair_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        reachable_free = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w == -1:
-                    reachable_free = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return reachable_free
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(n_left):
-            if pair_l[u] == -1 and dfs(u):
-                size += 1
-    del dfs  # dfs refers to itself; dropping the name frees it without the gc
+    size = sum(_augment(adj, pair_l, pair_r, u) for u in range(n_left))
     return size, pair_l, pair_r
+
+
+def _augment(adj: Sequence[Sequence[int]], pair_l: list[int], pair_r: list[int], u: int) -> bool:
+    """Match the free left vertex u along a shortest augmenting path, found
+    by breadth-first search, so its first free neighbour when it has one;
+    False when there is none.  No recursion, so no depth limit."""
+    came_from: dict[int, int] = {}  # right vertex -> the left vertex that reached it
+    queue = [u]
+    for w in queue:  # the queue grows while it is read
+        for v in adj[w]:
+            if v not in came_from:
+                came_from[v] = w
+                if pair_r[v] == -1:
+                    while v != -1:  # flip the path back to u
+                        w = came_from[v]
+                        pair_l[w], pair_r[v], v = v, w, pair_l[w]
+                    return True
+                queue.append(pair_r[v])
+    return False

@@ -67,7 +67,7 @@ class TemplateGraph(NamedTuple):
         if len(chosen) != self.m or any(not 0 <= i < self.flex_size for i in chosen):
             raise ValueError("flex subset must pick exactly m flex indices")
         left = chosen + list(range(self.flex_size, self.left_size))
-        adj = [list(self.left_adj[l]) for l in left]
+        adj = [self.left_adj[l] for l in left]
         size, pair_l, _ = max_bipartite_matching(len(left), self.slot_count, adj)
         return dict(zip(left, pair_l)) if size == self.slot_count else None
 

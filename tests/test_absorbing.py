@@ -197,6 +197,15 @@ class TestTemplate:
         broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
         assert broken.slot_matching([0, 1]) is None
 
+    @pytest.mark.parametrize("m, beta", [(1, 0.5), (2, 0.5), (3, 2.0)])
+    def test_complete_slot_matching_in_order(self, m, beta):
+        # the i-th of (sorted flex subset + core) takes slot i, which keeps
+        # every absorb's pairing fixed
+        tpl = build_template(m, beta)
+        for sub in itertools.combinations(range(tpl.flex_size), m):
+            left = sorted(sub) + list(range(tpl.flex_size, tpl.left_size))
+            assert tpl.slot_matching(reversed(sub)) == {l: i for i, l in enumerate(left)}
+
 
 # K9 without the edge (2, 3): with the core [0, 1, 2] and the absorber
 # {3, 4, 5}, a copy through both 2 and 3 is not a triangle
@@ -301,6 +310,12 @@ class TestFamilyBuilders:
             verify_absorber(k30, [0, 1, 2], alone, with_core, 3)
             assert not (alone.covered & seen)
             seen |= alone.covered
+
+    def test_general_pool_size_zero_is_honoured(self, k3):
+        # 0 is a size like any other, not a request for the derived one
+        cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=0)
+        assert disjoint_absorber_family_general(complete_graph(30), k3, [0, 1, 2],
+                                                target=1, config=cfg) == []
 
     def test_general_traversing_failure_on_bipartite(self, k3):
         k66 = gen_complete_multipartite([6, 6])

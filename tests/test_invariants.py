@@ -130,6 +130,19 @@ class TestTraversing:
         assert v.holds and v.mode == "sampled"
         assert v.families_checked == 500
 
+    def test_sampled_families_are_distinct(self):
+        # 420 families of three disjoint pairs of 8 vertices, one more than the draws
+        families = list(invariants._sample_families(8, 3, 2, 419, 0))
+        assert len({tuple(sorted(f)) for f in families}) == len(families) == 419
+
+    @pytest.mark.parametrize("seed", [2, 67])
+    def test_sampled_just_short_of_all_families_agrees(self, k3, seed):
+        # with repeats, 419 draws said "holds" on these graphs
+        g = gen_gnp(8, 0.8, seed)
+        sampled = traversing_check(g, k3, 2, trials=419)
+        assert sampled.mode == "sampled" and not sampled.holds
+        assert not traversing_check(g, k3, 2, trials=420).holds
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_sampled_needs_a_trial(self, k3, trials):
         # with no family drawn, "holds" would be a verdict on nothing

@@ -53,5 +53,18 @@ def test_against_bruteforce(nl, nr, data):
         sorted(data.draw(st.sets(st.integers(0, nr - 1)), label=f"adj{u}"))
         for u in range(nl)
     ]
-    size, _, _ = max_bipartite_matching(nl, nr, adj)
+    size, pl, pr = max_bipartite_matching(nl, nr, adj)
     assert size == brute_max_matching(nl, nr, [set(a) for a in adj])
+    pairs = [(u, v) for u, v in enumerate(pl) if v != -1]
+    assert len(pairs) == size == sum(u != -1 for u in pr)
+    for u, v in pairs:
+        assert v in adj[u] and pr[v] == u
+
+
+def test_long_augmenting_path():
+    # the last left vertex frees slot 0 only by shifting all the others along
+    # one path of 4,999 edges, past Python's recursion limit
+    n = 2500
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    size, pl, _ = max_bipartite_matching(n, n, adj)
+    assert size == n and pl[-1] == 0 and pl[:-1] == list(range(1, n))
