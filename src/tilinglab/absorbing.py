@@ -200,7 +200,7 @@ def build_absorbing_set(
                            f"s = {surplus} mod h, so k >= {least} > max_remainder = {most}")
 
     # stage 3: template
-    template = build_template(m, beta, seed=derive_seed(seed, "template"))
+    template = build_template(m, beta)
 
     # stages 4-5: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a

@@ -83,8 +83,7 @@ def is_json_number(value: Any) -> bool:
 # ---------------------------------------------------------------------------
 # configuration
 
-# most samples of a random-regular template, of the buffer and of the partition
-TEMPLATE_RETRIES = 20
+# most samples of the buffer and of the partition
 SAMPLE_RETRIES = 50
 PARTITION_RETRIES = 20
 

@@ -195,17 +195,21 @@ def check_template(tpl) -> tuple[int, ...] | None:
     first flex m-subset that, with the core, has no perfect matching onto
     the slots, or None when every one has.
 
-    A template that joins every left vertex to every slot is robust by
-    Hall's condition, and no subset is enumerated.  Any other template has
-    every flex m-subset checked, and one with more than
-    TEMPLATE_EXHAUSTIVE_CAP of them is refused with a VerificationError.
+    A template whose flex rows all hold the top slots 2m..3m-1 and whose
+    core row j holds slot j (complete and sparse ones do) is robust by
+    Hall's condition, and no subset is enumerated.  Any other has every
+    flex m-subset checked.  A VerificationError refuses one with fewer
+    than 3m left vertices or more than TEMPLATE_EXHAUSTIVE_CAP subsets.
     """
-    slots = set(range(tpl.slot_count))
-    if all(set(row) == slots for row in tpl.left_adj):
+    m, flex = tpl.m, tpl.flex_size
+    if flex < m:
+        raise VerificationError(f"{tpl.left_size} left vertices are fewer than 3m = {3 * m}")
+    top, rows = set(range(2 * m, 3 * m)), tpl.left_adj
+    if all(top <= set(r) for r in rows[:flex]) and all(j in r for j, r in enumerate(rows[flex:])):
         return None
-    count = math.comb(tpl.flex_size, tpl.m)
+    count = math.comb(flex, m)
     if count > TEMPLATE_EXHAUSTIVE_CAP:
         raise VerificationError(f"{count} flex m-subsets exceed the "
                                 f"{TEMPLATE_EXHAUSTIVE_CAP} a template check enumerates")
-    return next((sub for sub in combinations(range(tpl.flex_size), tpl.m)
+    return next((sub for sub in combinations(range(flex), m)
                  if tpl.slot_matching(sub) is None), None)

@@ -140,10 +140,11 @@ class TestTemplate:
         assert check_template(tpl) is None
 
     def test_degree_bound_guard(self):
-        # 70 left vertices are past the degree bound of a complete template,
-        # and a random-regular one has C(30, 20) flex subsets, too many to check
-        with pytest.raises(StageFailure, match="30045015 flex m-subsets") as exc:
-            build_template(20, 0.5)
+        # 50 + ceil(5) = 55 flex vertices: each joins the top slots, whose
+        # degree would pass the bound of 40
+        with pytest.raises(StageFailure, match="flex side of 55 exceeds the degree bound "
+                                               "of 40") as exc:
+            build_template(50, 0.1)
         assert exc.value.stage == "template"
 
     def test_exhaustive_small_complete_windows(self):
@@ -164,18 +165,65 @@ class TestTemplate:
         assert math.comb(tpl.flex_size, tpl.m) == 142_506 > TEMPLATE_EXHAUSTIVE_CAP
         assert check_template(tpl) is None
 
-    def test_random_regular_fixture(self):
-        # 41 left vertices: every one of C(15, 13) = 105 flex subsets is checked
-        tpl = build_template(13, 0.1, seed=2)
+    def test_sparse_fixture(self):
+        # 41 left vertices, one past the complete template: core j joins
+        # slot j alone and each of the 15 flex vertices the top 13 slots;
+        # every one of C(15, 13) = 105 flex subsets matches
+        tpl = build_template(13, 0.1)
         assert (tpl.left_size, math.comb(tpl.flex_size, tpl.m)) == (41, 105)
-        assert 8 <= tpl.max_degree <= 40
+        assert tpl.left_adj == ((tuple(range(26, 39)),) * 15
+                                + tuple((j,) for j in range(26)))
+        assert (tpl.max_degree, len(tpl.edges())) == (15, 13 * 15 + 26)
+        assert check_template(tpl) is None
+        assert all(tpl.slot_matching(sub) is not None
+                   for sub in itertools.combinations(range(tpl.flex_size), tpl.m))
+
+    def test_sparse_template_past_the_cap_needs_no_matching(self, monkeypatch):
+        # C(30, 20) = 30,045,015 flex subsets: the shape certifies them all
+        def no_matching(self, flex_subset):
+            raise AssertionError("a sparse template needs no slot matching")
+        monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
+        tpl = build_template(20, 0.5)
+        assert (tpl.left_size, tpl.max_degree) == (70, 30)
+        assert math.comb(tpl.flex_size, tpl.m) == 30_045_015 > TEMPLATE_EXHAUSTIVE_CAP
         assert check_template(tpl) is None
 
-    def test_random_regular_deterministic(self):
-        # 42 left vertices, past the complete template's bound; 560 flex subsets
-        a = build_template(13, 0.2, seed=5)
-        b = build_template(13, 0.2, seed=5)
-        assert a.left_size == 42 and a.left_adj == b.left_adj
+    @pytest.mark.parametrize("rows", [4, 5, 0, 3])
+    def test_check_template_refuses_fewer_than_3m_left_vertices(self, rows):
+        # at m = 2 a template needs 6 left vertices: 4 or 5 leave fewer than
+        # m flex vertices, and fewer than 4 leave none and a short core
+        tpl = TemplateGraph(m=2, left_adj=((4, 5),) * rows)
+        with pytest.raises(VerificationError, match=f"{rows} left vertices are fewer than "
+                                                    f"3m = 6"):
+            check_template(tpl)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.data())
+    def test_check_template_agrees_with_bruteforce(self, data):
+        # templates at m <= 2 with at most 6 flex vertices: random ones,
+        # sparse ones with one edge removed, and sparse ones with each row's
+        # slots toggled at random.  Each is certified exactly when every
+        # flex m-subset with the core matches the slots under some permutation
+        m = data.draw(hs.integers(1, 2), label="m")
+        flex = data.draw(hs.integers(m, 6), label="flex")
+        slots = range(3 * m)
+        sparse = [set(range(2 * m, 3 * m))] * flex + [{j} for j in range(2 * m)]
+        kind = data.draw(hs.sampled_from(["random", "sparse less one", "toggled"]))
+        if kind == "random":
+            rows = [data.draw(hs.sets(hs.sampled_from(slots)), label="row") for _ in sparse]
+        elif kind == "sparse less one":
+            rows = list(sparse)
+            l = data.draw(hs.integers(0, len(rows) - 1), label="row")
+            rows[l] = rows[l] - {data.draw(hs.sampled_from(sorted(rows[l])), label="slot")}
+        else:
+            rows = [row ^ data.draw(hs.sets(hs.sampled_from(slots), max_size=2), label="toggle")
+                    for row in sparse]
+        tpl = TemplateGraph(m=m, left_adj=tuple(tuple(sorted(row)) for row in rows))
+        core = tuple(range(flex, flex + 2 * m))
+        robust = all(any(all(slot in rows[l] for l, slot in zip(sub + core, perm))
+                         for perm in itertools.permutations(slots))
+                     for sub in itertools.combinations(range(flex), m))
+        assert (check_template(tpl) is None) == robust
 
     def test_check_template_finds_falsifying_subset(self):
         tpl = build_template(2, 0.5)

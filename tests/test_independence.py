@@ -3,8 +3,9 @@
 nor `absorption.py`, which reads its absorber tilings off the structure,
 names the exact factor search.  The document codec `serialize` is the
 CLI's: no other module imports it when it loads.  The searches of `factor`
-and `embed` import nothing from `rng`, so their order depends on no random
-draw.  Modules are read as syntax trees, not imported."""
+and `embed`, and the template builder, import nothing from `rng`, so their
+order and shape depend on no random draw.  Modules are read as syntax
+trees, not imported."""
 
 import ast
 from pathlib import Path
@@ -72,7 +73,7 @@ def test_only_cli_imports_serialize_when_it_loads(module):
     assert "serialize" not in load_time_imports(syntax_tree(module))
 
 
-@pytest.mark.parametrize("module", ["factor.py", "embed.py"])
+@pytest.mark.parametrize("module", ["factor.py", "embed.py", "templates.py"])
 def test_search_imports_nothing_from_rng(module):
     assert "rng" not in package_imports(syntax_tree(module))
 
