@@ -35,7 +35,7 @@ from .absorbers import (
 )
 from .absorption import absorb
 from .config import SAMPLE_RETRIES, AbsorberConfig, CertificateBugError, StageFailure
-from .embed import cliques_of_size, copy_sets_through, find_embedding
+from .embed import cliques_of_size, copy_sets_through
 from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .rng import derive_seed, rng_for
 from .templates import TemplateGraph, _surplus_of, build_template
@@ -112,24 +112,23 @@ def build_absorbing_set(
     structure's `builder` names the one that ran.  The paper's hypotheses
     are checked by pipeline.check_hypotheses, not here.
 
-    Stages: (1) check that every vertex v lies in gamma =
-    max(1, ceil(absorber_frac*n)) copies that share only v, taken greedily
-    (each copy's other vertices leave the search); (2) sample the buffer
-    with probability sample_prob, at most SAMPLE_RETRIES times, until the
-    sample is small enough and every vertex has q^(h-1)*gamma/2 copies
-    into the buffer: an integer count reaches that exactly when it reaches
-    its ceiling, so each count stops there, the first short vertex rejects
-    the sample, and no copy is kept; no sample is drawn when m_cap = 0 or
-    a small enough sample, at most ceil(2nq) vertices, is too small for
-    m = 1, which needs 1 + ceil(surplus_ratio); then stop at
+    Stages: (1) sample the buffer with probability sample_prob, at most
+    SAMPLE_RETRIES times, until the sample is small enough and every vertex
+    has q^(h-1)*gamma/2 copies into the buffer, where gamma =
+    max(1, ceil(absorber_frac*n)): an integer count reaches that exactly
+    when it reaches its ceiling, so each count stops there, the first short
+    vertex rejects the sample, and no copy is kept; no sample is drawn when
+    m_cap = 0 or a small enough sample, at most ceil(2nq) vertices, is too
+    small for m = 1, which needs 1 + ceil(surplus_ratio); then stop at
     `remainder-sizes` when no remainder size can be absorbed: |A| is
     3mh + s plus h*t per absorber, so the least k with h dividing |A| + k
-    is -s mod h, and it must not exceed max_remainder; (3) build the
-    template at the implied round size; (4) reserve core and slot
-    vertices; (5) map template sides onto them; (6) pick pairwise-disjoint
+    is -s mod h, and it must not exceed max_remainder; (2) build the
+    template at the implied round size; (3) reserve core and slot
+    vertices; (4) map template sides onto them; (5) pick pairwise-disjoint
     absorbers for every template edge, the only stage that runs the
-    builder; (7) assemble.  Any stage that exhausts its candidates or fails its check
-    raises StageFailure naming the stage and the blocking vertices.
+    builder; (6) assemble.  Any stage that exhausts its candidates or fails
+    its check raises StageFailure naming the stage and the blocking
+    vertices.
     """
     h = p.h
     if config.h != h:
@@ -150,21 +149,10 @@ def build_absorbing_set(
                                                   forbidden=forbidden)
         return got[0] if got else None
 
-    # stage 1: gamma copies through each vertex, sharing only that vertex
-    gamma = max(1, math.ceil(config.absorber_frac * n))
-    for v in range(n):
-        allowed = (1 << n) - 1
-        for found in range(gamma):
-            emb = find_embedding(g, p, allowed, anchor=v)
-            if emb is None:
-                raise StageFailure("copy-families",
-                                   f"vertex {v}: {found} disjoint copies, need {gamma}",
-                                   blocking=(v,))
-            allowed ^= vertex_mask(emb) ^ 1 << v
-
-    # stage 2: buffer sampling with the concentration event checked directly.
+    # stage 1: buffer sampling with the concentration event checked directly.
     # A sample keeps at most ceil(2nq) vertices and round size m >= 1 needs
     # 1 + ceil(beta) of them, so no sample can pass when the cap is lower.
+    gamma = max(1, math.ceil(config.absorber_frac * n))
     q = config.sample_prob
     beta = config.surplus_ratio
     cap = math.ceil(2 * n * q)
@@ -199,10 +187,10 @@ def build_absorbing_set(
                            f"no remainder size is absorbable: h = {h} must divide |A| + k, |A| is "
                            f"s = {surplus} mod h, so k >= {least} > max_remainder = {most}")
 
-    # stage 3: template
+    # stage 2: template
     template = build_template(m, beta)
 
-    # stages 4-5: core and slot vertices, in index order.  Slot blocks are
+    # stages 3-4: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a
     # copy; with multiplicity-1 edge absorbers an edgeless block would make
     # some template edges impossible to absorb.
@@ -224,7 +212,7 @@ def build_absorbing_set(
         block_pool &= ~vertex_mask(found)
     slot_blocks = tuple(blocks)
 
-    # stage 6: one absorber per template edge, pairwise disjoint
+    # stage 5: one absorber per template edge, pairwise disjoint
     used_set = set(buffer) | set(core) | set().union(*slot_blocks)
     edge_absorbers: dict[tuple[int, int], tuple[Tiling, Tiling]] = {}
     left_side = tuple(buffer) + core

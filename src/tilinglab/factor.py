@@ -43,36 +43,42 @@ def exact_cover(g: Graph, p: Pattern, anchors: int, live: int, need: int, spare:
     masks; in all, `spare` reached anchors may be passed over, and such an
     anchor leaves `live`.  Returns (the embeddings in the order taken, or
     None, nodes, budget_hit); the search stops once it passes `budget` nodes.
+
+    The search runs on an explicit stack in the depth-first order above.
+    Taking a copy pushes the taking node's state, its lazy candidates and
+    the copy, and backtracking pops them; a node out of candidates with
+    `spare` left is passed over in place.
     """
     nodes = 0
-    budget_hit = False
-
-    def rec(anchors: int, live: int, need: int, spare: int) -> list | None:
-        nonlocal nodes, budget_hit
+    stack: list[tuple] = []  # (anchors, live, need, spare, low, candidates, copy)
+    while True:
         if not need:
-            return []
-        if not anchors:
-            return None
-        nodes += 1
-        if nodes > budget:
-            budget_hit = True
-            return None
-        low = anchors & -anchors
-        anchors ^= low
-        for img, emb in copy_sets_through(g, p, low.bit_length() - 1, live | low):
-            cut = 0
-            for u in img:  # vertex_mask, inlined: this runs once per candidate
-                cut |= 1 << u
-            rest = rec(anchors & ~cut, live & ~cut, need - 1, spare)
-            if budget_hit:
-                return None
-            if rest is not None:
-                return [emb] + rest
-        return rec(anchors, live & ~low, need, spare - 1) if spare else None
-
-    got = rec(anchors, live, need, spare)
-    del rec  # rec refers to itself; dropping the name frees it without the gc
-    return got, nodes, budget_hit
+            return [frame[-1] for frame in stack], nodes, False
+        if anchors:
+            nodes += 1
+            if nodes > budget:
+                return None, nodes, True
+            low = anchors & -anchors
+            anchors ^= low
+            candidates = copy_sets_through(g, p, low.bit_length() - 1, live | low)
+        else:  # no anchor left to reach: nothing to take or pass over
+            candidates, spare = iter(()), 0
+        while True:
+            got = next(candidates, None)
+            if got is not None:
+                img, emb = got
+                cut = 0
+                for u in img:  # vertex_mask, inlined: this runs once per candidate
+                    cut |= 1 << u
+                stack.append((anchors, live, need, spare, low, candidates, emb))
+                anchors, live, need = anchors & ~cut, live & ~cut, need - 1
+                break
+            if spare:
+                live, spare = live & ~low, spare - 1
+                break
+            if not stack:
+                return None, nodes, False
+            anchors, live, need, spare, low, candidates, _ = stack.pop()
 
 
 def find_factor_exact(g: Graph, p: Pattern, budget: int = DEFAULT_BUDGET,

@@ -99,8 +99,10 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> SearchResult:
     Branches on a clique copy in the current candidate set: one branch per
     deletable member (earlier members are then pinned as kept).  The
     branching vertex order inside a copy is by degree in the current
-    subgraph, largest first, ties broken by smallest index.  If the node
-    budget runs out the best set found so far is returned with exact=False.
+    subgraph, largest first, ties broken by smallest index.  The search runs
+    on an explicit stack in that depth-first order, so its depth is not
+    bounded by Python's recursion limit.  If the node budget runs out the
+    best set found so far is returned with exact=False.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -114,34 +116,27 @@ def alpha_ell(g: Graph, ell: int, budget: int = 1_000_000) -> SearchResult:
             best_mask |= 1 << v
     best = members(best_mask)
     nodes = 0
-    exhausted = False
-
-    def rec(current: int, kept: int) -> None:
-        nonlocal best, nodes, exhausted
-        if exhausted:
-            return
+    stack = [((1 << n) - 1, 0)]  # (current, kept), the next node on top
+    while stack:
+        current, kept = stack.pop()
         nodes += 1
         if nodes > budget:
-            exhausted = True
-            return
+            break
         if current.bit_count() <= len(best):
-            return
+            continue
         copy = next(cliques_of_size(g, ell, current), None)
         if copy is None:
             best = members(current)
-            return
+            continue
         deletable = [v for v in copy if not kept >> v & 1]
-        if not deletable:
-            return
         deletable.sort(key=lambda v: (-(bits[v] & current).bit_count(), v))
-        pinned = kept
+        # the branch deleting v pins the members before v; push the last first
         for v in deletable:
-            rec(current & ~(1 << v), pinned)
-            pinned |= 1 << v
-
-    rec((1 << n) - 1, 0)
-    del rec  # rec refers to itself; dropping the name frees it without the gc
-    return SearchResult(value=len(best), witness=tuple(best), exact=not exhausted, nodes=nodes)
+            kept |= 1 << v
+        for v in reversed(deletable):
+            kept ^= 1 << v
+            stack.append((current & ~(1 << v), kept))
+    return SearchResult(value=len(best), witness=tuple(best), exact=nodes <= budget, nodes=nodes)
 
 
 class TraversingVerdict(NamedTuple):

@@ -85,10 +85,13 @@ def build_template(m: int, beta: float) -> TemplateGraph:
     every flex vertex to the m top slots 2m..3m-1, so its maximum degree is
     the flex size.  Both are robust by Hall's condition, which
     check_template reads off their rows.  A flex side past the degree bound
-    of 40 raises StageFailure("template").
+    of 40 raises StageFailure("template"), and a beta that is negative or
+    not finite ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, not {beta}")
     flex = m + _surplus_of(m, beta)
     if 2 * m + flex <= 40:
         adj = (tuple(range(3 * m)),) * (2 * m + flex)

@@ -147,6 +147,12 @@ class TestTemplate:
             build_template(50, 0.1)
         assert exc.value.stage == "template"
 
+    @pytest.mark.parametrize("beta", [-1.0, -0.1, float("nan"), float("inf")])
+    def test_beta_out_of_range_is_a_value_error(self, beta):
+        # the flex side is m + ceil(beta * m), so beta must be finite and >= 0
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            build_template(3, beta)
+
     def test_exhaustive_small_complete_windows(self):
         # a complete template is robust by Hall's condition: certified with
         # no subset enumerated, and equal to the adjacency a check confirms
@@ -466,23 +472,6 @@ class TestBuildAbsorbingSet:
         st = build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
         assert len(calls) == len(st.edge_absorbers) == 15
 
-    @pytest.mark.parametrize("copies", [3, 4])
-    def test_copy_families_boundary(self, k3, copies):
-        # vertex 0 sees 2*copies + 1 vertices of a K30, so exactly `copies`
-        # triangles through 0 share only 0; gamma = ceil(0.1 * 31) = 4
-        cut = {(0, u) for u in range(2 * copies + 2, 31)}
-        g = Graph(31, [e for e in complete_graph(31).edges() if e not in cut])
-        cfg = AbsorberConfig.desk_scale(h=3, t=1, absorber_frac=0.1)
-        try:
-            build_absorbing_set(g, k3, cfg, seed=1)
-            stage = None
-        except StageFailure as exc:
-            stage = exc.stage
-            if copies == 3:
-                assert exc.blocking == (0,)
-                assert exc.detail == "vertex 0: 3 disjoint copies, need 4"
-        assert (stage == "copy-families") == (copies == 3)
-
     @pytest.mark.parametrize("kw,detail", [
         (dict(sample_prob=0.1),
          "no sample can pass: it keeps at most ceil(2nq) = 6 vertices, and m = 1 needs 7"),
@@ -512,13 +501,15 @@ class TestBuildAbsorbingSet:
             "remainder-sizes", "no remainder size is absorbable: h = 4 must divide |A| + k, "
                                "|A| is s = 5 mod h, so k >= 3 > max_remainder = 1")
 
-    def test_triangle_free_fails_at_copy_families(self, k3):
+    def test_triangle_free_fails_at_buffer_sample(self, k3):
+        # no vertex lies in a triangle, so every sample falls short
         k66 = gen_complete_multipartite([6, 6])
         cfg = AbsorberConfig.desk_scale(h=3, t=1, absorber_frac=0.1,
                                         sample_prob=0.2, surplus_ratio=2.0)
         with pytest.raises(StageFailure) as exc:
             build_absorbing_set(k66, k3, cfg, seed=1)
-        assert exc.value.stage == "copy-families"
+        assert (exc.value.stage, exc.value.detail) == (
+            "buffer-sample", "no acceptable buffer in 50 samples")
 
     def test_asymptotic_constants_fail_structurally(self, k2):
         k60 = complete_graph(60)
@@ -1102,7 +1093,7 @@ class TestDisjointCopies:
 
 
 class TestBufferSample:
-    """Stage 2 of build_absorbing_set counts each vertex's copies into the
+    """Stage 1 of build_absorbing_set counts each vertex's copies into the
     buffer, up to the threshold, instead of building its copy family."""
 
     @settings(max_examples=300, deadline=None)

@@ -169,6 +169,24 @@ class TestFactor:
         rep = load_json(str(report))
         assert rep["schema"] == "pipeline-report/v1"
 
+    def test_absorbing_runs_past_the_recursion_limit(self, tmp_path, capsys):
+        # at n = 1,020 alpha_ell's first descent and the cover's copies are
+        # each deeper than Python's default recursion limit
+        g, tiling = tmp_path / "g1020.el", tmp_path / "tiling.json"
+        assert run_cli("gen", "--construction", "gnp", "--n", "1020", "--p", "0.9",
+                       "--seed", "1", "--out", str(g)) == 0
+        config = json.dumps({"t": 1, "absorber_frac": 0.05, "sample_prob": 0.08,
+                             "surplus_ratio": 6.0, "m_cap": 1, "degree_frac": 0.1,
+                             "threshold_frac": 0.1})
+        capsys.readouterr()
+        assert run_cli("factor", "--graph", str(g), "--pattern", "K3",
+                       "--solver", "absorbing", "--mode", "clique", "--config", config,
+                       "--fallback-cap", "0", "--seed", "1", "--out", str(tiling)) == 0
+        assert "factor: 340 copies (fallback=no)" in capsys.readouterr().out
+        assert run_cli("verify", "--certificate", str(tiling), "--graph", str(g),
+                       "--factor") == 0
+        assert capsys.readouterr().out.strip() == "valid"
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("3 1\n0 0\n")
@@ -406,15 +424,17 @@ class TestAbsorbCommand:
 
     @pytest.mark.parametrize("builder", ["general", "clique"])
     def test_prints_hypothesis_verdict(self, tmp_path, capsys, builder):
-        g = tmp_path / "k66.el"
-        run_cli("gen", "--construction", "complete-multipartite", "--sizes", "6,6",
+        # triangle-free, and large enough that buffer samples are drawn
+        g = tmp_path / "k3030.el"
+        run_cli("gen", "--construction", "complete-multipartite", "--sizes", "30,30",
                 "--out", str(g))
         capsys.readouterr()
         assert run_cli("absorb", "--graph", str(g), "--pattern", "K3",
                        "--builder", builder, "--trials", "1") == 1
         verdict, failure = capsys.readouterr().err.splitlines()[:2]
-        assert verdict.startswith("hypotheses violated: delta=6 (need ")
-        assert failure.startswith("build failed: stage 'copy-families' failed")
+        assert verdict.startswith("hypotheses violated: delta=30 (need ")
+        assert failure == ("build failed: stage 'buffer-sample' failed: "
+                           "no acceptable buffer in 50 samples")
 
 
 SWEEP_SPEC = {

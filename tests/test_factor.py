@@ -49,6 +49,14 @@ class TestExactFactor:
         res = find_factor_exact(complete_graph(7), k3)
         assert res.status == "none" and res.nodes == 0
 
+    def test_deep_factor_runs_under_the_recursion_limit(self, k3):
+        # 1,010 disjoint triangles: the search places 1,010 copies in a row
+        g = Graph(3030, [(3 * i + a, 3 * i + b) for i in range(1010)
+                         for a, b in ((0, 1), (0, 2), (1, 2))])
+        res = find_factor_exact(g, k3)
+        assert (res.status, res.nodes, len(res.tiling)) == ("factor", 1010, 1010)
+        verify_tiling(g, res.tiling, require_factor=True)
+
     def test_budget_reported_distinctly(self, k3):
         g = gen_complete_multipartite([4, 4, 4])
         res = find_factor_exact(g, k3, budget=2)

@@ -4,8 +4,10 @@ nor `absorption.py`, which reads its absorber tilings off the structure,
 names the exact factor search.  The document codec `serialize` is the
 CLI's: no other module imports it when it loads.  The searches of `factor`
 and `embed`, and the template builder, import nothing from `rng`, so their
-order and shape depend on no random draw.  Modules are read as syntax
-trees, not imported."""
+order and shape depend on no random draw.  No search recurses deeper than
+a clique or pattern size, and no module raises the recursion limit, so
+every search runs at any n.  Modules are read as syntax trees, not
+imported."""
 
 import ast
 from pathlib import Path
@@ -54,6 +56,42 @@ def names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
     return out
+
+
+def self_calling(tree: ast.AST, prefix: str) -> set[str]:
+    """Dotted names of the functions under `prefix` that call themselves by name."""
+    out = set()
+    for node in ast.iter_child_nodes(tree):
+        name = prefix
+        if isinstance(node, ast.FunctionDef):
+            name = f"{prefix}.{node.name}"
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == node.name for call in ast.walk(node)):
+                out.add(name)
+        out |= self_calling(node, name)
+    return out
+
+
+# depth bounded by the clique number, the clique size or the pattern size
+BOUNDED_RECURSION = {"invariants.max_clique.expand", "embed._extend_clique",
+                     "embed._extend_embedding", "invariants._iter_families_one_per_min"}
+
+
+def test_self_calling_finds_nested_functions():
+    tree = ast.parse("def f(n):\n    def rec(k):\n        return rec(k - 1)\n    return rec(n)\n"
+                     "def g(n):\n    return g(n - 1)\n")
+    assert self_calling(tree, "mod") == {"mod.f.rec", "mod.g"}
+
+
+def test_only_bounded_depth_searches_recurse():
+    found = set().union(*(self_calling(syntax_tree(p.name), p.stem)
+                          for p in PACKAGE.glob("*.py")))
+    assert found <= BOUNDED_RECURSION, sorted(found - BOUNDED_RECURSION)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_keeps_the_recursion_limit(module):
+    assert "setrecursionlimit" not in names(syntax_tree(module))
 
 
 def test_package_imports_reads_every_form():

@@ -105,6 +105,11 @@ class TestAlphaEll:
             for ell in (2, 3):
                 assert alpha_ell(g, ell).value == alpha_exhaustive(g, ell), (i, ell)
 
+    def test_deep_descent_runs_under_the_recursion_limit(self):
+        # alpha_2(K_1020) = 1: the first descent deletes 1,019 vertices
+        res = alpha_ell(complete_graph(1020), 2, budget=20_000)
+        assert (res.value, res.exact, res.nodes) == (1, False, 20_001)
+
     def test_budget_exhaustion_flags_inexact(self):
         g = random_graph(24, 0.3, 5)
         res = alpha_ell(g, 2, budget=10)
