@@ -18,9 +18,12 @@ attempted and failed counts of each side and whether the change's failed
 share is above the base's.  The change of the median is "within" or "past"
 the metric's bound, or "unresolved" when the base's own spread
 (q3 - q1) / median is wider than the bound, unless every change run beats
-every base run.  The script exits 1 when the change's failed share is above
-the base's on any workload, else 0.  BENCHMARK.json is read, never edited.
-Stdlib only.
+every base run.  Last it prints each side's failed share pooled over all
+the workloads run: every failed operation over every attempted one.  A
+workload's own share is mostly fixed by how its rounds are built, so the
+pooled share is the reading that a change to what fails moves.  The script
+exits 1 when the change's failed share is above the base's on any workload
+or pooled, else 0.  BENCHMARK.json is read, never edited.  Stdlib only.
 """
 
 import argparse
@@ -52,6 +55,18 @@ def run_once(tree: Path, spec: dict, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         sys.exit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def share_above(counts: dict) -> bool:
+    """Print each side's attempted and failed counts, {side: (attempted,
+    failed)}, and return whether the change's failed share is above the base's."""
+    share = {}
+    for side, (attempted, failed) in counts.items():
+        share[side] = failed / attempted
+        print(f"  {side:6} attempted {attempted}, failed {failed} ({share[side]:.4g})")
+    above = share["change"] > share["base"]
+    print(f"  failed share: the change's is {'' if above else 'not '}above the base's")
+    return above
 
 
 def main() -> int:
@@ -96,6 +111,7 @@ def main() -> int:
             results[workload] = runs
 
     more_failures = []
+    pooled = {"base": [0, 0], "change": [0, 0]}  # side: [attempted, failed]
     for workload, runs in results.items():
         print(f"\n{workload}")
         for m in metrics:
@@ -123,16 +139,16 @@ def main() -> int:
                 verdict = "past" if worse > m["bound"] else "within"
             print(f"  {name:12} change of the median {change:+.1%} (bound {m['bound']:.0%}: "
                   f"{verdict}); change won {won} of {args.pairs} pairs")
-        share = {}
-        for side in ("base", "change"):
-            attempted = sum(r["attempted"] for r in runs[side])
-            failed = sum(r["failed"] for r in runs[side])
-            share[side] = failed / attempted
-            print(f"  {side:6} attempted {attempted}, failed {failed} ({share[side]:.4g})")
-        above = share["change"] > share["base"]
-        print(f"  failed share: the change's is {'' if above else 'not '}above the base's")
-        if above:
+        counts = {side: (sum(r["attempted"] for r in rs), sum(r["failed"] for r in rs))
+                  for side, rs in runs.items()}
+        for side, (attempted, failed) in counts.items():
+            pooled[side][0] += attempted
+            pooled[side][1] += failed
+        if share_above(counts):
             more_failures.append(workload)
+    print(f"\npooled over {', '.join(results)}")
+    if share_above(pooled):
+        more_failures.append("all workloads pooled")
     if more_failures:
         print(f"\nfailed share above the base's on {', '.join(more_failures)}")
     return 1 if more_failures else 0

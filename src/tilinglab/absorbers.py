@@ -194,6 +194,8 @@ def disjoint_absorber_family_clique(
     Used vertices are tracked per class; up to PARTITION_RETRIES partitions
     are drawn, a new one when the degree-into-class floor fails or candidates
     run out, and the absorbers collected over all of them are returned.
+    Unless config.part_degree_min sets it, the floor is computed from the
+    vertices the partition splits, not from all of g.
     """
     p = Pattern.clique(r)
     core_t = tuple(sorted(set(core)))
@@ -201,9 +203,6 @@ def disjoint_absorber_family_clique(
         raise ValueError(f"core set must have exactly {r} vertices")
     n = g.n
     frac = (r - ell) / (r - ell + 1)
-    part_min = config.part_degree_min
-    if part_min is None:
-        part_min = math.ceil((frac + config.degree_frac / 2) * n / (r + 1))
     cn_min = config.common_nbhd_min
     if cn_min is None:
         cn_min = math.ceil(config.degree_frac * n / (4 * (r + 1)))
@@ -223,6 +222,9 @@ def disjoint_absorber_family_clique(
             pos += size
         if not all(classes):
             continue
+        part_min = config.part_degree_min
+        if part_min is None:  # the classes split only the vertices in play
+            part_min = math.ceil((frac + config.degree_frac / 2) * len(rest) / (r + 1))
         if not _partition_degrees_ok(g, classes, part_min):
             continue
         used = [0] * (r + 1)

@@ -20,8 +20,9 @@ class TemplateGraph(NamedTuple):
     for every m-subset F of the flex side, (F + core, slots) has a perfect
     matching.  Sizes: flex = m + surplus, core = 2m, slots = 3m; maximum
     degree at most 40.  Rows 0..flex-1 of left_adj are the flex side, the
-    rest the core; a build and `verify` certify the property with
-    verify.check_template.
+    rest the core.  build_template makes the sparse shape; a loaded document
+    may hold any other rows, and a build and `verify` certify the property
+    with verify.check_template.
     """
 
     m: int
@@ -79,26 +80,21 @@ def _surplus_of(m: int, beta: float) -> int:
 def build_template(m: int, beta: float) -> TemplateGraph:
     """Build a robust template at round size m and flex side m + ceil(beta*m).
 
-    When 3m + ceil(beta*m) <= 40 the template is complete bipartite: every
-    left vertex is joined to every slot.  Otherwise, when the flex side is
-    at most 40, it is sparse: core vertex j is joined to slot j alone, and
-    every flex vertex to the m top slots 2m..3m-1, so its maximum degree is
-    the flex size.  Both are robust by Hall's condition, which
-    check_template reads off their rows.  A flex side past the degree bound
-    of 40 raises StageFailure("template"), and a beta that is negative or
-    not finite ValueError.
+    The template is sparse: core vertex j is joined to slot j alone, and
+    every flex vertex to the m top slots 2m..3m-1, so it has m*flex + 2m
+    edges and its maximum degree is the flex size.  It is robust by Hall's
+    condition, which check_template reads off its rows.  A flex side past
+    the degree bound of 40 raises StageFailure("template"), and a beta that
+    is negative or not finite ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, not {beta}")
     flex = m + _surplus_of(m, beta)
-    if 2 * m + flex <= 40:
-        adj = (tuple(range(3 * m)),) * (2 * m + flex)
-    elif flex <= 40:
-        adj = (tuple(range(2 * m, 3 * m)),) * flex + tuple((j,) for j in range(2 * m))
-    else:
+    if flex > 40:
         raise StageFailure("template", f"a flex side of {flex} exceeds the degree bound of 40")
+    adj = (tuple(range(2 * m, 3 * m)),) * flex + tuple((j,) for j in range(2 * m))
     tpl = TemplateGraph(m=m, left_adj=adj)
     bad = check_template(tpl)
     if bad is not None:

@@ -196,9 +196,10 @@ def check_template(tpl) -> tuple[int, ...] | None:
     the slots, or None when every one has.
 
     A template whose flex rows all hold the top slots 2m..3m-1 and whose
-    core row j holds slot j (complete and sparse ones do) is robust by
-    Hall's condition, and no subset is enumerated.  Any other has every
-    flex m-subset checked.  A VerificationError refuses one with fewer
+    core row j holds slot j (the sparse one build_template makes does, and
+    so does a complete one) is robust by Hall's condition, and no subset is
+    enumerated.  Any other, which only a loaded document can bring, has
+    every flex m-subset checked.  A VerificationError refuses one with fewer
     than 3m left vertices or more than TEMPLATE_EXHAUSTIVE_CAP subsets.
     """
     m, flex = tpl.m, tpl.flex_size

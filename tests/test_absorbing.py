@@ -66,8 +66,9 @@ from tilinglab.verify import (
 # as dump_json writes it.  A change that alters the document on purpose
 # updates this constant and says why.  absorbing-structure/v6 stores the
 # structure's `t` and `surplus_ratio` in place of v5's build `config` and
-# `seed`, which nothing read; everything else is as v5 wrote it.
-K60_DIRECT_DOCUMENT_SHA256 = "7b4ff447af0ff90179eb359111269c2d9e648a192576a8f21d9381416e31450c"
+# `seed`, which nothing read.  Its m = 1 template is the sparse one: 5 rows
+# and 5 edges, each with its absorber, where the complete template had 15.
+K60_DIRECT_DOCUMENT_SHA256 = "94da4e2c764df0a65594ec256cd84c264a1cb328a623cfcea27bb047bcfd8e67"
 
 
 def desk_k2(t=1, **kw):
@@ -129,10 +130,14 @@ class TestTemplate:
         assert (exc.value.stage, exc.value.blocking) == ("template", (0,))
 
     def test_complete_bipartite_m4(self):
+        # the sizes of a build, and the complete template on them, which a
+        # document may bring: its rows hold the sparse ones, so its shape
+        # certifies it too
         tpl = build_template(4, 0.25)
         assert (tpl.flex_size, tpl.core_size, tpl.slot_count) == (5, 8, 12)
-        assert check_template(tpl) is None
-        assert tpl.max_degree <= 40
+        complete = TemplateGraph(m=4, left_adj=(tuple(range(12)),) * 13)
+        assert check_template(tpl) is None and check_template(complete) is None
+        assert (tpl.max_degree, complete.max_degree) == (5, 13)
 
     def test_m1(self):
         tpl = build_template(1, 0.9)
@@ -154,27 +159,29 @@ class TestTemplate:
             build_template(3, beta)
 
     def test_exhaustive_small_complete_windows(self):
-        # a complete template is robust by Hall's condition: certified with
-        # no subset enumerated, and equal to the adjacency a check confirms
+        # the sparse template a build makes and the complete one on the same
+        # sides are robust by Hall's condition: certified with no subset
+        # enumerated, which every subset's matching confirms
         for m in range(1, 7):
             tpl = build_template(m, 0.3)
-            assert check_template(tpl) is None
-            assert all(tpl.slot_matching(sub) is not None
-                       for sub in itertools.combinations(range(tpl.flex_size), m))
+            complete = TemplateGraph(m=m, left_adj=(tuple(range(3 * m)),) * tpl.left_size)
+            for t in (tpl, complete):
+                assert check_template(t) is None
+                assert all(t.slot_matching(sub) is not None
+                           for sub in itertools.combinations(range(t.flex_size), m))
 
     def test_complete_template_past_the_cap_needs_no_matching(self, monkeypatch):
         # C(30, 5) = 142,506 flex subsets, more than a check enumerates
         def no_matching(self, flex_subset):
             raise AssertionError("a complete template needs no slot matching")
         monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
-        tpl = build_template(5, 5.0)
+        tpl = TemplateGraph(m=5, left_adj=(tuple(range(15)),) * 40)
         assert math.comb(tpl.flex_size, tpl.m) == 142_506 > TEMPLATE_EXHAUSTIVE_CAP
         assert check_template(tpl) is None
 
     def test_sparse_fixture(self):
-        # 41 left vertices, one past the complete template: core j joins
-        # slot j alone and each of the 15 flex vertices the top 13 slots;
-        # every one of C(15, 13) = 105 flex subsets matches
+        # core j joins slot j alone and each of the 15 flex vertices the top
+        # 13 slots; every one of C(15, 13) = 105 flex subsets matches
         tpl = build_template(13, 0.1)
         assert (tpl.left_size, math.comb(tpl.flex_size, tpl.m)) == (41, 105)
         assert tpl.left_adj == ((tuple(range(26, 39)),) * 15
@@ -185,7 +192,9 @@ class TestTemplate:
                    for sub in itertools.combinations(range(tpl.flex_size), tpl.m))
 
     def test_sparse_template_past_the_cap_needs_no_matching(self, monkeypatch):
-        # C(30, 20) = 30,045,015 flex subsets: the shape certifies them all
+        # C(30, 20) = 30,045,015 flex subsets: the shape certifies them all.
+        # A build at any size makes the sparse rows and certifies them by
+        # shape, with no slot matching, up to the flex side of 40
         def no_matching(self, flex_subset):
             raise AssertionError("a sparse template needs no slot matching")
         monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
@@ -193,6 +202,14 @@ class TestTemplate:
         assert (tpl.left_size, tpl.max_degree) == (70, 30)
         assert math.comb(tpl.flex_size, tpl.m) == 30_045_015 > TEMPLATE_EXHAUSTIVE_CAP
         assert check_template(tpl) is None
+        for m, beta in itertools.product(range(1, 41), (0.0, 0.3, 1.0, 6.0, 39.0)):
+            flex = m + math.ceil(beta * m)
+            if flex > 40:
+                continue
+            tpl = build_template(m, beta)
+            assert tpl.left_adj == ((tuple(range(2 * m, 3 * m)),) * flex
+                                    + tuple((j,) for j in range(2 * m)))
+            assert check_template(tpl) is None
 
     @pytest.mark.parametrize("rows", [4, 5, 0, 3])
     def test_check_template_refuses_fewer_than_3m_left_vertices(self, rows):
@@ -252,13 +269,14 @@ class TestTemplate:
         assert broken.slot_matching([0, 1]) is None
 
     @pytest.mark.parametrize("m, beta", [(1, 0.5), (2, 0.5), (3, 2.0)])
-    def test_complete_slot_matching_in_order(self, m, beta):
-        # the i-th of (sorted flex subset + core) takes slot i, which keeps
-        # every absorb's pairing fixed
+    def test_sparse_slot_matching_in_order(self, m, beta):
+        # core j takes slot j and the i-th of the sorted flex subset slot
+        # 2m + i, which keeps every absorb's pairing fixed
         tpl = build_template(m, beta)
+        core = {tpl.flex_size + j: j for j in range(2 * m)}
         for sub in itertools.combinations(range(tpl.flex_size), m):
-            left = sorted(sub) + list(range(tpl.flex_size, tpl.left_size))
-            assert tpl.slot_matching(reversed(sub)) == {l: i for i, l in enumerate(left)}
+            flex = {l: 2 * m + i for i, l in enumerate(sorted(sub))}
+            assert tpl.slot_matching(reversed(sub)) == flex | core
 
 
 # K9 without the edge (2, 3): with the core [0, 1, 2] and the absorber
@@ -470,7 +488,8 @@ class TestBuildAbsorbingSet:
 
         monkeypatch.setattr(absorbing, "disjoint_absorber_family_direct", spy)
         st = build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
-        assert len(calls) == len(st.edge_absorbers) == 15
+        # the sparse m = 1 template: 3 flex rows to slot 2, core j to slot j
+        assert len(calls) == len(st.edge_absorbers) == len(st.template.edges()) == 5
 
     @pytest.mark.parametrize("kw,detail", [
         (dict(sample_prob=0.1),
@@ -704,9 +723,9 @@ class TestBuildAbsorbingSet:
          "structure edge_absorbers must be a list, not {}"),
         # a second absorber for a template edge would replace the first
         (lambda obj: obj["edge_absorbers"].insert(0, FORGED_EDGE_ABSORBER),
-         "template edge (0, 0) has more than one edge absorber"),
+         "template edge (0, 2) has more than one edge absorber"),
         (lambda obj: obj["edge_absorbers"].append(FORGED_EDGE_ABSORBER),
-         "template edge (0, 0) has more than one edge absorber"),
+         "template edge (0, 2) has more than one edge absorber"),
         (lambda obj: obj.update(builder="clique"),
          "structure builder clique cannot have built a structure for this pattern at t=1"),
         (lambda obj: obj.update(builder="exact"),
@@ -827,15 +846,15 @@ class TestBuildAbsorbingSet:
 
     @settings(max_examples=200, deadline=None)
     @given(hs.data())
-    def test_plausible_mutation_never_crashes_verify(self, k60_structure, tmp_path_factory,
-                                                     data):
+    def test_plausible_mutation_never_crashes_verify(self, k60_complete_structure,
+                                                     tmp_path_factory, data):
         # one change that keeps the document well formed, so that verify
         # reaches its checks: swap two stored vertices, rename one to a
         # vertex outside A, or move a template edge, with its absorber, to
         # the free slot of its row.  K60 looks the same from every vertex,
         # so a renamed structure stays valid unless its buffer falls out of
         # order, and a moved edge's absorber no longer tiles with its core
-        k60, st = k60_structure
+        k60, st = k60_complete_structure
         folder = tmp_path_factory.mktemp("plausible")
         graph = folder / "k60.el"
         graph.write_text(emit_graph(k60))
@@ -885,8 +904,8 @@ def _absorbs_each_valid_size(g, obj):
 
 
 def _thinned(obj):
-    """The k60_structure document, whose m = 1 template is complete, with
-    slot l and that edge's absorber gone from each flex row l.  One flex
+    """The k60_complete_structure document, whose m = 1 template is complete,
+    with slot l and that edge's absorber gone from each flex row l.  One flex
     vertex and the two core vertices still match onto the three slots."""
     flex = len(obj["buffer"])
     assert obj["template"]["m"] == 1 and flex == 3
@@ -930,9 +949,9 @@ def _stored_vertex_lists(obj):
               for copy in e[key])]
 
 
-# a second absorber for template edge (0, 0) of the k60_structure document:
+# a second absorber for template edge (0, 2) of the k60_structure document:
 # a K2 on {0, 59} and, with the core, {0, 59, 58, 57}
-FORGED_EDGE_ABSORBER = {"left": 0, "right": 0, "alone": [[0, 59]],
+FORGED_EDGE_ABSORBER = {"left": 0, "right": 2, "alone": [[0, 59]],
                         "with_core": [[0, 59], [58, 57]]}
 
 
@@ -975,6 +994,19 @@ def _leaf_paths(obj, path=()):
 def k60_structure(k2):
     k60 = complete_graph(60)
     return k60, build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
+
+
+@pytest.fixture(scope="module")
+def k60_complete_structure(k2):
+    # the k60_structure build on the complete m = 1 template, which a build
+    # no longer makes but a document may bring: every left row holds every slot
+    def complete(m, beta):
+        return TemplateGraph(m=m, left_adj=(tuple(range(3 * m)),) * (3 * m + math.ceil(beta * m)))
+
+    k60 = complete_graph(60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(absorbing, "build_template", complete)
+        return k60, build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
 
 
 @pytest.fixture(scope="module")
