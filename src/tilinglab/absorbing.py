@@ -46,16 +46,18 @@ class AbsorbingStructure:
     """The assembled absorbing set plus all bookkeeping needed to absorb.
 
     buffer: vertices consumed flexibly by copies so that exactly m survive,
-    in increasing order; core: always matched through the template; the
-    template's left side is the buffer followed by the core (left_vertex).
-    slot_blocks: blocks of h-1 vertices (`slots`, in order), each tiled
-    together with one matched buffer/core vertex; edge_absorbers: per template
-    edge, its absorber's tilings (alone, with_core), the second with the
-    edge's left vertex and slot block.  Of the build's inputs it keeps t,
-    each edge absorber holding h*t vertices, surplus_ratio, which sets
-    max_remainder, and the builder that ran; the pattern fixes h.  `slots`
-    derives from the rest, so a document does not store it.  `absorb` finds
-    the copies into the buffer itself: they depend only on graph and buffer.
+    in increasing order; core: 2m vertices, always matched through the
+    template; the template's left side is the buffer followed by the core
+    (left_vertex).  slot_blocks: blocks of h-1 vertices (`slots`, in
+    order), each tiled together with one matched buffer/core vertex;
+    edge_absorbers: per template edge, its absorber's tilings (alone,
+    with_core), the second with the edge's left vertex and slot block.  Of
+    the build's inputs it keeps t, each edge absorber holding h*t vertices,
+    surplus_ratio, which sets max_remainder, and the builder that ran; the
+    pattern fixes h.  `slots` and `template` (round size |core|/2, flex side
+    |buffer|) derive from the rest, so a document stores neither.  `absorb`
+    finds the copies into the buffer itself: they depend only on graph and
+    buffer.
     """
 
     n: int
@@ -66,12 +68,16 @@ class AbsorbingStructure:
     buffer: tuple[int, ...]
     core: tuple[int, ...]
     slot_blocks: tuple[tuple[int, ...], ...]
-    template: TemplateGraph
     edge_absorbers: dict[tuple[int, int], tuple[Tiling, Tiling]]
 
     @property
     def slots(self) -> tuple[int, ...]:
         return tuple(v for b in self.slot_blocks for v in b)
+
+    @property
+    def template(self) -> TemplateGraph:
+        """The template at round size |core|/2 and flex side |buffer|."""
+        return TemplateGraph(m=len(self.core) // 2, flex_size=len(self.buffer))
 
     @cached_property
     def absorbing_set(self) -> frozenset[int]:
@@ -231,7 +237,6 @@ def build_absorbing_set(
     return AbsorbingStructure(
         n=n, pattern=p, t=config.t, surplus_ratio=beta, builder=kind,
         buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
-        template=template,
         edge_absorbers=edge_absorbers,
     )
 

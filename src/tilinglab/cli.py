@@ -111,6 +111,8 @@ def cmd_params(args) -> int:
 def cmd_factor(args) -> int:
     if args.budget_nodes < 1:
         raise ValueError(f"--budget-nodes must be >= 1, not {args.budget_nodes}")
+    if args.fallback_cap < 0:
+        raise ValueError(f"--fallback-cap must be >= 0, not {args.fallback_cap}")
     g = _read_graph(args.graph)
     pattern = parse_pattern_spec(args.pattern)
     config = _config(args, pattern.h)

@@ -21,7 +21,7 @@ from typing import IO, Any
 
 class StageFailure(RuntimeError):
     """A build stage ran out of candidates or failed its check; carries the
-    stage name and, when known, the blocking vertices or flex subset."""
+    stage name and, when known, the blocking vertices."""
 
     def __init__(self, stage: str, detail: str = "", blocking: tuple | None = None):
         self.stage = stage

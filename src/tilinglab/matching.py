@@ -1,6 +1,6 @@
 """Bipartite maximum matching by Kuhn's augmenting paths, one left vertex at
-a time.  It matches template rows to slots: 3 onto 3 in every absorb the
-benchmark runs, and each flex m-subset plus the core in check_template."""
+a time.  It matches template rows to slots, the m survivors plus the core,
+once per absorb: 3 onto 3 in every absorb the benchmark runs."""
 
 from __future__ import annotations
 

@@ -5,25 +5,23 @@ config, the generator grid and the sweep spec live in `config`, and
 `graphs.parse_pattern_spec` reads a pattern argument.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v6, whose edge absorbers are {left, right,
-alone, with_core}, the last two tilings as lists of copies, and whose
-template is {m, left_adj}.  A document stores each fact once and only what
-`verify` and `absorb` read: of the build's inputs a structure keeps t and
-surplus_ratio, the pattern gives h, its slots and template surplus derive
-from the rest, and `verify` checks the template itself, so none of them,
-nor the build's config, seed or template check, is written.  Every loader
-refuses a key it does not read, in every object.  Patterns serialize
-inline (clique order, or an explicit edge list); a complete graph loads as
-a clique whatever its `kind`.
+tiling/v1 or absorbing-structure/v7, whose edge absorbers are {left, right,
+alone, with_core}, the last two tilings as lists of copies.  A document
+stores each fact once and only what `verify` and `absorb` read: of the
+build's inputs a structure keeps t and surplus_ratio, the pattern gives h,
+and its slots and template derive from the rest (the template from the
+sizes of core and buffer), so none of them, nor the build's config or
+seed, is written.  Every loader refuses a key it does not read, in every
+object.  Patterns serialize inline (clique order, or an explicit edge
+list); a complete graph loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, vertex or edge that is not a JSON
 integer, on a structure `t` below 1 or a `surplus_ratio` that is not a
 number in (0, largest float], on a list or object of the wrong JSON type,
 on a structure's vertex outside 0..n-1, on a pattern with more vertices
-than the graph, checked before the pattern is built, on a template row
-that is not strictly increasing, on a template edge with two edge
-absorbers, and on a structure `builder` that is not one of BUILDERS or
-cannot have run at the stored `t` and pattern.
+than the graph, checked before the pattern is built, on a template edge
+with two edge absorbers, and on a structure `builder` that is not one of
+BUILDERS or cannot have run at the stored `t` and pattern.
 """
 
 from __future__ import annotations
@@ -35,16 +33,14 @@ from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
 from .config import is_json_int, is_json_number, json_int, load_json_text, refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
-from .templates import TemplateGraph
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v6"
+SCHEMA_STRUCTURE = "absorbing-structure/v7"
 # the keys each loader reads, which are exactly the keys each writer emits
 TILING_KEYS = {"schema", "pattern", "copies"}
 PATTERN_KEYS = {"clique": {"kind", "r"}, "general": {"kind", "n", "edges"}}
-TEMPLATE_KEYS = {"m", "left_adj"}
 STRUCTURE_KEYS = {"schema", "n", "pattern", "t", "surplus_ratio", "builder", "buffer", "core",
-                  "slot_blocks", "template", "edge_absorbers"}
+                  "slot_blocks", "edge_absorbers"}
 EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
 
 
@@ -113,23 +109,6 @@ def tiling_from_obj(obj: dict, n: int) -> Tiling:
                                           for c in _typed(obj["copies"], list, "tiling copies")))
 
 
-def template_to_obj(t: TemplateGraph) -> dict:
-    return {"m": t.m, "left_adj": [list(row) for row in t.left_adj]}
-
-
-def template_from_obj(obj: dict) -> TemplateGraph:
-    refuse_unknown_keys(_typed(obj, dict, "template"), TEMPLATE_KEYS, "template")
-    m = json_int(obj["m"], "template m", 1)
-    left_adj = tuple(_ints(row, "template left_adj row")
-                     for row in _typed(obj["left_adj"], list, "template left_adj"))
-    if any(not 0 <= r < 3 * m for row in left_adj for r in row):
-        raise ValueError(f"template left_adj entries must lie in 0..{3 * m - 1}")
-    # both writers emit each row sorted; a repeated slot would double an edge
-    if any(a >= b for row in left_adj for a, b in zip(row, row[1:])):
-        raise ValueError("template left_adj rows must be strictly increasing")
-    return TemplateGraph(m=m, left_adj=left_adj)
-
-
 def structure_to_obj(s: AbsorbingStructure) -> dict:
     return {
         "schema": SCHEMA_STRUCTURE,
@@ -141,7 +120,6 @@ def structure_to_obj(s: AbsorbingStructure) -> dict:
         "buffer": list(s.buffer),
         "core": list(s.core),
         "slot_blocks": [list(b) for b in s.slot_blocks],
-        "template": template_to_obj(s.template),
         "edge_absorbers": [
             {"left": l, "right": r, "alone": [list(c) for c in alone.copies],
              "with_core": [list(c) for c in with_core.copies]}
@@ -191,7 +169,6 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
         core=_vertices(obj["core"], "structure core", n),
         slot_blocks=tuple(_vertices(b, "structure slot block", n)
                           for b in _typed(obj["slot_blocks"], list, "structure slot_blocks")),
-        template=template_from_obj(obj["template"]),
         edge_absorbers=_edge_absorbers(obj["edge_absorbers"], p, n),
     )
     # the partition and traversing constructions run only at t = h, and

@@ -45,7 +45,6 @@ from tilinglab.serialize import (
     EDGE_ABSORBER_KEYS,
     PATTERN_KEYS,
     STRUCTURE_KEYS,
-    TEMPLATE_KEYS,
     TILING_KEYS,
     dump_json,
     structure_from_obj,
@@ -53,9 +52,7 @@ from tilinglab.serialize import (
     tiling_to_obj,
 )
 from tilinglab.verify import (
-    TEMPLATE_EXHAUSTIVE_CAP,
     VerificationError,
-    check_template,
     verify_absorber,
     verify_structure,
     verify_tiling,
@@ -64,11 +61,10 @@ from tilinglab.verify import (
 
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
-# updates this constant and says why.  absorbing-structure/v6 stores the
-# structure's `t` and `surplus_ratio` in place of v5's build `config` and
-# `seed`, which nothing read.  Its m = 1 template is the sparse one: 5 rows
-# and 5 edges, each with its absorber, where the complete template had 15.
-K60_DIRECT_DOCUMENT_SHA256 = "94da4e2c764df0a65594ec256cd84c264a1cb328a623cfcea27bb047bcfd8e67"
+# updates this constant and says why.  absorbing-structure/v7 stores no
+# template: its m = 1 sparse template, 5 rows and 5 edges, each with its
+# absorber, derives from the 2 core and 3 buffer vertices.
+K60_DIRECT_DOCUMENT_SHA256 = "9b125d13d314468cc2681db1d632a8c880a83b25f4b88f2cf3c8330ae2312440"
 
 
 def desk_k2(t=1, **kw):
@@ -122,27 +118,11 @@ class TestConfig:
 
 
 class TestTemplate:
-    def test_failed_check_is_a_template_stage_failure(self, monkeypatch):
-        from tilinglab import templates
-        monkeypatch.setattr(templates, "check_template", lambda tpl: (0,))
-        with pytest.raises(StageFailure) as exc:
-            build_template(1, 1.0)
-        assert (exc.value.stage, exc.value.blocking) == ("template", (0,))
-
-    def test_complete_bipartite_m4(self):
-        # the sizes of a build, and the complete template on them, which a
-        # document may bring: its rows hold the sparse ones, so its shape
-        # certifies it too
-        tpl = build_template(4, 0.25)
-        assert (tpl.flex_size, tpl.core_size, tpl.slot_count) == (5, 8, 12)
-        complete = TemplateGraph(m=4, left_adj=(tuple(range(12)),) * 13)
-        assert check_template(tpl) is None and check_template(complete) is None
-        assert (tpl.max_degree, complete.max_degree) == (5, 13)
-
     def test_m1(self):
         tpl = build_template(1, 0.9)
-        assert (tpl.slot_count, tpl.flex_size) == (3, 2)
-        assert check_template(tpl) is None
+        assert tpl == TemplateGraph(m=1, flex_size=2)
+        assert (tpl.slot_count, tpl.surplus) == (3, 1)
+        assert tpl.edges() == [(0, 2), (1, 2), (2, 0), (3, 1)]
 
     def test_degree_bound_guard(self):
         # 50 + ceil(5) = 55 flex vertices: each joins the top slots, whose
@@ -152,56 +132,44 @@ class TestTemplate:
             build_template(50, 0.1)
         assert exc.value.stage == "template"
 
+    @pytest.mark.parametrize("m,beta,flex", [
+        (1, 39.0, 40), (1, 40.0, 41), (20, 1.0, 40), (20, 1.025, 41), (40, 0.0, 40),
+        (41, 0.0, 41)])
+    def test_flex_side_of_40_is_the_bound(self, m, beta, flex):
+        # the flex side m + ceil(beta * m) is the top slots' degree: 40 is
+        # built, 41 is a template-stage failure
+        if flex <= 40:
+            assert build_template(m, beta) == TemplateGraph(m=m, flex_size=flex)
+            return
+        with pytest.raises(StageFailure, match=f"flex side of {flex} exceeds") as exc:
+            build_template(m, beta)
+        assert exc.value.stage == "template"
+
     @pytest.mark.parametrize("beta", [-1.0, -0.1, float("nan"), float("inf")])
     def test_beta_out_of_range_is_a_value_error(self, beta):
         # the flex side is m + ceil(beta * m), so beta must be finite and >= 0
         with pytest.raises(ValueError, match="beta must be finite and >= 0"):
             build_template(3, beta)
 
-    def test_exhaustive_small_complete_windows(self):
-        # the sparse template a build makes and the complete one on the same
-        # sides are robust by Hall's condition: certified with no subset
-        # enumerated, which every subset's matching confirms
-        for m in range(1, 7):
-            tpl = build_template(m, 0.3)
-            complete = TemplateGraph(m=m, left_adj=(tuple(range(3 * m)),) * tpl.left_size)
-            for t in (tpl, complete):
-                assert check_template(t) is None
-                assert all(t.slot_matching(sub) is not None
-                           for sub in itertools.combinations(range(t.flex_size), m))
-
-    def test_complete_template_past_the_cap_needs_no_matching(self, monkeypatch):
-        # C(30, 5) = 142,506 flex subsets, more than a check enumerates
-        def no_matching(self, flex_subset):
-            raise AssertionError("a complete template needs no slot matching")
-        monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
-        tpl = TemplateGraph(m=5, left_adj=(tuple(range(15)),) * 40)
-        assert math.comb(tpl.flex_size, tpl.m) == 142_506 > TEMPLATE_EXHAUSTIVE_CAP
-        assert check_template(tpl) is None
-
     def test_sparse_fixture(self):
         # core j joins slot j alone and each of the 15 flex vertices the top
         # 13 slots; every one of C(15, 13) = 105 flex subsets matches
         tpl = build_template(13, 0.1)
-        assert (tpl.left_size, math.comb(tpl.flex_size, tpl.m)) == (41, 105)
+        assert (tpl.flex_size, math.comb(tpl.flex_size, tpl.m)) == (15, 105)
         assert tpl.left_adj == ((tuple(range(26, 39)),) * 15
                                 + tuple((j,) for j in range(26)))
-        assert (tpl.max_degree, len(tpl.edges())) == (15, 13 * 15 + 26)
-        assert check_template(tpl) is None
+        assert len(tpl.edges()) == 13 * 15 + 26
         assert all(tpl.slot_matching(sub) is not None
                    for sub in itertools.combinations(range(tpl.flex_size), tpl.m))
 
     def test_sparse_template_past_the_cap_needs_no_matching(self, monkeypatch):
-        # C(30, 20) = 30,045,015 flex subsets: the shape certifies them all.
-        # A build at any size makes the sparse rows and certifies them by
-        # shape, with no slot matching, up to the flex side of 40
+        # C(30, 20) = 30,045,015 flex subsets, which Hall's condition covers:
+        # a build at any size up to the flex side of 40 runs no slot matching
         def no_matching(self, flex_subset):
-            raise AssertionError("a sparse template needs no slot matching")
+            raise AssertionError("a build needs no slot matching")
         monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
         tpl = build_template(20, 0.5)
-        assert (tpl.left_size, tpl.max_degree) == (70, 30)
-        assert math.comb(tpl.flex_size, tpl.m) == 30_045_015 > TEMPLATE_EXHAUSTIVE_CAP
-        assert check_template(tpl) is None
+        assert (tpl.m, tpl.flex_size, len(tpl.left_adj)) == (20, 30, 70)
         for m, beta in itertools.product(range(1, 41), (0.0, 0.3, 1.0, 6.0, 39.0)):
             flex = m + math.ceil(beta * m)
             if flex > 40:
@@ -209,74 +177,26 @@ class TestTemplate:
             tpl = build_template(m, beta)
             assert tpl.left_adj == ((tuple(range(2 * m, 3 * m)),) * flex
                                     + tuple((j,) for j in range(2 * m)))
-            assert check_template(tpl) is None
-
-    @pytest.mark.parametrize("rows", [4, 5, 0, 3])
-    def test_check_template_refuses_fewer_than_3m_left_vertices(self, rows):
-        # at m = 2 a template needs 6 left vertices: 4 or 5 leave fewer than
-        # m flex vertices, and fewer than 4 leave none and a short core
-        tpl = TemplateGraph(m=2, left_adj=((4, 5),) * rows)
-        with pytest.raises(VerificationError, match=f"{rows} left vertices are fewer than "
-                                                    f"3m = 6"):
-            check_template(tpl)
-
-    @settings(max_examples=300, deadline=None)
-    @given(hs.data())
-    def test_check_template_agrees_with_bruteforce(self, data):
-        # templates at m <= 2 with at most 6 flex vertices: random ones,
-        # sparse ones with one edge removed, and sparse ones with each row's
-        # slots toggled at random.  Each is certified exactly when every
-        # flex m-subset with the core matches the slots under some permutation
-        m = data.draw(hs.integers(1, 2), label="m")
-        flex = data.draw(hs.integers(m, 6), label="flex")
-        slots = range(3 * m)
-        sparse = [set(range(2 * m, 3 * m))] * flex + [{j} for j in range(2 * m)]
-        kind = data.draw(hs.sampled_from(["random", "sparse less one", "toggled"]))
-        if kind == "random":
-            rows = [data.draw(hs.sets(hs.sampled_from(slots)), label="row") for _ in sparse]
-        elif kind == "sparse less one":
-            rows = list(sparse)
-            l = data.draw(hs.integers(0, len(rows) - 1), label="row")
-            rows[l] = rows[l] - {data.draw(hs.sampled_from(sorted(rows[l])), label="slot")}
-        else:
-            rows = [row ^ data.draw(hs.sets(hs.sampled_from(slots), max_size=2), label="toggle")
-                    for row in sparse]
-        tpl = TemplateGraph(m=m, left_adj=tuple(tuple(sorted(row)) for row in rows))
-        core = tuple(range(flex, flex + 2 * m))
-        robust = all(any(all(slot in rows[l] for l, slot in zip(sub + core, perm))
-                         for perm in itertools.permutations(slots))
-                     for sub in itertools.combinations(range(flex), m))
-        assert (check_template(tpl) is None) == robust
-
-    def test_check_template_finds_falsifying_subset(self):
-        tpl = build_template(2, 0.5)
-        # flex vertex 0 loses its edges: every flex subset containing it fails
-        broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
-        assert check_template(broken) == (0, 1)
-        # one missing edge makes the template incomplete but still robust
-        thinned = TemplateGraph(m=tpl.m, left_adj=(tpl.left_adj[0][1:],) + tpl.left_adj[1:])
-        assert check_template(thinned) is None
 
     def test_slot_matching(self):
         tpl = build_template(2, 0.5)
         matching = tpl.slot_matching([2, 0])
-        assert sorted(matching) == [0, 2, 3, 4, 5, 6]  # flex 0 and 2, then the core
-        assert sorted(matching.values()) == list(range(tpl.slot_count))
+        assert matching == {0: 4, 2: 5, 3: 0, 4: 1, 5: 2, 6: 3}  # flex 0 and 2, then the core
         for bad in ([0], [0, 0], [0, 3], [-1, 0]):  # size, duplicate, range
             with pytest.raises(ValueError, match="exactly m flex indices"):
                 tpl.slot_matching(bad)
-        broken = TemplateGraph(m=tpl.m, left_adj=((),) + tpl.left_adj[1:])
-        assert broken.slot_matching([0, 1]) is None
 
-    @pytest.mark.parametrize("m, beta", [(1, 0.5), (2, 0.5), (3, 2.0)])
-    def test_sparse_slot_matching_in_order(self, m, beta):
-        # core j takes slot j and the i-th of the sorted flex subset slot
-        # 2m + i, which keeps every absorb's pairing fixed
-        tpl = build_template(m, beta)
-        core = {tpl.flex_size + j: j for j in range(2 * m)}
-        for sub in itertools.combinations(range(tpl.flex_size), m):
-            flex = {l: 2 * m + i for i, l in enumerate(sorted(sub))}
-            assert tpl.slot_matching(reversed(sub)) == flex | core
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_every_flex_subset_matches_in_order(self, m):
+        # Hall's condition, shown by brute force at every flex size from m to
+        # m + 6: core j takes slot j and the k-th of the sorted flex subset
+        # slot 2m + k, which keeps every absorb's pairing fixed
+        for flex in range(m, m + 7):
+            tpl = TemplateGraph(m=m, flex_size=flex)
+            core = {flex + j: j for j in range(2 * m)}
+            for sub in itertools.combinations(range(flex), m):
+                chosen = {l: 2 * m + k for k, l in enumerate(sub)}
+                assert tpl.slot_matching(reversed(sub)) == chosen | core
 
 
 # K9 without the edge (2, 3): with the core [0, 1, 2] and the absorber
@@ -567,7 +487,6 @@ class TestBuildAbsorbingSet:
          "unknown structure key(s): slots"),
         (lambda obj: obj.update(size_report={"builder": obj["builder"]}),
          "unknown structure key(s): size_report"),
-        (lambda obj: obj["template"].update(surplus=2), "unknown template key(s): surplus"),
         (lambda obj: obj.update(remainder_frac=2.0), "unknown structure key(s): remainder_frac"),
         # v5 stored the build's whole config and seed, and nothing read them
         (lambda obj: obj.update(config={
@@ -576,24 +495,20 @@ class TestBuildAbsorbingSet:
             "part_degree_min": 50, "common_nbhd_min": 50, "m_cap": 99}),
          "unknown structure key(s): config"),
         (lambda obj: obj.update(seed=123456), "unknown structure key(s): seed"),
-        (lambda obj: obj["template"].update(extra=1), "unknown template key(s): extra"),
-        (lambda obj: obj["template"].update(mode="random-regular"),
-         "unknown template key(s): mode"),
-        (lambda obj: obj["template"].update(
-            verification={"mode": "exhaustive", "checks": 1000000000, "forged": [1]}),
-         "unknown template key(s): verification"),
+        # v6 stored the template's rows, which its sizes fix
+        (lambda obj: obj.update(template={"m": 1, "left_adj": [[2], [2], [2], [0], [1]]}),
+         "unknown structure key(s): template"),
         (lambda obj: obj["pattern"].update(edges="junk"),
          "unknown clique pattern key(s): edges"),
         (lambda obj: dict(tiling_to_obj(Tiling(Pattern.clique(2), ())), extra=1),
          "unknown tiling key(s): extra"),
     ], ids=["harvest_sizes", "copy_families", "absorber_vertices", "slots", "size_report",
-            "surplus", "remainder_frac", "config", "seed", "template_extra", "template_mode",
-            "template_verification", "clique_pattern_edges", "tiling_extra"])
+            "remainder_frac", "config", "seed", "template", "clique_pattern_edges",
+            "tiling_extra"])
     def test_unread_key_is_refused(self, k60_structure, tmp_path, capsys, tamper, message):
         # keys older documents carried, derived values v4 no longer stores,
-        # v4's template `mode` and `verification` and v5's `config` and
-        # `seed`, which nothing checked, and keys no writer emits; a tamper
-        # may return another document
+        # v5's `config` and `seed`, which nothing checked, v6's template,
+        # and keys no writer emits; a tamper may return another document
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
@@ -612,34 +527,103 @@ class TestBuildAbsorbingSet:
 
     def test_structure_that_absorbs_no_remainder_is_invalid(self, k60_structure, tmp_path,
                                                              capsys):
-        # only the template's 2 core rows at m = 1: surplus -1 and an empty
-        # buffer, so the robustness check has no flex m-subset to fail on
+        # the last of the 3 buffer vertices and its edge absorber go: the
+        # surplus is 1, so |A| is odd, and a surplus_ratio of 0.01 caps the
+        # remainder at floor(0.01 * 60) = 0
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
         obj = structure_to_obj(st)
-        flex = len(obj["buffer"])
-        obj["template"]["left_adj"] = obj["template"]["left_adj"][flex:]
-        obj["buffer"] = []
-        obj["edge_absorbers"] = [dict(e, left=e["left"] - flex) for e in obj["edge_absorbers"]
-                                 if e["left"] >= flex]
+        flex = len(obj["buffer"]) - 1
+        obj["buffer"] = obj["buffer"][:flex]
+        obj["surplus_ratio"] = 0.01
+        obj["edge_absorbers"] = [dict(e, left=e["left"] - (e["left"] > flex))
+                                 for e in obj["edge_absorbers"] if e["left"] != flex]
         doc = tmp_path / "structure.json"
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
-        assert ("INVALID: no remainder size k <= max_remainder = -1 makes |A| + k divisible "
+        assert ("INVALID: no remainder size k <= max_remainder = 0 makes |A| + k divisible "
                 "by h = 2") in capsys.readouterr().err
 
-    def test_incomplete_template_past_the_cap_is_invalid(self, k2, tmp_path, capsys):
-        # a robust template is refused, not sampled, when it has more flex
-        # m-subsets than a check enumerates and is not complete
-        g, st = _sparse_robust_structure(k2)
-        graph = tmp_path / "g.el"
-        graph.write_text(emit_graph(g))
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda obj, free: obj.update(core=[]), "core has 0 vertices, not an even number >= 2"),
+        (lambda obj, free: obj["core"].pop(), "core has 1 vertices, not an even number >= 2"),
+        (lambda obj, free: obj.update(buffer=[]),
+         "buffer has 0 vertices, not from m = 1 to the degree bound of 40"),
+        (lambda obj, free: obj.update(buffer=sorted(obj["buffer"] + free[:38])),
+         "buffer has 41 vertices, not from m = 1 to the degree bound of 40"),
+    ], ids=["core_empty", "core_odd", "buffer_short", "buffer_long"])
+    def test_structure_sizes_outside_the_template_are_invalid(self, k60_structure, tmp_path,
+                                                              capsys, tamper, message):
+        # the core and buffer sizes fix the template, so they are checked
+        # before it is derived
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        tamper(obj, sorted(set(range(k60.n)) - st.absorbing_set))
         doc = tmp_path / "structure.json"
-        doc.write_text(json.dumps(structure_to_obj(st)))
+        doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
-        assert ("INVALID: 20825 flex m-subsets exceed the 20000 a template check "
-                "enumerates") in capsys.readouterr().err
+        assert f"INVALID: {message}" in capsys.readouterr().err
+
+    def test_structure_template_is_the_build_template(self, k60_structure):
+        _k60, st = k60_structure
+        assert st.template == build_template(st.template.m, st.surplus_ratio) \
+            == TemplateGraph(m=1, flex_size=3)
+
+    @pytest.mark.parametrize("builder", ["general", "clique"])
+    def test_every_builder_derives_the_build_template(self, builder, k60_general_structure,
+                                                      k150_clique_structure):
+        # the sizes a builder stores give back the template it built from
+        _g, st = {"general": k60_general_structure, "clique": k150_clique_structure}[builder]
+        tpl = st.template
+        assert (len(st.core), len(st.buffer)) == (2 * tpl.m, tpl.flex_size)
+        assert tpl == build_template(tpl.m, st.surplus_ratio)
+        assert set(st.edge_absorbers) == set(tpl.edges())
+
+    @pytest.mark.parametrize("flex", [1, 40], ids=["buffer_m", "buffer_40"])
+    def test_structure_sizes_at_the_bounds_pass_the_size_checks(self, k60_structure, flex):
+        # both ends of m <= |buffer| <= 40 are allowed: a buffer of m = 1
+        # with its absorbers kept is valid, and one of 40 fails only on the
+        # edges its derived template has and the document does not
+        k60, st = k60_structure
+        obj = structure_to_obj(st)
+        kept = len(st.buffer)  # 3; the core's left indices follow the buffer's
+        free = sorted(set(range(k60.n)) - st.absorbing_set)
+        obj["buffer"] = sorted(obj["buffer"] + free[:max(0, flex - kept)])[:flex]
+        dropped = max(0, kept - flex)
+        obj["edge_absorbers"] = [dict(e, left=e["left"] - dropped * (e["left"] >= kept))
+                                 for e in obj["edge_absorbers"]
+                                 if not flex <= e["left"] < kept]
+        bad = structure_from_obj(obj, k60.n)
+        assert bad.template == TemplateGraph(m=1, flex_size=flex)
+        if flex < kept:
+            verify_structure(k60, bad)
+            return
+        with pytest.raises(VerificationError,
+                           match="edge absorbers do not cover the template edges"):
+            verify_structure(k60, bad)
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda obj: obj.update(slot_blocks=[[2, 3], [], [4]]),
+         "slot blocks are not all \\(h-1\\)-sets"),
+        (lambda obj: obj["buffer"].__setitem__(0, 1), "buffer, core and slots overlap"),
+        (lambda obj: obj["buffer"].__setitem__(0, 2), "buffer, core and slots overlap"),
+        (lambda obj: obj["edge_absorbers"][0].update(alone=[[5, 31]]),
+         "absorber for edge \\(0,2\\) overlaps earlier structure vertices"),
+        (lambda obj: obj["edge_absorbers"][1].update(alone=[[5, 6]]),
+         "absorber for edge \\(1,2\\) overlaps earlier structure vertices"),
+    ], ids=["slot_blocks_uneven", "buffer_meets_core", "buffer_meets_slots",
+            "absorber_meets_buffer", "absorbers_overlap"])
+    def test_structure_that_shares_a_vertex_is_invalid(self, k60_structure, tamper, message):
+        # buffer, core, slot blocks and each absorber's copies are disjoint,
+        # and each slot block holds h - 1 = 1 vertex
+        k60, st = k60_structure
+        obj = structure_to_obj(st)
+        tamper(obj)
+        with pytest.raises(VerificationError, match=message):
+            verify_structure(k60, structure_from_obj(obj, k60.n))
 
     def test_unsorted_buffer_rejected(self, k60_structure):
         k60, st = k60_structure
@@ -658,8 +642,7 @@ class TestBuildAbsorbingSet:
         assert structure_to_obj(structure_from_obj(doc, g.n)) == doc
         assert doc["builder"] == builder
         # derived values are not stored
-        assert not doc.keys() & {"slots", "size_report"}
-        assert doc["template"].keys() == {"m", "left_adj"}
+        assert not doc.keys() & {"slots", "size_report", "template"}
         # nor are the build's inputs beyond t and surplus_ratio
         assert not doc.keys() & {"config", "seed"}
 
@@ -689,23 +672,7 @@ class TestBuildAbsorbingSet:
          "structure surplus_ratio must be a finite number > 0, not true"),
         (lambda obj: obj.update(surplus_ratio="6"),
          'structure surplus_ratio must be a finite number > 0, not "6"'),
-        (lambda obj: obj["template"].update(m="1"),
-         'template m must be an integer >= 1, not "1"'),
         (lambda obj: obj.update(pattern=[1]), "pattern must be an object, not [1]"),
-        (lambda obj: obj.update(template=[1]), "template must be an object, not [1]"),
-        (lambda obj: obj["template"]["left_adj"][0].append(7),
-         "template left_adj entries must lie in 0..2"),
-        (lambda obj: obj["template"].update(left_adj=5),
-         "template left_adj must be a list, not 5"),
-        (lambda obj: obj["template"].update(left_adj=None),
-         "template left_adj must be a list, not null"),
-        (lambda obj: obj["template"].update(left_adj="abc"),
-         'template left_adj must be a list, not "abc"'),
-        # a repeated slot doubles a template edge, which absorb then tiles twice
-        (lambda obj: obj["template"]["left_adj"].__setitem__(0, [0, 0, 1, 2]),
-         "template left_adj rows must be strictly increasing"),
-        (lambda obj: obj["template"]["left_adj"].__setitem__(0, [2, 1, 0]),
-         "template left_adj rows must be strictly increasing"),
         (lambda obj: obj["buffer"].__setitem__(0, str(obj["buffer"][0])),
          "structure buffer must be a list of integers, not [\"31\", 44, 50]"),
         (lambda obj: obj["core"].__setitem__(0, 60),
@@ -733,10 +700,7 @@ class TestBuildAbsorbingSet:
     ], ids=["n", "pattern_above_n", "pattern_above_graph_n", "t_string", "t_zero", "t_bool",
             "t_float", "surplus_ratio_infinity", "surplus_ratio_nan", "surplus_ratio_huge",
             "surplus_ratio_zero", "surplus_ratio_negative", "surplus_ratio_bool",
-            "surplus_ratio_string", "m",
-            "pattern_type", "template_type", "left_adj", "left_adj_int", "left_adj_null",
-            "left_adj_str", "repeated_slot", "unsorted_row",
-            "buffer", "core", "slot_block", "absorber_vertex", "absorber_left",
+            "surplus_ratio_string", "pattern_type", "buffer", "core", "slot_block", "absorber_vertex", "absorber_left",
             "absorber_right", "absorber_entry", "absorbers_type", "repeated_edge_first",
             "repeated_edge_last", "builder", "unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
@@ -745,7 +709,6 @@ class TestBuildAbsorbingSet:
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
         obj = structure_to_obj(st)
-        assert obj["template"]["m"] == 1
         tamper(obj)
         doc = tmp_path / "structure.json"
         doc.write_text(json.dumps(obj))
@@ -782,7 +745,6 @@ class TestBuildAbsorbingSet:
         # a structure keeps in memory exactly what its document stores
         assert ({f.name for f in dataclasses.fields(AbsorbingStructure)}
                 == STRUCTURE_KEYS - {"schema"})
-        assert doc["template"].keys() == TEMPLATE_KEYS
         assert all(e.keys() == EDGE_ABSORBER_KEYS for e in doc["edge_absorbers"])
         for document in ("clique_tiling", "general_tiling"):
             tiling = _document(document, st, c4_pattern)
@@ -807,7 +769,7 @@ class TestBuildAbsorbingSet:
         assert verify(written) == 0
         paths = [(), ("pattern",)]
         if document == "structure":
-            paths += [("template",), ("edge_absorbers", 0)]
+            paths += [("edge_absorbers", 0)]
         for path in paths:
             for key in [*_at(written, path), None]:
                 obj = json.loads(json.dumps(written))
@@ -846,30 +808,27 @@ class TestBuildAbsorbingSet:
 
     @settings(max_examples=200, deadline=None)
     @given(hs.data())
-    def test_plausible_mutation_never_crashes_verify(self, k60_complete_structure,
+    def test_plausible_mutation_never_crashes_verify(self, k60_structure,
                                                      tmp_path_factory, data):
         # one change that keeps the document well formed, so that verify
         # reaches its checks: swap two stored vertices, rename one to a
-        # vertex outside A, or move a template edge, with its absorber, to
-        # the free slot of its row.  K60 looks the same from every vertex,
-        # so a renamed structure stays valid unless its buffer falls out of
-        # order, and a moved edge's absorber no longer tiles with its core
-        k60, st = k60_complete_structure
+        # vertex outside A, or move an edge absorber to a slot off its
+        # template row.  K60 looks the same from every vertex, so a renamed
+        # structure stays valid unless its buffer falls out of order, and a
+        # moved absorber leaves the edges the sizes fix
+        k60, st = k60_structure
         folder = tmp_path_factory.mktemp("plausible")
         graph = folder / "k60.el"
         graph.write_text(emit_graph(k60))
-        obj = _thinned(structure_to_obj(st))
+        obj = structure_to_obj(st)
         kind = data.draw(hs.sampled_from(["swap", "outside", "move"]))
         if kind == "move":
-            rows = obj["template"]["left_adj"]
-            l, old, new = data.draw(hs.sampled_from(
-                [(l, old, new) for l, row in enumerate(rows) for old in row
-                 for new in range(3 * obj["template"]["m"]) if new not in row]))
-            rows[l] = sorted({*rows[l], new} - {old})
-            moved = next(e for e in obj["edge_absorbers"] if (e["left"], e["right"]) == (l, old))
+            rows = st.template.left_adj
+            moved, new = data.draw(hs.sampled_from(
+                [(e, new) for e in obj["edge_absorbers"] for new in range(st.template.slot_count)
+                 if new not in rows[e["left"]]]))
             moved["right"] = new
-            expected = ("INVALID: tiling of the absorber plus core does not cover exactly "
-                        "its vertices")
+            expected = "INVALID: edge absorbers do not cover the template edges"
         else:
             stored = sorted({v for vs in _stored_vertex_lists(obj) for v in vs})
             a = data.draw(hs.sampled_from(stored))
@@ -901,45 +860,6 @@ def _absorbs_each_valid_size(g, obj):
             absorb(g, loaded, outside[:size])
         except StageFailure:
             pass
-
-
-def _thinned(obj):
-    """The k60_complete_structure document, whose m = 1 template is complete,
-    with slot l and that edge's absorber gone from each flex row l.  One flex
-    vertex and the two core vertices still match onto the three slots."""
-    flex = len(obj["buffer"])
-    assert obj["template"]["m"] == 1 and flex == 3
-    for l in range(flex):
-        obj["template"]["left_adj"][l].remove(l)
-    obj["edge_absorbers"] = [e for e in obj["edge_absorbers"]
-                             if not (e["left"] < flex and e["right"] == e["left"])]
-    return obj
-
-
-def _sparse_robust_structure(k2):
-    """A K2 structure at m = 3 whose template is robust but not complete:
-    the 6 core rows are complete and each of the 51 flex rows has 3 slots,
-    so every 3 flex vertices and the core match onto the 9 slots, and
-    C(51, 3) = 20,825 flex subsets exceed the check's cap.  The graph has
-    just the edges the structure's tilings use."""
-    m, flex = 3, 51
-    buffer, core = tuple(range(flex)), tuple(range(flex, flex + 2 * m))
-    slot_blocks = tuple((v,) for v in range(flex + 2 * m, flex + 5 * m))
-    left_adj = tuple(tuple(sorted({l % 9, (l + 1) % 9, (l + 2) % 9})) for l in range(flex))
-    template = TemplateGraph(m=m, left_adj=left_adj + (tuple(range(3 * m)),) * (2 * m))
-    free = itertools.count(flex + 5 * m, 2)
-    edge_absorbers, edges = {}, []
-    for l, r in template.edges():
-        a = next(free)
-        left, slot = (buffer + core)[l], slot_blocks[r][0]
-        edge_absorbers[(l, r)] = (Tiling(k2, ((a, a + 1),)),
-                                  Tiling(k2, ((left, slot), (a, a + 1))))
-        edges += [(a, a + 1), (left, slot)]
-    n = next(free)
-    st = AbsorbingStructure(n=n, pattern=k2, t=1, surplus_ratio=1.0, builder="direct",
-                            buffer=buffer, core=core, slot_blocks=slot_blocks,
-                            template=template, edge_absorbers=edge_absorbers)
-    return Graph(n, edges), st
 
 
 def _stored_vertex_lists(obj):
@@ -994,19 +914,6 @@ def _leaf_paths(obj, path=()):
 def k60_structure(k2):
     k60 = complete_graph(60)
     return k60, build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
-
-
-@pytest.fixture(scope="module")
-def k60_complete_structure(k2):
-    # the k60_structure build on the complete m = 1 template, which a build
-    # no longer makes but a document may bring: every left row holds every slot
-    def complete(m, beta):
-        return TemplateGraph(m=m, left_adj=(tuple(range(3 * m)),) * (3 * m + math.ceil(beta * m)))
-
-    k60 = complete_graph(60)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(absorbing, "build_template", complete)
-        return k60, build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
 
 
 @pytest.fixture(scope="module")

@@ -151,6 +151,17 @@ class TestFactor:
                        "--budget-nodes", budget) == 2
         assert f"error: --budget-nodes must be >= 1, not {budget}" in capsys.readouterr().err
 
+    def test_fallback_cap_below_zero_exit_2(self, tmp_path, capsys):
+        # refused before any search, as a sweep spec's fallback_cap is
+        g12 = tmp_path / "g12.el"
+        assert run_cli("gen", "--construction", "gnp", "--n", "12", "--p", "0.6",
+                       "--seed", "3", "--out", str(g12)) == 0
+        assert run_cli("factor", "--graph", str(g12), "--pattern", "K3", "--solver",
+                       "absorbing", "--mode", "clique", "--fallback-cap", "-1") == 2
+        captured = capsys.readouterr()
+        assert "error: --fallback-cap must be >= 0, not -1" in captured.err
+        assert "no factor" not in captured.out
+
     def test_exact_failure_exit_1(self, tmp_path):
         g = tmp_path / "hs.el"
         run_cli("gen", "--construction", "hs-tripartite", "--n", "12",
@@ -262,7 +273,8 @@ class TestVerify:
         assert "INVALID" in err and "share vertex" in err
 
     def test_verify_takes_no_seed(self, capsys):
-        # verify certifies a template exactly, so it has nothing to seed
+        # verify derives a structure's template from its sizes, so it has
+        # nothing to seed
         assert run_cli("verify", "--certificate", "s.json", "--graph", "g.el",
                        "--seed", "1") == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
@@ -270,7 +282,7 @@ class TestVerify:
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
         # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 to
-        # v5 are no longer read
+        # v6 are no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
         structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
@@ -298,8 +310,13 @@ class TestVerify:
                             template={"m": 1, "left_adj": [[0, 1, 2]] * 5},
                             config={"h": 3, "t": 1, "absorber_frac": 0.05, "sample_prob": 0.08,
                                     "surplus_ratio": 6.0, "overrides": True})
+        # v6 stored the template's rows, which v7 derives from its sizes
+        structure_v6 = dict(structure_v1, schema="absorbing-structure/v6", t=1,
+                            surplus_ratio=6.0, builder="direct", slot_blocks=[[4, 5]] * 3,
+                            template=structure_v5["template"],
+                            edge_absorbers=structure_v3["edge_absorbers"])
         for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2, structure_v3,
-                    structure_v4, structure_v5,
+                    structure_v4, structure_v5, structure_v6,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))

@@ -1,20 +1,22 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 from tilinglab import absorption, pipeline, templates
-from tilinglab.absorbing import AbsorberConfig, build_absorbing_set
+from tilinglab.absorbing import AbsorberConfig, build_absorbing_set, build_template
 from tilinglab.config import StageFailure
 from tilinglab.embed import cliques_of_size
 from tilinglab.factor import FactorResult, find_factor_exact, greedy_max_tiling
 from tilinglab.generators import (
+    GENERATORS,
     Construction,
     GammaReport,
     gen_complete_multipartite,
     gen_gnp,
     gen_two_cliques,
 )
-from tilinglab.graphs import Graph, complete_graph, vertex_mask
+from tilinglab.graphs import Graph, complete_graph, parse_pattern_spec, vertex_mask
 from tilinglab.invariants import SearchResult, TraversingVerdict, traversing_threshold
 from tilinglab.pipeline import StageOutcome, check_hypotheses, find_factor_absorbing
 from tilinglab.rng import derive_seed, rng_for
@@ -31,7 +33,7 @@ K2_DESK = AbsorberConfig.desk_scale(h=2, absorber_frac=0.2, sample_prob=0.06,
     FactorResult(status="none", tiling=None, nodes=0),
     SearchResult(value=1, witness=(0,), exact=True, nodes=1),
     TraversingVerdict(s=1, mode="exhaustive", holds=True),
-    templates.TemplateGraph(m=1, left_adj=((0, 1, 2),) * 4),
+    templates.TemplateGraph(m=1, flex_size=2),
     StageOutcome("cover", True),
     GammaReport(graph=Graph(1), ell=2, max_degree=0, alpha_ell=1, alpha_exact=True),
     Construction(("n",), lambda c, seed: Graph(int(c["n"]))),
@@ -131,6 +133,7 @@ class TestPipeline:
                                         surplus_ratio=6.0, m_cap=1)
         st = build_absorbing_set(g, k3, cfg, seed=1, builder="clique", ell=2)
         assert st.builder == "clique"
+        assert st.template == build_template(1, cfg.surplus_ratio)
         verify_structure(g, st)
         rep = find_factor_absorbing(g, k3, mode="clique", ell=2, config=cfg, seed=1,
                                     fallback_cap=0)
@@ -241,12 +244,14 @@ class TestPipeline:
             find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
 
     def test_failed_template_is_an_absorbing_set_stage(self, k2, monkeypatch):
+        # m = 1 and a surplus of ceil(40.0) make a flex side of 41, past the
+        # degree bound; a sample of 0.75 * 60 vertices has room for it
         monkeypatch.setattr(pipeline, "check_hypotheses", lambda *a, **kw: (True, ""))
-        monkeypatch.setattr(templates, "check_template", lambda tpl: (0,))
-        rep = find_factor_absorbing(complete_graph(60), k2, config=K2_DESK, seed=1)
+        cfg = dataclasses.replace(K2_DESK, sample_prob=0.75, surplus_ratio=40.0)
+        rep = find_factor_absorbing(complete_graph(60), k2, config=cfg, seed=1)
         assert rep.failure_stage == "absorbing-set/template"
         assert rep.stages[-1].detail == ("template: stage 'template' failed: "
-                                         "flex subset without perfect matching")
+                                         "a flex side of 41 exceeds the degree bound of 40")
 
     def test_report_serializes(self, k3):
         rep = find_factor_absorbing(complete_graph(12), k3, mode="clique", seed=1)
@@ -318,13 +323,8 @@ def test_acceptance_sweep_csv_is_unchanged():
     assert hashlib.sha256(csv_text.encode()).hexdigest() == ACCEPTANCE_CSV_SHA256
 
 
-def test_theorem_cell_absorbs_every_row_without_fallback():
-    """Dense G(n, p) at n in {60, 120}, where check_hypotheses says the
-    paper's hypotheses hold, with the exact fallback off: every factor comes
-    from the absorbing path.  "Held" at n > 40 rests on a lower bound from
-    an alpha_2 search that its budget stopped (ROADMAP item 15), not on a
-    certified alpha_2.  The acceptance spec above is kept as it is."""
-    spec = ExperimentSpec.from_obj({
+def _theorem_cell_spec():
+    return ExperimentSpec.from_obj({
         "generator": "gnp",
         "grid": {"n": [60, 120], "p": [0.8, 0.9]},
         "pattern": "K3",
@@ -335,9 +335,31 @@ def test_theorem_cell_absorbs_every_row_without_fallback():
         "fallback_cap": 0,
         "config": {"t": 1, "degree_frac": 0.1, "threshold_frac": 0.2, "m_cap": 1},
     })
+
+
+def test_theorem_cell_absorbs_every_row_without_fallback():
+    """Dense G(n, p) at n in {60, 120}, where check_hypotheses says the
+    paper's hypotheses hold, with the exact fallback off: every factor comes
+    from the absorbing path.  "Held" at n > 40 rests on a lower bound from
+    an alpha_2 search that its budget stopped (ROADMAP item 15), not on a
+    certified alpha_2.  The acceptance spec above is kept as it is."""
+    spec = _theorem_cell_spec()
     rows = run_sweep(spec, threads=1)
     assert len(rows) == 40
     assert all(r["hypothesis_held"] and r["absorbed"] and r["factor_found"]
                and not r["fallback_used"] for r in rows)
     csv_text = rows_to_csv(spec, rows)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == THEOREM_CELL_CSV_SHA256
+
+
+def test_theorem_cell_structure_template_is_the_build_template():
+    # the first row's structure, built as run_trial and the pipeline build it
+    spec = _theorem_cell_spec()
+    seed = derive_seed(spec.seed_base, "cell", 0, "trial", 0)
+    g = GENERATORS[spec.generator].build(spec.cells()[0], derive_seed(seed, "instance"))
+    pattern = parse_pattern_spec(spec.pattern)
+    config = AbsorberConfig.from_overrides(pattern.h, spec.config)
+    st = build_absorbing_set(g, pattern, config, seed=derive_seed(seed, "build"),
+                             builder=spec.mode, ell=spec.ell)
+    assert st.template == build_template(1, config.surplus_ratio)
+    verify_structure(g, st)
