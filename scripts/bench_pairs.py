@@ -19,9 +19,12 @@ share is above the base's.  The change of the median is "within" or "past"
 the metric's bound, or "unresolved" when the base's own spread
 (q3 - q1) / median is wider than the bound, unless every change run beats
 every base run.  Last it prints each side's failed share pooled over all
-the workloads run: every failed operation over every attempted one.  A
-workload's own share is mostly fixed by how its rounds are built, so the
-pooled share is the reading that a change to what fails moves.  The script
+the workloads run: each workload's own share, weighted by the base's
+attempted count on it.  A workload's own share is mostly fixed by how its
+rounds are built, so the pooled share is the reading that a change to what
+fails moves; weighting both sides by the same counts keeps a change that
+only attempts more of a workload that fails by construction from moving
+it.  Shares are exact fractions, so equal shares compare equal.  The script
 exits 1 when the change's failed share is above the base's on any workload
 or pooled, else 0.  BENCHMARK.json is read, never edited.  Stdlib only.
 """
@@ -33,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,15 +61,21 @@ def run_once(tree: Path, spec: dict, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def share_above(counts: dict) -> bool:
-    """Print each side's attempted and failed counts, {side: (attempted,
-    failed)}, and return whether the change's failed share is above the base's."""
-    share = {}
-    for side, (attempted, failed) in counts.items():
-        share[side] = failed / attempted
-        print(f"  {side:6} attempted {attempted}, failed {failed} ({share[side]:.4g})")
+def pooled_share(counts: dict) -> dict:
+    """Each side's failed share over the workloads of `counts`, {workload:
+    {side: (attempted, failed)}}: each workload's own share, weighted by the
+    base's attempted count on it, as an exact fraction."""
+    weights = {w: c["base"][0] for w, c in counts.items()}
+    return {side: sum(weights[w] * Fraction(c[side][1], c[side][0]) for w, c in counts.items())
+            / sum(weights.values()) for side in ("base", "change")}
+
+
+def share_above(share: dict) -> bool:
+    """Print each side's failed share, {side: share}, and return whether
+    the change's is above the base's."""
     above = share["change"] > share["base"]
-    print(f"  failed share: the change's is {'' if above else 'not '}above the base's")
+    print(f"  failed share base {float(share['base']):.4g}, change {float(share['change']):.4g}: "
+          f"the change's is {'' if above else 'not '}above the base's")
     return above
 
 
@@ -111,7 +121,7 @@ def main() -> int:
             results[workload] = runs
 
     more_failures = []
-    pooled = {"base": [0, 0], "change": [0, 0]}  # side: [attempted, failed]
+    counts = {}  # workload: {side: (attempted, failed)}
     for workload, runs in results.items():
         print(f"\n{workload}")
         for m in metrics:
@@ -139,15 +149,14 @@ def main() -> int:
                 verdict = "past" if worse > m["bound"] else "within"
             print(f"  {name:12} change of the median {change:+.1%} (bound {m['bound']:.0%}: "
                   f"{verdict}); change won {won} of {args.pairs} pairs")
-        counts = {side: (sum(r["attempted"] for r in rs), sum(r["failed"] for r in rs))
-                  for side, rs in runs.items()}
-        for side, (attempted, failed) in counts.items():
-            pooled[side][0] += attempted
-            pooled[side][1] += failed
-        if share_above(counts):
+        counts[workload] = {side: (sum(r["attempted"] for r in rs),
+                                   sum(r["failed"] for r in rs)) for side, rs in runs.items()}
+        for side, (attempted, failed) in counts[workload].items():
+            print(f"  {side:6} attempted {attempted}, failed {failed}")
+        if share_above(pooled_share({workload: counts[workload]})):
             more_failures.append(workload)
-    print(f"\npooled over {', '.join(results)}")
-    if share_above(pooled):
+    print(f"\npooled over {', '.join(results)}, each workload weighted by the base's attempts")
+    if share_above(pooled_share(counts)):
         more_failures.append("all workloads pooled")
     if more_failures:
         print(f"\nfailed share above the base's on {', '.join(more_failures)}")

@@ -9,9 +9,9 @@ bounded-degree graph on (flex + core, slots) such that every m-subset of the
 flex side, together with the core side, has a perfect matching onto slots.
 
 Desk-scale runs use override constants (AbsorberConfig.desk_scale).  A
-structure keeps only the two constants its readers use: the multiplicity t
-its absorbers are checked against, and surplus_ratio, which caps the
-absorbable remainder at surplus_ratio/(h-1) * n in every configuration.
+structure keeps no constant of its build: it is its vertex sets and each
+absorber's two tilings, and it absorbs up to its template's surplus over
+h-1 remainder vertices.
 
 The layers live in their own modules: config (constants and errors),
 templates, absorbers (the family builders) and absorption.  This module
@@ -52,18 +52,14 @@ class AbsorbingStructure:
     order), each tiled together with one matched buffer/core vertex;
     edge_absorbers: per template edge, its absorber's tilings (alone,
     with_core), the second with the edge's left vertex and slot block.  Of
-    the build's inputs it keeps t, each edge absorber holding h*t vertices,
-    surplus_ratio, which sets max_remainder, and the builder that ran; the
-    pattern fixes h.  `slots` and `template` (round size |core|/2, flex side
-    |buffer|) derive from the rest, so a document stores neither.  `absorb`
-    finds the copies into the buffer itself: they depend only on graph and
-    buffer.
+    the build's inputs it keeps only the builder that ran; the pattern fixes
+    h, and the graph that `verify` and `absorb` are given fixes n.  `slots`
+    and `template` (round size |core|/2, flex side |buffer|) derive from the
+    rest, so a document stores neither.  `absorb` finds the copies into the
+    buffer itself: they depend only on graph and buffer.
     """
 
-    n: int
     pattern: Pattern
-    t: int
-    surplus_ratio: float
     builder: str
     buffer: tuple[int, ...]
     core: tuple[int, ...]
@@ -88,8 +84,9 @@ class AbsorbingStructure:
 
     @property
     def max_remainder(self) -> int:
-        """Largest remainder size absorbable by this structure."""
-        return _max_remainder(self.pattern.h, self.surplus_ratio, self.template.surplus, self.n)
+        """Largest remainder size absorbable by this structure: each
+        remainder vertex takes h-1 of the buffer's surplus vertices."""
+        return self.template.surplus // (self.pattern.h - 1)
 
     def valid_remainder_sizes(self) -> list[int]:
         h = self.pattern.h
@@ -128,13 +125,13 @@ def build_absorbing_set(
     small for m = 1, which needs 1 + ceil(surplus_ratio); then stop at
     `remainder-sizes` when no remainder size can be absorbed: |A| is
     3mh + s plus h*t per absorber, so the least k with h dividing |A| + k
-    is -s mod h, and it must not exceed max_remainder; (2) build the
-    template at the implied round size; (3) reserve core and slot
-    vertices; (4) map template sides onto them; (5) pick pairwise-disjoint
-    absorbers for every template edge, the only stage that runs the
-    builder; (6) assemble.  Any stage that exhausts its candidates or fails
-    its check raises StageFailure naming the stage and the blocking
-    vertices.
+    is -s mod h, and it must not exceed max_remainder = s // (h-1); (2)
+    build the template at the implied round size; (3) reserve core and
+    slot vertices; (4) map template sides onto them; (5) pick
+    pairwise-disjoint absorbers for every template edge, the only stage
+    that runs the builder; (6) assemble.  Any stage that exhausts its
+    candidates or fails its check raises StageFailure naming the stage and
+    the blocking vertices.
     """
     h = p.h
     if config.h != h:
@@ -187,7 +184,7 @@ def build_absorbing_set(
     else:
         raise StageFailure("buffer-sample", f"no acceptable buffer in {SAMPLE_RETRIES} samples")
     surplus = _surplus_of(m, beta)
-    least, most = -surplus % h, _max_remainder(h, beta, surplus, n)
+    least, most = -surplus % h, surplus // (h - 1)
     if least > most:
         raise StageFailure("remainder-sizes",
                            f"no remainder size is absorbable: h = {h} must divide |A| + k, |A| is "
@@ -235,16 +232,9 @@ def build_absorbing_set(
         used_set |= got[0].covered
 
     return AbsorbingStructure(
-        n=n, pattern=p, t=config.t, surplus_ratio=beta, builder=kind,
-        buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
+        pattern=p, builder=kind, buffer=tuple(buffer), core=core, slot_blocks=slot_blocks,
         edge_absorbers=edge_absorbers,
     )
-
-
-def _max_remainder(h: int, surplus_ratio: float, surplus: int, n: int) -> int:
-    """Largest remainder size a structure with this surplus on n vertices
-    absorbs; a ratio whose product with n overflows to inf leaves the surplus's cap."""
-    return math.floor(min(surplus // (h - 1), surplus_ratio / (h - 1) * n))
 
 
 def _every_vertex_reaches(g: Graph, p: Pattern, pool: int, need: int) -> bool:

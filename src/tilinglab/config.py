@@ -95,11 +95,11 @@ class AbsorberConfig:
     `asymptotic` binds sample_prob = absorber_frac/(500*h*t) and
     surplus_ratio = sample_prob**(h-1)*absorber_frac/4 as the theory does;
     `desk_scale` sets both directly, as every build in the package does.
-    A config is a build's input only: the structure it builds keeps t and
-    surplus_ratio, which fixes the absorbable remainder fraction
-    surplus_ratio/(h-1), and a structure document stores no config.  This
-    class is the only place that lists the fields; `from_overrides` reads
-    them from `fields()`.
+    A config is a build's input only: the structure it builds keeps none
+    of it, and absorbs up to its template's surplus, about
+    surplus_ratio * m, over h-1 remainder vertices.  This class is the
+    only place that lists the fields; `from_overrides` reads them from
+    `fields()`.
     """
 
     h: int

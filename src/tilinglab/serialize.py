@@ -5,23 +5,22 @@ config, the generator grid and the sweep spec live in `config`, and
 `graphs.parse_pattern_spec` reads a pattern argument.
 
 Each document carries a `schema` tag so the verifier can dispatch on kind:
-tiling/v1 or absorbing-structure/v7, whose edge absorbers are {left, right,
+tiling/v1 or absorbing-structure/v8, whose edge absorbers are {left, right,
 alone, with_core}, the last two tilings as lists of copies.  A document
-stores each fact once and only what `verify` and `absorb` read: of the
-build's inputs a structure keeps t and surplus_ratio, the pattern gives h,
-and its slots and template derive from the rest (the template from the
-sizes of core and buffer), so none of them, nor the build's config or
-seed, is written.  Every loader refuses a key it does not read, in every
-object.  Patterns serialize inline (clique order, or an explicit edge
-list); a complete graph loads as a clique whatever its `kind`.
+stores each fact once and only what `verify` and `absorb` read: a structure
+is its pattern, builder, vertex sets and tilings; the graph it is checked
+on gives n, and its slots and template derive from the rest (the template
+from the sizes of core and buffer), so none of them, nor the build's
+config or seed, is written.  Every loader refuses a key it does not read,
+in every object.  Patterns serialize inline (clique order, or an explicit
+edge list); a complete graph loads as a clique whatever its `kind`.
 
 A loader raises ValueError on a count, vertex or edge that is not a JSON
-integer, on a structure `t` below 1 or a `surplus_ratio` that is not a
-number in (0, largest float], on a list or object of the wrong JSON type,
-on a structure's vertex outside 0..n-1, on a pattern with more vertices
+integer, on a list or object of the wrong JSON type, on a structure's
+vertex outside 0..n-1 for the graph's n, on a pattern with more vertices
 than the graph, checked before the pattern is built, on a template edge
 with two edge absorbers, and on a structure `builder` that is not one of
-BUILDERS or cannot have run at the stored `t` and pattern.
+BUILDERS, or is `clique` on a pattern other than K_r with r >= 3.
 """
 
 from __future__ import annotations
@@ -31,16 +30,16 @@ from typing import Any
 
 from .absorbers import BUILDERS
 from .absorbing import AbsorbingStructure
-from .config import is_json_int, is_json_number, json_int, load_json_text, refuse_unknown_keys
+from .config import is_json_int, json_int, load_json_text, refuse_unknown_keys
 from .graphs import Graph, Pattern, Tiling
 
 SCHEMA_TILING = "tiling/v1"
-SCHEMA_STRUCTURE = "absorbing-structure/v7"
+SCHEMA_STRUCTURE = "absorbing-structure/v8"
 # the keys each loader reads, which are exactly the keys each writer emits
 TILING_KEYS = {"schema", "pattern", "copies"}
 PATTERN_KEYS = {"clique": {"kind", "r"}, "general": {"kind", "n", "edges"}}
-STRUCTURE_KEYS = {"schema", "n", "pattern", "t", "surplus_ratio", "builder", "buffer", "core",
-                  "slot_blocks", "edge_absorbers"}
+STRUCTURE_KEYS = {"schema", "pattern", "builder", "buffer", "core", "slot_blocks",
+                  "edge_absorbers"}
 EDGE_ABSORBER_KEYS = {"left", "right", "alone", "with_core"}
 
 
@@ -112,10 +111,7 @@ def tiling_from_obj(obj: dict, n: int) -> Tiling:
 def structure_to_obj(s: AbsorbingStructure) -> dict:
     return {
         "schema": SCHEMA_STRUCTURE,
-        "n": s.n,
         "pattern": pattern_to_obj(s.pattern),
-        "t": s.t,
-        "surplus_ratio": s.surplus_ratio,
         "builder": s.builder,
         "buffer": list(s.buffer),
         "core": list(s.core),
@@ -145,25 +141,14 @@ def _edge_absorbers(entries: Any, p: Pattern,
     return out
 
 
-def _positive_number(value: Any, what: str) -> float:
-    """`value` if it is a finite JSON number > 0; else ValueError naming
-    `what`."""
-    if not (is_json_number(value) and value > 0):
-        raise ValueError(f"{what} must be a finite number > 0, not {json.dumps(value)}")
-    return value
-
-
-def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
-    """The structure in `obj`, for a graph on `graph_n` vertices: a pattern
-    with more vertices than the graph is refused before it is built."""
+def structure_from_obj(obj: dict, n: int) -> AbsorbingStructure:
+    """The structure in `obj`, for a graph on `n` vertices: a pattern with
+    more vertices than the graph is refused before it is built, and so is a
+    vertex outside the graph."""
     refuse_unknown_keys(obj, STRUCTURE_KEYS, "structure")
-    n = json_int(obj["n"], "structure n", 0)
-    p = pattern_from_obj(obj["pattern"], graph_n)
+    p = pattern_from_obj(obj["pattern"], n)
     s = AbsorbingStructure(
-        n=n,
         pattern=p,
-        t=json_int(obj["t"], "structure t", 1),
-        surplus_ratio=_positive_number(obj["surplus_ratio"], "structure surplus_ratio"),
         builder=obj["builder"],
         buffer=_vertices(obj["buffer"], "structure buffer", n),
         core=_vertices(obj["core"], "structure core", n),
@@ -171,15 +156,11 @@ def structure_from_obj(obj: dict, graph_n: int) -> AbsorbingStructure:
                           for b in _typed(obj["slot_blocks"], list, "structure slot_blocks")),
         edge_absorbers=_edge_absorbers(obj["edge_absorbers"], p, n),
     )
-    # the partition and traversing constructions run only at t = h, and
-    # the partition one only on a clique K_r with r >= 3
     if s.builder not in BUILDERS:
         raise ValueError(f"structure builder must be one of {', '.join(BUILDERS)}, "
                          f"not {json.dumps(s.builder)}")
-    if s.builder != "direct" and (s.t != s.pattern.h
-                                  or s.builder == "clique" and (s.pattern.r or 0) < 3):
-        raise ValueError(f"structure builder {s.builder} cannot have built a "
-                         f"structure for this pattern at t={s.t}")
+    if s.builder == "clique" and (s.pattern.r or 0) < 3:
+        raise ValueError("structure builder clique needs a clique pattern K_r with r >= 3")
     return s
 
 

@@ -25,7 +25,6 @@ def verify_tiling(
     tiling: Tiling,
     require_factor: bool = False,
     require_cover: Iterable[int] | None = None,
-    forbidden: Iterable[int] = (),
 ) -> None:
     """Check a tiling bottom-up: ranges, injectivity, edge preservation,
     pairwise disjointness, and optional coverage requirements."""
@@ -52,10 +51,6 @@ def verify_tiling(
                     f"copy {ci} does not preserve pattern edge ({a},{b}): "
                     f"({emb[a]},{emb[b]}) is not an edge"
                 )
-    banned = set(forbidden)
-    if banned & set(seen):
-        v = min(banned & set(seen))
-        raise VerificationError(f"tiling touches forbidden vertex {v}")
     if require_factor and len(seen) != g.n:
         raise VerificationError(
             f"not a factor: covers {len(seen)} of {g.n} vertices"
@@ -71,13 +66,13 @@ def verify_absorber(
     core: Iterable[int],
     alone: Tiling,
     with_core: Tiling,
-    t: int,
 ) -> None:
     """Check the defining property of an absorber for the h-set `core`,
-    whose vertices are those the tiling `alone` covers: |absorber| = h*t,
-    disjoint from core, and `alone` and `with_core` perfect tilings, by one
-    pattern, of G[absorber] and G[absorber + core] (verify_tiling checks
-    their vertices' range)."""
+    whose vertices are those the tiling `alone` covers: disjoint from core,
+    and `alone` and `with_core` perfect tilings, by one pattern, of
+    G[absorber] and G[absorber + core] (verify_tiling checks their
+    vertices' range).  `alone` tiles the absorber, so its size is a
+    multiple of h."""
     s = sorted(set(core))
     a = sorted(alone.covered)
     h = alone.pattern.h
@@ -85,8 +80,6 @@ def verify_absorber(
         raise VerificationError("the absorber's two tilings use different patterns")
     if len(s) != h:
         raise VerificationError(f"core has {len(s)} vertices, expected {h}")
-    if len(a) != h * t:
-        raise VerificationError(f"absorber has {len(a)} vertices, expected {h * t}")
     if set(s) & set(a):
         raise VerificationError("absorber intersects its core set")
     verify_tiling(g, alone)
@@ -132,15 +125,14 @@ def verify_structure(g: Graph, structure) -> None:
     disjointness of buffer/core/slots and all edge absorbers; the buffer's
     increasing order (which fixes the template's flex indices); edge
     absorbers on exactly the template's edges, each with its two stored
-    tilings (via verify_absorber); and that some remainder size is
-    absorbable.  The template's robust property needs no check: it holds
-    by Hall's condition at every such size.  A document stores no derived
-    value, so nothing is compared against a stored copy.
+    tilings (via verify_absorber), and each on h^2 vertices when the
+    `general` or `clique` builder, which build only those, is named; and
+    that some remainder size is absorbable.  The template's robust property
+    needs no check: it holds by Hall's condition at every such size.  A
+    document stores no derived value, so nothing is compared against a
+    stored copy.
     """
     h = structure.pattern.h
-
-    if structure.n != g.n:
-        raise VerificationError(f"structure built for n={structure.n}, graph has {g.n}")
     buffer, core, slots = structure.buffer, structure.core, structure.slots
     if not core or len(core) % 2:
         raise VerificationError(f"core has {len(core)} vertices, not an even number >= 2")
@@ -172,8 +164,13 @@ def verify_structure(g: Graph, structure) -> None:
                 f"absorber for edge ({l},{r}) overlaps earlier structure vertices"
             )
         taken |= alone.covered
+        if structure.builder != "direct" and len(alone.covered) != h * h:
+            raise VerificationError(
+                f"absorber for edge ({l},{r}) has {len(alone.covered)} vertices, but the "
+                f"{structure.builder} builder builds h^2 = {h * h}"
+            )
         core_e = sorted({structure.left_vertex(l)} | set(structure.slot_blocks[r]))
-        verify_absorber(g, core_e, alone, with_core, structure.t)
+        verify_absorber(g, core_e, alone, with_core)
 
     if not structure.valid_remainder_sizes():
         raise VerificationError(f"no remainder size k <= max_remainder = "

@@ -61,10 +61,12 @@ from tilinglab.verify import (
 
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
-# updates this constant and says why.  absorbing-structure/v7 stores no
+# updates this constant and says why.  absorbing-structure/v8 stores no
 # template: its m = 1 sparse template, 5 rows and 5 edges, each with its
-# absorber, derives from the 2 core and 3 buffer vertices.
-K60_DIRECT_DOCUMENT_SHA256 = "9b125d13d314468cc2681db1d632a8c880a83b25f4b88f2cf3c8330ae2312440"
+# absorber, derives from the 2 core and 3 buffer vertices.  Nor does it
+# store n, t or surplus_ratio: the graph, the tilings and the template
+# give what a reader needs of them.
+K60_DIRECT_DOCUMENT_SHA256 = "b8a0a5645c93b0524c7b2ba4a9814dcb8905ef3b427c651f6315367eb5607d3d"
 
 
 def desk_k2(t=1, **kw):
@@ -88,16 +90,11 @@ class TestConfig:
             AbsorberConfig.asymptotic(h=3, t=1, absorber_frac=frac)
 
     def test_identity_enforced_even_with_overrides(self):
-        # the remainder fraction is surplus_ratio/(h-1), so it cannot be set
+        # the absorbable remainder is the template's surplus over h-1, so
+        # no remainder fraction can be set
         with pytest.raises(TypeError):
             AbsorberConfig(h=3, t=1, absorber_frac=0.1, sample_prob=0.1,
                            surplus_ratio=6.0, remainder_frac=1.0)
-        # h = 3 and surplus_ratio 6.0 give the fraction 3.0: 30 on 10 vertices,
-        # below the surplus's 100 // 2, and the surplus's 7 // 2 on 100
-        assert absorbing._max_remainder(3, 6.0, 100, 10) == 30
-        assert absorbing._max_remainder(3, 6.0, 7, 100) == 3
-        # 1e308 / 2 * 100 is inf, which math.floor cannot take
-        assert absorbing._max_remainder(3, 1e308, 7, 100) == 3
 
     def test_overrides_keyword_is_gone(self):
         # there is no overrides flag: asymptotic() binds the constants itself
@@ -212,7 +209,7 @@ class TestIsAbsorber:
         alone, with_core = absorber_tilings(k9, k3, [0, 1, 2], [3, 4, 5])
         assert alone.copies == ((3, 4, 5),)
         assert with_core.covered == set(range(6))
-        verify_absorber(k9, [0, 1, 2], alone, with_core, 1)
+        verify_absorber(k9, [0, 1, 2], alone, with_core)
 
     def test_triangle_free(self, k3):
         k66 = gen_complete_multipartite([6, 6])
@@ -227,11 +224,14 @@ class TestIsAbsorber:
     def test_order_invariant(self, k9, k3):
         tilings = absorber_tilings(k9, k3, [2, 0, 1], [5, 3, 4])
         assert tilings == absorber_tilings(k9, k3, [0, 1, 2], [3, 4, 5])
-        verify_absorber(k9, [2, 0, 1], *tilings, 1)
+        verify_absorber(k9, [2, 0, 1], *tilings)
 
     def test_given_tilings_accepted(self, k3):
         verify_absorber(K9_CUT, [0, 1, 2], Tiling(k3, ((3, 4, 5),)),
-                        Tiling(k3, ((0, 1, 2), (3, 4, 5))), 1)
+                        Tiling(k3, ((0, 1, 2), (3, 4, 5))))
+        # an absorber's size is whatever its tilings cover: a multiple of h
+        verify_absorber(K9_CUT, [0, 1, 2], Tiling(k3, ((3, 4, 5), (6, 7, 8))),
+                        Tiling(k3, ((0, 1, 2), (3, 4, 5), (6, 7, 8))))
 
     @pytest.mark.parametrize("core,alone,with_core,message", [
         ([0, 1, 2], [(3, 4, 5)], [(0, 1, 4), (2, 3, 5)],
@@ -242,21 +242,19 @@ class TestIsAbsorber:
          "tiling of the absorber plus core does not cover exactly its vertices"),
         ([0, 1, 2], [(3, 4, 5)], [(0, 1, 2), (2, 4, 5)], "share vertex 2"),
         ([0, 1, 2], [(2, 4, 5)], [(0, 1, 3), (2, 4, 5)], "absorber intersects its core set"),
-        ([0, 1, 2], [(3, 4, 5), (6, 7, 8)], [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
-         "absorber has 6 vertices, expected 3"),
         ([0, 1], [(3, 4, 5)], [(0, 1, 3), (2, 4, 5)], "core has 2 vertices, expected 3"),
         ([0, 1, 2], [(3, 4, 9)], [(0, 1, 2), (3, 4, 9)], "out-of-range vertex 9"),
     ], ids=["non_edge", "missing_vertex", "extra_vertex", "overlapping_copies",
-            "core_overlap", "size", "core_size", "out_of_range"])
+            "core_overlap", "core_size", "out_of_range"])
     def test_given_tilings_rejected(self, k3, core, alone, with_core, message):
         with pytest.raises(VerificationError, match=message):
             verify_absorber(K9_CUT, core, Tiling(k3, tuple(alone)),
-                            Tiling(k3, tuple(with_core)), 1)
+                            Tiling(k3, tuple(with_core)))
 
     def test_tilings_of_different_patterns_rejected(self, k3, k2):
         with pytest.raises(VerificationError, match="different patterns"):
             verify_absorber(K9_CUT, [0, 1], Tiling(k2, ((3, 4),)),
-                            Tiling(k3, ((0, 1, 4), (3, 5, 6))), 1)
+                            Tiling(k3, ((0, 1, 4), (3, 5, 6))))
 
     @settings(max_examples=300, deadline=None)
     @given(hs.data())
@@ -279,7 +277,7 @@ class TestIsAbsorber:
         assert (tilings is not None) == expected
         if tilings is not None:
             assert tilings[0].covered == set(absorber)
-            verify_absorber(g, core, *tilings, t)
+            verify_absorber(g, core, *tilings)
 
 
 class TestFamilyBuilders:
@@ -289,7 +287,8 @@ class TestFamilyBuilders:
         assert len(fams) == 2
         assert not (fams[0][0].covered & fams[1][0].covered)
         for alone, with_core in fams:
-            verify_absorber(k30, [0, 1, 2], alone, with_core, 3)
+            assert len(alone.covered) == 3 * 3
+            verify_absorber(k30, [0, 1, 2], alone, with_core)
 
     def test_general_on_complete(self, k3):
         cfg = AbsorberConfig.desk_scale(h=3, t=3, pool_size=9)
@@ -299,7 +298,8 @@ class TestFamilyBuilders:
         assert len(fams) == 2
         seen = set()
         for alone, with_core in fams:
-            verify_absorber(k30, [0, 1, 2], alone, with_core, 3)
+            assert len(alone.covered) == 3 * 3
+            verify_absorber(k30, [0, 1, 2], alone, with_core)
             assert not (alone.covered & seen)
             seen |= alone.covered
 
@@ -330,7 +330,8 @@ class TestFamilyBuilders:
         assert len(fams) == 5
         seen = set()
         for alone, with_core in fams:
-            verify_absorber(g, core, alone, with_core, 3)
+            assert len(alone.covered) == 3 * 3
+            verify_absorber(g, core, alone, with_core)
             assert not (alone.covered & seen)
             seen |= alone.covered
 
@@ -341,7 +342,8 @@ class TestFamilyBuilders:
                                                config=cfg, seed=1)
         assert len(fams) == 3
         for alone, with_core in fams:
-            verify_absorber(k40, [0, 1, 2], alone, with_core, 3)
+            assert len(alone.covered) == 3 * 3
+            verify_absorber(k40, [0, 1, 2], alone, with_core)
 
     def test_clique_two_cliques_stays_inside(self):
         g = gen_two_cliques(40)  # parts 0..18 and 19..39
@@ -352,7 +354,8 @@ class TestFamilyBuilders:
         assert len(fams) == 1
         alone, with_core = fams[0]
         assert all(v < 19 for v in with_core.covered)
-        verify_absorber(g, [0, 1, 2], alone, with_core, 3)
+        assert len(alone.covered) == 3 * 3
+        verify_absorber(g, [0, 1, 2], alone, with_core)
 
     def test_clique_fails_on_large_independent_sets(self):
         g = gen_complete_multipartite([13, 13, 14])
@@ -368,10 +371,11 @@ class TestBuildAbsorbingSet:
         cfg = desk_k2(t=1)
         st = build_absorbing_set(k60, k2, cfg, seed=1)
         verify_structure(k60, st)
-        # of the config, the structure keeps t and surplus_ratio
-        assert (st.t, st.surplus_ratio) == (cfg.t, cfg.surplus_ratio)
         # buffer, core and slots hold 3mh + s vertices, each absorber h*t
         m, h, t = st.template.m, k2.h, cfg.t
+        assert all(len(alone.covered) == h * t for alone, _ in st.edge_absorbers.values())
+        # each remainder vertex takes h - 1 of the surplus's vertices
+        assert st.max_remainder == st.template.surplus // (h - 1) == 2
         assert len(st.absorbing_set) == (3 * m * h + st.template.surplus
                                          + h * t * len(st.edge_absorbers))
         sizes = st.valid_remainder_sizes()
@@ -381,6 +385,32 @@ class TestBuildAbsorbingSet:
         verify_tiling(k60, t0, require_cover=st.absorbing_set)
         t2 = absorb(k60, st, outside[:2])
         assert t2.covered == st.absorbing_set | set(outside[:2])
+
+    def test_tiny_surplus_ratio_absorbs_its_template_surplus(self, k2):
+        # a ratio of 0.01 gives m = 1 a surplus of ceil(0.01) = 1, and the
+        # structure absorbs that many vertices whatever the ratio is
+        k60 = complete_graph(60)
+        st = build_absorbing_set(k60, k2, desk_k2(t=1, surplus_ratio=0.01), seed=1)
+        verify_structure(k60, st)
+        assert (len(st.absorbing_set), st.max_remainder, st.valid_remainder_sizes()) == (15, 1, [1])
+        outside = sorted(set(range(60)) - st.absorbing_set)
+        assert absorb(k60, st, outside[:1]).covered == st.absorbing_set | {outside[0]}
+
+    @pytest.mark.parametrize("fixture", ["k60_structure", "k60_general_structure",
+                                         "k150_clique_structure", "k36_k3_structure"],
+                             ids=["direct_k2", "general", "clique", "direct_k3"])
+    def test_max_remainder_is_the_template_surplus_over_h_minus_1(self, request, fixture):
+        # every build's cap is its template's own capacity, and a remainder
+        # of the largest valid size is absorbed
+        g, st = request.getfixturevalue(fixture)
+        h = st.pattern.h
+        assert st.max_remainder == st.template.surplus // (h - 1) >= 1
+        sizes = st.valid_remainder_sizes()
+        assert sizes and all(k <= st.max_remainder and (len(st.absorbing_set) + k) % h == 0
+                             for k in sizes)
+        outside = sorted(set(range(g.n)) - st.absorbing_set)
+        rem = outside[:sizes[-1]]
+        assert absorb(g, st, rem).covered == st.absorbing_set | set(rem)
 
     def test_k60_k2_through_general_builder(self, k60_general_structure):
         k60, st = k60_general_structure
@@ -498,17 +528,24 @@ class TestBuildAbsorbingSet:
         # v6 stored the template's rows, which its sizes fix
         (lambda obj: obj.update(template={"m": 1, "left_adj": [[2], [2], [2], [0], [1]]}),
          "unknown structure key(s): template"),
+        # v7 stored the graph's n, the absorbers' multiplicity t and the
+        # build's surplus_ratio: the graph, the tilings and the template
+        # give what a reader needs of them
+        (lambda obj: obj.update(n=60), "unknown structure key(s): n"),
+        (lambda obj: obj.update(t=1), "unknown structure key(s): t"),
+        (lambda obj: obj.update(surplus_ratio=2.0), "unknown structure key(s): surplus_ratio"),
         (lambda obj: obj["pattern"].update(edges="junk"),
          "unknown clique pattern key(s): edges"),
         (lambda obj: dict(tiling_to_obj(Tiling(Pattern.clique(2), ())), extra=1),
          "unknown tiling key(s): extra"),
     ], ids=["harvest_sizes", "copy_families", "absorber_vertices", "slots", "size_report",
-            "remainder_frac", "config", "seed", "template", "clique_pattern_edges",
-            "tiling_extra"])
+            "remainder_frac", "config", "seed", "template", "n", "t", "surplus_ratio",
+            "clique_pattern_edges", "tiling_extra"])
     def test_unread_key_is_refused(self, k60_structure, tmp_path, capsys, tamper, message):
         # keys older documents carried, derived values v4 no longer stores,
         # v5's `config` and `seed`, which nothing checked, v6's template,
-        # and keys no writer emits; a tamper may return another document
+        # v7's build values, and keys no writer emits; a tamper may return
+        # another document
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
@@ -525,25 +562,60 @@ class TestBuildAbsorbingSet:
         dump_json(structure_to_obj(st), str(doc))
         assert hashlib.sha256(doc.read_bytes()).hexdigest() == K60_DIRECT_DOCUMENT_SHA256
 
-    def test_structure_that_absorbs_no_remainder_is_invalid(self, k60_structure, tmp_path,
+    def test_structure_that_absorbs_no_remainder_is_invalid(self, k36_k3_structure, tmp_path,
                                                              capsys):
         # the last of the 3 buffer vertices and its edge absorber go: the
-        # surplus is 1, so |A| is odd, and a surplus_ratio of 0.01 caps the
-        # remainder at floor(0.01 * 60) = 0
-        k60, st = k60_structure
-        graph = tmp_path / "k60.el"
-        graph.write_text(emit_graph(k60))
+        # surplus is 1, so |A| is 1 mod 3, the least remainder size is 2,
+        # and the surplus absorbs 1 // 2 = 0 vertices
+        g, st = k36_k3_structure
+        graph = tmp_path / "k36.el"
+        graph.write_text(emit_graph(g))
         obj = structure_to_obj(st)
         flex = len(obj["buffer"]) - 1
         obj["buffer"] = obj["buffer"][:flex]
-        obj["surplus_ratio"] = 0.01
         obj["edge_absorbers"] = [dict(e, left=e["left"] - (e["left"] > flex))
                                  for e in obj["edge_absorbers"] if e["left"] != flex]
         doc = tmp_path / "structure.json"
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
         assert ("INVALID: no remainder size k <= max_remainder = 0 makes |A| + k divisible "
-                "by h = 2") in capsys.readouterr().err
+                "by h = 3") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builder", ["general", "clique"])
+    def test_builder_label_over_absorbers_it_cannot_build_is_invalid(
+            self, k36_k3_structure, tmp_path, capsys, builder):
+        # the traversing and partition constructions build absorbers on
+        # h^2 = 9 vertices; this structure's direct absorbers have 3
+        g, st = k36_k3_structure
+        graph = tmp_path / "k36.el"
+        graph.write_text(emit_graph(g))
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(dict(structure_to_obj(st), builder=builder)))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
+        assert (f"INVALID: absorber for edge (0,2) has 3 vertices, but the {builder} builder "
+                "builds h^2 = 9") in capsys.readouterr().err
+
+    def test_direct_absorbers_of_different_sizes_are_valid(self, k60_structure, tmp_path,
+                                                            capsys):
+        # the absorber of edge (0, 2) gains the K2 {15, 16} in both tilings:
+        # 4 vertices beside the others' 2, and each tiling is still perfect
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        first = obj["edge_absorbers"][0]
+        assert (first["left"], first["right"]) == (0, 2)
+        assert not {15, 16} & st.absorbing_set
+        first["alone"].append([15, 16])
+        first["with_core"].append([15, 16])
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 0
+        loaded = structure_from_obj(obj, k60.n)
+        assert sorted(len(alone.covered) for alone, _ in loaded.edge_absorbers.values()) \
+            == [2, 2, 2, 2, 4]
+        outside = sorted(set(range(60)) - loaded.absorbing_set)
+        assert absorb(k60, loaded, outside[:2]).covered == loaded.absorbing_set | set(outside[:2])
 
     @pytest.mark.parametrize("tamper,message", [
         (lambda obj, free: obj.update(core=[]), "core has 0 vertices, not an even number >= 2"),
@@ -569,7 +641,7 @@ class TestBuildAbsorbingSet:
 
     def test_structure_template_is_the_build_template(self, k60_structure):
         _k60, st = k60_structure
-        assert st.template == build_template(st.template.m, st.surplus_ratio) \
+        assert st.template == build_template(st.template.m, desk_k2().surplus_ratio) \
             == TemplateGraph(m=1, flex_size=3)
 
     @pytest.mark.parametrize("builder", ["general", "clique"])
@@ -577,9 +649,10 @@ class TestBuildAbsorbingSet:
                                                       k150_clique_structure):
         # the sizes a builder stores give back the template it built from
         _g, st = {"general": k60_general_structure, "clique": k150_clique_structure}[builder]
+        cfg = {"general": K60_GENERAL_CONFIG, "clique": K150_CLIQUE_CONFIG}[builder]
         tpl = st.template
         assert (len(st.core), len(st.buffer)) == (2 * tpl.m, tpl.flex_size)
-        assert tpl == build_template(tpl.m, st.surplus_ratio)
+        assert tpl == build_template(tpl.m, cfg.surplus_ratio)
         assert set(st.edge_absorbers) == set(tpl.edges())
 
     @pytest.mark.parametrize("flex", [1, 40], ids=["buffer_m", "buffer_40"])
@@ -643,35 +716,14 @@ class TestBuildAbsorbingSet:
         assert doc["builder"] == builder
         # derived values are not stored
         assert not doc.keys() & {"slots", "size_report", "template"}
-        # nor are the build's inputs beyond t and surplus_ratio
-        assert not doc.keys() & {"config", "seed"}
+        # nor are the build's inputs, nor the graph's n
+        assert not doc.keys() & {"config", "seed", "t", "surplus_ratio", "n"}
 
     @pytest.mark.parametrize("tamper,message", [
-        (lambda obj: obj.update(n="60"), 'structure n must be an integer >= 0, not "60"'),
         (lambda obj: obj["pattern"].update(r=3000),
          "pattern r 3000 has more vertices than the graph's 60"),
-        (lambda obj: (obj.update(n=100000), obj["pattern"].update(r=3000)),
-         "pattern r 3000 has more vertices than the graph's 60"),
-        (lambda obj: obj.update(t="1"), 'structure t must be an integer >= 1, not "1"'),
-        (lambda obj: obj.update(t=0), "structure t must be an integer >= 1, not 0"),
-        (lambda obj: obj.update(t=True), "structure t must be an integer >= 1, not true"),
-        (lambda obj: obj.update(t=1.0), "structure t must be an integer >= 1, not 1.0"),
-        # json.dumps writes these two as the bare tokens Infinity and NaN,
-        # which json.load reads back
-        (lambda obj: obj.update(surplus_ratio=math.inf),
-         "structure surplus_ratio must be a finite number > 0, not Infinity"),
-        (lambda obj: obj.update(surplus_ratio=math.nan),
-         "structure surplus_ratio must be a finite number > 0, not NaN"),
-        (lambda obj: obj.update(surplus_ratio=10**400),
-         f"structure surplus_ratio must be a finite number > 0, not {10**400}"),
-        (lambda obj: obj.update(surplus_ratio=0),
-         "structure surplus_ratio must be a finite number > 0, not 0"),
-        (lambda obj: obj.update(surplus_ratio=-2),
-         "structure surplus_ratio must be a finite number > 0, not -2"),
-        (lambda obj: obj.update(surplus_ratio=True),
-         "structure surplus_ratio must be a finite number > 0, not true"),
-        (lambda obj: obj.update(surplus_ratio="6"),
-         'structure surplus_ratio must be a finite number > 0, not "6"'),
+        (lambda obj: obj.update(pattern={"kind": "general", "n": 3000, "edges": []}),
+         "pattern n 3000 has more vertices than the graph's 60"),
         (lambda obj: obj.update(pattern=[1]), "pattern must be an object, not [1]"),
         (lambda obj: obj["buffer"].__setitem__(0, str(obj["buffer"][0])),
          "structure buffer must be a list of integers, not [\"31\", 44, 50]"),
@@ -694,15 +746,13 @@ class TestBuildAbsorbingSet:
         (lambda obj: obj["edge_absorbers"].append(FORGED_EDGE_ABSORBER),
          "template edge (0, 2) has more than one edge absorber"),
         (lambda obj: obj.update(builder="clique"),
-         "structure builder clique cannot have built a structure for this pattern at t=1"),
+         "structure builder clique needs a clique pattern K_r with r >= 3"),
         (lambda obj: obj.update(builder="exact"),
          'structure builder must be one of direct, general, clique, not "exact"'),
-    ], ids=["n", "pattern_above_n", "pattern_above_graph_n", "t_string", "t_zero", "t_bool",
-            "t_float", "surplus_ratio_infinity", "surplus_ratio_nan", "surplus_ratio_huge",
-            "surplus_ratio_zero", "surplus_ratio_negative", "surplus_ratio_bool",
-            "surplus_ratio_string", "pattern_type", "buffer", "core", "slot_block", "absorber_vertex", "absorber_left",
-            "absorber_right", "absorber_entry", "absorbers_type", "repeated_edge_first",
-            "repeated_edge_last", "builder", "unknown_builder"])
+    ], ids=["pattern_above_n", "pattern_above_graph_n", "pattern_type", "buffer", "core",
+            "slot_block", "absorber_vertex", "absorber_left", "absorber_right", "absorber_entry",
+            "absorbers_type", "repeated_edge_first", "repeated_edge_last", "builder",
+            "unknown_builder"])
     def test_tampered_document_is_malformed(self, k60_structure, tmp_path, capsys,
                                             tamper, message):
         k60, st = k60_structure
@@ -714,6 +764,45 @@ class TestBuildAbsorbingSet:
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
         assert f"malformed certificate: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda obj: obj["buffer"].__setitem__(-1, 60),
+         "structure buffer must lie in 0..59, not [31, 44, 60]"),
+        (lambda obj: obj["slot_blocks"].__setitem__(1, [60]),
+         "structure slot block must lie in 0..59, not [60]"),
+        (lambda obj: obj["edge_absorbers"][0]["alone"].__setitem__(0, [5, 60]),
+         "edge absorber alone copy must lie in 0..59, not [5, 60]"),
+        (lambda obj: obj["edge_absorbers"][0]["with_core"].__setitem__(1, [6, 60]),
+         "edge absorber with_core copy must lie in 0..59, not [6, 60]"),
+    ], ids=["buffer", "slot_block", "alone", "with_core"])
+    def test_vertex_outside_the_graph_is_refused(self, k60_structure, tmp_path, capsys,
+                                                 tamper, message):
+        # no n is stored: the graph's own n bounds every stored vertex
+        k60, st = k60_structure
+        graph = tmp_path / "k60.el"
+        graph.write_text(emit_graph(k60))
+        obj = structure_to_obj(st)
+        tamper(obj)
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 2
+        assert f"malformed certificate: {message}" in capsys.readouterr().err
+
+    def test_structure_is_checked_on_the_graph_it_is_given(self, k60_structure, tmp_path,
+                                                           capsys):
+        # K70 holds the K60 the structure was built on, so the same document
+        # is valid on it and absorbs vertices the build never saw
+        _k60, st = k60_structure
+        k70 = complete_graph(70)
+        graph = tmp_path / "k70.el"
+        graph.write_text(emit_graph(k70))
+        obj = structure_to_obj(st)
+        doc = tmp_path / "structure.json"
+        doc.write_text(json.dumps(obj))
+        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+        loaded = structure_from_obj(obj, k70.n)
+        assert absorb(k70, loaded, [68, 69]).covered == st.absorbing_set | {68, 69}
 
     def test_pattern_size_differs_from_slots_is_invalid(self, k60_structure, tmp_path, capsys):
         # the pattern alone fixes h, so a K3 over K2 slot blocks loads and
@@ -727,16 +816,6 @@ class TestBuildAbsorbingSet:
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
         assert "INVALID: slot count differs from template * (h-1)" in capsys.readouterr().err
-
-    def test_huge_n_is_invalid_for_the_graph(self, k60_structure, tmp_path, capsys):
-        # a JSON integer, so it loads; verify rejects it against the graph
-        k60, st = k60_structure
-        graph = tmp_path / "k60.el"
-        graph.write_text(emit_graph(k60))
-        doc = tmp_path / "structure.json"
-        doc.write_text(json.dumps(dict(structure_to_obj(st), n=10**400)))
-        assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
-        assert f"INVALID: structure built for n={10**400}, graph has 60" in capsys.readouterr().err
 
     def test_writers_emit_the_keys_loaders_read(self, k60_structure, c4_pattern):
         _k60, st = k60_structure
@@ -916,22 +995,34 @@ def k60_structure(k2):
     return k60, build_absorbing_set(k60, k2, desk_k2(t=1), seed=1)
 
 
+K60_GENERAL_CONFIG = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2, sample_prob=0.06,
+                                                surplus_ratio=1.0, m_cap=1, pool_size=2)
+# the partition construction at t = h = 3 needs 146 vertices at m = 1
+K150_CLIQUE_CONFIG = AbsorberConfig.desk_scale(h=3, t=3, absorber_frac=0.001, sample_prob=0.03,
+                                                surplus_ratio=2.0, m_cap=1, part_degree_min=1,
+                                                common_nbhd_min=1)
+
+
 @pytest.fixture(scope="module")
 def k60_general_structure(k2):
     k60 = complete_graph(60)
-    cfg = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2, sample_prob=0.06,
-                                    surplus_ratio=1.0, m_cap=1, pool_size=2)
-    return k60, build_absorbing_set(k60, k2, cfg, seed=1, builder="general")
+    return k60, build_absorbing_set(k60, k2, K60_GENERAL_CONFIG, seed=1, builder="general")
 
 
 @pytest.fixture(scope="module")
 def k150_clique_structure(k3):
-    # the partition construction at t = h = 3 needs 146 vertices at m = 1
     k150 = complete_graph(150)
-    cfg = AbsorberConfig.desk_scale(h=3, t=3, absorber_frac=0.001, sample_prob=0.03,
-                                    surplus_ratio=2.0, m_cap=1, part_degree_min=1,
-                                    common_nbhd_min=1)
-    return k150, build_absorbing_set(k150, k3, cfg, seed=1, builder="clique", ell=2)
+    return k150, build_absorbing_set(k150, k3, K150_CLIQUE_CONFIG, seed=1, builder="clique",
+                                     ell=2)
+
+
+@pytest.fixture(scope="module")
+def k36_k3_structure(k3):
+    # a direct K3 structure at m = 1 with surplus ceil(2.0) = 2: |A| is
+    # 2 mod 3, so it absorbs k = 1 <= 2 // 2
+    k36 = complete_graph(36)
+    cfg = AbsorberConfig.desk_scale(h=3, t=1, sample_prob=0.1, surplus_ratio=2.0, m_cap=1)
+    return k36, build_absorbing_set(k36, k3, cfg, seed=1)
 
 
 class TestAbsorb:

@@ -282,7 +282,7 @@ class TestVerify:
     def test_unknown_schema_exit_2(self, g30, tmp_path, capsys):
         doc = tmp_path / "junk.json"
         # absorber/v1, traversing-witness/v1 and absorbing-structure/v1 to
-        # v6 are no longer read
+        # v7 are no longer read
         absorber = {"schema": "absorber/v1", "pattern": {"kind": "clique", "r": 3},
                     "t": 1, "core": [0, 1, 2], "absorber": [3, 4, 5]}
         structure_v1 = {"schema": "absorbing-structure/v1", "n": 30,
@@ -315,8 +315,11 @@ class TestVerify:
                             surplus_ratio=6.0, builder="direct", slot_blocks=[[4, 5]] * 3,
                             template=structure_v5["template"],
                             edge_absorbers=structure_v3["edge_absorbers"])
+        # v7 derived the template but stored the graph's n, t and surplus_ratio
+        structure_v7 = {k: v for k, v in structure_v6.items() if k != "template"}
+        structure_v7["schema"] = "absorbing-structure/v7"
         for obj in ({"schema": "mystery/v9"}, absorber, structure_v1, structure_v2, structure_v3,
-                    structure_v4, structure_v5, structure_v6,
+                    structure_v4, structure_v5, structure_v6, structure_v7,
                     {"schema": "traversing-witness/v1", "pattern": {"kind": "clique", "r": 3},
                      "s": 1, "parts": [[0], [1], [2]]}):
             doc.write_text(json.dumps(obj))

@@ -267,7 +267,8 @@ class TestCoverCheck:
         tiling = greedy_max_tiling(complete_graph(30), k3, forbidden=avoid)
         left = sorted(set(range(30)) - tiling.covered - set(avoid))
         assert left == [] and len(left) <= 0.1 * 30
-        verify_tiling(complete_graph(30), tiling, forbidden=range(6))
+        assert tiling.covered.isdisjoint(avoid)
+        verify_tiling(complete_graph(30), tiling)
 
     def test_bipartite_all_leftover(self, k3):
         k66 = gen_complete_multipartite([6, 6])
@@ -280,7 +281,8 @@ class TestCoverCheck:
         tiling = greedy_max_tiling(g, k3, forbidden=avoid)
         left = sorted(set(range(g.n)) - tiling.covered - set(avoid))
         assert len(left) <= 9 and len(left) <= 0.1 * 90
-        verify_tiling(g, tiling, forbidden=avoid)
+        assert tiling.covered.isdisjoint(avoid)
+        verify_tiling(g, tiling)
 
     def test_leftover_below_pattern_times_threshold(self, k3):
         # greedy leftover is copy-free, so it stays below h * s where s is
