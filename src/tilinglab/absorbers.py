@@ -1,5 +1,6 @@
 """Absorber families: the direct, traversing (general) and partition
-(clique) constructions.
+(clique) constructions; the last searches for its cliques in a random
+partition, with no degree floor, since every absorber is checked anyway.
 
 An absorber for an h-set S is a set A_S of h*t vertices, disjoint from S,
 such that both G[A_S] and G[A_S + S] have perfect tilings.  Each builder
@@ -177,59 +178,35 @@ def disjoint_absorber_family_general(
 def disjoint_absorber_family_clique(
     g: Graph,
     r: int,
-    ell: int,
     core: Iterable[int],
     target: int,
-    config: AbsorberConfig,
     seed: int = 0,
     forbidden: Iterable[int] = (),
 ) -> list[tuple[Tiling, Tiling]]:
     """Absorber family for complete patterns via a random vertex partition.
 
-    The vertex set (minus core and forbidden) is split into r+1 seeded
-    random classes.  Each absorber is one clique on r vertices found in the
-    last class by common-neighborhood descent (greedy clique of size r-ell,
-    then a clique on ell vertices inside the common neighborhood), plus for
-    each i a clique on r-1 vertices inside N(core_i) & N(w_i) & class_i.
-    Used vertices are tracked per class; up to PARTITION_RETRIES partitions
-    are drawn, a new one when the degree-into-class floor fails or candidates
-    run out, and the absorbers collected over all of them are returned.
-    Unless config.part_degree_min sets it, the floor is computed from the
-    vertices the partition splits, not from all of g.
+    The vertices in play (not core or forbidden) are shuffled by the seed,
+    and class i takes every (r+1)-th from position i.  Each absorber is the
+    first r-clique in the last class plus, for each i, the first
+    (r-1)-clique in N(core_i) & N(w_i) & class_i, and passes
+    `absorber_tilings`.  Used vertices are tracked per class; up to
+    PARTITION_RETRIES partitions are drawn, a new one when candidates run
+    out, and the absorbers collected over all of them are returned.
     """
-    p = Pattern.clique(r)
     core_t = tuple(sorted(set(core)))
     if len(core_t) != r:
         raise ValueError(f"core set must have exactly {r} vertices")
-    n = g.n
-    frac = (r - ell) / (r - ell + 1)
-    cn_min = config.common_nbhd_min
-    if cn_min is None:
-        cn_min = math.ceil(config.degree_frac * n / (4 * (r + 1)))
-
     collected: list[tuple[Tiling, Tiling]] = []
     out_of_play: set[int] = set(core_t) | set(forbidden)
     for attempt in range(PARTITION_RETRIES):
-        rest = [v for v in range(n) if v not in out_of_play]
-        rng = rng_for(seed, "partition", attempt)
-        rng.shuffle(rest)
-        k, extra = divmod(len(rest), r + 1)
-        classes: list[int] = []
-        pos = 0
-        for i in range(r + 1):
-            size = k + (1 if i < extra else 0)
-            classes.append(vertex_mask(rest[pos : pos + size]))
-            pos += size
+        rest = [v for v in range(g.n) if v not in out_of_play]
+        rng_for(seed, "partition", attempt).shuffle(rest)
+        classes = [vertex_mask(rest[i :: r + 1]) for i in range(r + 1)]
         if not all(classes):
-            continue
-        part_min = config.part_degree_min
-        if part_min is None:  # the classes split only the vertices in play
-            part_min = math.ceil((frac + config.degree_frac / 2) * len(rest) / (r + 1))
-        if not _partition_degrees_ok(g, classes, part_min):
             continue
         used = [0] * (r + 1)
         while len(collected) < target:
-            got = _build_partition_absorber(g, r, ell, core_t, classes, used, cn_min)
+            got = _build_partition_absorber(g, r, core_t, classes, used)
             if got is None:
                 break
             collected.append(got)
@@ -239,45 +216,6 @@ def disjoint_absorber_family_clique(
     return collected
 
 
-def _partition_degrees_ok(g: Graph, classes: list[int], part_min: int) -> bool:
-    """Does every vertex have at least part_min neighbours in each class mask?"""
-    return all((nb & cls).bit_count() >= part_min for nb in g.bits for cls in classes)
-
-
-def _clique_by_descent(
-    g: Graph,
-    size: int,
-    ell: int,
-    avail: int,
-    cn_min: int,
-) -> tuple[int, ...] | None:
-    """Clique on `size` vertices in the mask `avail`: greedy descent to
-    size-ell, then a clique on ell vertices inside the common neighborhood."""
-    if size <= 0:
-        return ()
-    if size <= ell:
-        return next(cliques_of_size(g, size, avail), None)
-    bits = g.bits
-    for start in members(avail):
-        base = [start]
-        common = avail & bits[start]
-        ok = True
-        while len(base) < size - ell:
-            if common.bit_count() < max(cn_min, 1):
-                ok = False
-                break
-            low = common & -common
-            base.append(low.bit_length() - 1)
-            common &= bits[base[-1]]
-        if not ok:
-            continue
-        if common.bit_count() < cn_min:
-            continue
-        for cl in cliques_of_size(g, ell, common):
-            return tuple(sorted(base + list(cl)))
-    return None
-
-
 # top cliques a partition absorber search tries before giving up
 PARTITION_CLIQUE_CANDIDATES = 50
 
@@ -285,29 +223,25 @@ PARTITION_CLIQUE_CANDIDATES = 50
 def _build_partition_absorber(
     g: Graph,
     r: int,
-    ell: int,
     core_t: tuple[int, ...],
     classes: list[int],
     used: list[int],
-    cn_min: int,
 ) -> tuple[Tiling, Tiling] | None:
     """The tilings of an absorber for core_t from the class masks, none of
     it in the mask used[i] of its class i; on success its vertices join `used`."""
     p = Pattern.clique(r)
     bits = g.bits
-    seen: list[tuple[int, ...]] = []
     pool = classes[r] & ~used[r]
-    while len(seen) < PARTITION_CLIQUE_CANDIDATES:
-        top = _clique_by_descent(g, r, ell, pool, cn_min)
+    for _ in range(PARTITION_CLIQUE_CANDIDATES):
+        top = next(cliques_of_size(g, r, pool), None)
         if top is None:
             return None
-        seen.append(top)
         for label in permutations(top):
             legs: list[tuple[int, ...]] = []
             taken = 0
             for i in range(r):
                 cand = bits[core_t[i]] & bits[label[i]] & classes[i] & ~used[i] & ~taken
-                leg = _clique_by_descent(g, r - 1, ell, cand, cn_min)
+                leg = next(cliques_of_size(g, r - 1, cand), None)
                 if leg is None:
                     break
                 legs.append(leg)

@@ -110,10 +110,10 @@ def build_absorbing_set(
     """Assemble an absorbing structure.
 
     Every absorber comes from `builder` ('general': traversing copies;
-    'clique': random partition, with ell) when config.t equals h, the
-    multiplicity both build, and from the direct search otherwise; the
-    structure's `builder` names the one that ran.  The paper's hypotheses
-    are checked by pipeline.check_hypotheses, not here.
+    'clique': random partition, refused unless r > ell >= 2) when config.t
+    equals h, the multiplicity both build, and from the direct search
+    otherwise; the structure's `builder` names the one that ran.  The
+    paper's hypotheses are checked by pipeline.check_hypotheses, not here.
 
     Stages: (1) sample the buffer with probability sample_prob, at most
     SAMPLE_RETRIES times, until the sample is small enough and every vertex
@@ -147,7 +147,7 @@ def build_absorbing_set(
         elif kind == "general":
             got = disjoint_absorber_family_general(g, p, core, 1, config, forbidden=forbidden)
         else:
-            got = disjoint_absorber_family_clique(g, p.r, ell, core, 1, config,
+            got = disjoint_absorber_family_clique(g, p.r, core, 1,
                                                   seed=derive_seed(family_seed, "fam", *core),
                                                   forbidden=forbidden)
         return got[0] if got else None

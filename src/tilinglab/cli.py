@@ -166,11 +166,15 @@ def cmd_absorb(args) -> int:
 
     aset = structure.absorbing_set
     outside = sorted(set(range(g.n)) - aset)
-    sizes = structure.valid_remainder_sizes()
+    sizes = [k for k in structure.valid_remainder_sizes() if k <= len(outside)]
+    if not sizes:
+        print(f"no absorbable remainder size fits the {len(outside)} vertices outside "
+              f"the absorbing set", file=sys.stderr)
+        return FAILURE
     ok = 0
     for i in range(args.trials):
         rng = rng_for(args.seed, "trial", i)
-        size = sizes[rng.randrange(len(sizes))]  # the build refuses an empty list
+        size = sizes[rng.randrange(len(sizes))]
         rem = sorted(rng.sample(outside, size)) if size else []
         try:
             absorb(g, structure, rem)

@@ -110,8 +110,6 @@ class AbsorberConfig:
     degree_frac: float = 0.1       # minimum-degree fraction for hypothesis checks
     threshold_frac: float = 0.2    # clique-free / traversing threshold fraction
     pool_size: int | None = None         # neighbor-pool size per core vertex
-    part_degree_min: int | None = None   # per-class degree floor for the partition build
-    common_nbhd_min: int | None = None   # common-neighborhood floor for clique descent
     m_cap: int | None = None             # cap on the template round size
 
     def __post_init__(self):

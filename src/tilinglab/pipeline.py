@@ -95,14 +95,20 @@ def check_hypotheses(
     needs delta(G) >= eps n and the traversing property at probe size
     ceil(eps' n), checked on every family when they number at most
     HYPOTHESIS_TRIALS and on that many sampled ones otherwise; the detail
-    string says which.
+    string says which.  Neither mode's hypotheses hold on the empty graph,
+    which has no minimum degree.
     """
     n = g.n
+    if mode == "clique":
+        check_builder("clique", p, ell)
+    elif mode != "general":
+        raise ValueError(f"unknown mode: {mode}")
+    if n == 0:
+        return False, "the empty graph has no minimum degree"
     eps = config.degree_frac
     eps2 = config.threshold_frac
     delta = min_degree(g)
     if mode == "clique":
-        check_builder("clique", p, ell)
         r = p.r
         frac = (r - ell) / (r - ell + 1)
         need = (frac + eps) * n
@@ -116,22 +122,20 @@ def check_hypotheses(
             f"[{kind}] (cap {eps2 * n:.1f})"
         )
         return held, detail
-    if mode == "general":
-        need = eps * n
-        deg_ok = delta >= need
-        s = max(1, math.ceil(eps2 * n))
-        if p.h * s <= n:
-            verdict = traversing_check(g, p, s, trials=HYPOTHESIS_TRIALS,
-                                       seed=derive_seed(seed, "hyp"))
-            trav_ok = verdict.holds
-            how = f"sampled({HYPOTHESIS_TRIALS})" if verdict.mode == "sampled" else "exhaustive"
-            tdetail = f"traversing at s={s} {how}: {'holds' if trav_ok else 'fails'}"
-        else:
-            trav_ok = False
-            tdetail = f"probe size s={s} infeasible (h*s > n)"
-        held = deg_ok and trav_ok
-        return held, f"delta={delta} (need {need:.1f}); {tdetail}"
-    raise ValueError(f"unknown mode: {mode}")
+    need = eps * n
+    deg_ok = delta >= need
+    s = max(1, math.ceil(eps2 * n))
+    if p.h * s <= n:
+        verdict = traversing_check(g, p, s, trials=HYPOTHESIS_TRIALS,
+                                   seed=derive_seed(seed, "hyp"))
+        trav_ok = verdict.holds
+        how = f"sampled({HYPOTHESIS_TRIALS})" if verdict.mode == "sampled" else "exhaustive"
+        tdetail = f"traversing at s={s} {how}: {'holds' if trav_ok else 'fails'}"
+    else:
+        trav_ok = False
+        tdetail = f"probe size s={s} infeasible (h*s > n)"
+    held = deg_ok and trav_ok
+    return held, f"delta={delta} (need {need:.1f}); {tdetail}"
 
 
 def find_factor_absorbing(

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -7,6 +8,7 @@ import json
 import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from oracles import (
     copy_families_reference,
     factor_exists_bruteforce,
 )
+import tilinglab
 from tilinglab import absorbing, absorption, factor
 from tilinglab.absorbers import absorber_tilings
 from tilinglab.absorbing import (
@@ -105,13 +108,22 @@ class TestConfig:
     def test_from_overrides_sets_every_field(self):
         # every field but h, which the pattern fixes
         values = dict(t=2, absorber_frac=0.3, sample_prob=0.2, surplus_ratio=1.5,
-                      degree_frac=0.15, threshold_frac=0.25, pool_size=7,
-                      part_degree_min=3, common_nbhd_min=2, m_cap=4)
+                      degree_frac=0.15, threshold_frac=0.25, pool_size=7, m_cap=4)
         fields = dataclasses.fields(AbsorberConfig)
         assert {f.name for f in fields} == set(values) | {"h"}
         assert all(values[f.name] != f.default for f in fields if f.name in values)
         assert AbsorberConfig.from_overrides(4, json.loads(json.dumps(values))) == \
             AbsorberConfig(h=4, **values)
+
+    def test_every_field_is_read_outside_config(self):
+        # a field that no module reads as `<obj>.<field>` is a knob that
+        # changes nothing
+        read = {node.attr for path in Path(tilinglab.__file__).parent.glob("*.py")
+                if path.name != "config.py"
+                for node in ast.walk(ast.parse(path.read_text(encoding="ascii")))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread = {f.name for f in dataclasses.fields(AbsorberConfig)} - read
+        assert not unread
 
 
 class TestTemplate:
@@ -336,10 +348,8 @@ class TestFamilyBuilders:
             seen |= alone.covered
 
     def test_clique_on_complete(self):
-        cfg = AbsorberConfig.desk_scale(h=3, t=3)
         k40 = complete_graph(40)
-        fams = disjoint_absorber_family_clique(k40, 3, 2, [0, 1, 2], target=3,
-                                               config=cfg, seed=1)
+        fams = disjoint_absorber_family_clique(k40, 3, [0, 1, 2], target=3, seed=1)
         assert len(fams) == 3
         for alone, with_core in fams:
             assert len(alone.covered) == 3 * 3
@@ -347,10 +357,7 @@ class TestFamilyBuilders:
 
     def test_clique_two_cliques_stays_inside(self):
         g = gen_two_cliques(40)  # parts 0..18 and 19..39
-        cfg = AbsorberConfig.desk_scale(h=3, t=3, part_degree_min=1,
-                                        common_nbhd_min=2)
-        fams = disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
-                                               config=cfg, seed=3)
+        fams = disjoint_absorber_family_clique(g, 3, [0, 1, 2], target=1, seed=3)
         assert len(fams) == 1
         alone, with_core = fams[0]
         assert all(v < 19 for v in with_core.covered)
@@ -359,10 +366,7 @@ class TestFamilyBuilders:
 
     def test_clique_fails_on_large_independent_sets(self):
         g = gen_complete_multipartite([13, 13, 14])
-        cfg = AbsorberConfig.desk_scale(h=3, t=3, part_degree_min=1,
-                                        common_nbhd_min=2)
-        assert disjoint_absorber_family_clique(g, 3, 2, [0, 1, 2], target=1,
-                                               config=cfg, seed=1) == []
+        assert disjoint_absorber_family_clique(g, 3, [0, 1, 2], target=1, seed=1) == []
 
 
 class TestBuildAbsorbingSet:
@@ -999,8 +1003,7 @@ K60_GENERAL_CONFIG = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2, samp
                                                 surplus_ratio=1.0, m_cap=1, pool_size=2)
 # the partition construction at t = h = 3 needs 146 vertices at m = 1
 K150_CLIQUE_CONFIG = AbsorberConfig.desk_scale(h=3, t=3, absorber_frac=0.001, sample_prob=0.03,
-                                                surplus_ratio=2.0, m_cap=1, part_degree_min=1,
-                                                common_nbhd_min=1)
+                                                surplus_ratio=2.0, m_cap=1)
 
 
 @pytest.fixture(scope="module")

@@ -162,6 +162,15 @@ class TestFactor:
         assert "error: --fallback-cap must be >= 0, not -1" in captured.err
         assert "no factor" not in captured.out
 
+    @pytest.mark.parametrize("solver", ["exact", "absorbing"])
+    def test_empty_graph_has_the_empty_factor(self, tmp_path, capsys, solver):
+        # the absorbing solver exited 2: min_degree of the empty graph raised
+        g = tmp_path / "empty.el"
+        g.write_text("0 0\n")
+        assert run_cli("factor", "--graph", str(g), "--pattern", "K3",
+                       "--solver", solver) == 0
+        assert capsys.readouterr().out.startswith("factor: 0 copies")
+
     def test_exact_failure_exit_1(self, tmp_path):
         g = tmp_path / "hs.el"
         run_cli("gen", "--construction", "hs-tripartite", "--n", "12",
@@ -222,6 +231,7 @@ class TestFactor:
         ('{"template_retries": 5}', "unknown AbsorberConfig key(s): template_retries"),
         ('{"h": 3}', "config may not set h"),
         ('{"overrides": false}', "unknown AbsorberConfig key(s): overrides"),
+        ('{"common_nbhd_min": 2}', "unknown AbsorberConfig key(s): common_nbhd_min"),
         ("[1]", "--config must be a JSON object, not list"),
         ("{", "error:"),
         ("{bad", "error: --config is not JSON: Expecting property name"),
@@ -442,6 +452,20 @@ class TestAbsorbCommand:
         err = capsys.readouterr().err
         assert "INVALID: tiling of the absorber plus core does not cover exactly" in err
 
+    def test_no_remainder_size_fits_outside_exit_1(self, tmp_path, capsys):
+        # the structure covers all of K26 and absorbs only |R| = 1; drawing
+        # that remainder from no vertex raised a ValueError, exit 2
+        g = tmp_path / "k26.el"
+        run_cli("gen", "--construction", "gnp", "--n", "26", "--p", "1.0", "--out", str(g))
+        capsys.readouterr()
+        assert run_cli("absorb", "--graph", str(g), "--pattern", "K3", "--config",
+                       '{"t": 1, "sample_prob": 0.1, "surplus_ratio": 2.0, "m_cap": 1}',
+                       "--seed", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("absorbing set: 26 vertices")
+        assert captured.err == ("no absorbable remainder size fits the 0 vertices outside "
+                                "the absorbing set\n")
+
     @pytest.mark.parametrize("builder", ["general", "clique"])
     def test_prints_hypothesis_verdict(self, tmp_path, capsys, builder):
         # triangle-free, and large enough that buffer samples are drawn
@@ -493,6 +517,17 @@ class TestSweep:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_empty_graph_row(self, tmp_path):
+        # n = 0 passes the grid check, and the row settles it by the fallback
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SWEEP_SPEC, grid={"n": [0], "p": [0.6]}, trials=1)))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 0
+        header, row = out.read_text().splitlines()[1:]
+        row = dict(zip(header.split(","), row.split(",")))
+        assert (row["n"], row["hypothesis_held"], row["absorbing_built"]) == ("0", "0", "0")
+        assert (row["fallback_used"], row["factor_found"]) == ("1", "1")
 
     def test_threads_match_serial(self, tmp_path):
         from tilinglab.sweep import ExperimentSpec, rows_to_csv, run_sweep

@@ -29,6 +29,12 @@ K2_DESK = AbsorberConfig.desk_scale(h=2, absorber_frac=0.2, sample_prob=0.06,
                                     surplus_ratio=2.0, m_cap=1)
 
 
+def t_equal_h_desk(h):
+    """The desk config that runs the partition construction for K_h."""
+    return AbsorberConfig.desk_scale(h=h, t=h, sample_prob=0.1, absorber_frac=0.05,
+                                     surplus_ratio=6.0, m_cap=1)
+
+
 @pytest.mark.parametrize("record", [
     FactorResult(status="none", tiling=None, nodes=0),
     SearchResult(value=1, witness=(0,), exact=True, nodes=1),
@@ -53,6 +59,18 @@ class TestHypotheses:
         held, detail = check_hypotheses(g, k3, "clique", cfg, ell=2)
         assert not held
         assert "alpha_2" in detail and "exact" in detail
+
+    @pytest.mark.parametrize("mode", ["clique", "general"])
+    def test_empty_graph_holds_no_hypothesis(self, k3, mode):
+        # min_degree raises on the empty graph, and the run raised with it;
+        # the fallback settles n = 0 as it settles any small n
+        g = Graph(0)
+        cfg = AbsorberConfig.desk_scale(h=3, **K3_DESK)
+        assert check_hypotheses(g, k3, mode, cfg) == (False,
+                                                      "the empty graph has no minimum degree")
+        rep = find_factor_absorbing(g, k3, mode=mode, config=cfg)
+        assert not rep.hypothesis_held
+        assert rep.factor_found and rep.fallback_used and len(rep.tiling) == 0
 
     def test_clique_mode_discloses_bound_kind(self, k3):
         g = gen_gnp(120, 0.7, 9)
@@ -125,12 +143,10 @@ class TestPipeline:
         verify_tiling(g, rep.tiling, require_factor=True)
 
     def test_partition_construction_at_t_equal_h(self, k3):
-        # the clique builder's per-class degree floor counts only the vertices
-        # the partition splits; counted over all of g, this build stops at
-        # edge-absorbers
+        # the partition construction at t = h = 3: every absorber is checked
+        # by its tilings, so no degree floor on the partition is needed
         g = gen_gnp(240, 0.9, 1)
-        cfg = AbsorberConfig.desk_scale(h=3, t=3, sample_prob=0.1, absorber_frac=0.05,
-                                        surplus_ratio=6.0, m_cap=1)
+        cfg = t_equal_h_desk(3)
         st = build_absorbing_set(g, k3, cfg, seed=1, builder="clique", ell=2)
         assert st.builder == "clique"
         assert st.template == build_template(1, cfg.surplus_ratio)
@@ -139,6 +155,25 @@ class TestPipeline:
                                     fallback_cap=0)
         assert rep.factor_found and not rep.fallback_used
         verify_tiling(g, rep.tiling, require_factor=True)
+
+    @pytest.mark.parametrize("p, s", [(p, s) for p in (0.8, 0.9) for s in range(1, 6)])
+    def test_partition_construction_needs_no_degree_floor(self, k3, p, s):
+        # a per-class degree floor on the partition stopped 7 of these 10
+        # runs at absorbing-set/edge-absorbers
+        g = gen_gnp(120, p, s)
+        rep = find_factor_absorbing(g, k3, mode="clique", ell=2, config=t_equal_h_desk(3),
+                                    seed=1, fallback_cap=0)
+        assert rep.factor_found and not rep.fallback_used
+        verify_tiling(g, rep.tiling, require_factor=True)
+
+    def test_partition_construction_for_k4(self):
+        # K4 with ell = 2 on G(240, 0.9): the degree floor stopped this build
+        # at edge-absorbers
+        g = gen_gnp(240, 0.9, 1)
+        st = build_absorbing_set(g, parse_pattern_spec("K4"), t_equal_h_desk(4), seed=1,
+                                 builder="clique", ell=2)
+        assert st.builder == "clique"
+        verify_structure(g, st)
 
     def test_general_mode_on_gnp(self, k3):
         g = gen_gnp(120, 0.7, 4)
