@@ -5,8 +5,8 @@ such that both G[A_S] and G[A_S + S] have perfect tilings.  Given enough
 pairwise-disjoint absorbers for every S, an absorbing set A can be built so
 that G[A + R] has a perfect tiling for every small remainder R respecting
 divisibility.  The flexibility comes from a robust bipartite template: a
-bounded-degree graph on (flex + core, slots) such that every m-subset of the
-flex side, together with the core side, has a perfect matching onto slots.
+graph on (flex + core, slots) such that any one flex row, together with
+the core side, has a perfect matching onto the slots.
 
 Desk-scale runs use override constants (AbsorberConfig.desk_scale).  A
 structure keeps no constant of its build: it is its vertex sets and each
@@ -38,25 +38,25 @@ from .config import SAMPLE_RETRIES, AbsorberConfig, CertificateBugError, StageFa
 from .embed import cliques_of_size, copy_sets_through
 from .graphs import Graph, Pattern, Tiling, vertex_mask
 from .rng import derive_seed, rng_for
-from .templates import TemplateGraph, _surplus_of, build_template
+from .templates import TemplateGraph, build_template
 
 
 @dataclass
 class AbsorbingStructure:
     """The assembled absorbing set plus all bookkeeping needed to absorb.
 
-    buffer: vertices consumed flexibly by copies so that exactly m survive,
-    in increasing order; core: 2m vertices, always matched through the
-    template; the template's left side is the buffer followed by the core
-    (left_vertex).  slot_blocks: blocks of h-1 vertices (`slots`, in
+    buffer: vertices consumed flexibly by copies so that exactly one
+    survives, in increasing order; core: 2 vertices, always matched through
+    the template; the template's left side is the buffer followed by the
+    core (left_vertex).  slot_blocks: 3 blocks of h-1 vertices (`slots`, in
     order), each tiled together with one matched buffer/core vertex;
     edge_absorbers: per template edge, its absorber's tilings (alone,
     with_core), the second with the edge's left vertex and slot block.  Of
     the build's inputs it keeps only the builder that ran; the pattern fixes
     h, and the graph that `verify` and `absorb` are given fixes n.  `slots`
-    and `template` (round size |core|/2, flex side |buffer|) derive from the
-    rest, so a document stores neither.  `absorb` finds the copies into the
-    buffer itself: they depend only on graph and buffer.
+    and `template` (flex side |buffer|) derive from the rest, so a document
+    stores neither.  `absorb` finds the copies into the buffer itself: they
+    depend only on graph and buffer.
     """
 
     pattern: Pattern
@@ -72,8 +72,8 @@ class AbsorbingStructure:
 
     @property
     def template(self) -> TemplateGraph:
-        """The template at round size |core|/2 and flex side |buffer|."""
-        return TemplateGraph(m=len(self.core) // 2, flex_size=len(self.buffer))
+        """The template with flex side |buffer|."""
+        return TemplateGraph(flex_size=len(self.buffer))
 
     @cached_property
     def absorbing_set(self) -> frozenset[int]:
@@ -115,19 +115,19 @@ def build_absorbing_set(
     otherwise; the structure's `builder` names the one that ran.  The
     paper's hypotheses are checked by pipeline.check_hypotheses, not here.
 
-    Stages: (1) sample the buffer with probability sample_prob, at most
-    SAMPLE_RETRIES times, until the sample is small enough and every vertex
-    has q^(h-1)*gamma/2 copies into the buffer, where gamma =
-    max(1, ceil(absorber_frac*n)): an integer count reaches that exactly
-    when it reaches its ceiling, so each count stops there, the first short
-    vertex rejects the sample, and no copy is kept; no sample is drawn when
-    m_cap = 0 or a small enough sample, at most ceil(2nq) vertices, is too
-    small for m = 1, which needs 1 + ceil(surplus_ratio); then stop at
-    `remainder-sizes` when no remainder size can be absorbed: |A| is
-    3mh + s plus h*t per absorber, so the least k with h dividing |A| + k
-    is -s mod h, and it must not exceed max_remainder = s // (h-1); (2)
-    build the template at the implied round size; (3) reserve core and
-    slot vertices; (4) map template sides onto them; (5) pick
+    Stages: (1) build the template, with surplus s = ceil(surplus_ratio)
+    and flex side 1 + s, and stop at `remainder-sizes` when no remainder
+    size can be absorbed: |A| is 3h + s plus h*t per absorber, so the least
+    k with h dividing |A| + k is -s mod h, and it must not exceed
+    max_remainder = s // (h-1); (2) sample with probability sample_prob, at
+    most SAMPLE_RETRIES times, until a sample of 1 + s to ceil(2nq)
+    vertices has a buffer, its first 1 + s vertices, into which every
+    vertex has q^(h-1)*gamma/2 copies, where gamma = max(1,
+    ceil(absorber_frac*n)): an integer count reaches that exactly when it
+    reaches its ceiling, so each count stops there, the first short vertex
+    rejects the sample, and no copy is kept; no sample is drawn when
+    m_cap = 0 or ceil(2nq) < 1 + s; (3) reserve the 2 core vertices and 3
+    slot blocks; (4) map template sides onto them; (5) pick
     pairwise-disjoint absorbers for every template edge, the only stage
     that runs the builder; (6) assemble.  Any stage that exhausts its
     candidates or fails its check raises StageFailure naming the stage and
@@ -152,46 +152,37 @@ def build_absorbing_set(
                                                   forbidden=forbidden)
         return got[0] if got else None
 
-    # stage 1: buffer sampling with the concentration event checked directly.
-    # A sample keeps at most ceil(2nq) vertices and round size m >= 1 needs
-    # 1 + ceil(beta) of them, so no sample can pass when the cap is lower.
-    gamma = max(1, math.ceil(config.absorber_frac * n))
-    q = config.sample_prob
-    beta = config.surplus_ratio
-    cap = math.ceil(2 * n * q)
-    need = 1 + _surplus_of(1, beta)
-    if config.m_cap == 0:
-        raise StageFailure("buffer-sample", "no sample can pass: m_cap = 0")
-    if cap < need:
-        raise StageFailure("buffer-sample", f"no sample can pass: it keeps at most ceil(2nq) = "
-                                            f"{cap} vertices, and m = 1 needs {need}")
-    for attempt in range(SAMPLE_RETRIES):
-        rng = rng_for(seed, "buffer", attempt)
-        raw = [v for v in range(n) if rng.random() < q]
-        if len(raw) > cap:
-            continue
-        mm = 0
-        while (mm + 1) + _surplus_of(mm + 1, beta) <= len(raw):
-            mm += 1
-        if config.m_cap is not None:
-            mm = min(mm, config.m_cap)
-        if mm < 1:
-            continue
-        cand = raw[: mm + _surplus_of(mm, beta)]
-        if _every_vertex_reaches(g, p, vertex_mask(cand), math.ceil(q ** (h - 1) * gamma / 2)):
-            buffer, m = cand, mm
-            break
-    else:
-        raise StageFailure("buffer-sample", f"no acceptable buffer in {SAMPLE_RETRIES} samples")
-    surplus = _surplus_of(m, beta)
+    # stage 1: the template, and the remainder sizes it can absorb
+    template = build_template(config.surplus_ratio)
+    flex, surplus = template.flex_size, template.surplus
     least, most = -surplus % h, surplus // (h - 1)
     if least > most:
         raise StageFailure("remainder-sizes",
                            f"no remainder size is absorbable: h = {h} must divide |A| + k, |A| is "
                            f"s = {surplus} mod h, so k >= {least} > max_remainder = {most}")
 
-    # stage 2: template
-    template = build_template(m, beta)
+    # stage 2: buffer sampling with the concentration event checked directly.
+    # A sample keeps at most ceil(2nq) vertices, so no sample can pass when
+    # that cap is below the flex side.
+    gamma = max(1, math.ceil(config.absorber_frac * n))
+    q = config.sample_prob
+    cap = math.ceil(2 * n * q)
+    if config.m_cap == 0:
+        raise StageFailure("buffer-sample", "no sample can pass: m_cap = 0")
+    if cap < flex:
+        raise StageFailure("buffer-sample", f"no sample can pass: it keeps at most ceil(2nq) = "
+                                            f"{cap} vertices, and the flex side needs {flex}")
+    for attempt in range(SAMPLE_RETRIES):
+        rng = rng_for(seed, "buffer", attempt)
+        raw = [v for v in range(n) if rng.random() < q]
+        if not flex <= len(raw) <= cap:
+            continue
+        cand = raw[:flex]
+        if _every_vertex_reaches(g, p, vertex_mask(cand), math.ceil(q ** (h - 1) * gamma / 2)):
+            buffer = cand
+            break
+    else:
+        raise StageFailure("buffer-sample", f"no acceptable buffer in {SAMPLE_RETRIES} samples")
 
     # stages 3-4: core and slot vertices, in index order.  Slot blocks are
     # (h-1)-cliques so that every block plus a matched vertex can host a
@@ -199,13 +190,13 @@ def build_absorbing_set(
     # some template edges impossible to absorb.
     buffer_set = set(buffer)
     outside = [v for v in range(n) if v not in buffer_set]
-    need = 2 * m + 3 * m * (h - 1)
+    need = 2 + 3 * (h - 1)
     if len(outside) < need:
         raise StageFailure("core-slots", f"need {need} vertices outside the buffer")
-    core = tuple(outside[: 2 * m])
-    block_pool = vertex_mask(outside[2 * m :])
+    core = tuple(outside[:2])
+    block_pool = vertex_mask(outside[2:])
     blocks: list[tuple[int, ...]] = []
-    for _ in range(3 * m):
+    for _ in range(3):
         found = next(cliques_of_size(g, h - 1, block_pool), None)
         if found is None:
             raise StageFailure(

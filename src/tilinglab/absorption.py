@@ -25,10 +25,10 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
     """Perfect tiling of G[A + R] for a valid remainder R.
 
     Steps: cover each remainder vertex with a copy into the buffer; cover
-    surplus buffer vertices with further copies until exactly m remain;
-    match the m survivors plus the core side through the template; take the
-    stored tiling of each matched edge's absorber with its endpoint vertices,
-    and of each unmatched edge's absorber alone.  The copies into the buffer
+    surplus buffer vertices with further copies until one survives; match
+    the survivor plus the core side through the template; take the stored
+    tiling of each matched edge's absorber with its endpoint vertices, and
+    of each unmatched edge's absorber alone.  The copies into the buffer
     are read off g lazily, as the search reaches each anchor, under
     `factor.DEFAULT_BUDGET` nodes.  The result is verified before return.
     """
@@ -50,35 +50,28 @@ def absorb(g: Graph, structure: AbsorbingStructure, remainder: Iterable[int]) ->
             f"remainder size {len(rem)} exceeds the absorbable cap {structure.max_remainder}"
         )
 
-    tpl = structure.template
-    m = tpl.m
-
     # remainder copies into the buffer, pairwise disjoint
     chosen = _disjoint_copies(g, p, rem, structure.buffer, len(rem), 0)
     if chosen is None:
         raise StageFailure("absorb-remainder", "no disjoint copy choice for the remainder")
     consumed = {u for copy in chosen for u in copy}
 
-    # surplus coverage: copies inside the buffer until exactly m vertices remain
+    # surplus coverage: copies inside the buffer until one vertex survives
     remaining = [v for v in structure.buffer if v not in consumed]
-    need_copies, leftover_check = divmod(len(remaining) - m, h)
+    need_copies, leftover_check = divmod(len(remaining) - 1, h)
     if leftover_check != 0:
         raise CertificateBugError("buffer arithmetic violated divisibility bookkeeping")
-    cover = _disjoint_copies(g, p, remaining, remaining, need_copies, m)
+    cover = _disjoint_copies(g, p, remaining, remaining, need_copies, 1)
     if cover is None:
         raise StageFailure("absorb-surplus", "no disjoint cover of the buffer surplus")
     covered_by_cover = {u for copy in cover for u in copy}
     survivors = [v for v in remaining if v not in covered_by_cover]
-    if len(survivors) != m:
-        raise CertificateBugError(f"buffer cover left {len(survivors)} survivors, expected {m}")
+    if len(survivors) != 1:
+        raise CertificateBugError(f"buffer cover left {len(survivors)} survivors, expected 1")
 
-    # template matching of survivors + core onto slots
-    pos = {v: i for i, v in enumerate(structure.buffer)}
-    matching = tpl.slot_matching(pos[v] for v in survivors)
-    if matching is None:
-        raise CertificateBugError(
-            "verified template has no perfect matching for this survivor set"
-        )
+    # template matching of the survivor + core onto slots
+    tpl = structure.template
+    matching = tpl.slot_matching(structure.buffer.index(survivors[0]))
 
     copies = chosen + cover
     for l, rgt in tpl.edges():

@@ -160,8 +160,7 @@ def cmd_absorb(args) -> int:
         return FAILURE
     if args.out:
         dump_json(structure_to_obj(structure), args.out)
-    print(f"absorbing set: {len(structure.absorbing_set)} vertices, "
-          f"m={structure.template.m}, template edges "
+    print(f"absorbing set: {len(structure.absorbing_set)} vertices, template edges "
           f"{len(structure.edge_absorbers)}")
 
     aset = structure.absorbing_set

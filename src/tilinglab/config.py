@@ -4,8 +4,8 @@ checks of JSON values.
 `AbsorberConfig` holds the constants that drive absorber construction:
 `asymptotic` binds two of them to the others as the theory does, and
 `desk_scale` sets each one, as every build in the package does.  The
-exceptions are the ones the template, absorber, absorbing-set and absorption
-modules raise.  `load_json_text`, `refuse_unknown_keys`, `is_json_int`,
+exceptions are the ones the absorber, absorbing-set and absorption modules
+raise.  `load_json_text`, `refuse_unknown_keys`, `is_json_int`,
 `json_int` and `is_json_number` are the one check each of a JSON text,
 object keys, integers and numbers, which the config, the generator grid,
 the sweep spec and the document loaders share.  This module imports nothing from the package, so
@@ -96,8 +96,8 @@ class AbsorberConfig:
     surplus_ratio = sample_prob**(h-1)*absorber_frac/4 as the theory does;
     `desk_scale` sets both directly, as every build in the package does.
     A config is a build's input only: the structure it builds keeps none
-    of it, and absorbs up to its template's surplus, about
-    surplus_ratio * m, over h-1 remainder vertices.  This class is the
+    of it, and absorbs up to its template's surplus, ceil(surplus_ratio),
+    over h-1 remainder vertices.  This class is the
     only place that lists the fields; `from_overrides` reads them from
     `fields()`.
     """
@@ -106,11 +106,11 @@ class AbsorberConfig:
     t: int
     absorber_frac: float      # required disjoint-absorber family density per core set
     sample_prob: float        # buffer sampling probability
-    surplus_ratio: float      # buffer surplus per template round: |buffer| = (1+ratio)*m
+    surplus_ratio: float      # buffer surplus of the one template round: |buffer| = 1+ceil(ratio)
     degree_frac: float = 0.1       # minimum-degree fraction for hypothesis checks
     threshold_frac: float = 0.2    # clique-free / traversing threshold fraction
     pool_size: int | None = None         # neighbor-pool size per core vertex
-    m_cap: int | None = None             # cap on the template round size
+    m_cap: int | None = None             # 0 refuses; None or any value >= 1 builds one round
 
     def __post_init__(self):
         # fields arrive from JSON, so every type and range is checked here

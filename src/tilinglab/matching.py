@@ -1,6 +1,7 @@
 """Bipartite maximum matching by Kuhn's augmenting paths, one left vertex at
-a time.  It matches template rows to slots, the m survivors plus the core,
-once per absorb: 3 onto 3 in every absorb the benchmark runs."""
+a time.  No package module calls it: the template's one-survivor matching
+is a formula.  It stays because perfbench's tracer lists it as a layer, and
+the tests' matching oracle uses it."""
 
 from __future__ import annotations
 

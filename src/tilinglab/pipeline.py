@@ -182,7 +182,7 @@ def find_factor_absorbing(
         )
         report.stages.append(StageOutcome(
             "absorbing-set", True,
-            f"|A|={len(structure.absorbing_set)} m={structure.template.m} "
+            f"|A|={len(structure.absorbing_set)} "
             f"builder={structure.builder}"))
     except StageFailure as exc:
         report.stages.append(StageOutcome("absorbing-set", False, f"{exc.stage}: {exc}"))

@@ -4,8 +4,8 @@ Every object the solvers emit (tilings, absorbers, absorbing structures,
 traversing witnesses) can be re-checked here from scratch.  The checkers
 share no search code with the solvers: they check the tilings a certificate
 carries, and settle a traversing witness by brute force.  A structure's
-template is derived from its sizes and robust by Hall's condition (see
-templates.TemplateGraph), so only those sizes are checked.
+template is derived from its buffer and robust at every flex size (see
+templates.TemplateGraph), so only the sizes are checked.
 """
 
 from __future__ import annotations
@@ -120,28 +120,23 @@ def verify_traversing_witness(
 def verify_structure(g: Graph, structure) -> None:
     """Re-check every invariant of an absorbing structure from scratch.
 
-    The sizes that fix its template: a core of 2m >= 2 vertices and a
-    buffer of m to 40, the degree bound; the slot count 3m(h-1);
-    disjointness of buffer/core/slots and all edge absorbers; the buffer's
-    increasing order (which fixes the template's flex indices); edge
-    absorbers on exactly the template's edges, each with its two stored
+    The sizes that fix its template: a core of 2 vertices and 3 slot
+    blocks; disjointness of buffer/core/slots and all edge absorbers; the
+    buffer's increasing order (which fixes the template's flex indices);
+    edge absorbers on exactly the template's edges, each with its two stored
     tilings (via verify_absorber), and each on h^2 vertices when the
     `general` or `clique` builder, which build only those, is named; and
-    that some remainder size is absorbable.  The template's robust property
-    needs no check: it holds by Hall's condition at every such size.  A
-    document stores no derived value, so nothing is compared against a
-    stored copy.
+    that some remainder size is absorbable, which refuses an empty buffer.
+    The template's robust property needs no check: any one flex row and the
+    core take the three slots at every flex size.  A document stores no
+    derived value, so nothing is compared against a stored copy.
     """
     h = structure.pattern.h
     buffer, core, slots = structure.buffer, structure.core, structure.slots
-    if not core or len(core) % 2:
-        raise VerificationError(f"core has {len(core)} vertices, not an even number >= 2")
-    tpl = structure.template
-    if not tpl.m <= len(buffer) <= 40:
-        raise VerificationError(f"buffer has {len(buffer)} vertices, not from m = {tpl.m} "
-                                f"to the degree bound of 40")
-    if len(slots) != tpl.slot_count * (h - 1):
-        raise VerificationError("slot count differs from template * (h-1)")
+    if len(core) != 2:
+        raise VerificationError(f"core has {len(core)} vertices, not 2")
+    if len(structure.slot_blocks) != 3:
+        raise VerificationError(f"{len(structure.slot_blocks)} slot blocks, not 3")
     base = list(buffer) + list(core) + list(slots)
     if len(set(base)) != len(base):
         raise VerificationError("buffer, core and slots overlap")
@@ -154,7 +149,7 @@ def verify_structure(g: Graph, structure) -> None:
     if any(a >= b for a, b in zip(buffer, buffer[1:])):
         raise VerificationError("buffer is not strictly increasing")
 
-    edges = set(tpl.edges())
+    edges = set(structure.template.edges())
     if set(structure.edge_absorbers) != edges:
         raise VerificationError("edge absorbers do not cover the template edges")
     taken = set(base)

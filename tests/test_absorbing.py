@@ -3,7 +3,6 @@ import dataclasses
 import gc
 import hashlib
 import io
-import itertools
 import json
 import math
 import tracemalloc
@@ -21,6 +20,7 @@ from oracles import (
     copies_into_buffer_count,
     copy_families_reference,
     factor_exists_bruteforce,
+    has_perfect_matching,
 )
 import tilinglab
 from tilinglab import absorbing, absorption, factor
@@ -65,8 +65,8 @@ from tilinglab.verify import (
 # sha256 of the K60/K2 direct structure document (the k60_structure fixture)
 # as dump_json writes it.  A change that alters the document on purpose
 # updates this constant and says why.  absorbing-structure/v8 stores no
-# template: its m = 1 sparse template, 5 rows and 5 edges, each with its
-# absorber, derives from the 2 core and 3 buffer vertices.  Nor does it
+# template: its sparse template, 5 rows and 5 edges, each with its
+# absorber, derives from the 3 buffer vertices.  Nor does it
 # store n, t or surplus_ratio: the graph, the tilings and the template
 # give what a reader needs of them.
 K60_DIRECT_DOCUMENT_SHA256 = "b8a0a5645c93b0524c7b2ba4a9814dcb8905ef3b427c651f6315367eb5607d3d"
@@ -127,85 +127,57 @@ class TestConfig:
 
 
 class TestTemplate:
-    def test_m1(self):
-        tpl = build_template(1, 0.9)
-        assert tpl == TemplateGraph(m=1, flex_size=2)
-        assert (tpl.slot_count, tpl.surplus) == (3, 1)
+    def test_flex_2(self):
+        tpl = build_template(0.9)
+        assert tpl == TemplateGraph(flex_size=2)
+        assert tpl.surplus == 1
         assert tpl.edges() == [(0, 2), (1, 2), (2, 0), (3, 1)]
 
-    def test_degree_bound_guard(self):
-        # 50 + ceil(5) = 55 flex vertices: each joins the top slots, whose
-        # degree would pass the bound of 40
-        with pytest.raises(StageFailure, match="flex side of 55 exceeds the degree bound "
-                                               "of 40") as exc:
-            build_template(50, 0.1)
-        assert exc.value.stage == "template"
+    @pytest.mark.parametrize("beta,flex", [
+        (0.0, 1), (0.01, 2), (1.025, 3), (39.0, 40), (40.0, 41), (54.0, 55)])
+    def test_flex_side_is_one_plus_ceil_beta(self, beta, flex):
+        # the flex side is 1 + ceil(beta), with no bound: the former degree
+        # bound of 40 is built on both sides, as is a flex side of 55
+        tpl = build_template(beta)
+        assert tpl == TemplateGraph(flex_size=flex)
+        assert (tpl.surplus, len(tpl.edges())) == (flex - 1, flex + 2)
 
-    @pytest.mark.parametrize("m,beta,flex", [
-        (1, 39.0, 40), (1, 40.0, 41), (20, 1.0, 40), (20, 1.025, 41), (40, 0.0, 40),
-        (41, 0.0, 41)])
-    def test_flex_side_of_40_is_the_bound(self, m, beta, flex):
-        # the flex side m + ceil(beta * m) is the top slots' degree: 40 is
-        # built, 41 is a template-stage failure
-        if flex <= 40:
-            assert build_template(m, beta) == TemplateGraph(m=m, flex_size=flex)
-            return
-        with pytest.raises(StageFailure, match=f"flex side of {flex} exceeds") as exc:
-            build_template(m, beta)
-        assert exc.value.stage == "template"
+    def test_sparse_fixture(self):
+        # each of the 15 flex rows joins slot 2 alone and core j slot j, so
+        # the template has 15 + 2 edges and each of its 3 slots is filled
+        tpl = build_template(14.0)
+        assert tpl.flex_size == 15
+        assert tpl.edges() == [(l, 2) for l in range(15)] + [(15, 0), (16, 1)]
+        assert all(sorted(tpl.slot_matching(l).values()) == [0, 1, 2] for l in range(15))
 
     @pytest.mark.parametrize("beta", [-1.0, -0.1, float("nan"), float("inf")])
     def test_beta_out_of_range_is_a_value_error(self, beta):
-        # the flex side is m + ceil(beta * m), so beta must be finite and >= 0
+        # the flex side is 1 + ceil(beta), so beta must be finite and >= 0
         with pytest.raises(ValueError, match="beta must be finite and >= 0"):
-            build_template(3, beta)
-
-    def test_sparse_fixture(self):
-        # core j joins slot j alone and each of the 15 flex vertices the top
-        # 13 slots; every one of C(15, 13) = 105 flex subsets matches
-        tpl = build_template(13, 0.1)
-        assert (tpl.flex_size, math.comb(tpl.flex_size, tpl.m)) == (15, 105)
-        assert tpl.left_adj == ((tuple(range(26, 39)),) * 15
-                                + tuple((j,) for j in range(26)))
-        assert len(tpl.edges()) == 13 * 15 + 26
-        assert all(tpl.slot_matching(sub) is not None
-                   for sub in itertools.combinations(range(tpl.flex_size), tpl.m))
-
-    def test_sparse_template_past_the_cap_needs_no_matching(self, monkeypatch):
-        # C(30, 20) = 30,045,015 flex subsets, which Hall's condition covers:
-        # a build at any size up to the flex side of 40 runs no slot matching
-        def no_matching(self, flex_subset):
-            raise AssertionError("a build needs no slot matching")
-        monkeypatch.setattr(TemplateGraph, "slot_matching", no_matching)
-        tpl = build_template(20, 0.5)
-        assert (tpl.m, tpl.flex_size, len(tpl.left_adj)) == (20, 30, 70)
-        for m, beta in itertools.product(range(1, 41), (0.0, 0.3, 1.0, 6.0, 39.0)):
-            flex = m + math.ceil(beta * m)
-            if flex > 40:
-                continue
-            tpl = build_template(m, beta)
-            assert tpl.left_adj == ((tuple(range(2 * m, 3 * m)),) * flex
-                                    + tuple((j,) for j in range(2 * m)))
+            build_template(beta)
 
     def test_slot_matching(self):
-        tpl = build_template(2, 0.5)
-        matching = tpl.slot_matching([2, 0])
-        assert matching == {0: 4, 2: 5, 3: 0, 4: 1, 5: 2, 6: 3}  # flex 0 and 2, then the core
-        for bad in ([0], [0, 0], [0, 3], [-1, 0]):  # size, duplicate, range
-            with pytest.raises(ValueError, match="exactly m flex indices"):
+        tpl = build_template(2.5)
+        assert tpl.slot_matching(2) == {2: 2, 4: 0, 5: 1}  # flex 2, then the core
+        for bad in (-1, 4, 5):  # below the flex side, the core rows
+            with pytest.raises(ValueError, match="is not a flex index below 4"):
                 tpl.slot_matching(bad)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-    def test_every_flex_subset_matches_in_order(self, m):
-        # Hall's condition, shown by brute force at every flex size from m to
-        # m + 6: core j takes slot j and the k-th of the sorted flex subset
-        # slot 2m + k, which keeps every absorb's pairing fixed
-        for flex in range(m, m + 7):
-            tpl = TemplateGraph(m=m, flex_size=flex)
-            core = {flex + j: j for j in range(2 * m)}
-            for sub in itertools.combinations(range(flex), m):
-                chosen = {l: 2 * m + k for k, l in enumerate(sub)}
-                assert tpl.slot_matching(reversed(sub)) == chosen | core
+    def test_every_survivor_matches_on_template_edges(self):
+        # at every flex size from 1 to 60, the formula's matching for each
+        # survivor uses only template edges and fills the 3 slots, and the
+        # matching oracle agrees on the survivor's and the core's rows
+        for flex in range(1, 61):
+            tpl = TemplateGraph(flex_size=flex)
+            edges = tpl.edges()
+            assert tpl.surplus == flex - 1 and len(edges) == flex + 2
+            for survivor in range(flex):
+                matching = tpl.slot_matching(survivor)
+                rows = [survivor, flex, flex + 1]
+                assert sorted(matching) == rows and sorted(matching.values()) == [0, 1, 2]
+                assert set(matching.items()) <= set(edges)
+                assert has_perfect_matching(3, 3, [[r for l, r in edges if l == row]
+                                                   for row in rows])
 
 
 # K9 without the edge (2, 3): with the core [0, 1, 2] and the absorber
@@ -375,12 +347,12 @@ class TestBuildAbsorbingSet:
         cfg = desk_k2(t=1)
         st = build_absorbing_set(k60, k2, cfg, seed=1)
         verify_structure(k60, st)
-        # buffer, core and slots hold 3mh + s vertices, each absorber h*t
-        m, h, t = st.template.m, k2.h, cfg.t
+        # buffer, core and slots hold 3h + s vertices, each absorber h*t
+        h, t = k2.h, cfg.t
         assert all(len(alone.covered) == h * t for alone, _ in st.edge_absorbers.values())
         # each remainder vertex takes h - 1 of the surplus's vertices
         assert st.max_remainder == st.template.surplus // (h - 1) == 2
-        assert len(st.absorbing_set) == (3 * m * h + st.template.surplus
+        assert len(st.absorbing_set) == (3 * h + st.template.surplus
                                          + h * t * len(st.edge_absorbers))
         sizes = st.valid_remainder_sizes()
         assert 0 in sizes and 2 in sizes
@@ -391,7 +363,7 @@ class TestBuildAbsorbingSet:
         assert t2.covered == st.absorbing_set | set(outside[:2])
 
     def test_tiny_surplus_ratio_absorbs_its_template_surplus(self, k2):
-        # a ratio of 0.01 gives m = 1 a surplus of ceil(0.01) = 1, and the
+        # a ratio of 0.01 gives a surplus of ceil(0.01) = 1, and the
         # structure absorbs that many vertices whatever the ratio is
         k60 = complete_graph(60)
         st = build_absorbing_set(k60, k2, desk_k2(t=1, surplus_ratio=0.01), seed=1)
@@ -442,17 +414,18 @@ class TestBuildAbsorbingSet:
 
         monkeypatch.setattr(absorbing, "disjoint_absorber_family_direct", spy)
         st = build_absorbing_set(complete_graph(60), k2, desk_k2(t=1), seed=1)
-        # the sparse m = 1 template: 3 flex rows to slot 2, core j to slot j
+        # the sparse template: 3 flex rows to slot 2, core j to slot j
         assert len(calls) == len(st.edge_absorbers) == len(st.template.edges()) == 5
 
     @pytest.mark.parametrize("kw,detail", [
         (dict(sample_prob=0.1),
-         "no sample can pass: it keeps at most ceil(2nq) = 6 vertices, and m = 1 needs 7"),
+         "no sample can pass: it keeps at most ceil(2nq) = 6 vertices, and the flex side "
+         "needs 7"),
         (dict(sample_prob=0.2, m_cap=0), "no sample can pass: m_cap = 0"),
     ], ids=["cap", "m_cap"])
     def test_buffer_sample_fails_before_sampling(self, k3, monkeypatch, kw, detail):
         # on K30 a sample keeps at most ceil(2 * 30 * 0.1) = 6 vertices, and
-        # m = 1 needs 1 + ceil(surplus_ratio) = 7; m_cap = 0 allows no round
+        # the flex side is 1 + ceil(surplus_ratio) = 7; m_cap = 0 allows none
         def draw(*args):
             raise AssertionError("a buffer sample was drawn")
         monkeypatch.setattr(absorbing, "rng_for", draw)
@@ -462,11 +435,12 @@ class TestBuildAbsorbingSet:
         assert (exc.value.stage, exc.value.detail) == ("buffer-sample", detail)
 
     def test_no_absorbable_remainder_size_fails_the_build(self, monkeypatch):
-        # K4 at m = 1 and s = ceil(5.0) = 5: |A| is 5 mod 4, so the least
-        # remainder size is 3, and max_remainder = 5 // 3 = 1
-        def template(*args, **kwargs):
-            raise AssertionError("a template was built")
-        monkeypatch.setattr(absorbing, "build_template", template)
+        # K4 at s = ceil(5.0) = 5: |A| is 5 mod 4, so the least remainder
+        # size is 3, and max_remainder = 5 // 3 = 1; the template fixes
+        # that, so the build stops before it draws a buffer sample
+        def draw(*args):
+            raise AssertionError("a buffer sample was drawn")
+        monkeypatch.setattr(absorbing, "rng_for", draw)
         cfg = AbsorberConfig.from_overrides(4, {"surplus_ratio": 5.0, "m_cap": 1})
         with pytest.raises(StageFailure) as exc:
             build_absorbing_set(complete_graph(120), Pattern.clique(4), cfg, seed=1)
@@ -483,6 +457,25 @@ class TestBuildAbsorbingSet:
             build_absorbing_set(k66, k3, cfg, seed=1)
         assert (exc.value.stage, exc.value.detail) == (
             "buffer-sample", "no acceptable buffer in 50 samples")
+
+    @pytest.mark.parametrize("graph_seed", [1, 2, 3])
+    def test_flex_side_past_40_builds_verifies_and_absorbs(self, k3, graph_seed):
+        # a surplus of 59 makes a flex side of 60, past the former degree
+        # bound of 40: on G(480, 0.9) the structure verifies, and absorb
+        # tiles 3 seeded remainders of every valid size
+        g = gen_gnp(480, 0.9, graph_seed)
+        cfg = AbsorberConfig.desk_scale(h=3, t=1, surplus_ratio=59.0, sample_prob=0.1875,
+                                        m_cap=1)
+        st = build_absorbing_set(g, k3, cfg, seed=1)
+        verify_structure(g, st)
+        assert (len(st.buffer), len(st.absorbing_set), st.max_remainder) == (60, 254, 29)
+        sizes = st.valid_remainder_sizes()
+        assert sizes == list(range(1, 30, 3))
+        outside = sorted(set(range(g.n)) - st.absorbing_set)
+        for k in sizes:
+            for i in range(3):
+                rem = sorted(rng_for(graph_seed, "remainder", k, i).sample(outside, k))
+                assert absorb(g, st, rem).covered == st.absorbing_set | set(rem)
 
     def test_asymptotic_constants_fail_structurally(self, k2):
         k60 = complete_graph(60)
@@ -622,17 +615,21 @@ class TestBuildAbsorbingSet:
         assert absorb(k60, loaded, outside[:2]).covered == loaded.absorbing_set | set(outside[:2])
 
     @pytest.mark.parametrize("tamper,message", [
-        (lambda obj, free: obj.update(core=[]), "core has 0 vertices, not an even number >= 2"),
-        (lambda obj, free: obj["core"].pop(), "core has 1 vertices, not an even number >= 2"),
-        (lambda obj, free: obj.update(buffer=[]),
-         "buffer has 0 vertices, not from m = 1 to the degree bound of 40"),
-        (lambda obj, free: obj.update(buffer=sorted(obj["buffer"] + free[:38])),
-         "buffer has 41 vertices, not from m = 1 to the degree bound of 40"),
-    ], ids=["core_empty", "core_odd", "buffer_short", "buffer_long"])
+        (lambda obj, free: obj.update(core=[]), "core has 0 vertices, not 2"),
+        (lambda obj, free: obj["core"].pop(), "core has 1 vertices, not 2"),
+        (lambda obj, free: obj.update(core=sorted(obj["core"] + free[:2])),
+         "core has 4 vertices, not 2"),
+        (lambda obj, free: obj["slot_blocks"].pop(), "2 slot blocks, not 3"),
+        # an empty buffer whose core keeps its absorbers: the flex side
+        # has no survivor, so no remainder size is absorbable
+        (lambda obj, free: obj.update(buffer=[], edge_absorbers=[
+            dict(e, left=e["left"] - 3) for e in obj["edge_absorbers"] if e["left"] >= 3]),
+         "no remainder size k <= max_remainder = -1 makes |A| + k divisible by h = 2"),
+    ], ids=["core_empty", "core_odd", "core_4", "slot_blocks_2", "buffer_short"])
     def test_structure_sizes_outside_the_template_are_invalid(self, k60_structure, tmp_path,
                                                               capsys, tamper, message):
-        # the core and buffer sizes fix the template, so they are checked
-        # before it is derived
+        # the core and slot-block counts are fixed and the buffer's size
+        # fixes the template, so each is checked before the template is used
         k60, st = k60_structure
         graph = tmp_path / "k60.el"
         graph.write_text(emit_graph(k60))
@@ -645,8 +642,8 @@ class TestBuildAbsorbingSet:
 
     def test_structure_template_is_the_build_template(self, k60_structure):
         _k60, st = k60_structure
-        assert st.template == build_template(st.template.m, desk_k2().surplus_ratio) \
-            == TemplateGraph(m=1, flex_size=3)
+        assert st.template == build_template(desk_k2().surplus_ratio) \
+            == TemplateGraph(flex_size=3)
 
     @pytest.mark.parametrize("builder", ["general", "clique"])
     def test_every_builder_derives_the_build_template(self, builder, k60_general_structure,
@@ -655,15 +652,16 @@ class TestBuildAbsorbingSet:
         _g, st = {"general": k60_general_structure, "clique": k150_clique_structure}[builder]
         cfg = {"general": K60_GENERAL_CONFIG, "clique": K150_CLIQUE_CONFIG}[builder]
         tpl = st.template
-        assert (len(st.core), len(st.buffer)) == (2 * tpl.m, tpl.flex_size)
-        assert tpl == build_template(tpl.m, cfg.surplus_ratio)
+        assert (len(st.core), len(st.buffer)) == (2, tpl.flex_size)
+        assert tpl == build_template(cfg.surplus_ratio)
         assert set(st.edge_absorbers) == set(tpl.edges())
 
-    @pytest.mark.parametrize("flex", [1, 40], ids=["buffer_m", "buffer_40"])
+    @pytest.mark.parametrize("flex", [1, 41], ids=["buffer_1", "buffer_41"])
     def test_structure_sizes_at_the_bounds_pass_the_size_checks(self, k60_structure, flex):
-        # both ends of m <= |buffer| <= 40 are allowed: a buffer of m = 1
-        # with its absorbers kept is valid, and one of 40 fails only on the
-        # edges its derived template has and the document does not
+        # a buffer has no upper bound: a buffer of 1 with its absorbers
+        # kept is valid, and one of 41, past the former degree bound of 40,
+        # fails only on the edges its derived template has and the document
+        # does not
         k60, st = k60_structure
         obj = structure_to_obj(st)
         kept = len(st.buffer)  # 3; the core's left indices follow the buffer's
@@ -674,7 +672,7 @@ class TestBuildAbsorbingSet:
                                  for e in obj["edge_absorbers"]
                                  if not flex <= e["left"] < kept]
         bad = structure_from_obj(obj, k60.n)
-        assert bad.template == TemplateGraph(m=1, flex_size=flex)
+        assert bad.template == TemplateGraph(flex_size=flex)
         if flex < kept:
             verify_structure(k60, bad)
             return
@@ -819,7 +817,7 @@ class TestBuildAbsorbingSet:
         doc = tmp_path / "structure.json"
         doc.write_text(json.dumps(obj))
         assert main(["verify", "--certificate", str(doc), "--graph", str(graph)]) == 1
-        assert "INVALID: slot count differs from template * (h-1)" in capsys.readouterr().err
+        assert "INVALID: slot blocks are not all (h-1)-sets" in capsys.readouterr().err
 
     def test_writers_emit_the_keys_loaders_read(self, k60_structure, c4_pattern):
         _k60, st = k60_structure
@@ -906,10 +904,10 @@ class TestBuildAbsorbingSet:
         obj = structure_to_obj(st)
         kind = data.draw(hs.sampled_from(["swap", "outside", "move"]))
         if kind == "move":
-            rows = st.template.left_adj
+            edges = set(st.template.edges())
             moved, new = data.draw(hs.sampled_from(
-                [(e, new) for e in obj["edge_absorbers"] for new in range(st.template.slot_count)
-                 if new not in rows[e["left"]]]))
+                [(e, new) for e in obj["edge_absorbers"] for new in range(3)
+                 if (e["left"], new) not in edges]))
             moved["right"] = new
             expected = "INVALID: edge absorbers do not cover the template edges"
         else:
@@ -1001,7 +999,7 @@ def k60_structure(k2):
 
 K60_GENERAL_CONFIG = AbsorberConfig.desk_scale(h=2, t=2, absorber_frac=0.2, sample_prob=0.06,
                                                 surplus_ratio=1.0, m_cap=1, pool_size=2)
-# the partition construction at t = h = 3 needs 146 vertices at m = 1
+# the partition construction at t = h = 3 needs 146 vertices
 K150_CLIQUE_CONFIG = AbsorberConfig.desk_scale(h=3, t=3, absorber_frac=0.001, sample_prob=0.03,
                                                 surplus_ratio=2.0, m_cap=1)
 
@@ -1021,7 +1019,7 @@ def k150_clique_structure(k3):
 
 @pytest.fixture(scope="module")
 def k36_k3_structure(k3):
-    # a direct K3 structure at m = 1 with surplus ceil(2.0) = 2: |A| is
+    # a direct K3 structure with surplus ceil(2.0) = 2: |A| is
     # 2 mod 3, so it absorbs k = 1 <= 2 // 2
     k36 = complete_graph(36)
     cfg = AbsorberConfig.desk_scale(h=3, t=1, sample_prob=0.1, surplus_ratio=2.0, m_cap=1)

@@ -189,6 +189,19 @@ class TestFactor:
         rep = load_json(str(report))
         assert rep["schema"] == "pipeline-report/v1"
 
+    def test_absorbing_default_config_absorbs(self, tmp_path, capsys):
+        # with no --config the build makes one round of the template, and
+        # its direct absorbers fit on G(120, 0.7)
+        g, tiling = tmp_path / "g120.el", tmp_path / "tiling.json"
+        assert run_cli("gen", "--construction", "gnp", "--n", "120", "--p", "0.7",
+                       "--seed", "1", "--out", str(g)) == 0
+        capsys.readouterr()
+        assert run_cli("factor", "--graph", str(g), "--pattern", "K3", "--solver", "absorbing",
+                       "--fallback-cap", "0", "--seed", "1", "--out", str(tiling)) == 0
+        assert "factor: 40 copies (fallback=no)" in capsys.readouterr().out
+        assert run_cli("verify", "--certificate", str(tiling), "--graph", str(g),
+                       "--factor") == 0
+
     def test_absorbing_runs_past_the_recursion_limit(self, tmp_path, capsys):
         # at n = 1,020 alpha_ell's first descent and the cover's copies are
         # each deeper than Python's default recursion limit
